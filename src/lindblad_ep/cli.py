@@ -97,7 +97,6 @@ def _workers_default() -> int:
 class RunConfig:
     """Validated sweep settings shared by the grid-producing commands."""
 
-    subcommand: str
     delta: float = 1.0
     d_min: float = 0.0
     d_max: float = 0.0
@@ -110,7 +109,6 @@ class RunConfig:
     rho0: str = "excited"
     out: str | None = None
     format: str = "csv"
-    seed: int = DEFAULT_SEED
     workers: int = 1
 
     def __post_init__(self):
@@ -206,7 +204,6 @@ def cmd_phase_diagram(args) -> int:
     if args.delta <= 0:
         raise DomainError("grid commands use delta > 0 so flags read as d/delta, gamma/delta")
     config = RunConfig(
-        subcommand="phase-diagram",
         delta=args.delta,
         d_min=args.d_min,
         d_max=args.d_max,
@@ -237,7 +234,6 @@ def cmd_phase_diagram(args) -> int:
 
 def cmd_ep_curve(args) -> int:
     config = RunConfig(
-        subcommand="ep-curve",
         d_min=args.d_min,
         d_max=args.d_max,
         nd=args.nd,
@@ -299,7 +295,6 @@ def cmd_ep3(args) -> int:
 def cmd_evolve(args) -> int:
     params = _model_params(args)
     config = RunConfig(
-        subcommand="evolve",
         delta=args.delta,
         dt=args.dt,
         t_max=args.t_max,
@@ -324,7 +319,9 @@ def cmd_evolve(args) -> int:
             )
         )
     _emit_table(config.out, config.format, header, rows)
-    print(f"final_dist_eq = {_fmt(traj.dist_eq[-1])}")
+    # Stdout carries only the table when the table goes there.
+    summary = sys.stdout if config.out is not None else sys.stderr
+    print(f"final_dist_eq = {_fmt(traj.dist_eq[-1])}", file=summary)
     if float(traj.trace_dev.max()) > 1e-10:
         print(
             f"error: trace deviation {traj.trace_dev.max():.3e} exceeds 1e-10",

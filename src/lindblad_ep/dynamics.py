@@ -1,11 +1,17 @@
 """Fixed-step time evolution in both frames, plus a spectral propagator.
 
-The rotating-frame path integrates the flattened linear system
-dpsi/dt = -i L psi; the lab-frame path integrates the 2x2 master equation with
-the oscillatory drive Hamiltonian evaluated at every stage time.  Both use
-classical fourth-order Runge-Kutta with a fixed step: the state space is four
-dimensional and linear, so adaptive stepping would buy nothing and cost
-reproducibility.
+Both frames use classical fourth-order Runge-Kutta with a fixed step: the
+state space is four dimensional and linear, so adaptive stepping would buy
+nothing and cost reproducibility.
+
+The rotating-frame system dpsi/dt = -i L psi has a constant generator, so one
+RK4 step is exactly the matrix polynomial P = R(-i dt L) with the stability
+function R(w) = 1 + w + w^2/2 + w^3/6 + w^4/24.  That path builds P once,
+checks before integrating that no mode grows (|R(-i dt z)| over the
+eigenvalues z of L), and advances sample to sample by powers of P.  The
+lab-frame path integrates the 2x2 master equation stage by stage with the
+oscillatory drive Hamiltonian evaluated at every stage time; it shares no
+step code with the rotating path, so their agreement is an independent check.
 """
 
 from __future__ import annotations
@@ -23,10 +29,8 @@ from .model import (
     check_density_matrix,
     devectorize,
     hamiltonian_rwa,
-    hermiticity_defect,
     max_abs,
     rotate_to_lab,
-    trace_defect,
     vectorize,
 )
 from .spectrum import full_spectrum
@@ -37,8 +41,26 @@ MAX_SAVED = 1001
 
 # A trace drift past this threshold aborts the run: for these generators the
 # trace is conserved exactly by any Runge-Kutta step, so visible drift means
-# the iteration is unstable (dt too large), not merely inaccurate.
+# the iteration is unstable (dt too large), not merely inaccurate.  The
+# rotating path also refuses, before integrating, any step whose per-step
+# amplification compounds past 1 + TRACE_BLOWUP_TOL over the run.
 TRACE_BLOWUP_TOL = 1e-8
+
+# Coordinates (rho_eg, rho_ge, rho_ee - rho_gg, trace) for the step matrix.
+# The generator's population rows are exact negatives, so its trace row is
+# exactly zero here and every power of the step matrix keeps the trace to the
+# last bit; in the flattened layout roundoff in the trace would grow with the
+# number of steps.
+_TO_TRACE_BASIS = np.array(
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, 1.0, 1.0]]
+)
+_FROM_TRACE_BASIS = np.array(
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, -0.5, 0.5]]
+)
+
+# |w| = 4 lies outside the RK4 stability region in every direction (the region
+# reaches |w| ~ 2.96), so it brackets the stability boundary on every ray.
+_OUTSIDE_STABILITY_REGION = 4.0
 
 
 @dataclass(frozen=True)
@@ -47,7 +69,12 @@ class Trajectory:
 
     ``dist_eq`` is the max-norm distance to the stationary state (for
     lab-frame runs, to the stationary state carried into the lab frame at the
-    sample time).
+    sample time).  ``n_steps`` RK4 steps of size ``times[1] - times[0]``
+    were taken, saving every ``stride``-th state and the final one.
+    ``stability_margin`` is max |R(-i dt z)| over the generator's eigenvalues
+    z, the largest per-step amplification of any mode (1 for a stable step:
+    the stationary mode has R = 1); it is ``None`` for lab-frame runs, whose
+    generator depends on time.
     """
 
     times: np.ndarray
@@ -55,6 +82,9 @@ class Trajectory:
     trace_dev: np.ndarray
     herm_dev: np.ndarray
     dist_eq: np.ndarray
+    n_steps: int
+    stride: int
+    stability_margin: float | None
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]
@@ -71,44 +101,87 @@ def step_rk4(derivative, t: float, state: np.ndarray, dt: float) -> np.ndarray:
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _suggest_dt(generator_scale: float) -> float:
-    return 1e-3 * min(1.0, 1.0 / max(generator_scale, 1e-300))
+def _rk4_excess(w: np.ndarray) -> np.ndarray:
+    """|R(w)|^2 - 1 for the RK4 stability function R(w) = 1 + p(w).
+
+    Evaluated as 2 Re p + |p|^2, never forming 1 + p: on the imaginary axis,
+    where the undamped modes sit, |R| - 1 is of order |w|^6 and would round
+    away against the 1.
+    """
+    p = w * (1.0 + w / 2.0 * (1.0 + w / 3.0 * (1.0 + w / 4.0)))
+    return 2.0 * p.real + np.abs(p) ** 2
 
 
-def _run(rhs, state0, t_max, dt, trace_of, to_rho, rho_eq_at, scale) -> Trajectory:
+def _largest_stable_dt(zs: np.ndarray) -> float:
+    """Largest dt with |R(-i dt z)| <= 1 for every eigenvalue z, by bisection on each ray.
+
+    On every ray into the closed left half-plane |R| crosses 1 once, so the
+    bisection between the origin and the bracket finds the stability boundary.
+    """
+    zs = zs[zs != 0]
+    if zs.size == 0:
+        return math.inf
+    modulus = np.abs(zs)
+    direction = -1j * zs / modulus
+    lo = np.zeros(zs.shape)
+    hi = np.full(zs.shape, _OUTSIDE_STABILITY_REGION)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        stable = _rk4_excess(mid * direction) <= 0.0
+        lo = np.where(stable, mid, lo)
+        hi = np.where(stable, hi, mid)
+    return float(np.min(lo / modulus))
+
+
+def largest_stable_dt(params: ModelParams) -> float:
+    """Largest rotating-frame RK4 step under which no mode of the generator grows.
+
+    ``inf`` when the generator vanishes.
+    """
+    return _largest_stable_dt(np.linalg.eigvals(build_lindblad(params)))
+
+
+def _check_stability(zs: np.ndarray, dt: float, n_steps: int) -> float:
+    """Return max |R(-i dt z)|; raise :class:`StepSizeError` if it compounds past tolerance.
+
+    The test is max |R|^n_steps > 1 + TRACE_BLOWUP_TOL, taken in logarithms.
+    A bare |R| > 1 test would reject the undamped modes, whose |R| may round
+    to just above 1.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        excess = float(np.max(_rk4_excess(-1j * dt * zs)))
+    margin = 0.0 if excess <= -1.0 else math.sqrt(1.0 + excess)
+    if excess > 0.0 or math.isnan(excess):
+        if not 0.5 * n_steps * math.log1p(excess) <= math.log1p(TRACE_BLOWUP_TOL):
+            raise StepSizeError(
+                f"dt = {dt:.6g} is unstable: a mode grows by a factor {margin:.6g} "
+                f"per step, over {n_steps} step(s); the largest stable step is "
+                f"dt = {_largest_stable_dt(zs):.6g}"
+            )
+    return margin
+
+
+def _schedule(t_max: float, dt: float) -> tuple[int, int, list[int]]:
+    """Step count, save stride and the saved step indices (every stride-th and the last)."""
     if not (dt > 0 and dt <= t_max):
         raise DomainError(f"need 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
     n_steps = max(1, int(round(t_max / dt)))
     stride = max(1, math.ceil(n_steps / (MAX_SAVED - 1)))
+    saved = list(range(0, n_steps + 1, stride))
+    if saved[-1] != n_steps:
+        saved.append(n_steps)
+    return n_steps, stride, saved
 
-    times = []
-    states = []
 
-    def record(i: int, state) -> None:
-        times.append(i * dt)
-        states.append(to_rho(state))
+def _diagnostics(states: np.ndarray, rho_eq: np.ndarray):
+    """Trace defect, Hermiticity defect and distance to ``rho_eq`` per stacked state.
 
-    record(0, state0)
-    state = state0
-    for i in range(1, n_steps + 1):
-        state = step_rk4(rhs, (i - 1) * dt, state, dt)
-        drift = abs(trace_of(state) - 1.0)
-        if not (drift <= TRACE_BLOWUP_TOL):
-            raise StepSizeError(
-                f"trace drifted by {drift:.3e} at t = {i * dt:.6g}; "
-                f"the step is unstable, try dt <= {_suggest_dt(scale):.3e}"
-            )
-        if i % stride == 0 or i == n_steps:
-            record(i, state)
-
-    times = np.array(times)
-    states = np.array(states)
-    trace_dev = np.array([trace_defect(rho) for rho in states])
-    herm_dev = np.array([hermiticity_defect(rho) for rho in states])
-    dist_eq = np.array(
-        [max_abs(rho - rho_eq_at(t)) for t, rho in zip(times, states)]
-    )
-    return Trajectory(times, states, trace_dev, herm_dev, dist_eq)
+    ``rho_eq`` is one 2x2 state or a stack matching ``states``.
+    """
+    trace_dev = np.abs(states[:, 0, 0] + states[:, 1, 1] - 1.0)
+    herm_dev = np.max(np.abs(states - np.swapaxes(states.conj(), 1, 2)), axis=(1, 2))
+    dist_eq = np.max(np.abs(states - rho_eq), axis=(1, 2))
+    return trace_dev, herm_dev, dist_eq
 
 
 def evolve_rotating(
@@ -117,27 +190,57 @@ def evolve_rotating(
     """Integrate the time-independent flattened system from ``rho0``.
 
     Saves at most :data:`MAX_SAVED` snapshots (the final state always
-    included) and aborts with :class:`StepSizeError` on trace drift.
+    included).  Raises :class:`StepSizeError` before integrating if ``dt``
+    lies outside the stability region, naming the largest stable step, and
+    after integrating if the trace drifted anyway.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0)
+    n_steps, stride, saved = _schedule(t_max, dt)
     L = build_lindblad(params)
-    gen = -1j * L
     rho_eq = equilibrium_state(params)
+    zs = np.linalg.eigvals(L)
+    margin = _check_stability(zs, dt, n_steps)
 
-    def rhs(t, psi):
-        return gen @ psi
+    a = -1j * dt * (_TO_TRACE_BASIS @ L @ _FROM_TRACE_BASIS)
+    eye = np.eye(4)
+    step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
+    step_stride = np.linalg.matrix_power(step, stride)
+    psi = np.empty((len(saved), 4), dtype=complex)
+    psi[0] = _TO_TRACE_BASIS @ vectorize(rho0)
+    for k in range(1, len(saved)):
+        gap = saved[k] - saved[k - 1]
+        jump = step_stride if gap == stride else np.linalg.matrix_power(step, gap)
+        psi[k] = jump @ psi[k - 1]
 
-    return _run(
-        rhs,
-        vectorize(rho0),
-        t_max,
-        dt,
-        trace_of=lambda psi: complex(psi[2] + psi[3]),
-        to_rho=devectorize,
-        rho_eq_at=lambda t: rho_eq,
-        scale=max_abs(L),
-    )
+    times = np.array(saved) * dt
+    states = devectorize(psi @ _FROM_TRACE_BASIS.T)
+    trace_dev, herm_dev, dist_eq = _diagnostics(states, rho_eq)
+    bad = np.flatnonzero(~(trace_dev <= TRACE_BLOWUP_TOL))
+    if bad.size:
+        k = bad[0]
+        raise StepSizeError(
+            f"trace drifted by {trace_dev[k]:.3e} at t = {times[k]:.6g}; the step "
+            f"is unstable, the largest stable step is dt = {_largest_stable_dt(zs):.6g}"
+        )
+    return Trajectory(times, states, trace_dev, herm_dev, dist_eq, n_steps, stride, margin)
+
+
+def _run(rhs, rho0: np.ndarray, dt: float, saved: list[int]) -> np.ndarray:
+    """Stage-wise RK4 on a 2x2 state; returns the states at the saved step indices."""
+    states = [rho0]
+    rho = rho0
+    for start, stop in zip(saved[:-1], saved[1:]):
+        for i in range(start, stop):
+            rho = step_rk4(rhs, i * dt, rho, dt)
+            drift = abs(complex(rho[0, 0] + rho[1, 1]) - 1.0)
+            if not (drift <= TRACE_BLOWUP_TOL):
+                raise StepSizeError(
+                    f"trace drifted by {drift:.3e} at t = {(i + 1) * dt:.6g}; "
+                    "the step is unstable, reduce dt"
+                )
+        states.append(rho)
+    return np.array(states)
 
 
 def evolve_lab(
@@ -145,29 +248,32 @@ def evolve_lab(
 ) -> Trajectory:
     """Integrate the lab-frame master equation with the oscillatory drive.
 
-    The Hamiltonian is re-evaluated at every Runge-Kutta stage time.  Reduces
-    exactly to :func:`evolve_rotating` when omega = 0.
+    The Hamiltonian is re-evaluated at every Runge-Kutta stage time.  Agrees
+    with :func:`evolve_rotating` to roundoff when omega = 0.  Aborts with
+    :class:`StepSizeError` as soon as the trace drifts.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0)
+    n_steps, stride, saved = _schedule(t_max, dt)
     gamma = params.gamma
-    omega = params.omega
     rho_eq_rot = equilibrium_state(params.to_rotating())
 
     def rhs(t, rho):
         return lindblad_rhs(hamiltonian_rwa(params, t), gamma, rho)
 
-    scale = abs(params.Delta) + abs(params.d) + gamma
-    return _run(
-        rhs,
-        rho0,
-        t_max,
-        dt,
-        trace_of=lambda rho: complex(rho[0, 0] + rho[1, 1]),
-        to_rho=lambda rho: rho,
-        rho_eq_at=lambda t: rotate_to_lab(rho_eq_rot, omega, t),
-        scale=scale,
-    )
+    states = _run(rhs, rho0, dt, saved)
+    times = np.array(saved) * dt
+    rho_eq = rotate_to_lab(rho_eq_rot, params.omega, times)
+    trace_dev, herm_dev, dist_eq = _diagnostics(states, rho_eq)
+    return Trajectory(times, states, trace_dev, herm_dev, dist_eq, n_steps, stride, None)
+
+
+def frame_deviation(lab: Trajectory, rot: Trajectory, omega: float) -> float:
+    """Worst max-norm mismatch between lab states and rotating states carried to the lab frame.
+
+    Both trajectories must share their sample times.
+    """
+    return max_abs(lab.states - rotate_to_lab(rot.states, omega, lab.times))
 
 
 def verify_frame_equivalence(
@@ -180,10 +286,7 @@ def verify_frame_equivalence(
     """
     traj_lab = evolve_lab(params, rho0, t_max, dt)
     traj_rot = evolve_rotating(params.to_rotating(), rho0, t_max, dt)
-    dev = 0.0
-    for t, rho_lab, rho_rot in zip(traj_lab.times, traj_lab.states, traj_rot.states):
-        dev = max(dev, max_abs(rho_lab - rotate_to_lab(rho_rot, params.omega, t)))
-    return dev
+    return frame_deviation(traj_lab, traj_rot, params.omega)
 
 
 def spectral_evolve(params: ModelParams, rho0: np.ndarray, t: float) -> np.ndarray:

@@ -112,19 +112,27 @@ def jump_operators() -> tuple[np.ndarray, np.ndarray]:
     return c, c.conj().T
 
 
-def frame_unitary(omega: float, t: float) -> np.ndarray:
-    """Diagonal unitary carrying the drive phase on the excited level only."""
-    return np.array([[np.exp(-1j * omega * t), 0j], [0j, 1.0 + 0j]])
+def frame_unitary(omega: float, t) -> np.ndarray:
+    """Diagonal unitary carrying the drive phase on the excited level only.
+
+    An array of times gives the stack of unitaries, shape ``t.shape + (2, 2)``.
+    """
+    t = np.asarray(t, dtype=float)
+    u = np.zeros(t.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = np.exp(-1j * omega * t)
+    u[..., 1, 1] = 1.0
+    return u
 
 
-def rotate_to_lab(rho_tilde: np.ndarray, omega: float, t: float) -> np.ndarray:
+def rotate_to_lab(rho_tilde: np.ndarray, omega: float, t) -> np.ndarray:
     """Map a rotating-frame state back to the lab frame at time ``t``.
 
     Unitary conjugation: preserves trace, Hermiticity and eigenvalues; only the
-    phase of the coherence changes.
+    phase of the coherence changes.  Broadcasts over stacks: an array of times
+    with one state or a stack of states, one per time.
     """
     u = frame_unitary(omega, t)
-    return u @ np.asarray(rho_tilde, dtype=complex) @ u.conj().T
+    return u @ np.asarray(rho_tilde, dtype=complex) @ np.swapaxes(u.conj(), -1, -2)
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -137,26 +145,35 @@ def devectorize(psi: np.ndarray, pairing_tol: float = 1e-9) -> np.ndarray:
     """Rebuild the 2x2 density matrix from its flattened form.
 
     Exact inverse of :func:`vectorize` (components are copied, never
-    symmetrised).  A vector whose components violate the Hermiticity pairing
-    beyond ``pairing_tol`` (relative) triggers a non-fatal
-    :class:`HermiticityWarning`.
+    symmetrised).  A stack of vectors, shape ``(..., 4)``, gives the stack of
+    matrices, shape ``(..., 2, 2)``.  A vector whose components violate the
+    Hermiticity pairing beyond ``pairing_tol`` (relative to that vector's
+    largest entry, floored at 1) triggers one non-fatal
+    :class:`HermiticityWarning` for the whole stack.
     """
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (4,):
-        raise DomainError(f"expected a length-4 vector, got shape {psi.shape}")
-    scale = max(1.0, float(np.max(np.abs(psi))))
-    defect = max(
-        abs(psi[0] - np.conj(psi[1])),
-        abs(psi[2].imag),
-        abs(psi[3].imag),
+    if psi.ndim == 0 or psi.shape[-1] != 4:
+        raise DomainError(f"expected length-4 vectors, got shape {psi.shape}")
+    scale = np.maximum(1.0, np.max(np.abs(psi), axis=-1))
+    defect = np.maximum.reduce(
+        [
+            np.abs(psi[..., 0] - np.conj(psi[..., 1])),
+            np.abs(psi[..., 2].imag),
+            np.abs(psi[..., 3].imag),
+        ]
     )
-    if defect > pairing_tol * scale:
+    if np.any(defect > pairing_tol * scale):
         warnings.warn(
-            f"flattened state violates Hermiticity pairing by {defect:.3e}",
+            f"flattened state violates Hermiticity pairing by {np.max(defect):.3e}",
             HermiticityWarning,
             stacklevel=2,
         )
-    return np.array([[psi[2], psi[0]], [psi[1], psi[3]]])
+    rho = np.empty(psi.shape[:-1] + (2, 2), dtype=complex)
+    rho[..., 0, 0] = psi[..., 2]
+    rho[..., 0, 1] = psi[..., 0]
+    rho[..., 1, 0] = psi[..., 1]
+    rho[..., 1, 1] = psi[..., 3]
+    return rho
 
 
 def initial_state(name: str) -> np.ndarray:

@@ -7,6 +7,8 @@ is never baked into L itself.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -60,7 +62,12 @@ def null_eigenvectors(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     the stationary state.  Rejects the fully degenerate point
     delta = d = gamma = 0, where the stationary state is not unique.
     """
-    delta, d, gamma = params.delta, params.d, params.gamma
+    # The entries are ratios of quadratics in the parameters: scaling them by a
+    # power of two is exact and keeps n0 from underflowing or overflowing.
+    _, exponent = math.frexp(max(abs(params.delta), abs(params.d), params.gamma))
+    delta, d, gamma = (
+        math.ldexp(x, -exponent) for x in (params.delta, params.d, params.gamma)
+    )
     n0 = 4.0 * delta**2 + 2.0 * d**2 + gamma**2
     if n0 <= 0.0:
         raise DomainError("stationary state is not unique at delta = d = gamma = 0")

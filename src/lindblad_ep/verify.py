@@ -14,9 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import evolve_lab, evolve_rotating, verify_frame_equivalence
+from .dynamics import (
+    evolve_lab,
+    evolve_rotating,
+    frame_deviation,
+    verify_frame_equivalence,
+)
 from .errors import DomainError
 from .exceptional import (
+    D_TILDE_EP3,
+    GAMMA_TILDE_EP3,
+    Z_EP3,
     classify,
     discriminant,
     ep2_gamma,
@@ -34,10 +42,6 @@ from .spectrum import (
     match_distance,
 )
 from .superop import build_lindblad, null_eigenvectors
-
-D_TILDE_EP3 = 2.0 * math.sqrt(2.0)
-GAMMA_TILDE_EP3 = 6.0 * math.sqrt(3.0)
-Z_EP3 = -4j * math.sqrt(3.0)
 
 DEFAULT_SEED = 1234
 
@@ -206,11 +210,7 @@ def check_frame(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckResult
     order is measured at coarser steps where truncation dominates.
     """
     params, rho0, lab, rot = _frame_pair()
-    from .model import rotate_to_lab
-
-    dev = 0.0
-    for t, rho_lab, rho_rot in zip(lab.times, lab.states, rot.states):
-        dev = max(dev, max_abs(rho_lab - rotate_to_lab(rho_rot, params.omega, t)))
+    dev = frame_deviation(lab, rot, params.omega)
     coarse = verify_frame_equivalence(params, rho0, t_max=10.0, dt=0.04)
     fine = verify_frame_equivalence(params, rho0, t_max=10.0, dt=0.02)
     order = math.log2(coarse / fine)

@@ -176,6 +176,21 @@ class TestEvolveCommand:
         assert rc == 3
         assert "dt" in capsys.readouterr().err
 
+    def test_stdout_table_parses_as_csv(self, capsys):
+        assert run(["evolve", "--t-max", "1", "--dt", "0.01"]) == 0
+        captured = capsys.readouterr()
+        table = np.loadtxt(captured.out.splitlines(), delimiter=",", skiprows=1, ndmin=2)
+        assert table.shape == (101, 7)
+        assert captured.out.splitlines()[0] == "t,re_ee,re_gg,re_eg,im_eg,trace_dev,dist_eq"
+        assert "final_dist_eq" in captured.err
+
+    def test_stdout_table_parses_as_json(self, capsys):
+        assert run(["evolve", "--t-max", "1", "--dt", "0.01", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        rows = json.loads(captured.out)
+        assert len(rows) == 101
+        assert "final_dist_eq" in captured.err
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "traj.json"
         assert run(["evolve", "--t-max", "1", "--dt", "0.01", "--format", "json",

@@ -9,12 +9,19 @@ from lindblad_ep import (
     ModelParams,
     NearDegenerateError,
     StepSizeError,
+    INITIAL_STATES,
+    build_lindblad,
+    devectorize,
     equilibrium_state,
     evolve_lab,
     evolve_rotating,
+    frame_deviation,
     initial_state,
+    largest_stable_dt,
+    rotate_to_lab,
     spectral_evolve,
     step_rk4,
+    vectorize,
     verify_frame_equivalence,
 )
 
@@ -106,6 +113,99 @@ class TestEvolveRotating:
         assert all(b < a * 1.05 for a, b in zip(coarse, coarse[1:]))
 
 
+def _stagewise_states(params, rho0, t_max, dt, times):
+    """Stage-wise RK4 on -i L psi, saving the states at the given sample times."""
+    gen = -1j * build_lindblad(params)
+    saved = {int(round(t / dt)) for t in times}
+    psi = vectorize(rho0)
+    states = [psi]
+    for i in range(1, int(round(t_max / dt)) + 1):
+        psi = step_rk4(lambda t, s: gen @ s, (i - 1) * dt, psi, dt)
+        if i in saved:
+            states.append(psi)
+    return devectorize(np.array(states))
+
+
+class TestStepMatrix:
+    @pytest.mark.parametrize("dt", [1e-3, 0.05])
+    @pytest.mark.parametrize("name", INITIAL_STATES)
+    def test_matches_stagewise_rk4(self, name, dt):
+        # at dt = 0.05 RK4 truncation is ~1e-4, so an exact propagator would fail
+        params = ModelParams(1.0, 2.0, 1.0)
+        rho0 = initial_state(name)
+        traj = evolve_rotating(params, rho0, 10.0, dt)
+        ref = _stagewise_states(params, rho0, 10.0, dt, traj.times)
+        assert ref.shape == traj.states.shape
+        assert float(np.max(np.abs(traj.states - ref))) <= 1e-12
+
+    def test_step_just_past_the_limit_is_refused(self):
+        params = ModelParams(1.0, 2.0, 1.0)
+        h = largest_stable_dt(params)
+        with pytest.raises(StepSizeError) as info:
+            evolve_rotating(params, initial_state("excited"), 1.01 * h, 1.01 * h)
+        assert f"dt = {h:.6g}" in str(info.value)
+
+    def test_step_just_inside_the_limit_integrates(self):
+        params = ModelParams(1.0, 2.0, 1.0)
+        h = largest_stable_dt(params)
+        traj = evolve_rotating(params, initial_state("excited"), 0.99 * h, 0.99 * h)
+        assert traj.n_steps == 1
+        assert traj.stability_margin <= 1.0 + 1e-12
+
+    def test_undamped_modes_are_not_refused(self):
+        # gamma = 0: two modes on the imaginary axis, where |R| rounds to 1
+        traj = evolve_rotating(ModelParams(1.0, 2.0, 0.0), initial_state("excited"), 40.0, 1e-3)
+        assert float(traj.trace_dev.max()) < 1e-10
+        assert abs(traj.stability_margin - 1.0) < 1e-12
+
+    def test_trace_kept_to_the_last_bit_over_a_million_steps(self):
+        # undamped, 10^6 steps: roundoff in powers of P must not build up in the trace
+        traj = evolve_rotating(ModelParams(1.0, 2.0, 0.0), initial_state("coherent"), 1e4, 1e-2)
+        assert float(traj.trace_dev.max()) <= 1e-15
+
+    def test_limit_on_the_imaginary_axis(self):
+        # undamped modes z = +-sqrt(delta^2 + d^2): RK4 is stable for |dt z| <= 2 sqrt(2)
+        h = largest_stable_dt(ModelParams(1.0, 2.0, 0.0))
+        assert abs(h - 2.0 * math.sqrt(2.0) / math.sqrt(5.0)) < 1e-12
+
+    def test_zero_generator_has_no_limit(self):
+        assert largest_stable_dt(ModelParams(0.0, 0.0, 0.0)) == math.inf
+
+
+class TestTrajectoryRecord:
+    def test_rotating_run_records_steps_and_margin(self):
+        traj = evolve_rotating(ModelParams(1.0, 2.0, 1.0), initial_state("excited"), 5.0, 1e-3)
+        assert traj.n_steps == 5000
+        assert traj.stride == 5
+        assert len(traj.times) == 1001
+        assert abs(traj.stability_margin - 1.0) < 1e-12
+
+    def test_partial_last_stride(self):
+        traj = evolve_rotating(ModelParams(1.0, 2.0, 1.0), initial_state("excited"), 2.503, 1e-3)
+        assert (traj.n_steps, traj.stride) == (2503, 3)
+        assert abs(traj.times[-1] - 2.503) < 1e-12
+        assert abs(traj.times[-2] - 2.502) < 1e-12
+        ref = _stagewise_states(ModelParams(1.0, 2.0, 1.0), initial_state("excited"),
+                                2.503, 1e-3, traj.times)
+        assert float(np.max(np.abs(traj.states - ref))) <= 1e-12
+
+    def test_diagnostics_match_per_sample_reference(self):
+        lab = LabParams(Delta=2.0, omega=1.0, d=1.0, gamma=0.3)
+        traj = evolve_lab(lab, initial_state("excited"), 1.0, 1e-2)
+        rho_eq = equilibrium_state(lab.to_rotating())
+        for k, (t, rho) in enumerate(zip(traj.times, traj.states)):
+            assert traj.trace_dev[k] == abs(complex(np.trace(rho)) - 1.0)
+            assert traj.herm_dev[k] == float(np.max(np.abs(rho - rho.conj().T)))
+            dist = float(np.max(np.abs(rho - rotate_to_lab(rho_eq, lab.omega, t))))
+            assert abs(traj.dist_eq[k] - dist) < 1e-15
+
+    def test_lab_run_has_no_margin(self):
+        lab = LabParams(Delta=2.0, omega=1.0, d=1.0, gamma=0.3)
+        traj = evolve_lab(lab, initial_state("excited"), 1.0, 1e-2)
+        assert (traj.n_steps, traj.stride) == (100, 1)
+        assert traj.stability_margin is None
+
+
 class TestEvolveLab:
     def test_zero_frequency_matches_rotating_frame(self):
         lab = LabParams(Delta=1.0, omega=0.0, d=2.0, gamma=1.0)
@@ -150,6 +250,18 @@ class TestFrameEquivalence:
         coarse = verify_frame_equivalence(lab, rho0, 10.0, 0.04)
         fine = verify_frame_equivalence(lab, rho0, 10.0, 0.02)
         assert 13.0 < coarse / fine < 19.0
+
+
+    def test_frame_deviation_is_the_per_sample_worst(self):
+        lab = LabParams(Delta=2.0, omega=1.0, d=1.0, gamma=0.3)
+        rho0 = initial_state("excited")
+        tl = evolve_lab(lab, rho0, 2.0, 0.02)
+        tr = evolve_rotating(lab.to_rotating(), rho0, 2.0, 0.02)
+        per_sample = max(
+            float(np.max(np.abs(a - rotate_to_lab(b, lab.omega, t))))
+            for t, a, b in zip(tl.times, tl.states, tr.states)
+        )
+        assert frame_deviation(tl, tr, lab.omega) == per_sample
 
 
 class TestSpectralEvolve:

@@ -122,6 +122,16 @@ class TestRotateToLab:
         rho = np.diag([p, 1.0 - p]).astype(complex)
         np.testing.assert_allclose(rotate_to_lab(rho, omega, t), rho, atol=1e-14)
 
+    def test_stack_of_times_matches_per_time(self):
+        rho = initial_state("coherent")
+        times = np.array([0.0, 0.3, 1.7])
+        stacked = rotate_to_lab(rho, 2.0, times)
+        assert stacked.shape == (3, 2, 2)
+        for k, t in enumerate(times):
+            np.testing.assert_allclose(stacked[k], rotate_to_lab(rho, 2.0, t), atol=1e-15)
+        per_state = rotate_to_lab(np.stack([rho, rho.conj(), rho]), 2.0, times)
+        np.testing.assert_allclose(per_state[1], rotate_to_lab(rho.conj(), 2.0, 0.3), atol=1e-15)
+
     def test_t0_is_identity_map(self):
         rho = initial_state("coherent")
         np.testing.assert_array_equal(rotate_to_lab(rho, 2.0, 0.0), rho)
@@ -170,6 +180,18 @@ class TestVectorization:
     def test_devectorize_shape_check(self):
         with pytest.raises(DomainError):
             devectorize(np.zeros(3, dtype=complex))
+
+    def test_devectorize_stack_matches_per_vector(self):
+        psi = np.array([[0.1 + 0.2j, 0.1 - 0.2j, 0.3, 0.7], [0.0, 0.0, 1.0, 0.0]])
+        stacked = devectorize(psi)
+        assert stacked.shape == (2, 2, 2)
+        for k in range(2):
+            assert (stacked[k] == devectorize(psi[k])).all()
+
+    def test_devectorize_stack_flags_one_broken_vector(self):
+        psi = np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.5, 0.3, 0.7]], dtype=complex)
+        with pytest.warns(HermiticityWarning):
+            devectorize(psi)
 
 
 class TestStates:

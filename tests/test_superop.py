@@ -106,6 +106,20 @@ class TestLindbladRHS:
 
 
 class TestNullMode:
+    @pytest.mark.parametrize("scale", [6.07093058756368e-158, 1e-300, 1e200])
+    def test_scale_free(self, scale):
+        # the stationary state depends only on the parameter ratios
+        for delta, d, gamma in [(0.0, 0.0, 1.0), (1.0, 2.0, 1.0), (-0.5, 3.0, 0.0)]:
+            left, right = null_eigenvectors(ModelParams(delta * scale, d * scale, gamma * scale))
+            _, unit = null_eigenvectors(ModelParams(delta, d, gamma))
+            assert abs(left @ right - 1.0) < 1e-14
+            np.testing.assert_allclose(right, unit, rtol=0, atol=1e-15)
+
+    def test_power_of_two_scaling_is_bitwise(self):
+        _, right = null_eigenvectors(ModelParams(0.3, 1.7, 2.9))
+        _, scaled = null_eigenvectors(ModelParams(0.3 * 1024, 1.7 * 1024, 2.9 * 1024))
+        assert (right == scaled).all()
+
     def test_pure_ground_state_without_drive(self):
         _, right = null_eigenvectors(ModelParams(1.0, 0.0, 1.0))
         np.testing.assert_allclose(right, np.array([0, 0, 0, 1], dtype=complex), atol=1e-15)
