@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +24,8 @@ from .errors import (
 )
 from .exceptional import (
     D_TILDE_EP3,
-    Region,
     classify,
+    classify_grid,
     ep2_eigenvalue,
     ep2_gamma,
     ep3_point,
@@ -81,16 +79,8 @@ def _emit_table(path, fmt, header, rows):
         _write_text(path, json.dumps(payload, indent=2) + "\n")
     else:
         lines = [",".join(header)]
-        lines += [",".join(str(cell) for cell in row) for row in rows]
+        lines += [",".join(map(str, row)) for row in rows]
         _write_text(path, "\n".join(lines) + "\n")
-
-
-def _workers_default() -> int:
-    env = os.environ.get("LINDBLAD_EP_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -109,7 +99,6 @@ class RunConfig:
     rho0: str = "excited"
     out: str | None = None
     format: str = "csv"
-    workers: int = 1
 
     def __post_init__(self):
         if self.nd < 1 or self.ngamma < 1:
@@ -118,8 +107,6 @@ class RunConfig:
             raise DomainError("range maxima must be >= minima")
         if self.dt <= 0:
             raise DomainError("dt must be positive")
-        if self.workers < 1:
-            raise DomainError("worker count must be >= 1")
 
     def d_grid(self) -> np.ndarray:
         return np.linspace(self.d_min, self.d_max, self.nd)
@@ -188,18 +175,6 @@ def cmd_spectrum(args) -> int:
 # phase-diagram
 # --------------------------------------------------------------------------
 
-def _phase_rows(task) -> list[tuple]:
-    """Rows for one drive value; top-level so worker processes can import it."""
-    delta, d_t, gammas = task
-    rows = []
-    for g_t in gammas:
-        point = classify(ModelParams(delta, d_t * delta, g_t * delta))
-        rows.append(
-            (_fmt(d_t), _fmt(g_t), _fmt(point.disc), point.region.value, point.ordering)
-        )
-    return rows
-
-
 def cmd_phase_diagram(args) -> int:
     if args.delta <= 0:
         raise DomainError("grid commands use delta > 0 so flags read as d/delta, gamma/delta")
@@ -213,16 +188,19 @@ def cmd_phase_diagram(args) -> int:
         ngamma=args.ngamma,
         out=args.out,
         format=args.format,
-        workers=args.workers,
     )
-    g_grid = tuple(config.gamma_grid())
-    tasks = [(config.delta, float(d_t), g_grid) for d_t in config.d_grid()]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(_phase_rows, tasks, chunksize=8))
-    else:
-        chunks = [_phase_rows(task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+    d_grid, g_grid = config.d_grid(), config.gamma_grid()
+    disc, region, ordering = classify_grid(config.delta, d_grid, g_grid)
+    # Each coordinate is formatted once; rows run d-major like the grid.
+    d_text = [_fmt(d_t) for d_t in d_grid]
+    g_text = [_fmt(g_t) for g_t in g_grid]
+    rows = zip(
+        [d_t for d_t in d_text for _ in g_text],
+        g_text * len(d_text),
+        map(repr, disc.ravel().tolist()),
+        [label.value for label in region.ravel().tolist()],
+        ordering.ravel().tolist(),
+    )
     header = ("d_tilde", "gamma_tilde", "disc", "region", "ordering")
     _emit_table(config.out, config.format, header, rows)
     return EXIT_OK
@@ -412,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-min", type=float, default=0.0)
     p.add_argument("--gamma-max", type=float, default=16.0)
     p.add_argument("--ngamma", type=int, default=300)
-    p.add_argument("--workers", type=int, default=_workers_default(),
-                   help="parallel row workers (default: LINDBLAD_EP_WORKERS or 1)")
     _add_out_flags(p)
     p.set_defaults(func=cmd_phase_diagram)
 

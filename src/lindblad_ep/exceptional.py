@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, DomainError, NoRootError
 from .model import ModelParams
-from .spectrum import cardano_params, eigenvalues_closed_form
+from .spectrum import _cubic_grid, _pow, cardano_params, eigenvalues_closed_form
 
 D_TILDE_EP3 = 2.0 * math.sqrt(2.0)
 GAMMA_TILDE_EP3 = 6.0 * math.sqrt(3.0)
@@ -171,19 +171,65 @@ def classify(params: ModelParams) -> PhasePoint:
 
     if abs(cp.disc) > band:
         region = Region.SPLIT_PAIR if cp.disc > 0 else Region.ALL_IMAGINARY
-    elif max(abs(cp.p), abs(cp.q) ** (2.0 / 3.0)) <= EP3_BAND * scale2:
-        region = Region.EP3
     else:
-        try:
-            gm, gp = ep2_gamma(abs(d_t))
-            midpoint = 0.5 * (gm + gp)
-        except DomainError:
-            # Below the drive threshold the band can only be entered near the
-            # triple point; split on the coupling side of it.
-            midpoint = GAMMA_TILDE_EP3
-        region = Region.EP2_MINUS if abs(g_t) <= midpoint else Region.EP2_PLUS
+        region = _coalescence_region(cp.p, cp.q, scale2, d_t, g_t)
     return PhasePoint(d_tilde=d_t, gamma_tilde=g_t, disc=cp.disc,
                       region=region, ordering=ordering)
+
+
+def _coalescence_region(p: float, q: float, scale2: float, d_t: float, g_t: float) -> Region:
+    """Label of a point inside the |disc| band: the triple point or one EP2 branch."""
+    if max(abs(p), abs(q) ** (2.0 / 3.0)) <= EP3_BAND * scale2:
+        return Region.EP3
+    try:
+        gm, gp = ep2_gamma(abs(d_t))
+        midpoint = 0.5 * (gm + gp)
+    except DomainError:
+        # Below the drive threshold the band can only be entered near the
+        # triple point; split on the coupling side of it.
+        midpoint = GAMMA_TILDE_EP3
+    return Region.EP2_MINUS if abs(g_t) <= midpoint else Region.EP2_PLUS
+
+
+def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`classify` over the outer grid of two 1-D scaled-coordinate arrays.
+
+    Returns ``(disc, region, ordering)``, each of shape
+    ``(len(d_tilde), len(gamma_tilde))``, with ``region`` an object array of
+    :class:`Region` members.  Every entry equals, bit for bit, the field of
+    ``classify(ModelParams(delta, d_t * delta, g_t * delta))`` at that node:
+    the whole grid is one array pass, and only the few points inside the
+    |disc| band go through the scalar coalescence labelling.
+    """
+    delta = float(delta)
+    if delta == 0:
+        raise DomainError("phase-plane classification needs delta != 0 "
+                          "(coordinates are d/delta and gamma/delta)")
+    d = np.asarray(d_tilde, dtype=float) * delta
+    gamma = np.asarray(gamma_tilde, dtype=float) * delta
+    if d.ndim != 1 or gamma.ndim != 1:
+        raise DomainError("d_tilde and gamma_tilde must be 1-D grids")
+    if not (math.isfinite(delta) and np.isfinite(d).all() and np.isfinite(gamma).all()):
+        raise DomainError("delta, d and gamma must be finite on the whole grid")
+    if (gamma < 0).any():
+        raise DomainError(f"gamma must be >= 0, got {gamma.min()}")
+
+    cubic = _cubic_grid(delta, d, gamma)
+    scale2 = np.maximum(1.0, cubic.energy)
+    band = EP_BAND * _pow(scale2, 3)
+
+    z1, z2 = cubic.z1, cubic.z2
+    imdiff = z1.imag - z2.imag
+    size = np.maximum(np.maximum(1.0, np.hypot(z1.real, z1.imag)), np.hypot(z2.real, z2.imag))
+    ordering = np.where(np.abs(imdiff) <= 1e-12 * size, 0, np.where(imdiff > 0, 1, -1))
+
+    region = np.where(cubic.disc > 0, Region.SPLIT_PAIR, Region.ALL_IMAGINARY)
+    for i, j in zip(*np.nonzero(np.abs(cubic.disc) <= band)):
+        region[i, j] = _coalescence_region(
+            float(cubic.p[i, j]), float(cubic.q[i, j]), float(scale2[i, j]),
+            float(d[i]) / delta, float(gamma[j]) / delta,
+        )
+    return cubic.disc, region, ordering
 
 
 def _disc_quadratic_coeffs(d_tilde: float) -> tuple[float, float, float]:

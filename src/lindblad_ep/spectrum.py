@@ -11,11 +11,12 @@ finder with Newton polish.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DomainError, NearDegenerateError, NonConvergenceError
 from .model import ModelParams, max_abs
@@ -96,10 +97,100 @@ def cardano_params(params: ModelParams) -> CardanoParams:
         else:
             v = complex(_real_cbrt(q - s))
     else:
-        s = 1j * math.sqrt(-disc)
-        u = (q + s) ** (1.0 / 3.0)
-        v = -p / u
+        u, v = _complex_radicals(p, q, disc)
     return CardanoParams(p=p, q=q, disc=disc, u=u, v=v)
+
+
+def _complex_radicals(p: float, q: float, disc: float) -> tuple[complex, complex]:
+    """u and v = -p/u for disc < 0, where the radicand q + i sqrt(-disc) is complex."""
+    s = 1j * math.sqrt(-disc)
+    u = (q + s) ** (1.0 / 3.0)
+    return u, -p / u
+
+
+def _phased_roots(gamma: float, u: complex, v: complex) -> tuple[complex, complex, complex]:
+    """The three decaying eigenvalues from the radicals, in the fixed branch order."""
+    base = 2.0 * gamma / 3.0
+    z1 = -1j * (base + u + v)
+    z2 = -1j * (base + _W * u + _W.conjugate() * v)
+    z3 = -1j * (base + _W.conjugate() * u + _W * v)
+    return z1, z2, z3
+
+
+def _pow(x: np.ndarray, k: int) -> np.ndarray:
+    """Elementwise ``x**k`` through Python's float power.
+
+    numpy's own power (and even its ``x*x`` for squares) can round differently
+    from the C library ``pow`` behind Python floats, and the array path must
+    match the scalar functions bit for bit.
+    """
+    flat = x.ravel().tolist()
+    return np.fromiter(map(pow, flat, itertools.repeat(k)), float, len(flat)).reshape(x.shape)
+
+
+@dataclass(frozen=True)
+class _CubicGrid:
+    """Array form of :class:`CardanoParams` plus the first two decaying eigenvalues.
+
+    Every entry equals, bit for bit, what :func:`cardano_params` and
+    :func:`eigenvalues_closed_form` give at the same node.  ``energy`` is
+    :meth:`ModelParams.energy_scale` at each node.
+    """
+
+    p: np.ndarray
+    q: np.ndarray
+    disc: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    z1: np.ndarray
+    z2: np.ndarray
+    energy: np.ndarray
+
+
+def _cubic_grid(delta: float, d: np.ndarray, gamma: np.ndarray) -> _CubicGrid:
+    """The cubic of :func:`cardano_params` on the outer grid ``d[:, None], gamma[None, :]``.
+
+    Where the radicals are real (disc >= 0, all but a few percent of a
+    typical grid) the phased combinations are expanded into real arithmetic
+    in the exact operation order of the complex expressions.  The complex
+    radicals, and everything after them, go through the scalar helpers.
+    """
+    delta2 = delta**2
+    d2 = _pow(d, 2)[:, None]
+    g = gamma[None, :]
+    g2 = _pow(gamma, 2)[None, :]
+    p = (delta2 + d2 - g2 / 12.0) / 3.0
+    q = (g / 6.0) * (delta2 - d2 / 2.0 + g2 / 36.0)
+    p3 = _pow(p, 3)
+    disc = p3 + _pow(q, 2)
+    energy = delta2 + d2 + g2
+    base = 2.0 * g / 3.0
+
+    real = disc >= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(np.where(real, disc, 0.0))
+        radicand = np.where(q >= 0.0, q + s, p3 / (s - q))
+        ur = np.cbrt(radicand)
+        big = np.abs(ur) > 1e-100
+        vr = np.where(big, -p / ur, np.cbrt(q - s))
+    wr, wi = _W.real, _W.imag
+    u = ur.astype(complex)
+    v = vr.astype(complex)
+    # -1j * (base + u + v) and -1j * (base + W u + conj(W) v) with u, v real.
+    z1 = np.zeros(p.shape, dtype=complex)
+    z1.imag = -(base + ur + vr)
+    z2 = np.empty(p.shape, dtype=complex)
+    z2.real = wi * ur - wi * vr
+    z2.imag = -(base + wr * ur + wr * vr)
+    for idx in zip(*np.nonzero(~real)):
+        uc, vc = _complex_radicals(float(p[idx]), float(q[idx]), float(disc[idx]))
+        u[idx], v[idx] = uc, vc
+        z1[idx], z2[idx], _ = _phased_roots(float(gamma[idx[1]]), uc, vc)
+
+    triple = np.maximum(np.abs(p), np.abs(q)) < TRIPLE_ROOT_RTOL * np.maximum(1.0, energy)
+    z1 = np.where(triple, -2.0 * g / 3.0 * 1j, z1)
+    z2 = np.where(triple, -2.0 * g / 3.0 * 1j, z2)
+    return _CubicGrid(p=p, q=q, disc=disc, u=u, v=v, z1=z1, z2=z2, energy=energy)
 
 
 def _flag_pairs(zs: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -125,11 +216,7 @@ def eigenvalues_closed_form(params: ModelParams) -> Spectrum:
         z = -2j * gamma / 3.0
         zs = np.array([0.0, z, z, z], dtype=complex)
     else:
-        base = 2.0 * gamma / 3.0
-        z1 = -1j * (base + cp.u + cp.v)
-        z2 = -1j * (base + _W * cp.u + _W.conjugate() * cp.v)
-        z3 = -1j * (base + _W.conjugate() * cp.u + _W * cp.v)
-        zs = np.array([0.0, z1, z2, z3], dtype=complex)
+        zs = np.array([0.0, *_phased_roots(gamma, cp.u, cp.v)], dtype=complex)
     return Spectrum(eigenvalues=zs, degenerate_pairs=_flag_pairs(zs))
 
 
@@ -146,8 +233,13 @@ def eigenvectors_closed_form(
     """
     if nu not in (1, 2, 3):
         raise DomainError("nu must be 1, 2 or 3; the null mode has its own accessor")
-    z = complex(z)
-    zs = eigenvalues_closed_form(params).eigenvalues
+    return _eigenvectors(params, eigenvalues_closed_form(params).eigenvalues, complex(z))
+
+
+def _eigenvectors(
+    params: ModelParams, zs: np.ndarray, z: complex
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eigenvectors_closed_form` given the eigenvalues ``zs`` already computed."""
     self_idx = 1 + int(np.argmin(np.abs(zs[1:] - z)))
     gap = min(abs(zs[k] - z) for k in range(4) if k != self_idx)
     if gap < PAIR_GAP_RTOL * max(1.0, abs(z)):
@@ -184,7 +276,7 @@ def full_spectrum(params: ModelParams) -> Spectrum:
     right = np.zeros((4, 4), dtype=complex)
     left[0], right[0] = null_eigenvectors(params)
     for nu in (1, 2, 3):
-        left[nu], right[nu] = eigenvectors_closed_form(params, nu, zs[nu])
+        left[nu], right[nu] = _eigenvectors(params, zs, complex(zs[nu]))
     residuals = np.zeros(4)
     for nu in range(4):
         r_def = max_abs(L @ right[nu] - zs[nu] * right[nu])
@@ -303,12 +395,32 @@ def characteristic_residual(L: np.ndarray, z: complex) -> float:
     return abs(det)
 
 
+# Pairings whose summed distance is within this many roundoffs of the least
+# sum count as tied with it.
+_TIE_ULPS = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _pairings(n: int) -> np.ndarray:
+    """All n! permutations of range(n), one per row."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+
+
 def match_distance(a, b) -> float:
-    """Largest matched |a_i - b_j| under the optimal pairing of two equal-size sets."""
+    """Largest matched |a_i - b_j| under the pairing of least summed distance.
+
+    The pairing minimises sum_i |a_i - b_sigma(i)| (the linear assignment
+    problem), found by brute force over the n! pairings: n is 4 for every
+    caller.  Among pairings whose sums tie to within roundoff the largest
+    matched distance is returned, so a tie never makes the result smaller.
+    """
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     if a.shape != b.shape:
         raise DomainError("sets must have equal size")
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    picked = cost[np.arange(a.size), _pairings(a.size)]
+    sums = picked.sum(axis=1)
+    least = sums.min()
+    tied = sums <= least + _TIE_ULPS * np.finfo(float).eps * least
+    return float(picked[tied].max())

@@ -26,11 +26,10 @@ from .exceptional import (
     GAMMA_TILDE_EP3,
     Z_EP3,
     classify,
-    discriminant,
+    classify_grid,
     ep2_gamma,
     ep2_locate_numeric,
     ep3_locate_numeric,
-    ep3_point,
     scaled_discriminant,
     splitting_exponent,
     Region,
@@ -268,22 +267,20 @@ def check_phase_diagram(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> Che
     d_grid = np.linspace(0.0, 6.0, 300)
     g_grid = np.linspace(0.0, 16.0, 300)
     cell = g_grid[1] - g_grid[0]
+    _, region, _ = classify_grid(1.0, d_grid, g_grid)
     n_shaded = 0
     min_d = math.inf
     worst_outside = 0.0
-    for d_t in d_grid:
-        for g_t in g_grid:
-            point = classify(ModelParams(1.0, d_t, g_t))
-            if point.region is not Region.ALL_IMAGINARY:
-                continue
-            n_shaded += 1
-            min_d = min(min_d, d_t)
-            if d_t < D_TILDE_EP3:
-                worst_outside = math.inf
-                continue
-            gm, gp = ep2_gamma(d_t)
-            outside = max(0.0, gm - g_t, g_t - gp)
-            worst_outside = max(worst_outside, outside)
+    for i, j in zip(*np.nonzero(region == Region.ALL_IMAGINARY)):
+        d_t, g_t = d_grid[i], g_grid[j]
+        n_shaded += 1
+        min_d = min(min_d, d_t)
+        if d_t < D_TILDE_EP3:
+            worst_outside = math.inf
+            continue
+        gm, gp = ep2_gamma(d_t)
+        outside = max(0.0, gm - g_t, g_t - gp)
+        worst_outside = max(worst_outside, outside)
     passed = (
         n_shaded > 0
         and min_d > D_TILDE_EP3

@@ -12,7 +12,9 @@ from lindblad_ep import (
     NoRootError,
     Region,
     build_lindblad,
+    cardano_params,
     classify,
+    classify_grid,
     discriminant,
     ep2_eigenvalue,
     ep2_gamma,
@@ -25,7 +27,7 @@ from lindblad_ep import (
     scaled_discriminant,
     splitting_exponent,
 )
-from lindblad_ep.spectrum import _char_cubic_coeffs
+from lindblad_ep.spectrum import _char_cubic_coeffs, _cubic_grid
 
 D_EP3 = 2.0 * math.sqrt(2.0)
 G_EP3 = 6.0 * math.sqrt(3.0)
@@ -205,6 +207,76 @@ class TestClassify:
                 reals = sorted(zs[1:], key=lambda z: abs(z.real))
                 assert abs(reals[0].real) < 1e-8
                 assert abs(reals[1] + np.conj(reals[2])) < 1e-8
+
+
+def assert_grid_is_scalar(delta, d_grid, g_grid) -> set:
+    """classify_grid equals scalar classify bit for bit at every node; returns the labels."""
+    disc, region, ordering = classify_grid(delta, d_grid, g_grid)
+    assert disc.shape == region.shape == ordering.shape == (len(d_grid), len(g_grid))
+    labels = set()
+    for i, d_t in enumerate(d_grid):
+        for j, g_t in enumerate(g_grid):
+            point = classify(ModelParams(delta, d_t * delta, g_t * delta))
+            node = (delta, d_t, g_t)
+            assert disc[i, j] == point.disc, node
+            assert region[i, j] is point.region, node
+            assert ordering[i, j] == point.ordering, node
+            labels.add(point.region)
+    return labels
+
+
+def coalescence_grid():
+    """Drives at and above the threshold (both signs) and the couplings of both
+    curves there, so that every region label occurs on the outer grid.  At
+    delta = 1 the node (3, sqrt(120)) has p == 0 with q < 0, where u vanishes."""
+    drives = [D_EP3 + x for x in (0.0, 1e-9, 1e-3, 0.5, 1.0, 2.0, 5.0)] + [3.0]
+    couplings = [G_EP3, 0.0, 1.0, 20.0, math.sqrt(120.0)]
+    for d_t in drives:
+        couplings += list(ep2_gamma(d_t))
+    drives += [-d_t for d_t in drives] + [0.0, 1.0]
+    return np.array(drives), np.array(sorted(couplings))
+
+
+class TestClassifyGrid:
+    def test_default_grid_equals_scalar(self):
+        labels = assert_grid_is_scalar(1.0, np.linspace(0.0, 6.0, 300), np.linspace(0.0, 16.0, 300))
+        assert Region.ALL_IMAGINARY in labels and Region.SPLIT_PAIR in labels
+
+    @pytest.mark.parametrize("delta", [2.5, 7.0, 1e-3])
+    def test_scaled_grids_equal_scalar(self, delta):
+        # at delta = 1e-3 the max(1, .) floors bind and most nodes fall in the band
+        assert_grid_is_scalar(delta, np.linspace(0.0, 6.0, 61), np.linspace(0.0, 16.0, 61))
+
+    @pytest.mark.parametrize("delta", [1.0, 3.0, -2.0])
+    def test_coalescence_grid_equals_scalar(self, delta):
+        d_grid, g_grid = coalescence_grid()
+        if delta < 0:
+            g_grid = -g_grid  # gamma = g_t * delta stays nonnegative
+        assert assert_grid_is_scalar(delta, d_grid, g_grid) == set(Region)
+
+    def test_cubic_equals_scalar(self):
+        d_grid, g_grid = coalescence_grid()
+        cubic = _cubic_grid(1.0, d_grid, g_grid)
+        assert (cubic.disc < 0).any() and (cubic.u == 0).any()
+        for i, d in enumerate(d_grid):
+            for j, g in enumerate(g_grid):
+                params = ModelParams(1.0, d, g)
+                cp = cardano_params(params)
+                zs = eigenvalues_closed_form(params).eigenvalues
+                got = (cubic.p[i, j], cubic.q[i, j], cubic.disc[i, j], cubic.u[i, j],
+                       cubic.v[i, j], cubic.z1[i, j], cubic.z2[i, j])
+                assert got == (cp.p, cp.q, cp.disc, cp.u, cp.v, zs[1], zs[2]), (d, g)
+
+    def test_bad_grids_rejected(self):
+        grid = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(DomainError):
+            classify_grid(0.0, grid, grid)
+        with pytest.raises(DomainError):
+            classify_grid(1.0, grid, -grid)
+        with pytest.raises(DomainError):
+            classify_grid(1.0, np.array([0.0, np.inf]), grid)
+        with pytest.raises(DomainError):
+            classify_grid(1.0, np.zeros((2, 2)), grid)
 
 
 class TestEP2LocateNumeric:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lindblad_ep import spectrum
 from lindblad_ep import (
     DomainError,
     ModelParams,
@@ -274,6 +275,21 @@ class TestCharacteristicResidual:
             assert all(a < b for a, b in zip(values, values[1:]))
 
 
+class TestEigenvaluesComputedOnce:
+    def test_full_spectrum_solves_the_cubic_once(self, monkeypatch):
+        calls = []
+        original = spectrum.eigenvalues_closed_form
+        monkeypatch.setattr(spectrum, "eigenvalues_closed_form",
+                            lambda params: calls.append(params) or original(params))
+        params = ModelParams(1.0, 2.0, 1.0)
+        spec = full_spectrum(params)
+        assert len(calls) == 1
+        for nu in (1, 2, 3):
+            left, right = eigenvectors_closed_form(params, nu, spec.eigenvalues[nu])
+            assert np.array_equal(left, spec.left[nu])
+            assert np.array_equal(right, spec.right[nu])
+
+
 class TestMatchDistance:
     def test_permutation_invariance(self):
         a = np.array([1.0, 2.0, 3.0], dtype=complex)
@@ -287,3 +303,29 @@ class TestMatchDistance:
     def test_size_mismatch_rejected(self):
         with pytest.raises(DomainError):
             match_distance(np.zeros(2), np.zeros(3))
+
+    def test_agrees_with_linear_sum_assignment(self):
+        optimize = pytest.importorskip("scipy.optimize")
+
+        def reference(a, b):
+            cost = np.abs(a[:, None] - b[None, :])
+            rows, cols = optimize.linear_sum_assignment(cost)
+            return float(cost[rows, cols].max())
+
+        rng = np.random.default_rng(2024)
+        for _ in range(1000):
+            a, b = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+            assert match_distance(a, b) == reference(a, b)
+        for _ in range(1000):
+            # repeated values: each set drawn with replacement from three points
+            pool = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+            a, b = rng.choice(pool[0], 4), rng.choice(pool[1], 4)
+            assert match_distance(a, b) == reference(a, b)
+        for a, b in (([1, 1, 1, 1], [1, 2, 3, 4]), ([0, 0, 2, 2], [1, 1, 1, 1])):
+            a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
+            assert match_distance(a, b) == reference(a, b)
+
+    def test_tied_sums_report_the_largest_distance(self):
+        # Both pairings of {0, 1} with {1, 2} sum to 2; the one through |0 - 2| is reported.
+        assert match_distance([0.0, 1.0], [1.0, 2.0]) == 2.0
+        assert match_distance([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]) == 4.0
