@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
 )
 from .exceptional import (
     D_TILDE_EP3,
-    classify,
+    _classified,
     classify_grid,
     ep2_eigenvalue,
     ep2_gamma,
@@ -40,10 +39,9 @@ from .model import (
 )
 from .dynamics import evolve_rotating, verify_frame_equivalence
 from .spectrum import (
+    _full_spectrum,
     characteristic_residual,
-    eigenvalues_closed_form,
     eigenvalues_numeric,
-    full_spectrum,
     match_distance,
 )
 from .superop import build_lindblad
@@ -83,36 +81,13 @@ def _emit_table(path, fmt, header, rows):
         _write_text(path, "\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated sweep settings shared by the grid-producing commands."""
-
-    delta: float = 1.0
-    d_min: float = 0.0
-    d_max: float = 0.0
-    nd: int = 1
-    gamma_min: float = 0.0
-    gamma_max: float = 0.0
-    ngamma: int = 1
-    dt: float = 1e-3
-    t_max: float = 1.0
-    rho0: str = "excited"
-    out: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self):
-        if self.nd < 1 or self.ngamma < 1:
-            raise DomainError("grid counts must be >= 1")
-        if self.d_max < self.d_min or self.gamma_max < self.gamma_min:
-            raise DomainError("range maxima must be >= minima")
-        if self.dt <= 0:
-            raise DomainError("dt must be positive")
-
-    def d_grid(self) -> np.ndarray:
-        return np.linspace(self.d_min, self.d_max, self.nd)
-
-    def gamma_grid(self) -> np.ndarray:
-        return np.linspace(self.gamma_min, self.gamma_max, self.ngamma)
+def _grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``n`` evenly spaced values from ``lo`` to ``hi``, both included."""
+    if n < 1:
+        raise DomainError("grid counts must be >= 1")
+    if hi < lo:
+        raise DomainError("range maxima must be >= minima")
+    return np.linspace(lo, hi, n)
 
 
 def _model_params(args) -> ModelParams:
@@ -125,10 +100,10 @@ def _model_params(args) -> ModelParams:
 
 def cmd_spectrum(args) -> int:
     params = _model_params(args)
-    point = classify(params)  # rejects delta = 0 with a scaled-coordinate message
+    # Rejects delta = 0 with a scaled-coordinate message.
+    point, closed = _classified(params)
     L = build_lindblad(params)
     scale = max(1.0, max_abs(L))
-    closed = eigenvalues_closed_form(params)
     numeric = eigenvalues_numeric(L)
 
     residual_tol = 1e-9 * scale**4
@@ -139,7 +114,7 @@ def cmd_spectrum(args) -> int:
     biorth_defect = None
     vector_residual = None
     try:
-        spec = full_spectrum(params)
+        spec = _full_spectrum(params, closed)
         biorth = spec.left @ spec.right.T
         biorth_defect = float(np.max(np.abs(biorth - np.eye(4))))
         vector_residual = float(spec.residuals.max())
@@ -178,19 +153,9 @@ def cmd_spectrum(args) -> int:
 def cmd_phase_diagram(args) -> int:
     if args.delta <= 0:
         raise DomainError("grid commands use delta > 0 so flags read as d/delta, gamma/delta")
-    config = RunConfig(
-        delta=args.delta,
-        d_min=args.d_min,
-        d_max=args.d_max,
-        nd=args.nd,
-        gamma_min=args.gamma_min,
-        gamma_max=args.gamma_max,
-        ngamma=args.ngamma,
-        out=args.out,
-        format=args.format,
-    )
-    d_grid, g_grid = config.d_grid(), config.gamma_grid()
-    disc, region, ordering = classify_grid(config.delta, d_grid, g_grid)
+    d_grid = _grid(args.d_min, args.d_max, args.nd)
+    g_grid = _grid(args.gamma_min, args.gamma_max, args.ngamma)
+    disc, region, ordering = classify_grid(args.delta, d_grid, g_grid)
     # Each coordinate is formatted once; rows run d-major like the grid.
     d_text = [_fmt(d_t) for d_t in d_grid]
     g_text = [_fmt(g_t) for g_t in g_grid]
@@ -202,7 +167,7 @@ def cmd_phase_diagram(args) -> int:
         ordering.ravel().tolist(),
     )
     header = ("d_tilde", "gamma_tilde", "disc", "region", "ordering")
-    _emit_table(config.out, config.format, header, rows)
+    _emit_table(args.out, args.format, header, rows)
     return EXIT_OK
 
 
@@ -211,17 +176,11 @@ def cmd_phase_diagram(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_ep_curve(args) -> int:
-    config = RunConfig(
-        d_min=args.d_min,
-        d_max=args.d_max,
-        nd=args.nd,
-        out=args.out,
-        format=args.format,
-    )
-    if config.d_min < D_TILDE_EP3:
+    d_grid = _grid(args.d_min, args.d_max, args.nd)
+    if args.d_min < D_TILDE_EP3:
         raise DomainError(
             f"curves exist only for d_tilde >= 2*sqrt(2) = {D_TILDE_EP3!r}; "
-            f"requested range starts at {config.d_min}"
+            f"requested range starts at {args.d_min}"
         )
     header = (
         "d_tilde",
@@ -234,7 +193,7 @@ def cmd_ep_curve(args) -> int:
     )
     rows = []
     worst_resid = 0.0
-    for d_t in config.d_grid():
+    for d_t in d_grid:
         d_t = float(d_t)
         gm, gp = ep2_gamma(d_t)
         zm = ep2_eigenvalue(d_t, "minus")
@@ -245,7 +204,7 @@ def cmd_ep_curve(args) -> int:
         rows.append(
             (_fmt(d_t), _fmt(gm), _fmt(gp), _fmt(zm.imag), _fmt(zp.imag), _fmt(rm), _fmt(rp))
         )
-    _emit_table(config.out, config.format, header, rows)
+    _emit_table(args.out, args.format, header, rows)
     if worst_resid > 1e-10:
         print(
             f"error: on-curve discriminant residual {worst_resid:.3e} exceeds 1e-10",
@@ -272,16 +231,8 @@ def cmd_ep3(args) -> int:
 
 def cmd_evolve(args) -> int:
     params = _model_params(args)
-    config = RunConfig(
-        delta=args.delta,
-        dt=args.dt,
-        t_max=args.t_max,
-        rho0=args.rho0,
-        out=args.out,
-        format=args.format,
-    )
-    rho0 = initial_state(config.rho0)
-    traj = evolve_rotating(params, rho0, config.t_max, config.dt)
+    rho0 = initial_state(args.rho0)
+    traj = evolve_rotating(params, rho0, args.t_max, args.dt)
     header = ("t", "re_ee", "re_gg", "re_eg", "im_eg", "trace_dev", "dist_eq")
     rows = []
     for t, rho, tdev, dist in zip(traj.times, traj.states, traj.trace_dev, traj.dist_eq):
@@ -296,9 +247,9 @@ def cmd_evolve(args) -> int:
                 _fmt(dist),
             )
         )
-    _emit_table(config.out, config.format, header, rows)
+    _emit_table(args.out, args.format, header, rows)
     # Stdout carries only the table when the table goes there.
-    summary = sys.stdout if config.out is not None else sys.stderr
+    summary = sys.stdout if args.out is not None else sys.stderr
     print(f"final_dist_eq = {_fmt(traj.dist_eq[-1])}", file=summary)
     if float(traj.trace_dev.max()) > 1e-10:
         print(

@@ -22,18 +22,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NearDegenerateError, StepSizeError
-from .exceptional import Region, classify
+from .exceptional import Region, _classified
 from .model import (
     LabParams,
     ModelParams,
     check_density_matrix,
     devectorize,
     hamiltonian_rwa,
+    hermiticity_defect,
     max_abs,
     rotate_to_lab,
+    trace_defect,
     vectorize,
 )
-from .spectrum import full_spectrum
+from .spectrum import _full_spectrum
 from .superop import build_lindblad, equilibrium_state, lindblad_rhs
 
 # Snapshot cadence: at most this many saved states per trajectory.
@@ -178,8 +180,8 @@ def _diagnostics(states: np.ndarray, rho_eq: np.ndarray):
 
     ``rho_eq`` is one 2x2 state or a stack matching ``states``.
     """
-    trace_dev = np.abs(states[:, 0, 0] + states[:, 1, 1] - 1.0)
-    herm_dev = np.max(np.abs(states - np.swapaxes(states.conj(), 1, 2)), axis=(1, 2))
+    trace_dev = trace_defect(states)
+    herm_dev = hermiticity_defect(states)
     dist_eq = np.max(np.abs(states - rho_eq), axis=(1, 2))
     return trace_dev, herm_dev, dist_eq
 
@@ -296,14 +298,14 @@ def spectral_evolve(params: ModelParams, rho0: np.ndarray, t: float) -> np.ndarr
     complete; refuses EP-labelled parameter points and propagates
     :class:`NearDegenerateError` from the eigenvector construction otherwise.
     """
-    point = classify(params)
+    point, bare = _classified(params)
     if point.region in (Region.EP2_MINUS, Region.EP2_PLUS, Region.EP3):
         raise NearDegenerateError(
             f"parameters classify as {point.region.value}; the spectral "
             "propagator has no complete mode basis there (use the integrator)"
         )
     rho0 = np.asarray(rho0, dtype=complex)
-    spec = full_spectrum(params)
+    spec = _full_spectrum(params, bare)
     psi0 = vectorize(rho0)
     psi_t = np.zeros(4, dtype=complex)
     for nu in range(4):

@@ -17,7 +17,14 @@ import numpy as np
 
 from .errors import DegenerateFitError, DomainError, NoRootError
 from .model import ModelParams
-from .spectrum import _cubic_grid, _pow, cardano_params, eigenvalues_closed_form
+from .spectrum import (
+    Spectrum,
+    _closed_form,
+    _cubic_grid,
+    _pow,
+    cardano_params,
+    eigenvalues_closed_form,
+)
 
 D_TILDE_EP3 = 2.0 * math.sqrt(2.0)
 GAMMA_TILDE_EP3 = 6.0 * math.sqrt(3.0)
@@ -154,6 +161,11 @@ def classify(params: ModelParams) -> PhasePoint:
     recognised by p and q themselves being small, and the two second-order
     branches are told apart by which curve the point sits nearer.
     """
+    return _classified(params)[0]
+
+
+def _classified(params: ModelParams) -> tuple[PhasePoint, Spectrum]:
+    """:func:`classify` plus the closed-form spectrum, from one solve of the cubic."""
     if params.delta == 0:
         raise DomainError("phase-plane classification needs delta != 0 "
                           "(coordinates are d/delta and gamma/delta)")
@@ -162,7 +174,8 @@ def classify(params: ModelParams) -> PhasePoint:
     scale2 = max(1.0, params.energy_scale())
     band = EP_BAND * scale2**3
 
-    zs = eigenvalues_closed_form(params).eigenvalues
+    bare = _closed_form(params, cp)
+    zs = bare.eigenvalues
     imdiff = zs[1].imag - zs[2].imag
     if abs(imdiff) <= 1e-12 * max(1.0, abs(zs[1]), abs(zs[2])):
         ordering = 0
@@ -174,7 +187,7 @@ def classify(params: ModelParams) -> PhasePoint:
     else:
         region = _coalescence_region(cp.p, cp.q, scale2, d_t, g_t)
     return PhasePoint(d_tilde=d_t, gamma_tilde=g_t, disc=cp.disc,
-                      region=region, ordering=ordering)
+                      region=region, ordering=ordering), bare
 
 
 def _coalescence_region(p: float, q: float, scale2: float, d_t: float, g_t: float) -> Region:

@@ -22,6 +22,10 @@ HS_COMPONENTS = ("rho_eg", "rho_ge", "rho_ee", "rho_gg")
 
 INITIAL_STATES = ("excited", "ground", "mixed", "coherent")
 
+# Hermiticity-pairing defect of a flattened state, relative to its largest
+# entry (floored at 1), above which devectorize warns.
+_PAIRING_RTOL = 1e-9
+
 
 class HermiticityWarning(UserWarning):
     """A flattened state broke the conjugate pairing between rho_eg and rho_ge."""
@@ -141,14 +145,14 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
     return np.array([rho[0, 1], rho[1, 0], rho[0, 0], rho[1, 1]])
 
 
-def devectorize(psi: np.ndarray, pairing_tol: float = 1e-9) -> np.ndarray:
+def devectorize(psi: np.ndarray) -> np.ndarray:
     """Rebuild the 2x2 density matrix from its flattened form.
 
     Exact inverse of :func:`vectorize` (components are copied, never
     symmetrised).  A stack of vectors, shape ``(..., 4)``, gives the stack of
     matrices, shape ``(..., 2, 2)``.  A vector whose components violate the
-    Hermiticity pairing beyond ``pairing_tol`` (relative to that vector's
-    largest entry, floored at 1) triggers one non-fatal
+    Hermiticity pairing beyond :data:`_PAIRING_RTOL` (relative to that
+    vector's largest entry, floored at 1) triggers one non-fatal
     :class:`HermiticityWarning` for the whole stack.
     """
     psi = np.asarray(psi, dtype=complex)
@@ -162,7 +166,7 @@ def devectorize(psi: np.ndarray, pairing_tol: float = 1e-9) -> np.ndarray:
             np.abs(psi[..., 3].imag),
         ]
     )
-    if np.any(defect > pairing_tol * scale):
+    if np.any(defect > _PAIRING_RTOL * scale):
         warnings.warn(
             f"flattened state violates Hermiticity pairing by {np.max(defect):.3e}",
             HermiticityWarning,
@@ -194,15 +198,15 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a)))
 
 
-def hermiticity_defect(rho: np.ndarray) -> float:
-    """Max-norm distance of a matrix from its own adjoint."""
+def hermiticity_defect(rho: np.ndarray) -> float | np.ndarray:
+    """Max-norm distance of a matrix from its own adjoint; one per matrix of a stack."""
     rho = np.asarray(rho)
-    return max_abs(rho - rho.conj().T)
+    return np.max(np.abs(rho - np.swapaxes(rho.conj(), -1, -2)), axis=(-2, -1))
 
 
-def trace_defect(rho: np.ndarray) -> float:
-    """|Tr rho - 1| for a would-be density matrix."""
-    return abs(complex(np.trace(np.asarray(rho))) - 1.0)
+def trace_defect(rho: np.ndarray) -> float | np.ndarray:
+    """|Tr rho - 1| for a would-be density matrix; one per matrix of a stack."""
+    return np.abs(np.trace(np.asarray(rho), axis1=-2, axis2=-1) - 1.0)
 
 
 def check_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> None:

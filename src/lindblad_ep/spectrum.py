@@ -209,7 +209,11 @@ def eigenvalues_closed_form(params: ModelParams) -> Spectrum:
     Labels follow the fixed branch convention, not any ordering of the values,
     so that branches stay continuous across parameter sweeps.
     """
-    cp = cardano_params(params)
+    return _closed_form(params, cardano_params(params))
+
+
+def _closed_form(params: ModelParams, cp: CardanoParams) -> Spectrum:
+    """:func:`eigenvalues_closed_form` given the cubic ``cp`` already solved."""
     gamma = params.gamma
     guard = TRIPLE_ROOT_RTOL * max(1.0, params.energy_scale())
     if max(abs(cp.p), abs(cp.q)) < guard:
@@ -269,7 +273,11 @@ def full_spectrum(params: ModelParams) -> Spectrum:
     Propagates :class:`NearDegenerateError` from the eigenvector construction
     at and near exceptional points.
     """
-    bare = eigenvalues_closed_form(params)
+    return _full_spectrum(params, eigenvalues_closed_form(params))
+
+
+def _full_spectrum(params: ModelParams, bare: Spectrum) -> Spectrum:
+    """:func:`full_spectrum` given the closed-form eigenvalues ``bare`` already computed."""
     zs = bare.eigenvalues
     L = build_lindblad(params)
     left = np.zeros((4, 4), dtype=complex)
@@ -306,18 +314,22 @@ def _char_cubic_coeffs(L: np.ndarray) -> np.ndarray:
     return np.array([1.0, -e1, e2, -e3], dtype=complex)
 
 
-def _collapse_clusters(roots: np.ndarray, e1: complex, scale: float) -> np.ndarray:
+def _collapse_clusters(
+    roots: np.ndarray, raw: np.ndarray, e1: complex, scale: float
+) -> np.ndarray:
     """Replace root clusters tighter than the attainable accuracy by exact means.
 
     A backward-stable root finder scatters a defective double (triple) root
     over a disc of radius ~ eps^(1/2) (eps^(1/3)) times the scale; collapsing
     such clusters onto the exactly known sums gives a clean answer at the
-    coalescence without touching well-separated roots.
+    coalescence without touching well-separated roots.  Each pair's gap is
+    the smaller of its gap before (``raw``) and after Newton polish
+    (``roots``): at a semisimple double root the polish can push the pair
+    further apart than the root finder left it.
     """
     gaps = [
-        (abs(roots[0] - roots[1]), 0, 1),
-        (abs(roots[0] - roots[2]), 0, 2),
-        (abs(roots[1] - roots[2]), 1, 2),
+        (min(abs(raw[i] - raw[j]), abs(roots[i] - roots[j])), i, j)
+        for i, j in ((0, 1), (0, 2), (1, 2))
     ]
     if all(g[0] < 5e-5 * scale for g in gaps):
         mean = e1 / 3.0
@@ -332,7 +344,7 @@ def _collapse_clusters(roots: np.ndarray, e1: complex, scale: float) -> np.ndarr
     return roots
 
 
-def eigenvalues_numeric(L: np.ndarray, validate: bool = True) -> np.ndarray:
+def eigenvalues_numeric(L: np.ndarray) -> np.ndarray:
     """The four eigenvalues by exact deflation and polynomial root finding.
 
     Independent of the closed-form radicals: the null eigenvalue is removed
@@ -342,7 +354,7 @@ def eigenvalues_numeric(L: np.ndarray, validate: bool = True) -> np.ndarray:
     The null root is returned first.
 
     Raises :class:`NonConvergenceError` if any returned value fails the
-    characteristic-polynomial residual check (only with ``validate``).
+    characteristic-polynomial residual check.
     """
     L = np.asarray(L, dtype=complex)
     if L.shape != (4, 4):
@@ -354,23 +366,22 @@ def eigenvalues_numeric(L: np.ndarray, validate: bool = True) -> np.ndarray:
         )
     coeffs = _char_cubic_coeffs(L)
     deriv = np.polyder(coeffs)
-    roots = np.roots(coeffs)
+    roots = raw = np.roots(coeffs)
     for _ in range(3):
         val = np.polyval(coeffs, roots)
         slope = np.polyval(deriv, roots)
         ok = np.abs(slope) > 1e-30
         step = np.where(ok, val / np.where(ok, slope, 1.0), 0.0)
         roots = roots - step
-    roots = _collapse_clusters(roots, complex(-coeffs[1]), scale)
+    roots = _collapse_clusters(roots, raw, complex(-coeffs[1]), scale)
     zs = np.concatenate([np.array([0.0 + 0.0j]), roots])
-    if validate:
-        tol = 1e-9 * scale**4
-        for z in zs:
-            res = characteristic_residual(L, z)
-            if res > tol:
-                raise NonConvergenceError(
-                    f"root {z} fails the residual check: {res:.3e} > {tol:.3e}"
-                )
+    tol = 1e-9 * scale**4
+    for z in zs:
+        res = characteristic_residual(L, z)
+        if res > tol:
+            raise NonConvergenceError(
+                f"root {z} fails the residual check: {res:.3e} > {tol:.3e}"
+            )
     return zs
 
 

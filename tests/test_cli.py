@@ -51,6 +51,10 @@ class TestSpectrumCommand:
         assert run(["spectrum", "--delta", "0", "--d", "1", "--gamma", "1"]) == 2
         assert "delta" in capsys.readouterr().err
 
+    def test_zero_detuning_refused_before_the_cubic_overflows(self, capsys):
+        assert run(["spectrum", "--delta", "0", "--d", "1e60"]) == 2
+        assert "delta != 0" in capsys.readouterr().err
+
     def test_biorthogonality_reported_at_generic_point(self, tmp_path):
         out = tmp_path / "spec.json"
         assert run(["spectrum", "--delta", "1", "--d", "2", "--gamma", "1",
@@ -143,6 +147,10 @@ class TestEPCurveCommand:
         assert run(["ep-curve", "--d-min", "2.5"]) == 2
         assert "2*sqrt(2)" in capsys.readouterr().err
 
+    def test_bad_grid_is_usage_error(self):
+        assert run(["ep-curve", "--nd", "0"]) == 2
+        assert run(["ep-curve", "--d-min", "4", "--d-max", "3"]) == 2
+
 
 class TestEP3Command:
     def test_prints_constants(self, capsys):
@@ -175,6 +183,10 @@ class TestEvolveCommand:
                     "--t-max", "40", "--dt", "0.01", "--out", str(out)]) == 0
         final = float(capsys.readouterr().out.split("=")[1])
         assert final < 1e-6
+
+    def test_zero_step_is_usage_error(self, capsys):
+        assert run(["evolve", "--dt", "0"]) == 2
+        assert "dt" in capsys.readouterr().err
 
     def test_unstable_step_exits_3(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,12 +14,16 @@ from lindblad_ep import (
     build_lindblad,
     cardano_params,
     characteristic_residual,
+    classify,
     eigenvalues_closed_form,
     eigenvalues_numeric,
     eigenvectors_closed_form,
     full_spectrum,
+    initial_state,
     match_distance,
+    spectral_evolve,
 )
+from lindblad_ep.cli import main
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
 coupling = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -241,6 +246,15 @@ class TestNumericEigensolver:
         scale = max(1.0, float(np.max(np.abs(zs))))
         assert match_distance(zs, -np.conj(zs)) < 1e-10 * scale
 
+    # At delta = d = 0 the decaying modes are -i gamma and the semisimple
+    # double root -i gamma / 2.  Newton polish used to push that pair apart
+    # past the collapse threshold at these couplings.
+    @pytest.mark.parametrize("gamma", [0.880129, 1.012996, 1.257751, 2.0894185, 9.4001005])
+    def test_mirror_symmetry_at_semisimple_double_root(self, gamma):
+        zs = eigenvalues_numeric(build_lindblad(ModelParams(0.0, 0.0, gamma)))
+        scale = max(1.0, float(np.max(np.abs(zs))))
+        assert match_distance(zs, -np.conj(zs)) < 1e-10 * scale
+
     def test_rejects_non_conserving_matrix(self):
         with pytest.raises(DomainError):
             eigenvalues_numeric(np.eye(4, dtype=complex))
@@ -275,6 +289,18 @@ class TestCharacteristicResidual:
             assert all(a < b for a, b in zip(values, values[1:]))
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Calls of cardano_params, counted at every package module that binds it."""
+    calls = []
+    original = spectrum.cardano_params
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lindblad_ep") and getattr(module, "cardano_params", None) is original:
+            monkeypatch.setattr(module, "cardano_params",
+                                lambda params: calls.append(params) or original(params))
+    return calls
+
+
 class TestEigenvaluesComputedOnce:
     def test_full_spectrum_solves_the_cubic_once(self, monkeypatch):
         calls = []
@@ -288,6 +314,28 @@ class TestEigenvaluesComputedOnce:
             left, right = eigenvectors_closed_form(params, nu, spec.eigenvalues[nu])
             assert np.array_equal(left, spec.left[nu])
             assert np.array_equal(right, spec.right[nu])
+
+    @pytest.mark.parametrize("entry", ["classify", "spectral_evolve", "cli"])
+    def test_each_entry_point_solves_the_cubic_once(self, solves, entry, tmp_path):
+        params = ModelParams(1.0, 2.0, 1.0)
+        if entry == "classify":
+            classify(params)
+        elif entry == "spectral_evolve":
+            spectral_evolve(params, initial_state("excited"), 0.5)
+        else:
+            out = tmp_path / "spec.json"
+            assert main(["spectrum", "--delta", "1", "--d", "2", "--gamma", "1",
+                         "--out", str(out)]) == 0
+        assert solves == [params]
+
+    def test_zero_detuning_refused_before_the_cubic(self, solves):
+        # p**3 overflows at d = 1e60; the delta = 0 refusal must come first.
+        params = ModelParams(0.0, 1e60, 1.0)
+        with pytest.raises(DomainError):
+            classify(params)
+        with pytest.raises(DomainError):
+            spectral_evolve(params, initial_state("excited"), 0.5)
+        assert solves == []
 
 
 class TestMatchDistance:
