@@ -8,10 +8,16 @@ The rotating-frame system dpsi/dt = -i L psi has a constant generator, so one
 RK4 step is exactly the matrix polynomial P = R(-i dt L) with the stability
 function R(w) = 1 + w + w^2/2 + w^3/6 + w^4/24.  That path builds P once,
 checks before integrating that no mode grows (|R(-i dt z)| over the
-eigenvalues z of L), and advances sample to sample by powers of P.  The
-lab-frame path integrates the 2x2 master equation stage by stage with the
-oscillatory drive Hamiltonian evaluated at every stage time; it shares no
-step code with the rotating path, so their agreement is an independent check.
+eigenvalues z of L), and advances sample to sample by powers of P.
+
+The lab-frame generator depends on time through the drive phase.  That path
+builds it from the 2x2 master equation (never from the rotating generator),
+evaluates the drive at every stage time, and turns each step into its own
+4x4 matrix P_i = I + dt/6 (K1 + 2 K2 + 2 K3 + K4), built in blocks of steps
+by array operations and applied one matrix-vector product per step.  It
+checks before integrating that no mode grows, through the frame symmetry
+that makes every P_i a unitary conjugate of P_0.  It shares no step code with
+the rotating path, so their agreement is an independent check.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from .model import (
     ModelParams,
     check_density_matrix,
     devectorize,
-    hamiltonian_rwa,
     hermiticity_defect,
     max_abs,
     rotate_to_lab,
@@ -43,14 +48,22 @@ MAX_SAVED = 1001
 
 # A trace drift past this threshold aborts the run: for these generators the
 # trace is conserved exactly by any Runge-Kutta step, so visible drift means
-# the iteration is unstable (dt too large), not merely inaccurate.  The
-# rotating path also refuses, before integrating, any step whose per-step
+# the iteration is unstable (dt too large), not merely inaccurate.  Both
+# paths also refuse, before integrating, any step whose per-step
 # amplification compounds past 1 + TRACE_BLOWUP_TOL over the run.
 TRACE_BLOWUP_TOL = 1e-8
 
-# Coordinates (rho_eg, rho_ge, rho_ee - rho_gg, trace) for the step matrix.
+# Lab-frame step matrices are built this many steps at a time, which bounds
+# the memory of a run by the saved rows, not by the step count.
+_LAB_BLOCK = 256
+
+# Position of each flattened component (rho_eg, rho_ge, rho_ee, rho_gg) in the
+# 2x2 matrix.
+_HS_ENTRIES = ((0, 1), (1, 0), (0, 0), (1, 1))
+
+# Coordinates (rho_eg, rho_ge, rho_ee - rho_gg, trace) for the step matrices.
 # The generator's population rows are exact negatives, so its trace row is
-# exactly zero here and every power of the step matrix keeps the trace to the
+# exactly zero here and every product of step matrices keeps the trace to the
 # last bit; in the flattened layout roundoff in the trace would grow with the
 # number of steps.
 _TO_TRACE_BASIS = np.array(
@@ -143,23 +156,29 @@ def largest_stable_dt(params: ModelParams) -> float:
     return _largest_stable_dt(np.linalg.eigvals(build_lindblad(params)))
 
 
-def _check_stability(zs: np.ndarray, dt: float, n_steps: int) -> float:
-    """Return max |R(-i dt z)|; raise :class:`StepSizeError` if it compounds past tolerance.
+def _compounds(excess: float, n_steps: int) -> bool:
+    """Whether a per-step amplification a, given as a^2 - 1, grows past tolerance.
 
-    The test is max |R|^n_steps > 1 + TRACE_BLOWUP_TOL, taken in logarithms.
-    A bare |R| > 1 test would reject the undamped modes, whose |R| may round
-    to just above 1.
+    The test is a^n_steps > 1 + TRACE_BLOWUP_TOL, taken in logarithms.  A
+    bare a > 1 test would reject the undamped modes, whose a may round to
+    just above 1.
     """
+    if excess > 0.0 or math.isnan(excess):
+        return not 0.5 * n_steps * math.log1p(excess) <= math.log1p(TRACE_BLOWUP_TOL)
+    return False
+
+
+def _check_stability(zs: np.ndarray, dt: float, n_steps: int) -> float:
+    """Return max |R(-i dt z)|; raise :class:`StepSizeError` if it compounds past tolerance."""
     with np.errstate(over="ignore", invalid="ignore"):
         excess = float(np.max(_rk4_excess(-1j * dt * zs)))
     margin = 0.0 if excess <= -1.0 else math.sqrt(1.0 + excess)
-    if excess > 0.0 or math.isnan(excess):
-        if not 0.5 * n_steps * math.log1p(excess) <= math.log1p(TRACE_BLOWUP_TOL):
-            raise StepSizeError(
-                f"dt = {dt:.6g} is unstable: a mode grows by a factor {margin:.6g} "
-                f"per step, over {n_steps} step(s); the largest stable step is "
-                f"dt = {_largest_stable_dt(zs):.6g}"
-            )
+    if _compounds(excess, n_steps):
+        raise StepSizeError(
+            f"dt = {dt:.6g} is unstable: a mode grows by a factor {margin:.6g} "
+            f"per step, over {n_steps} step(s); the largest stable step is "
+            f"dt = {_largest_stable_dt(zs):.6g}"
+        )
     return margin
 
 
@@ -184,6 +203,28 @@ def _diagnostics(states: np.ndarray, rho_eq: np.ndarray):
     herm_dev = hermiticity_defect(states)
     dist_eq = np.max(np.abs(states - rho_eq), axis=(1, 2))
     return trace_dev, herm_dev, dist_eq
+
+
+def _refuse_drift(times, states, trace_dev, zs: np.ndarray | None = None) -> None:
+    """Backstop after integrating: raise :class:`StepSizeError` at the first bad sample.
+
+    A sample is bad when its state is not finite or its trace drifted past
+    :data:`TRACE_BLOWUP_TOL`.  Given the generator's eigenvalues ``zs``, the
+    message names the largest stable step.
+    """
+    bad = np.flatnonzero(~(trace_dev <= TRACE_BLOWUP_TOL) | ~np.isfinite(states).all(axis=(1, 2)))
+    if bad.size:
+        k = bad[0]
+        fault = (
+            f"trace drifted by {trace_dev[k]:.3e}" if np.isfinite(states[k]).all()
+            else "state is not finite"
+        )
+        remedy = "reduce dt" if zs is None else (
+            f"the largest stable step is dt = {_largest_stable_dt(zs):.6g}"
+        )
+        raise StepSizeError(
+            f"{fault} at t = {times[k]:.6g}; the step is unstable, {remedy}"
+        )
 
 
 def evolve_rotating(
@@ -218,31 +259,72 @@ def evolve_rotating(
     times = np.array(saved) * dt
     states = devectorize(psi @ _FROM_TRACE_BASIS.T)
     trace_dev, herm_dev, dist_eq = _diagnostics(states, rho_eq)
-    bad = np.flatnonzero(~(trace_dev <= TRACE_BLOWUP_TOL))
-    if bad.size:
-        k = bad[0]
-        raise StepSizeError(
-            f"trace drifted by {trace_dev[k]:.3e} at t = {times[k]:.6g}; the step "
-            f"is unstable, the largest stable step is dt = {_largest_stable_dt(zs):.6g}"
-        )
+    _refuse_drift(times, states, trace_dev, zs)
     return Trajectory(times, states, trace_dev, herm_dev, dist_eq, n_steps, stride, margin)
 
 
-def _run(rhs, rho0: np.ndarray, dt: float, saved: list[int]) -> np.ndarray:
-    """Stage-wise RK4 on a 2x2 state; returns the states at the saved step indices."""
-    states = [rho0]
-    rho = rho0
-    for start, stop in zip(saved[:-1], saved[1:]):
-        for i in range(start, stop):
-            rho = step_rk4(rhs, i * dt, rho, dt)
-            drift = abs(complex(rho[0, 0] + rho[1, 1]) - 1.0)
-            if not (drift <= TRACE_BLOWUP_TOL):
-                raise StepSizeError(
-                    f"trace drifted by {drift:.3e} at t = {(i + 1) * dt:.6g}; "
-                    "the step is unstable, reduce dt"
-                )
-        states.append(rho)
-    return np.array(states)
+def _lab_generators(params: LabParams) -> np.ndarray:
+    """G0, G+ and G- of the lab generator G0 + e^{-i omega t} G+ + e^{i omega t} G-.
+
+    Built from the 2x2 master equation alone (never from the 4x4 rotating
+    generator): each column is :func:`lindblad_rhs` applied to one matrix
+    unit, once for the static Hamiltonian with the decay and once for each
+    drive component.  Returned in trace coordinates, where the trace row of
+    each is exactly zero.
+    """
+    half = 0.5 * params.d
+    parts = (
+        (np.array([[params.Delta, 0.0], [0.0, 0.0]], dtype=complex), params.gamma),
+        (np.array([[0.0, half], [0.0, 0.0]], dtype=complex), 0.0),
+        (np.array([[0.0, 0.0], [half, 0.0]], dtype=complex), 0.0),
+    )
+    gens = np.empty((3, 4, 4), dtype=complex)
+    for gen, (hamiltonian, gamma) in zip(gens, parts):
+        for k, entry in enumerate(_HS_ENTRIES):
+            unit = np.zeros((2, 2), dtype=complex)
+            unit[entry] = 1.0
+            gen[:, k] = vectorize(lindblad_rhs(hamiltonian, gamma, unit))
+    return _TO_TRACE_BASIS @ gens @ _FROM_TRACE_BASIS
+
+
+def _lab_steps(gens: np.ndarray, omega: float, dt: float, start: int, stop: int) -> np.ndarray:
+    """RK4 step matrices P_i = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) for steps start <= i < stop.
+
+    The drive is evaluated at the stage times t_i, t_i + dt/2 and t_i + dt,
+    as a stage-wise step would evaluate it.
+    """
+    t = np.arange(start, stop) * dt
+
+    def generator(s):
+        phase = np.exp(-1j * omega * s)[:, None, None]
+        return gens[0] + phase * gens[1] + np.conj(phase) * gens[2]
+
+    a1, a2, a4 = generator(t), generator(t + 0.5 * dt), generator(t + dt)
+    k2 = a2 + (0.5 * dt) * (a2 @ a1)
+    k3 = a2 + (0.5 * dt) * (a2 @ k2)
+    k4 = a4 + dt * (a4 @ k3)
+    return np.eye(4) + (dt / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _check_lab_stability(gens: np.ndarray, omega: float, dt: float, n_steps: int) -> None:
+    """Raise :class:`StepSizeError` if the lab run would grow past tolerance.
+
+    The lab generator obeys L(t + s) = V(t) L(s) V(t)^-1 with the unitary
+    V(t) = diag(e^{-i omega t}, e^{i omega t}, 1, 1), so P_i = V(t_i) P_0
+    V(t_i)^-1 and the n-step product is V(t_n) S^n with S = V(dt)^-1 P_0:
+    the run is stable exactly when S has spectral radius at most 1.  An S
+    that overflowed counts as unbounded growth.
+    """
+    undo = np.array([np.exp(1j * omega * dt), np.exp(-1j * omega * dt), 1.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = undo[:, None] * _lab_steps(gens, omega, dt, 0, 1)[0]
+        radius = float(np.max(np.abs(np.linalg.eigvals(s)))) if np.isfinite(s).all() else math.inf
+        excess = radius * radius - 1.0
+    if _compounds(excess, n_steps):
+        raise StepSizeError(
+            f"dt = {dt:.6g} is unstable: a mode grows by a factor {radius:.6g} "
+            f"per step, over {n_steps} step(s); reduce dt"
+        )
 
 
 def evolve_lab(
@@ -250,31 +332,50 @@ def evolve_lab(
 ) -> Trajectory:
     """Integrate the lab-frame master equation with the oscillatory drive.
 
-    The Hamiltonian is re-evaluated at every Runge-Kutta stage time.  Agrees
-    with :func:`evolve_rotating` to roundoff when omega = 0.  Aborts with
-    :class:`StepSizeError` as soon as the trace drifts.
+    The drive is evaluated at every Runge-Kutta stage time; the step
+    matrices are built :data:`_LAB_BLOCK` steps at a time and applied one
+    matrix-vector product per step.  Agrees with :func:`evolve_rotating` to
+    roundoff when omega = 0.  Raises :class:`StepSizeError` before
+    integrating if ``dt`` makes some mode grow, and after integrating if a
+    saved state is not finite or its trace drifted anyway.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0)
     n_steps, stride, saved = _schedule(t_max, dt)
-    gamma = params.gamma
     rho_eq_rot = equilibrium_state(params.to_rotating())
+    gens = _lab_generators(params)
+    _check_lab_stability(gens, params.omega, dt, n_steps)
 
-    def rhs(t, rho):
-        return lindblad_rhs(hamiltonian_rwa(params, t), gamma, rho)
+    psi = np.empty((len(saved), 4), dtype=complex)
+    psi[0] = state = _TO_TRACE_BASIS @ vectorize(rho0)
+    k = 1
+    for start in range(0, n_steps, _LAB_BLOCK):
+        block = _lab_steps(gens, params.omega, dt, start, min(start + _LAB_BLOCK, n_steps))
+        for i, step in enumerate(block, start + 1):
+            state = step @ state
+            if i == saved[k]:
+                psi[k] = state
+                k += 1
 
-    states = _run(rhs, rho0, dt, saved)
     times = np.array(saved) * dt
+    states = devectorize(psi @ _FROM_TRACE_BASIS.T)
     rho_eq = rotate_to_lab(rho_eq_rot, params.omega, times)
     trace_dev, herm_dev, dist_eq = _diagnostics(states, rho_eq)
+    _refuse_drift(times, states, trace_dev)
     return Trajectory(times, states, trace_dev, herm_dev, dist_eq, n_steps, stride, None)
 
 
 def frame_deviation(lab: Trajectory, rot: Trajectory, omega: float) -> float:
     """Worst max-norm mismatch between lab states and rotating states carried to the lab frame.
 
-    Both trajectories must share their sample times.
+    Both trajectories must share their sample times; :class:`DomainError` otherwise.
     """
+    if not np.array_equal(lab.times, rot.times):
+        raise DomainError(
+            f"trajectories do not share their sample times: {len(lab.times)} lab "
+            f"samples to {len(rot.times)} rotating, ending at t = {lab.times[-1]:.6g} "
+            f"and t = {rot.times[-1]:.6g}"
+        )
     return max_abs(lab.states - rotate_to_lab(rot.states, omega, lab.times))
 
 

@@ -233,6 +233,12 @@ class TestVerifyFrameCommand:
                   "--tol", "1e-30", "--out", str(out)])
         assert rc == 1
 
+    def test_unstable_lab_step_exits_3(self, tmp_path, capsys):
+        # the rotating step is stable at dt = 1.6 here; the lab step is not
+        out = tmp_path / "frame.json"
+        assert run(["verify-frame", "--dt", "1.6", "--out", str(out)]) == 3
+        assert "dt = 1.6 is unstable" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_fast_subset_passes(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from lindblad_ep import (
     evolve_lab,
     evolve_rotating,
     frame_deviation,
+    hamiltonian_rwa,
     initial_state,
     largest_stable_dt,
+    lindblad_rhs,
     rotate_to_lab,
     spectral_evolve,
     step_rk4,
@@ -233,6 +236,74 @@ class TestEvolveLab:
         assert float(traj.herm_dev.max()) < 1e-10
 
 
+def _stagewise_lab_states(params, rho0, dt, times):
+    """Stage-wise RK4 on the 2x2 lab master equation, saving the states at the given times."""
+
+    def rhs(t, rho):
+        return lindblad_rhs(hamiltonian_rwa(params, t), params.gamma, rho)
+
+    saved = [int(round(t / dt)) for t in times]
+    rho = np.asarray(rho0, dtype=complex)
+    states = [rho]
+    for i in range(1, saved[-1] + 1):
+        rho = step_rk4(rhs, (i - 1) * dt, rho, dt)
+        if i in saved:
+            states.append(rho)
+    return np.array(states)
+
+
+class TestLabStepMatrices:
+    # 2503 steps end on a partial stride; 549 = 2 * 256 + 37 steps are all saved
+    @pytest.mark.parametrize(
+        "t_max, dt, n_steps, stride",
+        [(5.0, 1e-3, 5000, 5), (5.0, 0.02, 250, 1), (5.0, 0.04, 125, 1),
+         (2.503, 1e-3, 2503, 3), (5.49, 0.01, 549, 1)],
+    )
+    def test_matches_stagewise_rk4(self, t_max, dt, n_steps, stride):
+        lab = LabParams(Delta=2.0, omega=1.0, d=1.0, gamma=0.3)
+        rho0 = initial_state("coherent")
+        traj = evolve_lab(lab, rho0, t_max, dt)
+        assert (traj.n_steps, traj.stride) == (n_steps, stride)
+        ref = _stagewise_lab_states(lab, rho0, dt, traj.times)
+        assert ref.shape == traj.states.shape
+        assert float(np.max(np.abs(traj.states - ref))) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_trace_kept_to_the_last_bit(self, gamma):
+        lab = LabParams(Delta=2.0, omega=1.0, d=1.0, gamma=gamma)
+        traj = evolve_lab(lab, initial_state("coherent"), 20.0, 1e-3)
+        assert float(traj.trace_dev.max()) == 0.0
+
+    # at dt = 1e200 the step matrix itself overflows
+    @pytest.mark.parametrize("t_max, dt", [(400.0, 1.6), (400.0, 2.0), (1e200, 1e200)])
+    def test_unstable_step_refused_before_integrating(self, t_max, dt):
+        with pytest.raises(StepSizeError, match="unstable: a mode grows"):
+            evolve_lab(LabParams(2.0, 1.0, 1.0, 0.3), initial_state("excited"), t_max, dt)
+
+    def test_coarse_stable_step_integrates(self):
+        # stable but coarse: the entry magnitudes settle, off the exact equilibrium
+        traj = evolve_lab(LabParams(2.0, 1.0, 1.0, 0.3), initial_state("excited"), 400.0, 1.3)
+        magnitudes = np.abs(traj.states)
+        assert float(np.max(magnitudes)) <= 1.0
+        assert float(np.max(np.abs(magnitudes[-10:] - magnitudes[-1]))) < 1e-8
+
+    def test_undamped_modes_are_not_refused(self):
+        traj = evolve_lab(LabParams(2.0, 1.0, 1.0, 0.0), initial_state("excited"), 10.0, 1e-3)
+        assert float(traj.herm_dev.max()) < 1e-10
+
+    def test_memory_does_not_grow_with_the_step_count(self):
+        lab = LabParams(Delta=2.0, omega=1.0, d=1.0, gamma=0.3)
+        rho0 = initial_state("excited")
+        tracemalloc.start()
+        try:
+            traj = evolve_lab(lab, rho0, 100.0, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.n_steps == 100_000
+        assert peak < 2 * 2**20
+
+
 class TestFrameEquivalence:
     def test_canonical_parameters(self):
         lab = LabParams(Delta=2.0, omega=1.0, d=1.0, gamma=0.3)
@@ -262,6 +333,16 @@ class TestFrameEquivalence:
             for t, a, b in zip(tl.times, tl.states, tr.states)
         )
         assert frame_deviation(tl, tr, lab.omega) == per_sample
+
+    # (2.2, 0.02) gives another sample count; (4.0, 0.04) the same count at other times
+    @pytest.mark.parametrize("t_max, dt", [(2.2, 0.02), (4.0, 0.04)])
+    def test_frame_deviation_refuses_different_sample_times(self, t_max, dt):
+        lab = LabParams(Delta=2.0, omega=1.0, d=1.0, gamma=0.3)
+        rho0 = initial_state("excited")
+        tl = evolve_lab(lab, rho0, 2.0, 0.02)
+        tr = evolve_rotating(lab.to_rotating(), rho0, t_max, dt)
+        with pytest.raises(DomainError, match="sample times"):
+            frame_deviation(tl, tr, lab.omega)
 
 
 class TestSpectralEvolve:
