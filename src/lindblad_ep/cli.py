@@ -400,6 +400,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError as exc:
+        print(f"error: arithmetic overflow at this parameter scale: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except StepSizeError as exc:
         print(f"integrator error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR

@@ -5,7 +5,13 @@ the roots of a depressed cubic solved by radicals; branch choices are pinned
 by the constraint u * v = -p and validated against the characteristic
 polynomial rather than assumed.  The numeric route never touches the radicals:
 it deflates the null eigenvalue exactly and runs a companion-matrix root
-finder with Newton polish.
+finder, then polishes each root by Newton steps on det(L - zI).
+
+One kernel, :func:`_adjugate`, gives the cofactors of L - zI to all three
+users: the characteristic residual (a first-row expansion), the derivative
+-tr adj(L - zI) for the Newton polish, and the eigenvectors, which are a row
+and a column of the adjugate (Denton, Parke, Tao & Zhang, Bull. AMS 59, 31
+(2022)).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NearDegenerateError, NonConvergenceError
 from .model import ModelParams, max_abs
-from .superop import build_lindblad, null_eigenvectors
+from .superop import _unit_scale, build_lindblad, null_eigenvectors
 
 # Phase attached to the second and third cubic roots.
 _W = cmath.exp(2j * cmath.pi / 3)
@@ -229,7 +235,9 @@ def eigenvectors_closed_form(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Left (row) and right (column) eigenvectors for one decaying eigenvalue.
 
-    The right vector is scaled so that left @ right = 1.  Raises
+    They are the largest-norm row and column of adj(L - zI), formed at unit
+    scale.  The left vector has unit norm and the right one is scaled so that
+    left @ right = 1; its norm is then the eigenvalue's condition number.  Raises
     :class:`NearDegenerateError` when ``z`` sits within the coalescence
     threshold of another eigenvalue, or when the left/right pairing is
     numerically singular (both are signatures of an exceptional point, where
@@ -251,20 +259,23 @@ def _eigenvectors(
             f"eigenvalue {z} lies within {gap:.3e} of a neighbour; "
             "no separable eigenvector pair exists there"
         )
-    delta, d, gamma = params.delta, params.d, params.gamma
-    a = 1j * gamma + z
-    b = 1j * gamma + 2.0 * delta + 2.0 * z
-    m = a * b - d * d
-    left = np.array([2.0 * z * m, -2.0 * d * d * z, -d * (z - 1j * gamma) * b, d * a * b])
-    right = np.array([2.0 * m, -2.0 * d * d, -d * b, d * b])
+    # At a simple eigenvalue, adj(L - zI) = r l * prod_{k != nu} (z_k - z) / (l r)
+    # for the right (column) r and left (row) l: every nonzero column is a
+    # right eigenvector and every nonzero row a left one.
+    exponent, *unit = _unit_scale(params)
+    unit_z = complex(math.ldexp(z.real, -exponent), math.ldexp(z.imag, -exponent))
+    adj = np.array(_adjugate(_shifted(build_lindblad(ModelParams(*unit)), unit_z)))
+    power = (adj * adj.conj()).real
+    rows, cols = power.sum(axis=1), power.sum(axis=0)
+    i, j = rows.argmax(), cols.argmax()
+    left, right, norm = adj[i], adj[:, j], math.sqrt(rows[i])
     pairing = left @ right
-    norms = float(np.linalg.norm(left)) * float(np.linalg.norm(right))
-    if abs(pairing) <= 1e-10 * max(norms, 1e-300):
+    if abs(pairing) <= 1e-10 * max(norm * math.sqrt(cols[j]), 1e-300):
         raise NearDegenerateError(
             f"left/right pairing for z = {z} is numerically singular "
             "(self-orthogonal mode at a coalescence)"
         )
-    return left, right / pairing
+    return left / norm, right * (norm / pairing)
 
 
 def full_spectrum(params: ModelParams) -> Spectrum:
@@ -314,23 +325,17 @@ def _char_cubic_coeffs(L: np.ndarray) -> np.ndarray:
     return np.array([1.0, -e1, e2, -e3], dtype=complex)
 
 
-def _collapse_clusters(
-    roots: np.ndarray, raw: np.ndarray, e1: complex, scale: float
-) -> np.ndarray:
+def _collapse_clusters(roots: np.ndarray, e1: complex, scale: float) -> np.ndarray:
     """Replace root clusters tighter than the attainable accuracy by exact means.
 
     A backward-stable root finder scatters a defective double (triple) root
     over a disc of radius ~ eps^(1/2) (eps^(1/3)) times the scale; collapsing
     such clusters onto the exactly known sums gives a clean answer at the
-    coalescence without touching well-separated roots.  Each pair's gap is
-    the smaller of its gap before (``raw``) and after Newton polish
-    (``roots``): at a semisimple double root the polish can push the pair
-    further apart than the root finder left it.
+    coalescence without touching well-separated roots.  Newton polish on
+    det(L - zI) converges only linearly into a defective root, so the clusters
+    are still there after it.
     """
-    gaps = [
-        (min(abs(raw[i] - raw[j]), abs(roots[i] - roots[j])), i, j)
-        for i, j in ((0, 1), (0, 2), (1, 2))
-    ]
+    gaps = [(abs(roots[i] - roots[j]), i, j) for i, j in ((0, 1), (0, 2), (1, 2))]
     if all(g[0] < 5e-5 * scale for g in gaps):
         mean = e1 / 3.0
         return np.array([mean, mean, mean])
@@ -350,8 +355,10 @@ def eigenvalues_numeric(L: np.ndarray) -> np.ndarray:
     Independent of the closed-form radicals: the null eigenvalue is removed
     through the trace identities (population conservation makes the matrix
     singular by construction), the remaining cubic is solved by a
-    companion-matrix root finder, and each root is polished by Newton steps.
-    The null root is returned first.
+    companion-matrix root finder, and each root is polished by three Newton
+    steps on det(L - zI) itself, not on the cubic's coefficients, whose
+    roundoff would limit a close pair to about eps * scale^2 / gap.  The
+    null root is returned first.
 
     Raises :class:`NonConvergenceError` if any returned value fails the
     characteristic-polynomial residual check.
@@ -365,15 +372,8 @@ def eigenvalues_numeric(L: np.ndarray) -> np.ndarray:
             "matrix does not conserve population; cannot deflate the null eigenvalue"
         )
     coeffs = _char_cubic_coeffs(L)
-    deriv = np.polyder(coeffs)
-    roots = raw = np.roots(coeffs)
-    for _ in range(3):
-        val = np.polyval(coeffs, roots)
-        slope = np.polyval(deriv, roots)
-        ok = np.abs(slope) > 1e-30
-        step = np.where(ok, val / np.where(ok, slope, 1.0), 0.0)
-        roots = roots - step
-    roots = _collapse_clusters(roots, raw, complex(-coeffs[1]), scale)
+    roots = np.array([_newton_polish(L, z) for z in np.roots(coeffs).tolist()])
+    roots = _collapse_clusters(roots, complex(-coeffs[1]), scale)
     zs = np.concatenate([np.array([0.0 + 0.0j]), roots])
     tol = 1e-9 * scale**4
     for z in zs:
@@ -385,25 +385,60 @@ def eigenvalues_numeric(L: np.ndarray) -> np.ndarray:
     return zs
 
 
-def _det3(m) -> complex:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+def _newton_polish(L: np.ndarray, z: complex) -> complex:
+    """Three Newton steps on det(L - zI), whose derivative is -tr adj(L - zI)."""
+    for _ in range(3):
+        m = _shifted(L, z)
+        adj = _adjugate(m)
+        trace = adj[0][0] + adj[1][1] + adj[2][2] + adj[3][3]
+        if trace == 0:
+            break
+        z += _det(m, adj) / trace
+    return z
+
+
+def _adjugate(m: list) -> list:
+    """The adjugate of a 4x4 matrix held as nested lists of Python complex numbers.
+
+    Built from the 12 2x2 minors of the row pairs (0, 1) and (2, 3): ``s_ij``
+    and ``t_ij`` on columns i and j.  Each cofactor is a 3x3 determinant that
+    keeps one pair whole, expanded along its remaining row.  adj @ m =
+    m @ adj = det(m) I.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    s01, s02, s03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    s12, s13, s23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    t01, t02, t03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+    t12, t13, t23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+    return [
+        [b1 * t23 - b2 * t13 + b3 * t12, -(a1 * t23 - a2 * t13 + a3 * t12),
+         d1 * s23 - d2 * s13 + d3 * s12, -(c1 * s23 - c2 * s13 + c3 * s12)],
+        [-(b0 * t23 - b2 * t03 + b3 * t02), a0 * t23 - a2 * t03 + a3 * t02,
+         -(d0 * s23 - d2 * s03 + d3 * s02), c0 * s23 - c2 * s03 + c3 * s02],
+        [b0 * t13 - b1 * t03 + b3 * t01, -(a0 * t13 - a1 * t03 + a3 * t01),
+         d0 * s13 - d1 * s03 + d3 * s01, -(c0 * s13 - c1 * s03 + c3 * s01)],
+        [-(b0 * t12 - b1 * t02 + b2 * t01), a0 * t12 - a1 * t02 + a2 * t01,
+         -(d0 * s12 - d1 * s02 + d2 * s01), c0 * s12 - c1 * s02 + c2 * s01],
+    ]
+
+
+def _shifted(L: np.ndarray, z: complex) -> list:
+    """L - zI as nested lists of Python complex numbers."""
+    m = np.asarray(L, dtype=complex).tolist()
+    for i in range(4):
+        m[i][i] -= z
+    return m
+
+
+def _det(m: list, adj: list) -> complex:
+    """det(m) by expansion along the first row, from the cofactors in ``adj``."""
+    return sum(m[0][j] * adj[j][0] for j in range(4))
 
 
 def characteristic_residual(L: np.ndarray, z: complex) -> float:
-    """|det(L - z I)| by direct cofactor expansion of the 4x4 matrix."""
-    a = np.asarray(L, dtype=complex) - complex(z) * np.eye(4)
-    m = [[complex(a[i, j]) for j in range(4)] for i in range(4)]
-    det = 0.0 + 0.0j
-    sign = 1.0
-    for col in range(4):
-        minor = [[m[i][j] for j in range(4) if j != col] for i in range(1, 4)]
-        det += sign * m[0][col] * _det3(minor)
-        sign = -sign
-    return abs(det)
+    """|det(L - z I)| by cofactor expansion of the 4x4 matrix along its first row."""
+    m = _shifted(L, complex(z))
+    return abs(_det(m, _adjugate(m)))
 
 
 # Pairings whose summed distance is within this many roundoffs of the least

@@ -55,6 +55,16 @@ def lindblad_rhs(hamiltonian: np.ndarray, gamma: float, rho: np.ndarray) -> np.n
     return out
 
 
+def _unit_scale(params: ModelParams) -> tuple[int, float, float, float]:
+    """The exponent e of 2^e ~ max(|delta|, |d|, gamma) and (delta, d, gamma) / 2^e.
+
+    Dividing by a power of two is exact, and it keeps products of a few
+    parameters from underflowing or overflowing at any finite scale.
+    """
+    _, exponent = math.frexp(max(abs(params.delta), abs(params.d), params.gamma))
+    return exponent, *(math.ldexp(x, -exponent) for x in (params.delta, params.d, params.gamma))
+
+
 def null_eigenvectors(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Left and right stationary eigenvectors, normalised so that left @ right = 1.
 
@@ -62,12 +72,9 @@ def null_eigenvectors(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     the stationary state.  Rejects the fully degenerate point
     delta = d = gamma = 0, where the stationary state is not unique.
     """
-    # The entries are ratios of quadratics in the parameters: scaling them by a
-    # power of two is exact and keeps n0 from underflowing or overflowing.
-    _, exponent = math.frexp(max(abs(params.delta), abs(params.d), params.gamma))
-    delta, d, gamma = (
-        math.ldexp(x, -exponent) for x in (params.delta, params.d, params.gamma)
-    )
+    # The entries are ratios of quadratics in the parameters, so they can be
+    # computed at unit scale.
+    _, delta, d, gamma = _unit_scale(params)
     n0 = 4.0 * delta**2 + 2.0 * d**2 + gamma**2
     if n0 <= 0.0:
         raise DomainError("stationary state is not unique at delta = d = gamma = 0")

@@ -55,6 +55,11 @@ class TestSpectrumCommand:
         assert run(["spectrum", "--delta", "0", "--d", "1e60"]) == 2
         assert "delta != 0" in capsys.readouterr().err
 
+    def test_overflow_is_usage_error(self, tmp_path, capsys):
+        # p**3 of the cubic overflows a double at this scale.
+        assert run(["spectrum", "--delta", "1e60", "--out", str(tmp_path / "spec.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: arithmetic overflow")
+
     def test_biorthogonality_reported_at_generic_point(self, tmp_path):
         out = tmp_path / "spec.json"
         assert run(["spectrum", "--delta", "1", "--d", "2", "--gamma", "1",
@@ -81,6 +86,12 @@ class TestPhaseDiagramCommand:
             if region == "AllImaginary":
                 assert float(disc) < 0.0
                 assert float(d_t) > 2.0 * SQRT2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_is_usage_error(self, tmp_path, capsys):
+        assert run(["phase-diagram", "--delta", "1e120", "--nd", "2", "--ngamma", "2",
+                    "--out", str(tmp_path / "grid.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: arithmetic overflow")
 
     def test_row_major_order_with_d_outer(self, tmp_path):
         out = tmp_path / "grid.csv"

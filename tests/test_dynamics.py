@@ -17,6 +17,7 @@ from lindblad_ep import (
     evolve_lab,
     evolve_rotating,
     frame_deviation,
+    full_spectrum,
     hamiltonian_rwa,
     initial_state,
     largest_stable_dt,
@@ -30,6 +31,19 @@ from lindblad_ep import (
 
 D_EP3 = 2.0 * math.sqrt(2.0)
 G_EP3 = 6.0 * math.sqrt(3.0)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by a degree-18 Taylor series after scaling to 1-norm <= 1/2, then squaring."""
+    squarings = max(0, math.ceil(math.log2(np.abs(a).sum(axis=0).max() / 0.5)))
+    b = a / 2.0**squarings
+    term = out = np.eye(4, dtype=complex)
+    for k in range(1, 19):
+        term = term @ b / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 class TestStepRK4:
@@ -363,6 +377,17 @@ class TestSpectralEvolve:
         for idx in range(0, len(traj.times), len(traj.times) // 10):
             rho_spec = spectral_evolve(params, rho0, float(traj.times[idx]))
             assert np.max(np.abs(rho_spec - traj.states[idx])) < 1e-7
+
+    # A fixed column of adj(L - zI) cancels as d -> 0 and vanishes at d = 0;
+    # the largest one does neither.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("d", [1e-2, 1e-4, 1e-6, 1e-8, 1e-12, 0.0])
+    def test_small_drive_matches_matrix_exponential(self, d):
+        params = ModelParams(1.0, d, 0.7)
+        rho0 = initial_state("coherent")
+        exact = devectorize(_expm(-3j * build_lindblad(params)) @ vectorize(rho0))
+        assert np.max(np.abs(spectral_evolve(params, rho0, 3.0) - exact)) <= 1e-12
+        assert full_spectrum(params).residuals.max() <= 1e-12
 
     def test_refused_at_the_triple_point(self):
         with pytest.raises(NearDegenerateError):

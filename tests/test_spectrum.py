@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lindblad_ep import spectrum
@@ -24,6 +24,7 @@ from lindblad_ep import (
     spectral_evolve,
 )
 from lindblad_ep.cli import main
+from lindblad_ep.spectrum import _adjugate
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
 coupling = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -216,6 +217,19 @@ class TestEigenvectors:
         with pytest.raises(DomainError):
             eigenvectors_closed_form(params, 0, 0.0)
 
+    def test_left_vectors_have_unit_norm(self):
+        # so that the norm of each right vector is the mode's condition number
+        spec = full_spectrum(ModelParams(0.7, 1.9, 2.3))
+        for nu in (1, 2, 3):
+            assert abs(np.linalg.norm(spec.left[nu]) - 1.0) < 1e-15
+            assert np.linalg.norm(spec.right[nu]) > 1.0 - 1e-15
+
+    def test_close_uncoalesced_pair_has_small_residuals(self):
+        # the coherence modes +-1e-6 - i lie 2e-6 apart; their residuals stay at
+        # the closed form's own eigenvalue error
+        spec = full_spectrum(ModelParams(1e-6, 0.0, 2.0))
+        assert spec.residuals.max() < 1e-11
+
     def test_left_right_normalisation(self):
         params = ModelParams(0.7, 1.9, 2.3)
         zs = eigenvalues_closed_form(params).eigenvalues
@@ -241,6 +255,8 @@ class TestNumericEigensolver:
 
     @settings(max_examples=60, deadline=None)
     @given(params_st)
+    @example(ModelParams(1e-6, 0, 2))
+    @example(ModelParams(5.96e-8, 0, 1.125))
     def test_mirror_symmetry(self, params):
         zs = eigenvalues_numeric(build_lindblad(params))
         scale = max(1.0, float(np.max(np.abs(zs))))
@@ -255,6 +271,16 @@ class TestNumericEigensolver:
         scale = max(1.0, float(np.max(np.abs(zs))))
         assert match_distance(zs, -np.conj(zs)) < 1e-10 * scale
 
+    # A close pair +-delta - i gamma/2 that has not coalesced.  Roots of the
+    # Newton-identity cubic carry errors of about eps / delta here, which the
+    # polish on det(L - zI) must remove.
+    def test_mirror_symmetry_of_close_uncoalesced_pair(self):
+        for gamma in (0.5, 1.125, 2.0, 7.3):
+            for delta in np.geomspace(1e-9, 1e-3, 400):
+                zs = eigenvalues_numeric(build_lindblad(ModelParams(delta, 0.0, gamma)))
+                scale = max(1.0, float(np.max(np.abs(zs))))
+                assert match_distance(zs, -np.conj(zs)) < 1e-10 * scale, (delta, gamma)
+
     def test_rejects_non_conserving_matrix(self):
         with pytest.raises(DomainError):
             eigenvalues_numeric(np.eye(4, dtype=complex))
@@ -262,6 +288,56 @@ class TestNumericEigensolver:
     def test_rejects_wrong_shape(self):
         with pytest.raises(DomainError):
             eigenvalues_numeric(np.eye(3, dtype=complex))
+
+
+def hadamard(rows) -> float:
+    """Hadamard's bound on |det|: the product of the row norms."""
+    return float(np.prod(np.linalg.norm(rows, axis=1)))
+
+
+class TestAdjugate:
+    # Every entry of adj(A) @ A (of A @ adj(A)) is at most 4 times the product
+    # of the row (column) norms of A, and rounding stays far below eps times it.
+    def test_inverts_up_to_the_determinant(self):
+        rng = np.random.default_rng(11)
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            a = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) * 10.0 ** rng.uniform(-3, 3)
+            adj = np.array(_adjugate(a.tolist()))
+            det = np.linalg.det(a) * np.eye(4)
+            assert np.max(np.abs(adj @ a - det)) <= 1e3 * eps * hadamard(a)
+            assert np.max(np.abs(a @ adj - det)) <= 1e3 * eps * hadamard(a.T)
+
+    # Integer entries keep every product exact, so the ranks are exact too.
+    def test_rank_three_matrix_has_rank_one_adjugate(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            b = rng.integers(-5, 6, size=(4, 3)) + 1j * rng.integers(-5, 6, size=(4, 3))
+            c = rng.integers(-5, 6, size=(3, 4)) + 1j * rng.integers(-5, 6, size=(3, 4))
+            a = b @ c
+            assert np.linalg.matrix_rank(a) == 3
+            adj = np.array(_adjugate(a.tolist()))
+            assert np.array_equal(adj @ a, np.zeros((4, 4)))
+            assert np.array_equal(a @ adj, np.zeros((4, 4)))
+            assert np.linalg.matrix_rank(adj) == 1
+
+    def test_rank_two_matrix_has_zero_adjugate(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            b = rng.integers(-5, 6, size=(4, 2)) + 1j * rng.integers(-5, 6, size=(4, 2))
+            c = rng.integers(-5, 6, size=(2, 4)) + 1j * rng.integers(-5, 6, size=(2, 4))
+            assert np.array_equal(np.array(_adjugate((b @ c).tolist())), np.zeros((4, 4)))
+
+    def test_characteristic_residual_is_the_determinant(self):
+        rng = np.random.default_rng(14)
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            params = ModelParams(rng.uniform(-2, 2), rng.uniform(-4, 4), rng.uniform(0, 10))
+            L = build_lindblad(params)
+            for z in (*eigenvalues_closed_form(params).eigenvalues, complex(*rng.normal(size=2))):
+                a = L - z * np.eye(4)
+                tol = 1e3 * eps * hadamard(a)
+                assert abs(characteristic_residual(L, z) - abs(np.linalg.det(a))) <= tol
 
 
 class TestCharacteristicResidual:
