@@ -310,19 +310,58 @@ def _full_spectrum(params: ModelParams, bare: Spectrum) -> Spectrum:
     )
 
 
+# Matrices per block of a stacked oracle call: the kernel's temporaries grow
+# with the block, so this bounds the oracle's memory for any stack.
+_ORACLE_BLOCK = 1024
+
+# The oracle works on L / 2^s, where 2^s brings max|L| down to at most
+# 2^_MAX_EXPONENT: det(L - zI) then stays below about 2^820 at any finite
+# scale.  Below 2^_MAX_EXPONENT (about 1.6e60), s is 0 and L is used as it is.
+_MAX_EXPONENT = 200
+
+
+def _ldexp(x, e) -> np.ndarray:
+    """x * 2^e for complex x, exactly and keeping the signs of zeros."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    parts = x.view(float).reshape(x.shape + (2,))
+    return np.ldexp(parts, np.asarray(e)[..., None]).view(complex)[..., 0]
+
+
 def _char_cubic_coeffs(L: np.ndarray) -> np.ndarray:
     """Coefficients [1, -e1, e2, -e3] of the null-deflated characteristic cubic.
 
     Assembled from traces of matrix powers (Newton's identities), so the
-    deflation of the known zero eigenvalue is exact.
+    deflation of the known zero eigenvalue is exact.  A stack ``(N, 4, 4)``
+    gives one row per matrix; one matrix keeps Python complex arithmetic.
     """
-    e1 = complex(np.trace(L))
     L2 = L @ L
-    t2 = complex(np.trace(L2))
-    t3 = complex(np.trace(L2 @ L))
+    e1, t2, t3 = (np.trace(m, axis1=-2, axis2=-1) for m in (L, L2, L2 @ L))
+    if L.ndim == 2:
+        e1, t2, t3 = complex(e1), complex(t2), complex(t3)
     e2 = (e1 * e1 - t2) / 2.0
     e3 = (e1**3 - 3.0 * e1 * t2 + 2.0 * t3) / 6.0
-    return np.array([1.0, -e1, e2, -e3], dtype=complex)
+    return np.array([np.ones(np.shape(e1)), -e1, e2, -e3], dtype=complex).T
+
+
+def _cubic_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of the monic cubic ``coeffs``, or of each row of a stack of them.
+
+    A stack takes one batched ``eigvals`` of the companion matrices that
+    ``np.roots`` builds row by row, and gives the same roots wherever the
+    constant coefficient is nonzero (``np.roots`` strips trailing zeros).
+    """
+    if coeffs.ndim == 1:
+        return np.roots(coeffs)
+    companion = np.zeros((len(coeffs), 3, 3), dtype=complex)
+    companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    return np.linalg.eigvals(companion)
+
+
+# Root clusters tighter than these multiples of the scale are collapsed: all
+# three roots onto their mean, or the closest pair onto its mean.
+_TRIPLE_RTOL = 5e-5
+_PAIR_RTOL = 1e-7
 
 
 def _collapse_clusters(roots: np.ndarray, e1: complex, scale: float) -> np.ndarray:
@@ -336,11 +375,11 @@ def _collapse_clusters(roots: np.ndarray, e1: complex, scale: float) -> np.ndarr
     are still there after it.
     """
     gaps = [(abs(roots[i] - roots[j]), i, j) for i, j in ((0, 1), (0, 2), (1, 2))]
-    if all(g[0] < 5e-5 * scale for g in gaps):
+    if all(g[0] < _TRIPLE_RTOL * scale for g in gaps):
         mean = e1 / 3.0
         return np.array([mean, mean, mean])
     gap, i, j = min(gaps)
-    if gap < 1e-7 * scale:
+    if gap < _PAIR_RTOL * scale:
         k = 3 - i - j
         mean = (e1 - roots[k]) / 2.0
         out = roots.copy()
@@ -360,45 +399,124 @@ def eigenvalues_numeric(L: np.ndarray) -> np.ndarray:
     roundoff would limit a close pair to about eps * scale^2 / gap.  The
     null root is returned first.
 
-    Raises :class:`NonConvergenceError` if any returned value fails the
-    characteristic-polynomial residual check.
+    ``L`` is one 4x4 matrix, giving 4 eigenvalues, or an ``(N, 4, 4)`` stack,
+    giving ``(N, 4)``.  A stack is solved in blocks of numpy arrays; one
+    matrix keeps Python complex arithmetic, which is faster at that size.
+    Above max|L| ~ 2^200 the matrix is first divided by a power of two, an
+    exact rescale that keeps det(L - zI) finite at any finite scale; the
+    residual check is then made at that scale, relative to it as always.
+
+    Raises :class:`DomainError` for a matrix with non-finite entries or one
+    that does not conserve population, and :class:`NonConvergenceError` if
+    any returned value fails the characteristic-polynomial residual check
+    (a NaN or infinite residual fails it).  For a stack the message names the
+    index of the first offending matrix.
     """
     L = np.asarray(L, dtype=complex)
-    if L.shape != (4, 4):
-        raise DomainError(f"expected a 4x4 matrix, got shape {L.shape}")
-    scale = max(1.0, max_abs(L))
-    if max_abs(L[2] + L[3]) > 1e-12 * scale:
-        raise DomainError(
-            "matrix does not conserve population; cannot deflate the null eigenvalue"
-        )
-    coeffs = _char_cubic_coeffs(L)
-    roots = np.array([_newton_polish(L, z) for z in np.roots(coeffs).tolist()])
-    roots = _collapse_clusters(roots, complex(-coeffs[1]), scale)
-    zs = np.concatenate([np.array([0.0 + 0.0j]), roots])
-    tol = 1e-9 * scale**4
-    for z in zs:
-        res = characteristic_residual(L, z)
-        if res > tol:
-            raise NonConvergenceError(
-                f"root {z} fails the residual check: {res:.3e} > {tol:.3e}"
+    if L.ndim not in (2, 3) or L.shape[-2:] != (4, 4):
+        raise DomainError(f"expected a 4x4 matrix or an (N, 4, 4) stack, got shape {L.shape}")
+    if L.ndim == 2:
+        return _oracle(L, None)
+    out = np.empty((len(L), 4), dtype=complex)
+    for first in range(0, len(L), _ORACLE_BLOCK):
+        block = slice(first, first + _ORACLE_BLOCK)
+        out[block] = _oracle(L[block], first)
+    return out
+
+
+def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
+    """:func:`eigenvalues_numeric` of one matrix (``first`` is None), or of a
+    block of a stack whose first matrix has index ``first``."""
+    amax = np.abs(L).reshape(L.shape[:-2] + (16,)).max(axis=-1)
+    scale = np.maximum(1.0, amax)
+    leak = np.abs(L[..., 2, :] + L[..., 3, :]).max(axis=-1)
+    shift = None
+    # One test on the common path, where nothing is refused or rescaled.  A
+    # NaN fails the first comparison and an infinity passes the second.
+    if (~(leak <= 1e-12 * scale) | (amax >= 2.0**_MAX_EXPONENT)).any():
+        nonfinite = ~(amax < np.inf)
+        if nonfinite.any():
+            raise DomainError(_stack_index(nonfinite, first) + "matrix has non-finite entries")
+        leaking = leak > 1e-12 * scale
+        if leaking.any():
+            raise DomainError(
+                _stack_index(leaking, first)
+                + "matrix does not conserve population; cannot deflate the null eigenvalue"
             )
+        shift = np.maximum(np.frexp(amax)[1] - _MAX_EXPONENT, 0)
+        L = _ldexp(L, -shift[..., None, None])
+        scale = np.ldexp(scale, -shift)
+    coeffs = _char_cubic_coeffs(L)
+    seeds = _cubic_roots(coeffs)
+    if first is None:
+        roots = np.array([_newton_polish(L, z) for z in seeds.tolist()])
+        roots = _collapse_clusters(roots, complex(-coeffs[1]), scale)
+    else:
+        roots = _newton_polish(L, seeds)
+        # Only a row whose tightest gap is below the larger threshold can collapse.
+        gaps = np.abs(roots[:, [0, 0, 1]] - roots[:, [1, 2, 2]])
+        for i in np.flatnonzero(gaps.min(axis=1) < _TRIPLE_RTOL * scale):
+            roots[i] = _collapse_clusters(roots[i], -coeffs[i, 1], scale[i])
+    zs = np.zeros(roots.shape[:-1] + (4,), dtype=complex)
+    zs[..., 1:] = roots
+    if first is None:
+        res = np.array([characteristic_residual(L, z) for z in zs.tolist()])
+    else:
+        # A NaN or infinite root gives a NaN or infinite residual, which fails below.
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = characteristic_residual(L, zs)
+    if shift is not None:
+        zs = _ldexp(zs, shift[..., None])
+    tol = 1e-9 * scale**4
+    bad = ~(res <= tol[..., None])
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NonConvergenceError(
+            _stack_index(bad, first)
+            + f"root {zs[at]} fails the residual check: {res[at]:.3e} > {tol[at[:-1]]:.3e}"
+        )
     return zs
 
 
-def _newton_polish(L: np.ndarray, z: complex) -> complex:
-    """Three Newton steps on det(L - zI), whose derivative is -tr adj(L - zI)."""
+def _stack_index(bad: np.ndarray, first: int | None) -> str:
+    """Message prefix naming the first matrix of a block that ``bad`` flags."""
+    if first is None:
+        return ""
+    row = int(np.argmax(np.reshape(bad, (len(bad), -1)).any(axis=1)))
+    return f"matrix {first + row} of the stack: "
+
+
+def _newton_polish(L: np.ndarray, z):
+    """Three Newton steps on det(L - zI), whose derivative is -tr adj(L - zI).
+
+    ``z`` is one root of one matrix as a Python complex, or an ``(N, k)``
+    array of roots of an ``(N, 4, 4)`` stack.  A root where the trace
+    vanishes is left where it is.
+    """
     for _ in range(3):
         m = _shifted(L, z)
         adj = _adjugate(m)
         trace = adj[0][0] + adj[1][1] + adj[2][2] + adj[3][3]
-        if trace == 0:
-            break
-        z += _det(m, adj) / trace
+        if L.ndim == 2:
+            if trace == 0:
+                break
+            z += _det(m, adj) / trace
+        else:
+            # numpy's complex division multiplies by the reciprocal of the
+            # divisor, which overflows for a subnormal trace: divide both by
+            # 2^k ~ |trace| first, which is exact.
+            k = -np.frexp(np.abs(trace))[1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = _ldexp(_det(m, adj), k) / _ldexp(trace, k)
+                z = np.where(trace != 0, z + step, z)
     return z
 
 
 def _adjugate(m: list) -> list:
     """The adjugate of a 4x4 matrix held as nested lists of Python complex numbers.
+
+    The entries may as well be arrays of one shape, one matrix per element:
+    that is how a stack goes through the same kernel.
 
     Built from the 12 2x2 minors of the row pairs (0, 1) and (2, 3): ``s_ij``
     and ``t_ij`` on columns i and j.  Each cofactor is a 3x3 determinant that
@@ -422,11 +540,19 @@ def _adjugate(m: list) -> list:
     ]
 
 
-def _shifted(L: np.ndarray, z: complex) -> list:
-    """L - zI as nested lists of Python complex numbers."""
-    m = np.asarray(L, dtype=complex).tolist()
+def _shifted(L: np.ndarray, z) -> list:
+    """L - zI as nested lists: of Python complex numbers for one matrix and a
+    scalar ``z``, and for an ``(N, 4, 4)`` stack with ``z`` of shape ``(N,)`` or
+    ``(N, k)``, of arrays that broadcast against ``z``."""
+    if L.ndim == 2:
+        m = L.tolist()
+        for i in range(4):
+            m[i][i] -= z
+        return m
+    L = L.reshape(L.shape[:1] + (1,) * (np.ndim(z) - 1) + (4, 4))
+    m = [[L[..., i, j] for j in range(4)] for i in range(4)]
     for i in range(4):
-        m[i][i] -= z
+        m[i][i] = m[i][i] - z
     return m
 
 
@@ -435,15 +561,33 @@ def _det(m: list, adj: list) -> complex:
     return sum(m[0][j] * adj[j][0] for j in range(4))
 
 
-def characteristic_residual(L: np.ndarray, z: complex) -> float:
-    """|det(L - z I)| by cofactor expansion of the 4x4 matrix along its first row."""
-    m = _shifted(L, complex(z))
+def characteristic_residual(L: np.ndarray, z):
+    """|det(L - z I)| by cofactor expansion of the 4x4 matrix along its first row.
+
+    ``L`` is one matrix with a scalar ``z``, giving a float, or an
+    ``(N, 4, 4)`` stack with ``z`` of shape ``(N,)`` or ``(N, k)``, giving one
+    residual per shift in an array shaped like ``z``.
+    """
+    L = np.asarray(L, dtype=complex)
+    if L.ndim == 2 and L.shape == (4, 4):
+        z = complex(z)
+    else:
+        z = np.asarray(z, dtype=complex)
+        if L.ndim != 3 or L.shape[1:] != (4, 4) or z.ndim not in (1, 2) or len(z) != len(L):
+            raise DomainError(
+                f"expected a 4x4 matrix with a scalar shift, or an (N, 4, 4) stack with "
+                f"(N,) or (N, k) shifts; got shapes {L.shape} and {z.shape}"
+            )
+    m = _shifted(L, z)
     return abs(_det(m, _adjugate(m)))
 
 
 # Pairings whose summed distance is within this many roundoffs of the least
 # sum count as tied with it.
 _TIE_ULPS = 8
+
+# Largest set match_distance accepts: 8! = 40,320 pairings.
+_MAX_SET_SIZE = 8
 
 
 @functools.lru_cache(maxsize=None)
@@ -452,21 +596,31 @@ def _pairings(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
 
 
-def match_distance(a, b) -> float:
+def match_distance(a, b):
     """Largest matched |a_i - b_j| under the pairing of least summed distance.
 
     The pairing minimises sum_i |a_i - b_sigma(i)| (the linear assignment
     problem), found by brute force over the n! pairings: n is 4 for every
     caller.  Among pairings whose sums tie to within roundoff the largest
     matched distance is returned, so a tie never makes the result smaller.
+    Two sets give a float; two ``(N, n)`` stacks of sets give an ``(N,)``
+    array, each entry equal to the call on that row alone.
     """
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    if a.shape != b.shape:
-        raise DomainError("sets must have equal size")
-    cost = np.abs(a[:, None] - b[None, :])
-    picked = cost[np.arange(a.size), _pairings(a.size)]
-    sums = picked.sum(axis=1)
-    least = sums.min()
-    tied = sums <= least + _TIE_ULPS * np.finfo(float).eps * least
-    return float(picked[tied].max())
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape or a.ndim not in (1, 2):
+        raise DomainError(
+            f"sets must have equal size, as two sets or two (N, n) stacks; "
+            f"got shapes {a.shape} and {b.shape}"
+        )
+    n = a.shape[-1]
+    if n > _MAX_SET_SIZE:
+        raise DomainError(f"sets of {n} values are too large for a search over {n}! pairings")
+    cost = np.abs(a[..., :, None] - b[..., None, :])
+    picked = cost[..., np.arange(n), _pairings(n)]
+    sums = picked.sum(axis=-1)
+    least = sums.min(axis=-1, keepdims=True)
+    # Written as "not above" so that a NaN sum ties and its NaN distance shows.
+    tied = ~(sums > least + _TIE_ULPS * np.finfo(float).eps * least)
+    worst = picked.max(axis=(-2, -1), where=tied[..., None], initial=0.0)
+    return float(worst) if a.ndim == 1 else worst

@@ -260,6 +260,16 @@ class TestVerifyCommand:
     def test_negative_tolerance_is_usage_error(self):
         assert run(["verify", "--tol-scale", "-1"]) == 2
 
+    def test_run_checks_records_elapsed_time_outside_the_summary(self):
+        from lindblad_ep.verify import CheckResult, run_checks
+
+        for result in run_checks(["gamma0", "ep3"]):
+            assert result.elapsed_s > 0.0
+            bare = CheckResult(result.name, result.passed, result.details)
+            assert bare.elapsed_s is None
+            assert result.summary() == bare.summary()
+            assert "elapsed" not in result.summary()
+
     def test_unknown_check_is_usage_error(self):
         assert run(["verify", "--checks", "bogus"]) == 2
 

@@ -11,6 +11,7 @@ from lindblad_ep import (
     DomainError,
     ModelParams,
     NearDegenerateError,
+    NonConvergenceError,
     build_lindblad,
     cardano_params,
     characteristic_residual,
@@ -18,13 +19,16 @@ from lindblad_ep import (
     eigenvalues_closed_form,
     eigenvalues_numeric,
     eigenvectors_closed_form,
+    ep2_gamma,
     full_spectrum,
     initial_state,
     match_distance,
+    scaled_discriminant,
     spectral_evolve,
 )
 from lindblad_ep.cli import main
 from lindblad_ep.spectrum import _adjugate
+from lindblad_ep.verify import _spectra_points
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
 coupling = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -290,6 +294,112 @@ class TestNumericEigensolver:
             eigenvalues_numeric(np.eye(3, dtype=complex))
 
 
+def stack_of(points) -> np.ndarray:
+    return np.array([build_lindblad(params) for params in points])
+
+
+def stacked_against_single(Ls: np.ndarray) -> np.ndarray:
+    """Matched distance of the stacked oracle from one call per matrix, over max(1, max|L|)."""
+    single = np.array([eigenvalues_numeric(L) for L in Ls])
+    scale = np.maximum(1.0, np.max(np.abs(Ls), axis=(1, 2)))
+    return match_distance(eigenvalues_numeric(Ls), single) / scale
+
+
+# Away from the coalescences; near one, both answers sit within the
+# eps^(1/2) conditioning limit and may differ by more than roundoff.
+separated_params = params_st.filter(lambda p: abs(scaled_discriminant(p)) > 1e-8)
+
+
+class TestStackedOracle:
+    # numpy's complex arithmetic rounds differently from Python's, so the
+    # stacked roots agree with the per-matrix ones to roundoff, not bitwise.
+    def test_check_spectra_matrices_match_per_matrix(self):
+        Ls = stack_of(_spectra_points())
+        assert len(Ls) == 3500
+        assert np.max(stacked_against_single(Ls)) <= 1e-14
+
+    # The example's subnormal coupling leaves a subnormal tr adj(L - zI) at the
+    # double root near 0, whose reciprocal overflows in numpy's complex division.
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(separated_params, min_size=1, max_size=6))
+    @example([ModelParams(0.7952760252209155, -1.0, 5e-324)])
+    def test_matches_per_matrix(self, points):
+        assert np.max(stacked_against_single(stack_of(points))) <= 1e-14
+
+    # At a coalescence both paths collapse the scattered cluster onto its mean.
+    def test_collapses_clusters_like_per_matrix(self):
+        points = [ModelParams(1.0, D_EP3, G_EP3), ModelParams(0.0, 1.0, 4.0)]
+        for d_t in (3.0, 5.0):
+            points += [ModelParams(1.0, d_t, g) for g in ep2_gamma(d_t)]
+        assert np.max(stacked_against_single(stack_of(points))) <= 1e-14
+
+    def test_stack_crosses_a_block_boundary(self):
+        rng = np.random.default_rng(21)
+        n = 1025
+        assert n > spectrum._ORACLE_BLOCK
+        points = [ModelParams(rng.uniform(-2, 2), rng.uniform(-4, 4), rng.uniform(0, 10))
+                  for _ in range(n)]
+        Ls = stack_of(points)
+        assert np.max(stacked_against_single(Ls)) <= 1e-14
+        Ls[n - 1] = np.eye(4)
+        with pytest.raises(DomainError, match=f"matrix {n - 1} of the stack"):
+            eigenvalues_numeric(Ls)
+
+    def test_empty_stack(self):
+        zs = eigenvalues_numeric(np.zeros((0, 4, 4), dtype=complex))
+        assert zs.shape == (0, 4)
+
+    def test_rejects_stack_of_wrong_shape(self):
+        with pytest.raises(DomainError):
+            eigenvalues_numeric(np.zeros((2, 3, 3), dtype=complex))
+        with pytest.raises(DomainError):
+            eigenvalues_numeric(np.zeros((2, 2, 4, 4), dtype=complex))
+
+    def test_names_the_matrix_that_does_not_conserve_population(self):
+        Ls = stack_of([ModelParams(1.0, 2.0, 1.0)] * 5)
+        Ls[3, 2, 0] += 1e-3
+        with pytest.raises(DomainError, match="matrix 3 of the stack: .*conserve population"):
+            eigenvalues_numeric(Ls)
+
+    def test_names_the_matrix_with_non_finite_entries(self):
+        Ls = stack_of([ModelParams(1.0, 2.0, 1.0)] * 5)
+        Ls[1, 0, 0] = np.nan
+        with pytest.raises(DomainError, match="matrix 1 of the stack: .*non-finite"):
+            eigenvalues_numeric(Ls)
+
+    @pytest.mark.parametrize("fault", [1e-3, np.nan, np.inf])
+    def test_names_the_matrix_failing_the_residual_check(self, monkeypatch, fault):
+        # A root knocked off by 1e-3, or made NaN or infinite, must fail the
+        # gate; numpy gives NaN and inf silently where Python would raise.
+        polish = spectrum._newton_polish
+
+        def faulty(L, z):
+            roots = polish(L, z)
+            roots[2, 1] += fault
+            return roots
+
+        monkeypatch.setattr(spectrum, "_newton_polish", faulty)
+        Ls = stack_of([ModelParams(1.0, 2.0, 1.0), ModelParams(0.5, 3.0, 2.0)] * 3)
+        with pytest.raises(NonConvergenceError, match="matrix 2 of the stack: root"):
+            eigenvalues_numeric(Ls)
+
+
+class TestLargeScale:
+    # Above max|L| ~ 1e77 the residual tolerance and det(L - zI) overflow
+    # unless L is first divided by a power of two.
+    def test_oracle_is_scale_covariant_at_1e80(self):
+        ref = eigenvalues_numeric(build_lindblad(ModelParams(1.0, 2.0, 1.0)))
+        zs = eigenvalues_numeric(build_lindblad(ModelParams(1e80, 2e80, 1e80)))
+        assert match_distance(zs, 1e80 * ref) <= 1e-12 * 1e80 * np.max(np.abs(ref))
+
+    def test_stacked_oracle_at_extreme_scales(self):
+        ref = eigenvalues_numeric(build_lindblad(ModelParams(1.0, 2.0, 1.0)))
+        scales = np.array([1e80, 1e150, 1e300])
+        zs = eigenvalues_numeric(stack_of([ModelParams(s, 2.0 * s, s) for s in scales]))
+        dist = match_distance(zs / scales[:, None], np.tile(ref, (3, 1)))
+        assert np.all(dist <= 1e-12 * np.max(np.abs(ref)))
+
+
 def hadamard(rows) -> float:
     """Hadamard's bound on |det|: the product of the row norms."""
     return float(np.prod(np.linalg.norm(rows, axis=1)))
@@ -338,6 +448,30 @@ class TestAdjugate:
                 a = L - z * np.eye(4)
                 tol = 1e3 * eps * hadamard(a)
                 assert abs(characteristic_residual(L, z) - abs(np.linalg.det(a))) <= tol
+
+    def test_stacked_characteristic_residual_is_the_determinant(self):
+        rng = np.random.default_rng(15)
+        eps = np.finfo(float).eps
+        points = [ModelParams(rng.uniform(-2, 2), rng.uniform(-4, 4), rng.uniform(0, 10))
+                  for _ in range(200)]
+        Ls = stack_of(points)
+        zs = np.array([eigenvalues_closed_form(params).eigenvalues for params in points])
+        zs = np.concatenate([zs, rng.normal(size=(200, 1)) + 1j * rng.normal(size=(200, 1))], axis=1)
+        a = Ls[:, None] - zs[:, :, None, None] * np.eye(4)
+        tol = 1e3 * eps * np.prod(np.linalg.norm(a, axis=-1), axis=-1)
+        res = characteristic_residual(Ls, zs)
+        assert res.shape == (200, 5)
+        assert np.all(np.abs(res - np.abs(np.linalg.det(a))) <= tol)
+        column = characteristic_residual(Ls, zs[:, 4])
+        assert column.shape == (200,)
+        assert np.all(np.abs(column - np.abs(np.linalg.det(a[:, 4]))) <= tol[:, 4])
+
+    def test_rejects_mismatched_stack_and_shifts(self):
+        Ls = stack_of([ModelParams(1.0, 2.0, 1.0)] * 3)
+        with pytest.raises(DomainError):
+            characteristic_residual(Ls, np.zeros(2))
+        with pytest.raises(DomainError):
+            characteristic_residual(Ls, 0.0)
 
 
 class TestCharacteristicResidual:
@@ -428,6 +562,13 @@ class TestMatchDistance:
         with pytest.raises(DomainError):
             match_distance(np.zeros(2), np.zeros(3))
 
+    def test_large_sets_rejected(self):
+        # The brute force over n! pairings would not fit in memory for long sets.
+        with pytest.raises(DomainError):
+            match_distance(np.zeros(9), np.zeros(9))
+        with pytest.raises(DomainError):
+            match_distance(np.zeros((1, 4, 4)), np.zeros((1, 4, 4)))
+
     def test_agrees_with_linear_sum_assignment(self):
         optimize = pytest.importorskip("scipy.optimize")
 
@@ -448,6 +589,22 @@ class TestMatchDistance:
         for a, b in (([1, 1, 1, 1], [1, 2, 3, 4]), ([0, 0, 2, 2], [1, 1, 1, 1])):
             a, b = np.array(a, dtype=complex), np.array(b, dtype=complex)
             assert match_distance(a, b) == reference(a, b)
+
+    def test_stack_equals_per_row_calls(self):
+        rng = np.random.default_rng(2025)
+        a, b = rng.normal(size=(2, 500, 4)) + 1j * rng.normal(size=(2, 500, 4))
+        # Sets drawn with replacement from three values give tied pairings.
+        pool = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        a = np.concatenate([a, rng.choice(pool[0], (500, 4))])
+        b = np.concatenate([b, rng.choice(pool[1], (500, 4))])
+        stacked = match_distance(a, b)
+        assert stacked.shape == (1000,)
+        assert np.array_equal(stacked, [match_distance(x, y) for x, y in zip(a, b)])
+
+    def test_nan_is_never_hidden(self):
+        a = np.array([[0.0, 1.0, np.nan, 3.0], [0.0, 1.0, 2.0, 3.0]])
+        assert np.isnan(match_distance(a[0], a[1]))
+        assert np.isnan(match_distance(a, a[::-1])).all()
 
     def test_tied_sums_report_the_largest_distance(self):
         # Both pairings of {0, 1} with {1, 2} sum to 2; the one through |0 - 2| is reported.
