@@ -81,12 +81,18 @@ def _emit_table(path, fmt, header, rows):
         _write_text(path, "\n".join(lines) + "\n")
 
 
-def _grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """``n`` evenly spaced values from ``lo`` to ``hi``, both included."""
+def _grid(lo: float, hi: float, n: int, flag: str) -> np.ndarray:
+    """``n`` evenly spaced values from ``lo`` to ``hi``, both included; ``flag``
+    names the ``--<flag>-min`` and ``--<flag>-max`` options they came from."""
+    for end, value in (("min", lo), ("max", hi)):
+        if not math.isfinite(value):
+            raise DomainError(f"--{flag}-{end} must be finite, got {value}")
     if n < 1:
         raise DomainError("grid counts must be >= 1")
     if hi < lo:
         raise DomainError("range maxima must be >= minima")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"the range of --{flag}-min to --{flag}-max overflows a double")
     return np.linspace(lo, hi, n)
 
 
@@ -153,8 +159,8 @@ def cmd_spectrum(args) -> int:
 def cmd_phase_diagram(args) -> int:
     if args.delta <= 0:
         raise DomainError("grid commands use delta > 0 so flags read as d/delta, gamma/delta")
-    d_grid = _grid(args.d_min, args.d_max, args.nd)
-    g_grid = _grid(args.gamma_min, args.gamma_max, args.ngamma)
+    d_grid = _grid(args.d_min, args.d_max, args.nd, "d")
+    g_grid = _grid(args.gamma_min, args.gamma_max, args.ngamma, "gamma")
     disc, region, ordering = classify_grid(args.delta, d_grid, g_grid)
     # Each coordinate is formatted once; rows run d-major like the grid.
     d_text = [_fmt(d_t) for d_t in d_grid]
@@ -176,7 +182,7 @@ def cmd_phase_diagram(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_ep_curve(args) -> int:
-    d_grid = _grid(args.d_min, args.d_max, args.nd)
+    d_grid = _grid(args.d_min, args.d_max, args.nd, "d")
     if args.d_min < D_TILDE_EP3:
         raise DomainError(
             f"curves exist only for d_tilde >= 2*sqrt(2) = {D_TILDE_EP3!r}; "

@@ -20,6 +20,7 @@ from .model import ModelParams
 from .spectrum import (
     Spectrum,
     _closed_form,
+    _cubic_coeffs,
     _cubic_grid,
     _pow,
     cardano_params,
@@ -218,8 +219,10 @@ def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.nd
     if delta == 0:
         raise DomainError("phase-plane classification needs delta != 0 "
                           "(coordinates are d/delta and gamma/delta)")
-    d = np.asarray(d_tilde, dtype=float) * delta
-    gamma = np.asarray(gamma_tilde, dtype=float) * delta
+    # An infinite or overflowing product is refused below, without numpy's warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = np.asarray(d_tilde, dtype=float) * delta
+        gamma = np.asarray(gamma_tilde, dtype=float) * delta
     if d.ndim != 1 or gamma.ndim != 1:
         raise DomainError("d_tilde and gamma_tilde must be 1-D grids")
     if not (math.isfinite(delta) and np.isfinite(d).all() and np.isfinite(gamma).all()):
@@ -227,7 +230,7 @@ def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.nd
     if (gamma < 0).any():
         raise DomainError(f"gamma must be >= 0, got {gamma.min()}")
 
-    cubic = _cubic_grid(delta, d, gamma)
+    cubic = _cubic_grid(delta, d[:, None], gamma[None, :])
     scale2 = np.maximum(1.0, cubic.energy)
     band = EP_BAND * _pow(scale2, 3)
 
@@ -245,73 +248,127 @@ def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.nd
     return cubic.disc, region, ordering
 
 
-def _disc_quadratic_coeffs(d_tilde: float) -> tuple[float, float, float]:
+def _disc_quadratic_coeffs(d_tilde):
     """Exact coefficients of the discriminant as a quadratic in x = gamma^2.
 
     At unit detuning, p^3 + q^2 = c0 + c1 x + c2 x^2: the cubic terms of p^3
     and q^2 in x cancel identically.  Used only to seed brackets; the searches
-    themselves evaluate the discriminant directly.
+    themselves evaluate the discriminant directly.  Elementwise over an array
+    of drives.
     """
-    a = 1.0 + d_tilde**2
-    b = 1.0 - d_tilde**2 / 2.0
-    c0 = a**3 / 27.0
-    c1 = (3.0 * b**2 - a**2) / 108.0
+    d2 = _pow(np.asarray(d_tilde, dtype=float), 2)
+    a = 1.0 + d2
+    b = 1.0 - d2 / 2.0
+    c0 = _pow(a, 3) / 27.0
+    c1 = (3.0 * _pow(b, 2) - _pow(a, 2)) / 108.0
     c2 = 1.0 / 432.0
     return c0, c1, c2
 
 
-def _bisect_sign(f, lo: float, hi: float) -> float:
-    """Bisection to the last representable float; requires a sign change."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise NoRootError(f"no sign change over [{lo}, {hi}]")
-    while True:
+def _disc_at(d_tilde: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`discriminant` at unit detuning, drive ``d_tilde`` and coupling sqrt(x)."""
+    return _cubic_coeffs(1.0, d_tilde, np.sqrt(x))[3]
+
+
+def _bisect_brackets(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Bisection of every bracket [lo[k], hi[k]] to the last representable float.
+
+    ``f(x, k)`` is the function of bracket ``k[i]`` at ``x[i]``, for arrays
+    ``x`` and ``k``; each pass evaluates it on the brackets still open only.
+    A bracket stops where a bisection of it alone would: at an endpoint or
+    midpoint where f is zero, or at a midpoint equal to an endpoint.
+    Requires a sign change in every bracket.
+    """
+    k = np.arange(len(lo))
+    flo, fhi = f(lo, k), f(hi, k)
+    root = np.where(flo == 0.0, lo, hi)
+    open_ = (flo != 0.0) & (fhi != 0.0)
+    up = flo > 0.0
+    same = open_ & (up == (fhi > 0.0))
+    if same.any():
+        i = int(np.argmax(same))
+        raise NoRootError(f"no sign change over [{float(lo[i])}, {float(hi[i])}]")
+    k, lo, hi, up = k[open_], lo[open_], hi[open_], up[open_]
+    while k.size:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
+        live = (mid != lo) & (mid != hi)
+        fm = np.zeros_like(mid)
+        fm[live] = f(mid[live], k[live])
+        done = fm == 0.0
+        root[k[done]] = mid[done]
+        # f keeps the sign class of f(lo) at lo, so ``up`` never changes.
+        to_lo = (fm > 0.0) == up
+        lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
+        k, lo, hi, up = k[~done], lo[~done], hi[~done], up[~done]
+    return root
 
 
-def ep2_locate_numeric(d_tilde: float) -> tuple[float, float]:
+def _element(i: int, one: bool) -> str:
+    """Message prefix naming element ``i`` of a batch of drives; none for one drive."""
+    return "" if one else f"element {i} of the batch: "
+
+
+def ep2_locate_numeric(d_tilde):
     """Coalescence couplings by bracketed bisection on the discriminant sign.
 
     Oracle for :func:`ep2_gamma`: only directly evaluated discriminant signs
-    drive the search.  Raises :class:`NoRootError` when no negative dip exists
-    (drive below threshold).
+    drive the search.  ``d_tilde`` is one drive, giving two floats, or a 1-D
+    array of drives, giving two arrays; the brackets of all drives are
+    bisected together, and each element equals the call on its drive alone.
+    Raises :class:`NoRootError` when no negative dip exists (drive below
+    threshold); for an array the message names the first such element.
     """
-    d_tilde = float(d_tilde)
-    c0, c1, c2 = _disc_quadratic_coeffs(d_tilde)
+    d = np.asarray(d_tilde, dtype=float)
+    if d.ndim > 1:
+        raise DomainError(f"d_tilde must be a number or a 1-D array, got shape {d.shape}")
+    one = d.ndim == 0
+    d = d.reshape(-1)
+    bad = ~np.isfinite(d)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(_element(i, one) + f"d_tilde must be finite, got {float(d[i])!r}")
+    c0, c1, c2 = _disc_quadratic_coeffs(d)
     x_star = -c1 / (2.0 * c2)
 
-    def disc_at(x: float) -> float:
-        return discriminant(ModelParams(1.0, d_tilde, math.sqrt(x)))
-
-    if x_star <= 0.0 or disc_at(x_star) >= 0.0:
+    bad = x_star <= 0.0
+    bad[~bad] = _disc_at(d[~bad], x_star[~bad]) >= 0.0
+    if bad.any():
+        i = int(np.argmax(bad))
         raise NoRootError(
-            f"discriminant has no negative dip at d_tilde = {d_tilde}; "
+            _element(i, one) + f"discriminant has no negative dip at d_tilde = {float(d[i])}; "
             "no coalescence coupling exists"
         )
     hi = 2.0 * x_star
+    rows = np.arange(len(d))
     for _ in range(64):
-        if disc_at(hi) > 0.0:
+        rows = rows[~(_disc_at(d[rows], hi[rows]) > 0.0)]
+        if not rows.size:
             break
-        hi *= 2.0
+        hi[rows] *= 2.0
     else:
-        raise NoRootError("failed to bracket the upper coalescence coupling")
-    x_minus = _bisect_sign(disc_at, 0.0, x_star)
-    x_plus = _bisect_sign(disc_at, x_star, hi)
-    return math.sqrt(x_minus), math.sqrt(x_plus)
+        raise NoRootError(
+            _element(int(rows[0]), one) + "failed to bracket the upper coalescence coupling"
+        )
+    # Brackets [0, x*] of the minus branch, then [x*, hi] of the plus branch.
+    both = np.concatenate([d, d])
+    x = _bisect_brackets(
+        lambda x, k: _disc_at(both[k], x),
+        np.concatenate([np.zeros_like(x_star), x_star]),
+        np.concatenate([x_star, hi]),
+    )
+    gamma_minus, gamma_plus = np.sqrt(x[: len(d)]), np.sqrt(x[len(d):])
+    if one:
+        return float(gamma_minus[0]), float(gamma_plus[0])
+    return gamma_minus, gamma_plus
+
+
+def _dip_depth(d_tilde: np.ndarray) -> np.ndarray:
+    """Discriminant at the bottom of its dip in x = gamma^2, or c0 where x* <= 0."""
+    c0, c1, c2 = _disc_quadratic_coeffs(d_tilde)
+    x_star = -c1 / (2.0 * c2)
+    dip = ~(x_star <= 0.0)
+    c0[dip] = _disc_at(d_tilde[dip], x_star[dip])
+    return c0
 
 
 def ep3_locate_numeric(d_lo: float = 2.0, d_hi: float = 3.5) -> tuple[float, float, complex]:
@@ -322,17 +379,13 @@ def ep3_locate_numeric(d_lo: float = 2.0, d_hi: float = 3.5) -> tuple[float, flo
     roots).  Everything is derived from discriminant signs, independent of the
     closed-form curve expressions.
     """
-
-    def dip_depth(d_t: float) -> float:
-        c0, c1, c2 = _disc_quadratic_coeffs(d_t)
-        x_star = -c1 / (2.0 * c2)
-        if x_star <= 0.0:
-            return c0
-        return discriminant(ModelParams(1.0, d_t, math.sqrt(x_star)))
-
-    if not (dip_depth(d_lo) > 0.0 and dip_depth(d_hi) < 0.0):
+    bounds = np.array([d_lo, d_hi], dtype=float)
+    if not np.isfinite(bounds).all():
+        raise DomainError(f"bracket ends must be finite, got [{d_lo}, {d_hi}]")
+    depth_lo, depth_hi = _dip_depth(bounds)
+    if not (depth_lo > 0.0 and depth_hi < 0.0):
         raise NoRootError(f"[{d_lo}, {d_hi}] does not bracket the curve endpoint")
-    d_t = _bisect_sign(dip_depth, d_lo, d_hi)
+    d_t = float(_bisect_brackets(lambda x, k: _dip_depth(x), bounds[:1], bounds[1:])[0])
     _, c1, c2 = _disc_quadratic_coeffs(d_t)
     gamma_t = math.sqrt(-c1 / (2.0 * c2))
     return d_t, gamma_t, -2j * gamma_t / 3.0

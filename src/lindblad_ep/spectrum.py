@@ -136,11 +136,11 @@ def _pow(x: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _CubicGrid:
-    """Array form of :class:`CardanoParams` plus the first two decaying eigenvalues.
+    """Array form of :class:`CardanoParams` plus the three decaying eigenvalues.
 
     Every entry equals, bit for bit, what :func:`cardano_params` and
-    :func:`eigenvalues_closed_form` give at the same node.  ``energy`` is
-    :meth:`ModelParams.energy_scale` at each node.
+    :func:`eigenvalues_closed_form` give at the same point.  ``energy`` is
+    :meth:`ModelParams.energy_scale` at each point.
     """
 
     p: np.ndarray
@@ -150,63 +150,112 @@ class _CubicGrid:
     v: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
+    z3: np.ndarray
     energy: np.ndarray
 
 
-def _cubic_grid(delta: float, d: np.ndarray, gamma: np.ndarray) -> _CubicGrid:
-    """The cubic of :func:`cardano_params` on the outer grid ``d[:, None], gamma[None, :]``.
+def _cubic_coeffs(delta, d, gamma) -> tuple[np.ndarray, ...]:
+    """``p``, ``q``, ``p**3``, ``disc`` and the energy scale of :func:`cardano_params`,
+    elementwise over three arrays that broadcast together."""
+    delta, d, gamma = (np.asarray(x, dtype=float) for x in (delta, d, gamma))
+    delta2, d2, g2 = _pow(delta, 2), _pow(d, 2), _pow(gamma, 2)
+    p = (delta2 + d2 - g2 / 12.0) / 3.0
+    q = (gamma / 6.0) * (delta2 - d2 / 2.0 + g2 / 36.0)
+    p3 = _pow(p, 3)
+    return p, q, p3, p3 + _pow(q, 2), delta2 + d2 + g2
+
+
+def _cubic_grid(delta, d, gamma) -> _CubicGrid:
+    """The cubic of :func:`cardano_params` and its roots, elementwise over three
+    arrays that broadcast together.
 
     Where the radicals are real (disc >= 0, all but a few percent of a
-    typical grid) the phased combinations are expanded into real arithmetic
-    in the exact operation order of the complex expressions.  The complex
-    radicals, and everything after them, go through the scalar helpers.
+    typical grid) the phased combinations of :func:`_phased_roots` are
+    expanded into real arithmetic in the exact operation order of Python's
+    complex expressions, signed zeros included.  The complex radicals, and
+    everything after them, go through the scalar helpers.
     """
-    delta2 = delta**2
-    d2 = _pow(d, 2)[:, None]
-    g = gamma[None, :]
-    g2 = _pow(gamma, 2)[None, :]
-    p = (delta2 + d2 - g2 / 12.0) / 3.0
-    q = (g / 6.0) * (delta2 - d2 / 2.0 + g2 / 36.0)
-    p3 = _pow(p, 3)
-    disc = p3 + _pow(q, 2)
-    energy = delta2 + d2 + g2
-    base = 2.0 * g / 3.0
+    gamma = np.asarray(gamma, dtype=float)
+    p, q, p3, disc, energy = _cubic_coeffs(delta, d, gamma)
+    base = 2.0 * gamma / 3.0
 
     real = disc >= 0.0
+    ur, vr, vi = _real_radicals(p, q, p3, disc, real)
+    # u = (ur, 0.0) and v = (vr, vi) in the three phased combinations.
+    wr, wi = _W.real, _W.imag
+    z1 = _times_minus_i((base + ur) + vr, 0.0 + vi)
+    z2 = _times_minus_i((base + wr * ur) + (wr * vr - (-wi) * vi),
+                        (0.0 + wi * ur) + (wr * vi + (-wi) * vr))
+    z3 = _times_minus_i((base + (wr * ur + 0.0)) + (wr * vr - wi * vi),
+                        (0.0 + (-wi) * ur) + (wr * vi + wi * vr))
+    u = ur.astype(complex)
+    v = np.empty(p.shape, dtype=complex)
+    v.real, v.imag = vr, vi
+    gammas = np.broadcast_to(gamma, p.shape)
+    for idx in zip(*np.nonzero(~real)):
+        uc, vc = _complex_radicals(float(p[idx]), float(q[idx]), float(disc[idx]))
+        u[idx], v[idx] = uc, vc
+        z1[idx], z2[idx], z3[idx] = _phased_roots(float(gammas[idx]), uc, vc)
+
+    # The exact triple root -2i*gamma/3 of _closed_form, real part +0.0.
+    triple = np.maximum(np.abs(p), np.abs(q)) < TRIPLE_ROOT_RTOL * np.maximum(1.0, energy)
+    if triple.any():
+        z = np.zeros(p.shape, dtype=complex)
+        z.imag = -2.0 * gamma / 3.0
+        z1, z2, z3 = (np.where(triple, z, zk) for zk in (z1, z2, z3))
+    return _CubicGrid(p=p, q=q, disc=disc, u=u, v=v, z1=z1, z2=z2, z3=z3, energy=energy)
+
+
+def _real_radicals(p, q, p3, disc, real) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``u.real``, ``v.real`` and ``v.imag`` of :func:`cardano_params` where ``real``
+    (disc >= 0) holds; the other entries are meaningless."""
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.sqrt(np.where(real, disc, 0.0))
         radicand = np.where(q >= 0.0, q + s, p3 / (s - q))
         ur = np.cbrt(radicand)
         big = np.abs(ur) > 1e-100
-        vr = np.where(big, -p / ur, np.cbrt(q - s))
-    wr, wi = _W.real, _W.imag
-    u = ur.astype(complex)
-    v = vr.astype(complex)
-    # -1j * (base + u + v) and -1j * (base + W u + conj(W) v) with u, v real.
-    z1 = np.zeros(p.shape, dtype=complex)
-    z1.imag = -(base + ur + vr)
-    z2 = np.empty(p.shape, dtype=complex)
-    z2.real = wi * ur - wi * vr
-    z2.imag = -(base + wr * ur + wr * vr)
-    for idx in zip(*np.nonzero(~real)):
-        uc, vc = _complex_radicals(float(p[idx]), float(q[idx]), float(disc[idx]))
-        u[idx], v[idx] = uc, vc
-        z1[idx], z2[idx], _ = _phased_roots(float(gamma[idx[1]]), uc, vc)
+        # v = -p / complex(u): Python divides by (ur, 0.0) through the ratio
+        # 0.0 / ur, which leaves v an imaginary zero of the sign of ur.
+        ratio = 0.0 / ur
+        vr = np.where(big, (-p + 0.0 * ratio) / ur, np.cbrt(q - s))
+        vi = np.where(big, (0.0 - (-p) * ratio) / ur, 0.0)
+    return ur, vr, vi
 
-    triple = np.maximum(np.abs(p), np.abs(q)) < TRIPLE_ROOT_RTOL * np.maximum(1.0, energy)
-    z1 = np.where(triple, -2.0 * g / 3.0 * 1j, z1)
-    z2 = np.where(triple, -2.0 * g / 3.0 * 1j, z2)
-    return _CubicGrid(p=p, q=q, disc=disc, u=u, v=v, z1=z1, z2=z2, energy=energy)
+
+def _times_minus_i(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """-1j * complex(x, y) elementwise, signed zeros included, as Python forms it."""
+    z = np.empty(np.shape(x), dtype=complex)
+    z.real = -0.0 * x + y
+    z.imag = -0.0 * y - x
+    return z
+
+
+# The six eigenvalue pairs (i, j), i < j, in the order _flag_pairs lists them.
+_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
 def _flag_pairs(zs: np.ndarray) -> tuple[tuple[int, int], ...]:
-    flagged = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            gap = abs(zs[i] - zs[j])
-            if gap < PAIR_GAP_RTOL * max(1.0, abs(zs[i]), abs(zs[j])):
-                flagged.append((i, j))
-    return tuple(flagged)
+    """The pairs of the four eigenvalues ``zs`` closer than the coalescence threshold."""
+    zs = zs.tolist()
+    return tuple(
+        (i, j) for i, j in _PAIRS
+        if abs(zs[i] - zs[j]) < PAIR_GAP_RTOL * max(1.0, abs(zs[i]), abs(zs[j]))
+    )
+
+
+def _closed_form_stack(delta, d, gamma) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eigenvalues_closed_form` at each point of three 1-D arrays.
+
+    Returns the ``(N, 4)`` eigenvalues and an ``(N, 6)`` mask of the pairs in
+    :data:`_PAIRS` closer than the coalescence threshold: row ``k`` equals,
+    bit for bit, the eigenvalues and the ``degenerate_pairs`` of
+    ``eigenvalues_closed_form(ModelParams(delta[k], d[k], gamma[k]))``.
+    """
+    cubic = _cubic_grid(delta, d, gamma)
+    zs = np.stack([np.zeros_like(cubic.z1), cubic.z1, cubic.z2, cubic.z3], axis=-1)
+    i, j = np.array(_PAIRS).T
+    size = np.maximum(np.maximum(1.0, np.abs(zs[:, i])), np.abs(zs[:, j]))
+    return zs, np.abs(zs[:, i] - zs[:, j]) < PAIR_GAP_RTOL * size
 
 
 def eigenvalues_closed_form(params: ModelParams) -> Spectrum:

@@ -26,17 +26,30 @@ def build_lindblad(params: ModelParams) -> np.ndarray:
     Swapping the first two rows and columns of -conj(L) reproduces L, which
     forces the eigenvalue set to be symmetric about the imaginary axis.
     """
-    delta, d, gamma = params.delta, params.d, params.gamma
+    return np.array(_generator_entries(params.delta, params.d, params.gamma))
+
+
+def _lindblad_stack(delta, d, gamma) -> np.ndarray:
+    """:func:`build_lindblad` at each point of three 1-D arrays: an ``(N, 4, 4)``
+    stack whose matrices equal the single ones bit for bit."""
+    entries = _generator_entries(*(np.asarray(x, dtype=float) for x in (delta, d, gamma)))
+    L = np.zeros((len(delta), 4, 4), dtype=complex)
+    for i, row in enumerate(entries):
+        for j, x in enumerate(row):
+            L[:, i, j] = x
+    return L
+
+
+def _generator_entries(delta, d, gamma) -> list:
+    """The 4x4 entries of the generator as nested lists, of numbers or of arrays."""
     hd = 0.5 * d
     hg = 0.5 * gamma
-    return np.array(
-        [
-            [delta - 1j * hg, 0.0, -hd, hd],
-            [0.0, -delta - 1j * hg, hd, -hd],
-            [-hd, hd, -1j * gamma, 0.0],
-            [hd, -hd, 1j * gamma, 0.0],
-        ]
-    )
+    return [
+        [delta - 1j * hg, 0.0, -hd, hd],
+        [0.0, -delta - 1j * hg, hd, -hd],
+        [-hd, hd, -1j * gamma, 0.0],
+        [hd, -hd, 1j * gamma, 0.0],
+    ]
 
 
 def lindblad_rhs(hamiltonian: np.ndarray, gamma: float, rho: np.ndarray) -> np.ndarray:

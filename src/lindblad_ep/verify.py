@@ -37,11 +37,12 @@ from .exceptional import (
 )
 from .model import INITIAL_STATES, LabParams, ModelParams, initial_state, max_abs
 from .spectrum import (
-    eigenvalues_closed_form,
+    _closed_form_stack,
+    _pow,
     eigenvalues_numeric,
     match_distance,
 )
-from .superop import build_lindblad, null_eigenvectors
+from .superop import _lindblad_stack, build_lindblad, null_eigenvectors
 
 DEFAULT_SEED = 1234
 
@@ -89,18 +90,16 @@ def check_ep3_constants(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> Che
 def check_ep2_curve(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckResult:
     """Closed-form curves: on-curve discriminant residual and bisection agreement."""
     d_grid = np.linspace(D_TILDE_EP3, 10.0, 200)
+    gammas = np.array([ep2_gamma(d_t) for d_t in d_grid])
     worst_resid = 0.0
-    worst_rel = 0.0
-    for i, d_t in enumerate(d_grid):
-        gm, gp = ep2_gamma(d_t)
-        for g in (gm, gp):
+    for d_t, g_pair in zip(d_grid, gammas):
+        for g in g_pair:
             worst_resid = max(
                 worst_resid, abs(scaled_discriminant(ModelParams(1.0, d_t, g)))
             )
-        if i == 0:
-            continue  # at the merge point the dip has zero width; no bracket exists
-        gm_n, gp_n = ep2_locate_numeric(d_t)
-        worst_rel = max(worst_rel, abs(gm - gm_n) / gm, abs(gp - gp_n) / gp)
+    # At the merge point d_grid[0] the dip has zero width; no bracket exists.
+    located = np.stack(ep2_locate_numeric(d_grid[1:]), axis=1)
+    worst_rel = float(np.max(np.abs(gammas[1:] - located) / gammas[1:]))
     passed = worst_resid < 1e-10 * tol_scale and worst_rel < 1e-8 * tol_scale
     return CheckResult(
         "ep2-curve",
@@ -109,29 +108,26 @@ def check_ep2_curve(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckRe
     )
 
 
-def _spectra_points(seed: int = DEFAULT_SEED) -> list[ModelParams]:
-    """The 3,500 points of :func:`check_spectra`: 1000 seeded draws, then a 50x50 grid."""
+def _spectra_points(seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delta, d, gamma) of the 3,500 points of :func:`check_spectra`: 1000 seeded
+    draws, then a 50x50 grid."""
     rng = np.random.default_rng(seed)
-    points = [
-        ModelParams(rng.uniform(-2, 2), rng.uniform(-4, 4), rng.uniform(0, 10))
-        for _ in range(1000)
-    ]
-    return points + [
-        ModelParams(1.0, d_t, g_t)
-        for d_t in np.linspace(0.0, 8.0, 50)
-        for g_t in np.linspace(0.0, 16.0, 50)
-    ]
+    draws = rng.uniform((-2.0, -4.0, 0.0), (2.0, 4.0, 10.0), size=(1000, 3))
+    d_t, g_t = np.meshgrid(np.linspace(0.0, 8.0, 50), np.linspace(0.0, 16.0, 50), indexing="ij")
+    grid = np.stack([np.ones(d_t.size), d_t.ravel(), g_t.ravel()], axis=1)
+    delta, d, gamma = np.concatenate([draws, grid]).T
+    return delta, d, gamma
 
 
 def check_spectra(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckResult:
     """Closed form versus the numeric oracle, spectral symmetry, and the sum rule.
 
-    The oracle and each distance run once on the whole stack of points.
+    The closed form, the oracle and each distance run once on the whole stack
+    of points.
     """
-    points = _spectra_points(seed)
-    Ls = np.array([build_lindblad(params) for params in points])
-    zs = np.array([eigenvalues_closed_form(params).eigenvalues for params in points])
-    gamma = np.array([params.gamma for params in points])
+    delta, d, gamma = _spectra_points(seed)
+    Ls = _lindblad_stack(delta, d, gamma)
+    zs, _ = _closed_form_stack(delta, d, gamma)
     scale = np.maximum(1.0, np.max(np.abs(Ls), axis=(1, 2)))
     ref = eigenvalues_numeric(Ls)
     worst_match = float(np.max(match_distance(zs, ref) / scale))
@@ -148,22 +144,24 @@ def check_spectra(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckResu
             "worst_matched_dist": worst_match,
             "worst_symmetry": worst_sym,
             "worst_sum_rule": worst_sum,
-            "samples": len(points),
+            "samples": len(zs),
         },
     )
 
 
+def _gamma_zero_points(seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, d) of the 100 seeded draws of :func:`check_gamma_zero`."""
+    delta, d = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(100, 2)).T
+    return delta, d
+
+
 def check_gamma_zero(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckResult:
     """Without dissipation the spectrum is exactly {0, 0, +r, -r} with r^2 = delta^2 + d^2."""
-    rng = np.random.default_rng(seed)
-    zs, expected = [], []
-    for _ in range(100):
-        delta = rng.uniform(-2, 2)
-        d = rng.uniform(-2, 2)
-        zs.append(eigenvalues_closed_form(ModelParams(delta, d, 0.0)).eigenvalues)
-        r = math.sqrt(delta**2 + d**2)
-        expected.append([0.0, 0.0, r, -r])
-    worst = float(np.max(match_distance(np.array(zs), np.array(expected, dtype=complex))))
+    delta, d = _gamma_zero_points(seed)
+    zs, _ = _closed_form_stack(delta, d, np.zeros_like(delta))
+    r = np.sqrt(_pow(delta, 2) + _pow(d, 2))
+    expected = np.stack([np.zeros_like(r), np.zeros_like(r), r, -r], axis=1).astype(complex)
+    worst = float(np.max(match_distance(zs, expected)))
     passed = worst < 1e-12 * tol_scale
     return CheckResult("gamma0", passed, {"worst_dist": worst, "samples": len(zs)})
 
@@ -323,8 +321,11 @@ def run_checks(
     names=None, seed: int = DEFAULT_SEED, tol_scale: float = 1.0
 ) -> list[CheckResult]:
     """Run the named checks (all by default) and return their results in order."""
-    if tol_scale <= 0:
-        raise DomainError(f"tolerance scale must be positive, got {tol_scale}")
+    # An infinite scale would pass every check and a NaN fail every one.
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        raise DomainError(f"tolerance scale must be positive and finite, got {tol_scale}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if names is None:
         names = CHECK_NAMES
     unknown = [n for n in names if n not in CHECKS]

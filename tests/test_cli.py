@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,19 @@ from lindblad_ep.cli import main
 SQRT2 = math.sqrt(2.0)
 
 DEFAULT_GRID_SHA256 = "692e0490b867ccd7d12b8dac82750bfd203a84c4f8954a19d1231b5a1c0c3d00"
+
+VERIFY_DEFAULT_STDOUT = (
+    "PASS ep3: d_tilde=2.82842712, gamma_tilde=10.3923048, im_z=-6.92820323, err_d=2.93409741e-12, err_gamma=1.43742795e-11, err_z=9.58344515e-12\n"
+    "PASS ep2-curve: worst_scaled_disc=1.00779467e-20, worst_oracle_rel=1.68037564e-14, points=200\n"
+    "PASS spectra: worst_matched_dist=5.65737552e-15, worst_symmetry=1.00321705e-16, worst_sum_rule=8.8817842e-16, samples=3500\n"
+    "PASS gamma0: worst_dist=4.5775668e-16, samples=100\n"
+    "PASS equilibrium: worst_null_residual=1.26129343e-16, worst_final_dist_eq=2.7256037e-11\n"
+    "PASS frame: deviation=3.2120349e-13, order=4.00750927, coarse_dev=7.7951875e-07, fine_dev=4.84669922e-08\n"
+    "PASS conservation: worst_trace_dev=0, worst_herm_dev=1.57902246e-15, trajectories=6\n"
+    "PASS splitting: ep2_slope=0.499867093, ep3_slope=0.33803341, ep2_base=EP2Plus, ep3_base=EP3\n"
+    "PASS phase-diagram: shaded_cells=896, min_shaded_d=2.909699, worst_outside_band=0, cell=0.0535117057\n"
+    "verify: all 9 checks passed\n"
+)
 
 
 def test_cli_import_does_not_load_scipy():
@@ -113,6 +127,29 @@ class TestPhaseDiagramCommand:
         assert run(["phase-diagram", "--nd", "0"]) == 2
         assert run(["phase-diagram", "--d-min", "2", "--d-max", "1"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--d-max", "inf"), ("--d-min", "-inf"), ("--gamma-min", "nan"), ("--gamma-max", "inf"),
+    ])
+    def test_non_finite_bound_names_the_flag(self, flag, value, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["phase-diagram", f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be finite, got {value}\n"
+        assert captured.out == ""
+
+    def test_overflowing_range_is_usage_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["phase-diagram", "--d-min=-1e308", "--d-max=1e308"]) == 2
+        assert "--d-min to --d-max overflows" in capsys.readouterr().err
+
+    def test_non_finite_delta_is_usage_error_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["phase-diagram", "--delta", "inf"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_workers_flag_is_gone(self):
         assert run(["phase-diagram", "--nd", "2", "--ngamma", "2", "--workers", "2"]) == 2
 
@@ -161,6 +198,12 @@ class TestEPCurveCommand:
     def test_bad_grid_is_usage_error(self):
         assert run(["ep-curve", "--nd", "0"]) == 2
         assert run(["ep-curve", "--d-min", "4", "--d-max", "3"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [("--d-max", "inf"), ("--d-max", "nan"),
+                                             ("--d-min", "nan")])
+    def test_non_finite_bound_names_the_flag(self, flag, value, capsys):
+        assert run(["ep-curve", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be finite, got {value}\n"
 
 
 class TestEP3Command:
@@ -259,6 +302,24 @@ class TestVerifyCommand:
 
     def test_negative_tolerance_is_usage_error(self):
         assert run(["verify", "--tol-scale", "-1"]) == 2
+
+    # An infinite scale used to pass every check, and a NaN to fail every one.
+    @pytest.mark.parametrize("scale", ["inf", "nan"])
+    def test_non_finite_tolerance_is_usage_error(self, scale, capsys):
+        assert run(["verify", "--checks", "ep3", "--tol-scale", scale]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"tolerance scale must be positive and finite, got {scale}" in captured.err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run(["verify", "--checks", "gamma0", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    def test_default_output_is_byte_identical(self, capsys):
+        # The full report at the default seed, as printed before the checks
+        # moved onto the array closed form and the batched bisection.
+        assert run(["verify"]) == 0
+        assert capsys.readouterr().out == VERIFY_DEFAULT_STDOUT
 
     def test_run_checks_records_elapsed_time_outside_the_summary(self):
         from lindblad_ep.verify import CheckResult, run_checks

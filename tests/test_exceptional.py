@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ class TestClassifyGrid:
 
     def test_cubic_equals_scalar(self):
         d_grid, g_grid = coalescence_grid()
-        cubic = _cubic_grid(1.0, d_grid, g_grid)
+        cubic = _cubic_grid(1.0, d_grid[:, None], g_grid[None, :])
         assert (cubic.disc < 0).any() and (cubic.u == 0).any()
         for i, d in enumerate(d_grid):
             for j, g in enumerate(g_grid):
@@ -264,8 +265,11 @@ class TestClassifyGrid:
                 cp = cardano_params(params)
                 zs = eigenvalues_closed_form(params).eigenvalues
                 got = (cubic.p[i, j], cubic.q[i, j], cubic.disc[i, j], cubic.u[i, j],
-                       cubic.v[i, j], cubic.z1[i, j], cubic.z2[i, j])
-                assert got == (cp.p, cp.q, cp.disc, cp.u, cp.v, zs[1], zs[2]), (d, g)
+                       cubic.v[i, j], cubic.z1[i, j], cubic.z2[i, j], cubic.z3[i, j])
+                want = (cp.p, cp.q, cp.disc, cp.u, cp.v, *zs[1:])
+                # bit for bit, so that the signs of zeros count too
+                assert np.array_equal(np.array(got, dtype=complex).view(np.uint64),
+                                      np.array(want, dtype=complex).view(np.uint64)), (d, g)
 
     def test_bad_grids_rejected(self):
         grid = np.linspace(0.0, 1.0, 3)
@@ -277,6 +281,14 @@ class TestClassifyGrid:
             classify_grid(1.0, np.array([0.0, np.inf]), grid)
         with pytest.raises(DomainError):
             classify_grid(1.0, np.zeros((2, 2)), grid)
+
+    @pytest.mark.parametrize("delta", [np.inf, 1e300])
+    def test_non_finite_scaled_grid_rejected_without_warnings(self, delta):
+        grid = np.linspace(0.0, 1e10, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                classify_grid(delta, grid, grid)
 
 
 class TestEP2LocateNumeric:
@@ -301,6 +313,39 @@ class TestEP2LocateNumeric:
             assert abs(gm_c - gm_n) / gm_c < 1e-8
             assert abs(gp_c - gp_n) / gp_c < 1e-8
 
+    # Recorded from the one-drive-at-a-time bisection this batched one replaced.
+    RECORDED = {
+        3.0: (11.180339887498949, 11.313708498984761),
+        5.0: (19.577231952225766, 27.087487685068744),
+        10.0: (39.7974245215981, 102.02041463083651),
+    }
+
+    def test_recorded_values(self):
+        drives = np.array(list(self.RECORDED))
+        gm, gp = ep2_locate_numeric(drives)
+        for k, d_t in enumerate(drives):
+            assert ep2_locate_numeric(d_t) == self.RECORDED[d_t]
+            assert (gm[k], gp[k]) == self.RECORDED[d_t]
+
+    def test_batch_equals_one_call_per_drive(self):
+        drives = np.concatenate([np.linspace(D_EP3, 10.0, 200)[1:], [D_EP3 + 1e-9, 40.0, 3.0]])
+        gm, gp = ep2_locate_numeric(drives)
+        assert gm.shape == gp.shape == drives.shape
+        single = np.array([ep2_locate_numeric(d_t) for d_t in drives])
+        assert np.array_equal(np.stack([gm, gp], axis=1).view(np.uint64), single.view(np.uint64))
+        assert isinstance(ep2_locate_numeric(3.0)[0], float)
+
+    def test_batch_refusal_names_the_element(self):
+        with pytest.raises(NoRootError, match=r"^element 2 of the batch: .*d_tilde = 2\.8;"):
+            ep2_locate_numeric(np.array([3.0, 5.0, 2.8, 4.0, 1.0]))
+        with pytest.raises(NoRootError, match=r"^discriminant has no negative dip"):
+            ep2_locate_numeric(2.8)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, [3.0, -np.inf], [[3.0]]])
+    def test_bad_drives_rejected(self, bad):
+        with pytest.raises(DomainError):
+            ep2_locate_numeric(bad)
+
 
 class TestEP3LocateNumeric:
     def test_reproduces_constants(self):
@@ -312,6 +357,11 @@ class TestEP3LocateNumeric:
     def test_bad_bracket_raises(self):
         with pytest.raises(NoRootError):
             ep3_locate_numeric(3.0, 3.5)
+
+    @pytest.mark.parametrize("ends", [(np.nan, 3.5), (2.0, np.inf)])
+    def test_non_finite_bracket_rejected(self, ends):
+        with pytest.raises(DomainError):
+            ep3_locate_numeric(*ends)
 
 
 class TestSplittingExponent:

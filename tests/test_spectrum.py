@@ -27,8 +27,9 @@ from lindblad_ep import (
     spectral_evolve,
 )
 from lindblad_ep.cli import main
-from lindblad_ep.spectrum import _adjugate
-from lindblad_ep.verify import _spectra_points
+from lindblad_ep.spectrum import _PAIRS, _adjugate, _closed_form_stack, _flag_pairs
+from lindblad_ep.superop import _lindblad_stack
+from lindblad_ep.verify import _gamma_zero_points, _spectra_points
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
 coupling = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -179,6 +180,114 @@ class TestClosedFormEigenvalues:
                 assert abs(z.real) < 1e-10 * scale
 
 
+def bits(z) -> np.ndarray:
+    """The bit patterns of a complex array, so that signed zeros count too."""
+    return np.ascontiguousarray(z, dtype=complex).view(np.uint64)
+
+
+def assert_stack_is_scalar(delta, d, gamma) -> np.ndarray:
+    """Each row of the array closed form equals eigenvalues_closed_form bit for bit."""
+    delta, d, gamma = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (delta, d, gamma)))
+    zs, flagged = _closed_form_stack(delta, d, gamma)
+    assert zs.shape == (len(delta), 4) and flagged.shape == (len(delta), 6)
+    for k, point in enumerate(zip(delta, d, gamma)):
+        spec = eigenvalues_closed_form(ModelParams(*point))
+        assert np.array_equal(bits(zs[k]), bits(spec.eigenvalues)), point
+        pairs = tuple(pair for pair, flag in zip(_PAIRS, flagged[k]) if flag)
+        assert pairs == spec.degenerate_pairs, point
+    return zs
+
+
+def curve_points(branch: int):
+    d_t = np.linspace(D_EP3, 10.0, 60)
+    return 1.0, d_t, np.array([ep2_gamma(x)[branch] for x in d_t])
+
+
+class TestClosedFormStack:
+    def test_check_spectra_points(self):
+        assert_stack_is_scalar(*_spectra_points())
+
+    def test_gamma_zero_points(self):
+        delta, d = _gamma_zero_points()
+        zs = assert_stack_is_scalar(delta, d, 0.0)
+        # zero imaginary parts of both signs occur here, and the comparison is bitwise
+        signs = np.signbit(zs.imag[zs.imag == 0])
+        assert signs.any() and not signs.all()
+
+    def test_triple_point(self):
+        deltas = np.array([1.0, 2.5, -1.0, 1e-3, 1e3])
+        zs = assert_stack_is_scalar(deltas, D_EP3 * deltas, G_EP3 * np.abs(deltas))
+        assert (zs[:, 1] == zs[:, 2]).all() and (zs[:, 2] == zs[:, 3]).all()
+
+    @pytest.mark.parametrize("branch", [0, 1])
+    def test_coalescence_curves(self, branch):
+        assert_stack_is_scalar(*curve_points(branch))
+
+    def test_zero_detuning_and_drive(self):
+        assert_stack_is_scalar(0.0, 0.0, np.linspace(0.0, 10.0, 41))
+
+    def test_complex_radicals(self):
+        # between the two curves the discriminant is negative
+        d_t = np.repeat(np.linspace(3.0, 8.0, 12), 12)
+        g_t = np.concatenate([np.linspace(*ep2_gamma(x), 14)[1:-1] for x in np.linspace(3.0, 8.0, 12)])
+        for delta in (1.0, -2.0):
+            assert (np.array([cardano_params(ModelParams(delta, delta * x, abs(delta) * g)).disc
+                              for x, g in zip(d_t, g_t)]) < 0).all()
+            assert_stack_is_scalar(delta, delta * d_t, abs(delta) * g_t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(params_st, min_size=1, max_size=8))
+    def test_random_points(self, points):
+        assert_stack_is_scalar(*np.array([(p.delta, p.d, p.gamma) for p in points]).T)
+
+
+def flag_pairs_by_index(zs) -> tuple:
+    """Coalesced pairs with the comparisons made on numpy scalars, one by one."""
+    return tuple(
+        (i, j) for i in range(4) for j in range(i + 1, 4)
+        if abs(zs[i] - zs[j]) < spectrum.PAIR_GAP_RTOL * max(1.0, abs(zs[i]), abs(zs[j]))
+    )
+
+
+class TestFlagPairs:
+    def test_equals_numpy_scalar_comparisons(self):
+        rng = np.random.default_rng(3)
+        spectra = [eigenvalues_closed_form(ModelParams(*x)).eigenvalues
+                   for x in zip(*_spectra_points())]
+        spectra += [eigenvalues_closed_form(ModelParams(1.0, x, g)).eigenvalues
+                    for x, g in zip(*curve_points(0)[1:])]
+        base = np.array([0.0, 1.0, 1.0 + 3e-7j, 5.0], dtype=complex)
+        spectra += [base * rng.uniform(0.1, 10.0) for _ in range(50)]
+        flagged = 0
+        for zs in spectra:
+            assert _flag_pairs(zs) == flag_pairs_by_index(zs)
+            flagged += bool(_flag_pairs(zs))
+        assert 0 < flagged < len(spectra)
+
+
+class TestVerifyDraws:
+    def test_spectra_points_equal_one_draw_at_a_time(self):
+        rng = np.random.default_rng(1234)
+        points = [(rng.uniform(-2, 2), rng.uniform(-4, 4), rng.uniform(0, 10)) for _ in range(1000)]
+        points += [(1.0, d_t, g_t) for d_t in np.linspace(0.0, 8.0, 50)
+                   for g_t in np.linspace(0.0, 16.0, 50)]
+        delta, d, gamma = _spectra_points(1234)
+        assert np.array_equal(np.stack([delta, d, gamma], axis=1).view(np.uint64),
+                              np.array(points).view(np.uint64))
+
+    def test_gamma_zero_points_equal_one_draw_at_a_time(self):
+        rng = np.random.default_rng(7)
+        points = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(100)]
+        assert np.array_equal(np.stack(_gamma_zero_points(7), axis=1).view(np.uint64),
+                              np.array(points).view(np.uint64))
+
+    def test_generator_stack_equals_build_lindblad(self):
+        delta, d, gamma = _spectra_points()
+        delta, d, gamma = (np.append(x, [0.0, -0.0, 1.0]) for x in (delta, d, gamma))
+        single = stack_of(ModelParams(*point) for point in zip(delta, d, gamma))
+        assert np.array_equal(bits(_lindblad_stack(delta, d, gamma)), bits(single))
+
+
 class TestEigenvectors:
     def test_biorthogonality_at_reference_point(self):
         spec = full_spectrum(ModelParams(1.0, 2.0, 1.0))
@@ -314,7 +423,7 @@ class TestStackedOracle:
     # numpy's complex arithmetic rounds differently from Python's, so the
     # stacked roots agree with the per-matrix ones to roundoff, not bitwise.
     def test_check_spectra_matrices_match_per_matrix(self):
-        Ls = stack_of(_spectra_points())
+        Ls = stack_of(ModelParams(*point) for point in zip(*_spectra_points()))
         assert len(Ls) == 3500
         assert np.max(stacked_against_single(Ls)) <= 1e-14
 
