@@ -24,11 +24,11 @@ from .errors import (
 from .exceptional import (
     D_TILDE_EP3,
     _classified,
+    _on_curve_residual,
     classify_grid,
     ep2_eigenvalue,
     ep2_gamma,
     ep3_point,
-    scaled_discriminant,
 )
 from .model import (
     INITIAL_STATES,
@@ -39,6 +39,7 @@ from .model import (
 )
 from .dynamics import evolve_rotating, verify_frame_equivalence
 from .spectrum import (
+    _RESIDUAL_RTOL,
     _full_spectrum,
     characteristic_residual,
     eigenvalues_numeric,
@@ -112,7 +113,7 @@ def cmd_spectrum(args) -> int:
     scale = max(1.0, max_abs(L))
     numeric = eigenvalues_numeric(L)
 
-    residual_tol = 1e-9 * scale**4
+    residual_tol = _RESIDUAL_RTOL * scale**4
     residuals = [characteristic_residual(L, z) for z in closed.eigenvalues]
     residuals_num = [characteristic_residual(L, z) for z in numeric]
 
@@ -197,23 +198,15 @@ def cmd_ep_curve(args) -> int:
         "disc_minus",
         "disc_plus",
     )
-    rows = []
-    worst_resid = 0.0
-    for d_t in d_grid:
-        d_t = float(d_t)
-        gm, gp = ep2_gamma(d_t)
-        zm = ep2_eigenvalue(d_t, "minus")
-        zp = ep2_eigenvalue(d_t, "plus")
-        rm = abs(scaled_discriminant(ModelParams(1.0, d_t, gm)))
-        rp = abs(scaled_discriminant(ModelParams(1.0, d_t, gp)))
-        worst_resid = max(worst_resid, rm, rp)
-        rows.append(
-            (_fmt(d_t), _fmt(gm), _fmt(gp), _fmt(zm.imag), _fmt(zp.imag), _fmt(rm), _fmt(rp))
-        )
+    gammas = np.stack(ep2_gamma(d_grid), axis=1)
+    im_z = [ep2_eigenvalue(d_grid, branch).imag for branch in ("minus", "plus")]
+    resid = _on_curve_residual(d_grid, gammas)
+    table = np.column_stack([d_grid, gammas, *im_z, resid])
+    rows = [[_fmt(x) for x in row] for row in table.tolist()]
     _emit_table(args.out, args.format, header, rows)
-    if worst_resid > 1e-10:
+    if resid.max() > 1e-10:
         print(
-            f"error: on-curve discriminant residual {worst_resid:.3e} exceeds 1e-10",
+            f"error: on-curve discriminant residual {resid.max():.3e} exceeds 1e-10",
             file=sys.stderr,
         )
         return EXIT_VERIFY
@@ -298,7 +291,7 @@ def cmd_verify_frame(args) -> int:
 
 def cmd_verify(args) -> int:
     names = None
-    if args.checks:
+    if args.checks is not None:
         names = [name.strip() for name in args.checks.split(",") if name.strip()]
     results = run_checks(names=names, seed=args.seed, tol_scale=args.tol_scale)
     for result in results:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NearDegenerateError, StepSizeError
-from .exceptional import Region, _classified
+from .exceptional import _EP_REGIONS, _classified
 from .model import (
     LabParams,
     ModelParams,
@@ -400,7 +400,7 @@ def spectral_evolve(params: ModelParams, rho0: np.ndarray, t: float) -> np.ndarr
     :class:`NearDegenerateError` from the eigenvector construction otherwise.
     """
     point, bare = _classified(params)
-    if point.region in (Region.EP2_MINUS, Region.EP2_PLUS, Region.EP3):
+    if point.region in _EP_REGIONS:
         raise NearDegenerateError(
             f"parameters classify as {point.region.value}; the spectral "
             "propagator has no complete mode basis there (use the integrator)"

@@ -52,6 +52,10 @@ class Region(Enum):
     EP3 = "EP3"
 
 
+# The labels of the exceptional points, where no complete mode basis exists.
+_EP_REGIONS = (Region.EP2_MINUS, Region.EP2_PLUS, Region.EP3)
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """Scaled coordinates, discriminant value and region label of one point.
@@ -85,27 +89,66 @@ def discriminant(params: ModelParams) -> float:
 
 def scaled_discriminant(params: ModelParams) -> float:
     """Discriminant divided by its natural sixth-power energy scale."""
-    return discriminant(params) / max(1.0, params.energy_scale() ** 3)
+    return float(_scaled_disc(params.delta, params.d, params.gamma))
 
 
-def ep2_gamma(d_tilde: float) -> tuple[float, float]:
+def _scaled_disc(delta, d, gamma) -> np.ndarray:
+    """:func:`scaled_discriminant` elementwise over arrays that broadcast together."""
+    _, _, _, disc, energy = _cubic_coeffs(delta, d, gamma)
+    return disc / np.maximum(1.0, _pow(energy, 3))
+
+
+def _on_curve_residual(d_tilde: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """|scaled discriminant| at unit detuning, drive ``d_tilde[k]`` and couplings ``gammas[k]``."""
+    return np.abs(_scaled_disc(1.0, d_tilde[:, None], gammas))
+
+
+def _refuse(bad: np.ndarray, one: bool, error: type, message) -> None:
+    """Raise ``error`` with ``message(i)`` for the first drive ``i`` that ``bad`` flags."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error(("" if one else f"element {i} of the batch: ") + message(i))
+
+
+def _drives(d_tilde) -> tuple[np.ndarray, bool]:
+    """``d_tilde`` as a 1-D array of drives, and whether it was one number."""
+    d = np.asarray(d_tilde, dtype=float)
+    if d.ndim > 1:
+        raise DomainError(f"d_tilde must be a number or a 1-D array, got shape {d.shape}")
+    return d.reshape(-1), d.ndim == 0
+
+
+def _curve(d_tilde):
+    """The drives and ``one`` from :func:`_drives`, d^4, and in rows (minus, plus) the
+    couplings and the inner radicands of :func:`ep2_eigenvalue`.  Refuses a drive
+    below the threshold, or far above it one where gamma_minus^2 cancels below zero."""
+    d, one = _drives(d_tilde)
+    _refuse(~(d >= D_TILDE_EP3), one, DomainError,
+            lambda i: f"no real coalescence curves below d_tilde = 2*sqrt(2); got {float(d[i])}")
+    d2, d4 = _pow(d, 2), _pow(d, 4)
+    wing = np.array([[-0.5], [0.5]]) * d * _pow(np.maximum(d2 - 8.0, 0.0), 1.5)
+    # An infinite drive gives inf - inf, a NaN as it always has.
+    with np.errstate(invalid="ignore"):
+        gamma2 = d4 / 2.0 + 10.0 * d2 - 4.0 + wing
+        inner = d4 / 2.0 - 2.0 * d2 - 16.0 + wing
+    _refuse(gamma2[0] < 0.0, one, DomainError,
+            lambda i: f"gamma_minus^2 cancels below zero at d_tilde = {float(d[i])}")
+    return d, one, d4, np.sqrt(gamma2), inner
+
+
+def ep2_gamma(d_tilde):
     """The two coalescence couplings at drive ``d_tilde``, in units of the detuning.
 
     Real solutions exist only for d_tilde >= 2 sqrt(2); the two branches merge
     there at 6 sqrt(3).  Returned as (gamma_minus, gamma_plus) with
-    gamma_minus <= gamma_plus.
+    gamma_minus <= gamma_plus: two floats for one drive, or two arrays for a
+    1-D array of drives, each element equal to the call on its drive alone.
     """
-    d_tilde = float(d_tilde)
-    if not d_tilde >= D_TILDE_EP3:
-        raise DomainError(
-            f"no real coalescence curves below d_tilde = 2*sqrt(2); got {d_tilde}"
-        )
-    core = d_tilde**4 / 2.0 + 10.0 * d_tilde**2 - 4.0
-    wing = 0.5 * d_tilde * max(d_tilde**2 - 8.0, 0.0) ** 1.5
-    return math.sqrt(core - wing), math.sqrt(core + wing)
+    _, one, _, gammas, _ = _curve(d_tilde)
+    return tuple(gammas[:, 0].tolist()) if one else tuple(gammas)
 
 
-def ep2_eigenvalue(d_tilde: float, branch: str) -> complex:
+def ep2_eigenvalue(d_tilde, branch: str):
     """Coalesced eigenvalue on one branch of the curves, in units of the detuning.
 
     Equal to -(2i/3) (gamma_tilde - (3/2) cbrt(q)) with q evaluated on the
@@ -113,26 +156,19 @@ def ep2_eigenvalue(d_tilde: float, branch: str) -> complex:
     follows sign(q), positive on the plus branch and negative on the minus
     branch.  Pure imaginary by construction.  The inner radicand is checked
     rather than assumed nonnegative; a tiny negative from roundoff is clamped,
-    anything larger raises.
+    anything larger raises.  Drives are taken as by :func:`ep2_gamma`.
     """
     if branch not in ("minus", "plus"):
         raise DomainError(f"branch must be 'minus' or 'plus', got {branch!r}")
-    gamma_minus, gamma_plus = ep2_gamma(d_tilde)
     sign = -1.0 if branch == "minus" else 1.0
-    gamma_t = gamma_minus if branch == "minus" else gamma_plus
-    inner = (
-        d_tilde**4 / 2.0
-        - 2.0 * d_tilde**2
-        - 16.0
-        + sign * 0.5 * d_tilde * max(d_tilde**2 - 8.0, 0.0) ** 1.5
-    )
-    if inner < -1e-9 * max(1.0, d_tilde**4):
-        raise DomainError(
-            f"inner radicand {inner:.3e} is negative on the {branch} branch "
-            f"at d_tilde = {d_tilde}; curve formula invalid here"
-        )
-    inner = max(inner, 0.0)
-    return (-2j / 3.0) * (gamma_t - sign * 0.25 * math.sqrt(inner))
+    row = int(sign > 0)
+    d, one, d4, gammas, inners = _curve(d_tilde)
+    gamma_t, inner = gammas[row], inners[row]
+    _refuse(inner < -1e-9 * np.maximum(1.0, d4), one, DomainError,
+            lambda i: f"inner radicand {float(inner[i]):.3e} is negative on the {branch} "
+            f"branch at d_tilde = {float(d[i])}; curve formula invalid here")
+    z = (-2j / 3.0) * (gamma_t - sign * 0.25 * np.sqrt(np.maximum(inner, 0.0)))
+    return complex(z[0]) if one else z
 
 
 def ep_curve_point(d_tilde: float) -> EPCurvePoint:
@@ -167,9 +203,7 @@ def classify(params: ModelParams) -> PhasePoint:
 
 def _classified(params: ModelParams) -> tuple[PhasePoint, Spectrum]:
     """:func:`classify` plus the closed-form spectrum, from one solve of the cubic."""
-    if params.delta == 0:
-        raise DomainError("phase-plane classification needs delta != 0 "
-                          "(coordinates are d/delta and gamma/delta)")
+    _refuse_zero_delta(params.delta)
     d_t, g_t = params.scaled()
     cp = cardano_params(params)
     scale2 = max(1.0, params.energy_scale())
@@ -186,23 +220,30 @@ def _classified(params: ModelParams) -> tuple[PhasePoint, Spectrum]:
     if abs(cp.disc) > band:
         region = Region.SPLIT_PAIR if cp.disc > 0 else Region.ALL_IMAGINARY
     else:
-        region = _coalescence_region(cp.p, cp.q, scale2, d_t, g_t)
+        region = _coalescence_region(*np.array([[cp.p], [cp.q], [scale2], [d_t], [g_t]]))[0]
     return PhasePoint(d_tilde=d_t, gamma_tilde=g_t, disc=cp.disc,
                       region=region, ordering=ordering), bare
 
 
-def _coalescence_region(p: float, q: float, scale2: float, d_t: float, g_t: float) -> Region:
-    """Label of a point inside the |disc| band: the triple point or one EP2 branch."""
-    if max(abs(p), abs(q) ** (2.0 / 3.0)) <= EP3_BAND * scale2:
-        return Region.EP3
-    try:
-        gm, gp = ep2_gamma(abs(d_t))
-        midpoint = 0.5 * (gm + gp)
-    except DomainError:
-        # Below the drive threshold the band can only be entered near the
-        # triple point; split on the coupling side of it.
-        midpoint = GAMMA_TILDE_EP3
-    return Region.EP2_MINUS if abs(g_t) <= midpoint else Region.EP2_PLUS
+def _refuse_zero_delta(delta: float) -> None:
+    if delta == 0:
+        raise DomainError("phase-plane classification needs delta != 0 "
+                          "(coordinates are d/delta and gamma/delta)")
+
+
+def _coalescence_region(p, q, scale2, d_t, g_t) -> np.ndarray:
+    """Labels of points inside the |disc| band, the triple point or one EP2 branch,
+    as an object array over five 1-D arrays of one length."""
+    ep3 = np.maximum(np.abs(p), _pow(np.abs(q), 2.0 / 3.0)) <= EP3_BAND * scale2
+    # Below the drive threshold the band can only be entered near the triple
+    # point; split on the coupling side of it.
+    midpoint = np.full(d_t.shape, GAMMA_TILDE_EP3)
+    curve = ~ep3 & (np.abs(d_t) >= D_TILDE_EP3)
+    if curve.any():
+        gm, gp = ep2_gamma(np.abs(d_t[curve]))
+        midpoint[curve] = 0.5 * (gm + gp)
+    # Indices into _EP_REGIONS: 0 minus branch, 1 plus branch, 2 triple point.
+    return np.array(_EP_REGIONS)[np.where(ep3, 2, np.abs(g_t) > midpoint)]
 
 
 def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,13 +253,11 @@ def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.nd
     ``(len(d_tilde), len(gamma_tilde))``, with ``region`` an object array of
     :class:`Region` members.  Every entry equals, bit for bit, the field of
     ``classify(ModelParams(delta, d_t * delta, g_t * delta))`` at that node:
-    the whole grid is one array pass, and only the few points inside the
-    |disc| band go through the scalar coalescence labelling.
+    the whole grid is one array pass, and the few points inside the |disc|
+    band one more.
     """
     delta = float(delta)
-    if delta == 0:
-        raise DomainError("phase-plane classification needs delta != 0 "
-                          "(coordinates are d/delta and gamma/delta)")
+    _refuse_zero_delta(delta)
     # An infinite or overflowing product is refused below, without numpy's warning.
     with np.errstate(invalid="ignore", over="ignore"):
         d = np.asarray(d_tilde, dtype=float) * delta
@@ -240,29 +279,11 @@ def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.nd
     ordering = np.where(np.abs(imdiff) <= 1e-12 * size, 0, np.where(imdiff > 0, 1, -1))
 
     region = np.where(cubic.disc > 0, Region.SPLIT_PAIR, Region.ALL_IMAGINARY)
-    for i, j in zip(*np.nonzero(np.abs(cubic.disc) <= band)):
-        region[i, j] = _coalescence_region(
-            float(cubic.p[i, j]), float(cubic.q[i, j]), float(scale2[i, j]),
-            float(d[i]) / delta, float(gamma[j]) / delta,
-        )
+    i, j = np.nonzero(np.abs(cubic.disc) <= band)
+    region[i, j] = _coalescence_region(
+        cubic.p[i, j], cubic.q[i, j], scale2[i, j], d[i] / delta, gamma[j] / delta
+    )
     return cubic.disc, region, ordering
-
-
-def _disc_quadratic_coeffs(d_tilde):
-    """Exact coefficients of the discriminant as a quadratic in x = gamma^2.
-
-    At unit detuning, p^3 + q^2 = c0 + c1 x + c2 x^2: the cubic terms of p^3
-    and q^2 in x cancel identically.  Used only to seed brackets; the searches
-    themselves evaluate the discriminant directly.  Elementwise over an array
-    of drives.
-    """
-    d2 = _pow(np.asarray(d_tilde, dtype=float), 2)
-    a = 1.0 + d2
-    b = 1.0 - d2 / 2.0
-    c0 = _pow(a, 3) / 27.0
-    c1 = (3.0 * _pow(b, 2) - _pow(a, 2)) / 108.0
-    c2 = 1.0 / 432.0
-    return c0, c1, c2
 
 
 def _disc_at(d_tilde: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -303,11 +324,6 @@ def _bisect_brackets(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return root
 
 
-def _element(i: int, one: bool) -> str:
-    """Message prefix naming element ``i`` of a batch of drives; none for one drive."""
-    return "" if one else f"element {i} of the batch: "
-
-
 def ep2_locate_numeric(d_tilde):
     """Coalescence couplings by bracketed bisection on the discriminant sign.
 
@@ -318,26 +334,13 @@ def ep2_locate_numeric(d_tilde):
     Raises :class:`NoRootError` when no negative dip exists (drive below
     threshold); for an array the message names the first such element.
     """
-    d = np.asarray(d_tilde, dtype=float)
-    if d.ndim > 1:
-        raise DomainError(f"d_tilde must be a number or a 1-D array, got shape {d.shape}")
-    one = d.ndim == 0
-    d = d.reshape(-1)
-    bad = ~np.isfinite(d)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DomainError(_element(i, one) + f"d_tilde must be finite, got {float(d[i])!r}")
-    c0, c1, c2 = _disc_quadratic_coeffs(d)
-    x_star = -c1 / (2.0 * c2)
-
-    bad = x_star <= 0.0
-    bad[~bad] = _disc_at(d[~bad], x_star[~bad]) >= 0.0
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NoRootError(
-            _element(i, one) + f"discriminant has no negative dip at d_tilde = {float(d[i])}; "
-            "no coalescence coupling exists"
-        )
+    d, one = _drives(d_tilde)
+    _refuse(~np.isfinite(d), one, DomainError,
+            lambda i: f"d_tilde must be finite, got {float(d[i])!r}")
+    x_star, depth = _dip(d)
+    _refuse(depth >= 0.0, one, NoRootError,
+            lambda i: f"discriminant has no negative dip at d_tilde = {float(d[i])}; "
+            "no coalescence coupling exists")
     hi = 2.0 * x_star
     rows = np.arange(len(d))
     for _ in range(64):
@@ -346,9 +349,8 @@ def ep2_locate_numeric(d_tilde):
             break
         hi[rows] *= 2.0
     else:
-        raise NoRootError(
-            _element(int(rows[0]), one) + "failed to bracket the upper coalescence coupling"
-        )
+        _refuse(np.isin(np.arange(len(d)), rows), one, NoRootError,
+                lambda i: "failed to bracket the upper coalescence coupling")
     # Brackets [0, x*] of the minus branch, then [x*, hi] of the plus branch.
     both = np.concatenate([d, d])
     x = _bisect_brackets(
@@ -356,19 +358,29 @@ def ep2_locate_numeric(d_tilde):
         np.concatenate([np.zeros_like(x_star), x_star]),
         np.concatenate([x_star, hi]),
     )
-    gamma_minus, gamma_plus = np.sqrt(x[: len(d)]), np.sqrt(x[len(d):])
-    if one:
-        return float(gamma_minus[0]), float(gamma_plus[0])
-    return gamma_minus, gamma_plus
+    gammas = np.sqrt(x).reshape(2, len(d))
+    return tuple(gammas[:, 0].tolist()) if one else tuple(gammas)
 
 
-def _dip_depth(d_tilde: np.ndarray) -> np.ndarray:
-    """Discriminant at the bottom of its dip in x = gamma^2, or c0 where x* <= 0."""
-    c0, c1, c2 = _disc_quadratic_coeffs(d_tilde)
+def _dip(d_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom x* of the discriminant's dip in x = gamma^2, and its depth there.
+
+    At unit detuning, p^3 + q^2 = c0 + c1 x + c2 x^2 exactly: the cubic terms
+    of p^3 and q^2 in x cancel identically.  x* = -c1 / (2 c2) seeds the
+    brackets; the depth, and every sign a search uses, is the discriminant
+    evaluated directly.  Where x* <= 0 the depth is c0 > 0.  Elementwise over
+    an array of drives.
+    """
+    d2 = _pow(d_tilde, 2)
+    a = 1.0 + d2
+    b = 1.0 - d2 / 2.0
+    c0 = _pow(a, 3) / 27.0
+    c1 = (3.0 * _pow(b, 2) - _pow(a, 2)) / 108.0
+    c2 = 1.0 / 432.0
     x_star = -c1 / (2.0 * c2)
     dip = ~(x_star <= 0.0)
     c0[dip] = _disc_at(d_tilde[dip], x_star[dip])
-    return c0
+    return x_star, c0
 
 
 def ep3_locate_numeric(d_lo: float = 2.0, d_hi: float = 3.5) -> tuple[float, float, complex]:
@@ -382,12 +394,12 @@ def ep3_locate_numeric(d_lo: float = 2.0, d_hi: float = 3.5) -> tuple[float, flo
     bounds = np.array([d_lo, d_hi], dtype=float)
     if not np.isfinite(bounds).all():
         raise DomainError(f"bracket ends must be finite, got [{d_lo}, {d_hi}]")
-    depth_lo, depth_hi = _dip_depth(bounds)
+    depth_lo, depth_hi = _dip(bounds)[1]
     if not (depth_lo > 0.0 and depth_hi < 0.0):
         raise NoRootError(f"[{d_lo}, {d_hi}] does not bracket the curve endpoint")
-    d_t = float(_bisect_brackets(lambda x, k: _dip_depth(x), bounds[:1], bounds[1:])[0])
-    _, c1, c2 = _disc_quadratic_coeffs(d_t)
-    gamma_t = math.sqrt(-c1 / (2.0 * c2))
+    d_t = float(_bisect_brackets(lambda x, k: _dip(x)[1], bounds[:1], bounds[1:])[0])
+    x_star, _ = _dip(np.array([d_t]))
+    gamma_t = math.sqrt(x_star[0])
     return d_t, gamma_t, -2j * gamma_t / 3.0
 
 
@@ -401,7 +413,7 @@ def splitting_exponent(base: PhasePoint, direction, epsilons) -> float:
     Raises :class:`DegenerateFitError` when fewer than two usable points
     remain after dropping nonpositive epsilons and underflowed gaps.
     """
-    if base.region not in (Region.EP2_MINUS, Region.EP2_PLUS, Region.EP3):
+    if base.region not in _EP_REGIONS:
         raise DomainError("base point must carry an exceptional-point label")
     ux, uy = float(direction[0]), float(direction[1])
     norm = math.hypot(ux, uy)
@@ -430,7 +442,5 @@ def splitting_exponent(base: PhasePoint, direction, epsilons) -> float:
         raise DegenerateFitError(
             "fewer than two usable (eps, gap) points; cannot fit an exponent"
         )
-    x = np.array([pt[0] for pt in logs])
-    y = np.array([pt[1] for pt in logs])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
+    x, y = np.array(logs).T
+    return float(np.polyfit(x, y, 1)[0])

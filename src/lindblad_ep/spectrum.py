@@ -359,6 +359,9 @@ def _full_spectrum(params: ModelParams, bare: Spectrum) -> Spectrum:
     )
 
 
+# The oracle's residual gate: |det(L - zI)| <= _RESIDUAL_RTOL * max(1, max|L|)^4.
+_RESIDUAL_RTOL = 1e-9
+
 # Matrices per block of a stacked oracle call: the kernel's temporaries grow
 # with the block, so this bounds the oracle's memory for any stack.
 _ORACLE_BLOCK = 1024
@@ -516,7 +519,7 @@ def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
             res = characteristic_residual(L, zs)
     if shift is not None:
         zs = _ldexp(zs, shift[..., None])
-    tol = 1e-9 * scale**4
+    tol = _RESIDUAL_RTOL * scale**4
     bad = ~(res <= tol[..., None])
     if bad.any():
         at = np.unravel_index(np.argmax(bad), bad.shape)

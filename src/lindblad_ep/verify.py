@@ -26,12 +26,12 @@ from .exceptional import (
     D_TILDE_EP3,
     GAMMA_TILDE_EP3,
     Z_EP3,
+    _on_curve_residual,
     classify,
     classify_grid,
     ep2_gamma,
     ep2_locate_numeric,
     ep3_locate_numeric,
-    scaled_discriminant,
     splitting_exponent,
     Region,
 )
@@ -90,13 +90,8 @@ def check_ep3_constants(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> Che
 def check_ep2_curve(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckResult:
     """Closed-form curves: on-curve discriminant residual and bisection agreement."""
     d_grid = np.linspace(D_TILDE_EP3, 10.0, 200)
-    gammas = np.array([ep2_gamma(d_t) for d_t in d_grid])
-    worst_resid = 0.0
-    for d_t, g_pair in zip(d_grid, gammas):
-        for g in g_pair:
-            worst_resid = max(
-                worst_resid, abs(scaled_discriminant(ModelParams(1.0, d_t, g)))
-            )
+    gammas = np.stack(ep2_gamma(d_grid), axis=1)
+    worst_resid = float(_on_curve_residual(d_grid, gammas).max())
     # At the merge point d_grid[0] the dip has zero width; no bracket exists.
     located = np.stack(ep2_locate_numeric(d_grid[1:]), axis=1)
     worst_rel = float(np.max(np.abs(gammas[1:] - located) / gammas[1:]))
@@ -272,19 +267,14 @@ def check_phase_diagram(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> Che
     g_grid = np.linspace(0.0, 16.0, 300)
     cell = g_grid[1] - g_grid[0]
     _, region, _ = classify_grid(1.0, d_grid, g_grid)
-    n_shaded = 0
-    min_d = math.inf
-    worst_outside = 0.0
-    for i, j in zip(*np.nonzero(region == Region.ALL_IMAGINARY)):
-        d_t, g_t = d_grid[i], g_grid[j]
-        n_shaded += 1
-        min_d = min(min_d, d_t)
-        if d_t < D_TILDE_EP3:
-            worst_outside = math.inf
-            continue
-        gm, gp = ep2_gamma(d_t)
-        outside = max(0.0, gm - g_t, g_t - gp)
-        worst_outside = max(worst_outside, outside)
+    i, j = np.nonzero(region == Region.ALL_IMAGINARY)
+    d_t, g_t = d_grid[i], g_grid[j]
+    n_shaded = len(d_t)
+    min_d = float(d_t.min(initial=math.inf))
+    above = d_t >= D_TILDE_EP3
+    gm, gp = ep2_gamma(d_t[above])
+    outside = np.maximum(gm - g_t[above], g_t[above] - gp)
+    worst_outside = float(outside.max(initial=0.0)) if above.all() else math.inf
     passed = (
         n_shaded > 0
         and min_d > D_TILDE_EP3
@@ -326,8 +316,9 @@ def run_checks(
         raise DomainError(f"tolerance scale must be positive and finite, got {tol_scale}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    if names is None:
-        names = CHECK_NAMES
+    names = CHECK_NAMES if names is None else list(names)
+    if not names:
+        raise DomainError(f"no checks selected; available: {list(CHECK_NAMES)}")
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise DomainError(f"unknown checks {unknown}; available: {list(CHECK_NAMES)}")

@@ -16,6 +16,8 @@ SQRT2 = math.sqrt(2.0)
 
 DEFAULT_GRID_SHA256 = "692e0490b867ccd7d12b8dac82750bfd203a84c4f8954a19d1231b5a1c0c3d00"
 
+DEFAULT_CURVE_SHA256 = "9cf04dbb85d51f8ec1f7a7825a7485f5fc8a8910513363728f930e420f82cd5f"
+
 VERIFY_DEFAULT_STDOUT = (
     "PASS ep3: d_tilde=2.82842712, gamma_tilde=10.3923048, im_z=-6.92820323, err_d=2.93409741e-12, err_gamma=1.43742795e-11, err_z=9.58344515e-12\n"
     "PASS ep2-curve: worst_scaled_disc=1.00779467e-20, worst_oracle_rel=1.68037564e-14, points=200\n"
@@ -191,6 +193,12 @@ class TestEPCurveCommand:
             assert float(cells[5]) < 1e-10
             assert float(cells[6]) < 1e-10
 
+    def test_default_curve_is_byte_identical(self, tmp_path):
+        # sha256 of the default 200-drive CSV as written one drive at a time.
+        out = tmp_path / "curve.csv"
+        assert run(["ep-curve", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_CURVE_SHA256
+
     def test_below_threshold_is_usage_error(self, capsys):
         assert run(["ep-curve", "--d-min", "2.5"]) == 2
         assert "2*sqrt(2)" in capsys.readouterr().err
@@ -333,6 +341,21 @@ class TestVerifyCommand:
 
     def test_unknown_check_is_usage_error(self):
         assert run(["verify", "--checks", "bogus"]) == 2
+
+    # A selection of no check used to print "verify: all 0 checks passed".
+    @pytest.mark.parametrize("checks", [",", " , ", ""])
+    def test_empty_selection_is_usage_error(self, checks, capsys):
+        assert run(["verify", "--checks", checks]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no checks selected; available: ['ep3', ")
+
+    def test_run_checks_refuses_an_empty_selection(self):
+        from lindblad_ep.verify import run_checks
+
+        for names in ([], iter(())):
+            with pytest.raises(lindblad_ep.DomainError, match="no checks selected"):
+                run_checks(names)
 
 
 class TestParserPlumbing:

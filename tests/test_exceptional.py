@@ -28,6 +28,7 @@ from lindblad_ep import (
     scaled_discriminant,
     splitting_exponent,
 )
+from lindblad_ep.exceptional import _coalescence_region, _scaled_disc
 from lindblad_ep.spectrum import _char_cubic_coeffs, _cubic_grid
 
 D_EP3 = 2.0 * math.sqrt(2.0)
@@ -126,6 +127,116 @@ class TestEP2Eigenvalue:
         point = ep_curve_point(3.0)
         assert point.gamma_tilde_minus < point.gamma_tilde_plus
         assert point.z_ep2_plus == ep2_eigenvalue(3.0, "plus")
+
+
+def bits(x) -> np.ndarray:
+    """The bit patterns of a float or complex array, so that signed zeros count too."""
+    x = np.asarray(x)
+    return np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float).view(np.uint64)
+
+
+def one_drive_at_a_time(d_t: float, branch: str) -> tuple[float, complex]:
+    """Coupling and eigenvalue on one branch, in Python floats, as the curve
+    formulas read when they took one drive at a time."""
+    core = d_t**4 / 2.0 + 10.0 * d_t**2 - 4.0
+    wing = 0.5 * d_t * max(d_t**2 - 8.0, 0.0) ** 1.5
+    sign = -1.0 if branch == "minus" else 1.0
+    gamma_t = math.sqrt(core - wing) if branch == "minus" else math.sqrt(core + wing)
+    inner = d_t**4 / 2.0 - 2.0 * d_t**2 - 16.0 + sign * 0.5 * d_t * max(d_t**2 - 8.0, 0.0) ** 1.5
+    return gamma_t, (-2j / 3.0) * (gamma_t - sign * 0.25 * math.sqrt(max(inner, 0.0)))
+
+
+def curve_drives() -> np.ndarray:
+    """The merge point, the 200 drives of the default ep-curve and 20,000 seeded draws."""
+    draws = np.random.default_rng(9).uniform(D_EP3, 50.0, 20_000)
+    return np.concatenate([[D_EP3], np.linspace(D_EP3, 10.0, 200), draws])
+
+
+class TestCurveArrays:
+    """Each array element equals the call on its drive alone, bit for bit."""
+
+    def test_equal_to_one_drive_at_a_time(self):
+        drives = curve_drives()
+        gammas = np.stack(ep2_gamma(drives), axis=1)
+        for k, branch in enumerate(("minus", "plus")):
+            z = ep2_eigenvalue(drives, branch)
+            want = [one_drive_at_a_time(d_t, branch) for d_t in drives.tolist()]
+            assert np.array_equal(bits(gammas[:, k]), bits([w[0] for w in want]))
+            assert np.array_equal(bits(z), bits([w[1] for w in want]))
+
+    def test_numbers_equal_array_elements(self):
+        drives = curve_drives()[:201]
+        gm, gp = ep2_gamma(drives)
+        z = {branch: ep2_eigenvalue(drives, branch) for branch in ("minus", "plus")}
+        for k, d_t in enumerate(drives.tolist()):
+            one = ep2_gamma(d_t)
+            assert type(one[0]) is float and np.array_equal(bits(one), bits([gm[k], gp[k]]))
+            for branch, zs in z.items():
+                got = ep2_eigenvalue(d_t, branch)
+                assert type(got) is complex and np.array_equal(bits(got), bits(zs[k]))
+
+    def test_scaled_discriminant_on_the_curves(self):
+        drives = curve_drives()
+        d_t = np.repeat(drives, 2)
+        g_t = np.stack(ep2_gamma(drives), axis=1).ravel()
+        got = _scaled_disc(1.0, d_t, g_t)
+        want = []
+        for point in zip(d_t.tolist(), g_t.tolist()):
+            params = ModelParams(1.0, *point)
+            want.append(cardano_params(params).disc / max(1.0, params.energy_scale() ** 3))
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(scaled_discriminant(ModelParams(1.0, d_t[7], g_t[7]))),
+                              bits(want[7]))
+
+    @pytest.mark.parametrize("delta", [1.0, 3.0, -2.0])
+    def test_coalescence_region_on_band_points(self, delta):
+        d_grid, g_grid = coalescence_grid()
+        # Just below the drive threshold the band is entered near the triple point only.
+        near = D_EP3 - np.array([1e-6, 1e-4, 2e-3])
+        d_grid = np.concatenate([d_grid, near, -near])
+        g_grid = np.concatenate([g_grid, G_EP3 + np.linspace(-3e-2, 3e-2, 13)])
+        if delta < 0:
+            g_grid = -g_grid
+        d, gamma = d_grid * delta, g_grid * delta
+        cubic = _cubic_grid(delta, d[:, None], gamma[None, :])
+        scale2 = np.maximum(1.0, cubic.energy)
+        i, j = np.nonzero(np.abs(cubic.disc) <= 1e-10 * scale2**3)
+        args = (cubic.p[i, j], cubic.q[i, j], scale2[i, j], d[i] / delta, gamma[j] / delta)
+        labels = _coalescence_region(*args)
+        below = set(labels[np.abs(args[3]) < D_EP3])
+        assert {Region.EP2_MINUS, Region.EP2_PLUS} <= below and Region.EP3 in set(labels)
+        for k, point in enumerate(zip(*(a.tolist() for a in args))):
+            assert _coalescence_region(*np.array(point)[:, None])[0] is labels[k], point
+        region = classify_grid(delta, d_grid, g_grid)[1]
+        assert (region[i, j] == labels).all()
+
+    def test_refusal_names_the_element(self):
+        with pytest.raises(DomainError, match=r"^element 1 of the batch: no real coalescence "
+                                              r"curves below d_tilde = 2\*sqrt\(2\); got 2\.8$"):
+            ep2_gamma([3.0, 2.8])
+        with pytest.raises(DomainError, match=r"^no real coalescence curves .*; got 2\.8$"):
+            ep2_gamma(2.8)
+        with pytest.raises(DomainError, match=r"^element 2 of the batch: no real"):
+            ep2_eigenvalue(np.array([3.0, 4.0, np.nan]), "plus")
+        with pytest.raises(DomainError, match="1-D"):
+            ep2_gamma([[3.0]])
+
+    @pytest.mark.parametrize("drive", [2.5, np.nan, [[3.0]], [3.0, 1.0]])
+    def test_bad_branch_refused_before_any_arithmetic(self, drive):
+        with pytest.raises(DomainError, match=r"^branch must be 'minus' or 'plus', got 'up'$"):
+            ep2_eigenvalue(drive, "up")
+
+    def test_cancelling_minus_branch_refused(self):
+        # Far above the threshold d^4 / 2 + 10 d^2 - 4 - wing rounds below zero.
+        with pytest.raises(DomainError, match=r"^element 1 of the batch: gamma_minus\^2 cancels"):
+            ep2_gamma([3.0, 1e20])
+        cancelled = r"^gamma_minus\^2 cancels below zero at d_tilde = 1e\+20$"
+        with pytest.raises(DomainError, match=cancelled):
+            ep2_eigenvalue(1e20, "minus")
+
+    def test_empty_drives(self):
+        gm, gp = ep2_gamma(np.array([]))
+        assert gm.shape == gp.shape == ep2_eigenvalue([], "plus").shape == (0,)
 
 
 class TestEP3Point:

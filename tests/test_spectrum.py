@@ -608,6 +608,22 @@ class TestCharacteristicResidual:
             assert all(a < b for a, b in zip(values, values[1:]))
 
 
+class TestPow:
+    # Doubles where numpy's power, or x*x, rounds differently from Python's
+    # float power on some C libraries: 2702.51276112607**2 is 7303575.224049255
+    # where x*x gives 7303575.224049254.
+    VALUES = (2702.51276112607, 4.129130985314798e-05, -6511.626384673767)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 2)])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_equals_python_power(self, shape, k):
+        x = np.resize(np.array(self.VALUES), shape)
+        got = spectrum._pow(x, k)
+        assert got.shape == shape
+        want = np.array([v**k for v in x.ravel().tolist()]).reshape(shape)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.fixture
 def solves(monkeypatch):
     """Calls of cardano_params, counted at every package module that binds it."""
