@@ -23,6 +23,7 @@ from .errors import (
 )
 from .exceptional import (
     D_TILDE_EP3,
+    _ON_CURVE_TOL,
     _classified,
     _on_curve_residual,
     classify_grid,
@@ -37,7 +38,7 @@ from .model import (
     initial_state,
     max_abs,
 )
-from .dynamics import evolve_rotating, verify_frame_equivalence
+from .dynamics import _TRACE_TOL, evolve_rotating, verify_frame_equivalence
 from .spectrum import (
     _RESIDUAL_RTOL,
     _full_spectrum,
@@ -57,6 +58,11 @@ EXIT_INTEGRATOR = 3
 def _fmt(x) -> str:
     """Shortest decimal that round-trips to the same double."""
     return repr(float(x))
+
+
+def _fmt_columns(*columns) -> list[list[str]]:
+    """Rows of :func:`_fmt` strings from equal-length columns of numbers."""
+    return [[repr(x) for x in row] for row in np.column_stack(columns).tolist()]
 
 
 def _cjson(z: complex) -> dict:
@@ -201,12 +207,10 @@ def cmd_ep_curve(args) -> int:
     gammas = np.stack(ep2_gamma(d_grid), axis=1)
     im_z = [ep2_eigenvalue(d_grid, branch).imag for branch in ("minus", "plus")]
     resid = _on_curve_residual(d_grid, gammas)
-    table = np.column_stack([d_grid, gammas, *im_z, resid])
-    rows = [[_fmt(x) for x in row] for row in table.tolist()]
-    _emit_table(args.out, args.format, header, rows)
-    if resid.max() > 1e-10:
+    _emit_table(args.out, args.format, header, _fmt_columns(d_grid, gammas, *im_z, resid))
+    if resid.max() > _ON_CURVE_TOL:
         print(
-            f"error: on-curve discriminant residual {resid.max():.3e} exceeds 1e-10",
+            f"error: on-curve discriminant residual {resid.max():.3e} exceeds {_ON_CURVE_TOL:g}",
             file=sys.stderr,
         )
         return EXIT_VERIFY
@@ -233,26 +237,16 @@ def cmd_evolve(args) -> int:
     rho0 = initial_state(args.rho0)
     traj = evolve_rotating(params, rho0, args.t_max, args.dt)
     header = ("t", "re_ee", "re_gg", "re_eg", "im_eg", "trace_dev", "dist_eq")
-    rows = []
-    for t, rho, tdev, dist in zip(traj.times, traj.states, traj.trace_dev, traj.dist_eq):
-        rows.append(
-            (
-                _fmt(t),
-                _fmt(rho[0, 0].real),
-                _fmt(rho[1, 1].real),
-                _fmt(rho[0, 1].real),
-                _fmt(rho[0, 1].imag),
-                _fmt(tdev),
-                _fmt(dist),
-            )
-        )
+    rho = traj.states
+    rows = _fmt_columns(traj.times, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real,
+                        rho[:, 0, 1].imag, traj.trace_dev, traj.dist_eq)
     _emit_table(args.out, args.format, header, rows)
     # Stdout carries only the table when the table goes there.
     summary = sys.stdout if args.out is not None else sys.stderr
     print(f"final_dist_eq = {_fmt(traj.dist_eq[-1])}", file=summary)
-    if float(traj.trace_dev.max()) > 1e-10:
+    if float(traj.trace_dev.max()) > _TRACE_TOL:
         print(
-            f"error: trace deviation {traj.trace_dev.max():.3e} exceeds 1e-10",
+            f"error: trace deviation {traj.trace_dev.max():.3e} exceeds {_TRACE_TOL:g}",
             file=sys.stderr,
         )
         return EXIT_VERIFY
@@ -264,6 +258,9 @@ def cmd_evolve(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_verify_frame(args) -> int:
+    # A NaN gate would pass every deviation and a negative one fail every one.
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise DomainError(f"--tol must be finite and >= 0, got {args.tol}")
     params = LabParams(args.Delta, args.omega, args.d, args.gamma)
     rho0 = initial_state(args.rho0)
     dev = verify_frame_equivalence(params, rho0, args.t_max, args.dt)
@@ -279,7 +276,7 @@ def cmd_verify_frame(args) -> int:
         "fine_deviation": fine,
     }
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    if args.tol is not None and dev > args.tol:
+    if args.tol is not None and not dev <= args.tol:
         print(f"error: deviation {dev:.3e} exceeds --tol {args.tol}", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK

@@ -53,6 +53,9 @@ MAX_SAVED = 1001
 # amplification compounds past 1 + TRACE_BLOWUP_TOL over the run.
 TRACE_BLOWUP_TOL = 1e-8
 
+# Trace deviation above which `evolve` and `verify` fail a finished trajectory.
+_TRACE_TOL = 1e-10
+
 # Lab-frame step matrices are built this many steps at a time, which bounds
 # the memory of a run by the saved rows, not by the step count.
 _LAB_BLOCK = 256

@@ -20,11 +20,11 @@ from .model import ModelParams
 from .spectrum import (
     Spectrum,
     _closed_form,
+    _closed_form_stack,
     _cubic_coeffs,
     _cubic_grid,
     _pow,
     cardano_params,
-    eigenvalues_closed_form,
 )
 
 D_TILDE_EP3 = 2.0 * math.sqrt(2.0)
@@ -41,6 +41,8 @@ EP_BAND = 1e-10
 # to a handful of significant digits still classify as the triple point.
 EP3_BAND = 1e-5
 
+# |Im z1 - Im z2| at or below this, relative to max(1, |z1|, |z2|), is ordering 0.
+_ORDERING_RTOL = 1e-12
 
 class Region(Enum):
     """Eigenvalue configuration at one point of the phase plane."""
@@ -96,6 +98,10 @@ def _scaled_disc(delta, d, gamma) -> np.ndarray:
     """:func:`scaled_discriminant` elementwise over arrays that broadcast together."""
     _, _, _, disc, energy = _cubic_coeffs(delta, d, gamma)
     return disc / np.maximum(1.0, _pow(energy, 3))
+
+
+# On-curve residual above which `ep-curve` and `verify` fail the closed-form curves.
+_ON_CURVE_TOL = 1e-10
 
 
 def _on_curve_residual(d_tilde: np.ndarray, gammas: np.ndarray) -> np.ndarray:
@@ -212,7 +218,7 @@ def _classified(params: ModelParams) -> tuple[PhasePoint, Spectrum]:
     bare = _closed_form(params, cp)
     zs = bare.eigenvalues
     imdiff = zs[1].imag - zs[2].imag
-    if abs(imdiff) <= 1e-12 * max(1.0, abs(zs[1]), abs(zs[2])):
+    if abs(imdiff) <= _ORDERING_RTOL * max(1.0, abs(zs[1]), abs(zs[2])):
         ordering = 0
     else:
         ordering = 1 if imdiff > 0 else -1
@@ -276,7 +282,7 @@ def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.nd
     z1, z2 = cubic.z1, cubic.z2
     imdiff = z1.imag - z2.imag
     size = np.maximum(np.maximum(1.0, np.hypot(z1.real, z1.imag)), np.hypot(z2.real, z2.imag))
-    ordering = np.where(np.abs(imdiff) <= 1e-12 * size, 0, np.where(imdiff > 0, 1, -1))
+    ordering = np.where(np.abs(imdiff) <= _ORDERING_RTOL * size, 0, np.where(imdiff > 0, 1, -1))
 
     region = np.where(cubic.disc > 0, Region.SPLIT_PAIR, Region.ALL_IMAGINARY)
     i, j = np.nonzero(np.abs(cubic.disc) <= band)
@@ -420,24 +426,23 @@ def splitting_exponent(base: PhasePoint, direction, epsilons) -> float:
     if norm == 0.0:
         raise DomainError("direction must be a nonzero vector")
     ux, uy = ux / norm, uy / norm
-    logs = []
-    for eps in epsilons:
-        eps = float(eps)
-        if eps <= 0.0:
-            continue
-        params = ModelParams(
-            1.0, base.d_tilde + eps * ux, base.gamma_tilde + eps * uy
-        )
-        zz = eigenvalues_closed_form(params).eigenvalues[1:]
-        pairwise = (abs(zz[0] - zz[1]), abs(zz[0] - zz[2]), abs(zz[1] - zz[2]))
-        if base.region is Region.EP3:
-            gap = max(pairwise)
-        else:
-            # The coalescing pair is the closest one; fixed labels can swap
-            # across the curves under the cube-root branch convention.
-            gap = min(pairwise)
-        if gap > 1e-12:
-            logs.append((math.log(eps), math.log(gap)))
+    eps = np.asarray(epsilons, dtype=float).ravel()
+    eps = eps[~(eps <= 0.0)]
+    # A non-finite sum is refused below, without numpy's warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        d_t, g_t = base.d_tilde + eps * ux, base.gamma_tilde + eps * uy
+    bad = ~(np.isfinite(d_t) & np.isfinite(g_t) & (g_t >= 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        ModelParams(1.0, d_t[i], g_t[i])  # raises the refusal of the first such point
+    zz = _closed_form_stack(np.ones_like(eps), d_t, g_t)
+    diff = zz[:, [1, 1, 2]] - zz[:, [2, 3, 3]]
+    pairwise = np.hypot(diff.real, diff.imag)
+    # Off a second-order point the coalescing pair is the closest one; fixed
+    # labels can swap across the curves under the cube-root branch convention.
+    gaps = pairwise.max(axis=1) if base.region is Region.EP3 else pairwise.min(axis=1)
+    logs = [(math.log(e), math.log(gap))
+            for e, gap in zip(eps.tolist(), gaps.tolist()) if gap > 1e-12]
     if len(logs) < 2:
         raise DegenerateFitError(
             "fewer than two usable (eps, gap) points; cannot fit an exponent"

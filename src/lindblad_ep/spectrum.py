@@ -40,6 +40,9 @@ PAIR_GAP_RTOL = 1e-6
 # 0/0 in the v = -p/u rule at the triple coalescence.
 TRIPLE_ROOT_RTOL = 1e-12
 
+# A real radical |u| at or below this counts as zero: v is then cbrt(q - sqrt(disc)).
+_RADICAL_FLOOR = 1e-100
+
 
 @dataclass(frozen=True)
 class CardanoParams:
@@ -98,7 +101,7 @@ def cardano_params(params: ModelParams) -> CardanoParams:
         else:
             radicand = p**3 / (s - q)
         u = complex(_real_cbrt(radicand))
-        if abs(u) > 1e-100:
+        if abs(u) > _RADICAL_FLOOR:
             v = complex(-p / u)
         else:
             v = complex(_real_cbrt(q - s))
@@ -136,7 +139,7 @@ def _pow(x: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _CubicGrid:
-    """Array form of :class:`CardanoParams` plus the three decaying eigenvalues.
+    """Array form of the cubic of :class:`CardanoParams` plus its three decaying roots.
 
     Every entry equals, bit for bit, what :func:`cardano_params` and
     :func:`eigenvalues_closed_form` give at the same point.  ``energy`` is
@@ -146,8 +149,6 @@ class _CubicGrid:
     p: np.ndarray
     q: np.ndarray
     disc: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
     z3: np.ndarray
@@ -188,13 +189,9 @@ def _cubic_grid(delta, d, gamma) -> _CubicGrid:
                         (0.0 + wi * ur) + (wr * vi + (-wi) * vr))
     z3 = _times_minus_i((base + (wr * ur + 0.0)) + (wr * vr - wi * vi),
                         (0.0 + (-wi) * ur) + (wr * vi + wi * vr))
-    u = ur.astype(complex)
-    v = np.empty(p.shape, dtype=complex)
-    v.real, v.imag = vr, vi
     gammas = np.broadcast_to(gamma, p.shape)
     for idx in zip(*np.nonzero(~real)):
         uc, vc = _complex_radicals(float(p[idx]), float(q[idx]), float(disc[idx]))
-        u[idx], v[idx] = uc, vc
         z1[idx], z2[idx], z3[idx] = _phased_roots(float(gammas[idx]), uc, vc)
 
     # The exact triple root -2i*gamma/3 of _closed_form, real part +0.0.
@@ -203,7 +200,7 @@ def _cubic_grid(delta, d, gamma) -> _CubicGrid:
         z = np.zeros(p.shape, dtype=complex)
         z.imag = -2.0 * gamma / 3.0
         z1, z2, z3 = (np.where(triple, z, zk) for zk in (z1, z2, z3))
-    return _CubicGrid(p=p, q=q, disc=disc, u=u, v=v, z1=z1, z2=z2, z3=z3, energy=energy)
+    return _CubicGrid(p=p, q=q, disc=disc, z1=z1, z2=z2, z3=z3, energy=energy)
 
 
 def _real_radicals(p, q, p3, disc, real) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,7 +210,7 @@ def _real_radicals(p, q, p3, disc, real) -> tuple[np.ndarray, np.ndarray, np.nda
         s = np.sqrt(np.where(real, disc, 0.0))
         radicand = np.where(q >= 0.0, q + s, p3 / (s - q))
         ur = np.cbrt(radicand)
-        big = np.abs(ur) > 1e-100
+        big = np.abs(ur) > _RADICAL_FLOOR
         # v = -p / complex(u): Python divides by (ur, 0.0) through the ratio
         # 0.0 / ur, which leaves v an imaginary zero of the sign of ur.
         ratio = 0.0 / ur
@@ -230,32 +227,23 @@ def _times_minus_i(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return z
 
 
-# The six eigenvalue pairs (i, j), i < j, in the order _flag_pairs lists them.
-_PAIRS = tuple(itertools.combinations(range(4), 2))
-
-
 def _flag_pairs(zs: np.ndarray) -> tuple[tuple[int, int], ...]:
     """The pairs of the four eigenvalues ``zs`` closer than the coalescence threshold."""
     zs = zs.tolist()
     return tuple(
-        (i, j) for i, j in _PAIRS
+        (i, j) for i, j in itertools.combinations(range(4), 2)
         if abs(zs[i] - zs[j]) < PAIR_GAP_RTOL * max(1.0, abs(zs[i]), abs(zs[j]))
     )
 
 
-def _closed_form_stack(delta, d, gamma) -> tuple[np.ndarray, np.ndarray]:
+def _closed_form_stack(delta, d, gamma) -> np.ndarray:
     """:func:`eigenvalues_closed_form` at each point of three 1-D arrays.
 
-    Returns the ``(N, 4)`` eigenvalues and an ``(N, 6)`` mask of the pairs in
-    :data:`_PAIRS` closer than the coalescence threshold: row ``k`` equals,
-    bit for bit, the eigenvalues and the ``degenerate_pairs`` of
-    ``eigenvalues_closed_form(ModelParams(delta[k], d[k], gamma[k]))``.
+    Returns the ``(N, 4)`` eigenvalues: row ``k`` equals, bit for bit, the
+    eigenvalues of ``eigenvalues_closed_form(ModelParams(delta[k], d[k], gamma[k]))``.
     """
     cubic = _cubic_grid(delta, d, gamma)
-    zs = np.stack([np.zeros_like(cubic.z1), cubic.z1, cubic.z2, cubic.z3], axis=-1)
-    i, j = np.array(_PAIRS).T
-    size = np.maximum(np.maximum(1.0, np.abs(zs[:, i])), np.abs(zs[:, j]))
-    return zs, np.abs(zs[:, i] - zs[:, j]) < PAIR_GAP_RTOL * size
+    return np.stack([np.zeros_like(cubic.z1), cubic.z1, cubic.z2, cubic.z3], axis=-1)
 
 
 def eigenvalues_closed_form(params: ModelParams) -> Spectrum:
@@ -361,6 +349,9 @@ def _full_spectrum(params: ModelParams, bare: Spectrum) -> Spectrum:
 
 # The oracle's residual gate: |det(L - zI)| <= _RESIDUAL_RTOL * max(1, max|L|)^4.
 _RESIDUAL_RTOL = 1e-9
+
+# Largest population leak max|L[2] + L[3]|, relative to max(1, max|L|), the oracle deflates.
+_LEAK_RTOL = 1e-12
 
 # Matrices per block of a stacked oracle call: the kernel's temporaries grow
 # with the block, so this bounds the oracle's memory for any stack.
@@ -485,11 +476,11 @@ def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
     shift = None
     # One test on the common path, where nothing is refused or rescaled.  A
     # NaN fails the first comparison and an infinity passes the second.
-    if (~(leak <= 1e-12 * scale) | (amax >= 2.0**_MAX_EXPONENT)).any():
+    if (~(leak <= _LEAK_RTOL * scale) | (amax >= 2.0**_MAX_EXPONENT)).any():
         nonfinite = ~(amax < np.inf)
         if nonfinite.any():
             raise DomainError(_stack_index(nonfinite, first) + "matrix has non-finite entries")
-        leaking = leak > 1e-12 * scale
+        leaking = leak > _LEAK_RTOL * scale
         if leaking.any():
             raise DomainError(
                 _stack_index(leaking, first)

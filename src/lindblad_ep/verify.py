@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
+    _TRACE_TOL,
     evolve_lab,
     evolve_rotating,
     frame_deviation,
@@ -26,6 +27,7 @@ from .exceptional import (
     D_TILDE_EP3,
     GAMMA_TILDE_EP3,
     Z_EP3,
+    _ON_CURVE_TOL,
     _on_curve_residual,
     classify,
     classify_grid,
@@ -95,7 +97,7 @@ def check_ep2_curve(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckRe
     # At the merge point d_grid[0] the dip has zero width; no bracket exists.
     located = np.stack(ep2_locate_numeric(d_grid[1:]), axis=1)
     worst_rel = float(np.max(np.abs(gammas[1:] - located) / gammas[1:]))
-    passed = worst_resid < 1e-10 * tol_scale and worst_rel < 1e-8 * tol_scale
+    passed = worst_resid < _ON_CURVE_TOL * tol_scale and worst_rel < 1e-8 * tol_scale
     return CheckResult(
         "ep2-curve",
         passed,
@@ -122,7 +124,7 @@ def check_spectra(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckResu
     """
     delta, d, gamma = _spectra_points(seed)
     Ls = _lindblad_stack(delta, d, gamma)
-    zs, _ = _closed_form_stack(delta, d, gamma)
+    zs = _closed_form_stack(delta, d, gamma)
     scale = np.maximum(1.0, np.max(np.abs(Ls), axis=(1, 2)))
     ref = eigenvalues_numeric(Ls)
     worst_match = float(np.max(match_distance(zs, ref) / scale))
@@ -153,7 +155,7 @@ def _gamma_zero_points(seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray
 def check_gamma_zero(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckResult:
     """Without dissipation the spectrum is exactly {0, 0, +r, -r} with r^2 = delta^2 + d^2."""
     delta, d = _gamma_zero_points(seed)
-    zs, _ = _closed_form_stack(delta, d, np.zeros_like(delta))
+    zs = _closed_form_stack(delta, d, np.zeros_like(delta))
     r = np.sqrt(_pow(delta, 2) + _pow(d, 2))
     expected = np.stack([np.zeros_like(r), np.zeros_like(r), r, -r], axis=1).astype(complex)
     worst = float(np.max(match_distance(zs, expected)))
@@ -230,7 +232,7 @@ def check_conservation(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> Chec
     for traj in trajectories:
         worst_trace = max(worst_trace, float(traj.trace_dev.max()))
         worst_herm = max(worst_herm, float(traj.herm_dev.max()))
-    tol = 1e-10 * tol_scale
+    tol = _TRACE_TOL * tol_scale
     passed = worst_trace < tol and worst_herm < tol
     return CheckResult(
         "conservation",

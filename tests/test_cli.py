@@ -32,6 +32,68 @@ VERIFY_DEFAULT_STDOUT = (
 )
 
 
+# Fields of `spectrum` that need no BLAS or LAPACK, pinned bit for bit at eight
+# points: generic, EP3, both EP2 curves at d/delta = 3, gamma = 0, disc < 0,
+# negative delta and delta = 1e20.  Eigenvalues are (re, im) pairs.
+SPECTRUM_PINNED = {
+    ("1.0", "2.0", "1.0"): (
+        "SplitPair", 1, 4.428240740740742,
+        [(0.0, 0.0), (0.0, -0.6008113856257915), (2.218089122464965, -0.699594307187104),
+         (-2.218089122464965, -0.699594307187104)],
+        [0.0, 1.0235750533041806e-15, 5.4025784115714076e-15, 8.296271088900922e-15],
+        [],
+    ),
+    ("1.0", "2.8284271247461903", "10.392304845413264"): (
+        "EP3", 0, 2.366582715663036e-30,
+        [(0.0, 0.0), (0.0, -6.92820323027551), (0.0, -6.92820323027551),
+         (0.0, -6.92820323027551)],
+        [0.0, 1.7852165294699933e-14, 1.7852165294699933e-14, 1.7852165294699933e-14],
+        [[1, 2], [1, 3], [2, 3]],
+    ),
+    ("1.0", "3.0", "11.180339887498949"): (
+        "EP2Minus", -1, -1.2663481374630692e-16,
+        [(0.0, 0.0), (5.551115123125783e-17, -7.826237968027994), (0.0, -6.70820393249937),
+         (0.0, -7.826237874470534)],
+        [0.0, 4.263256414560601e-14, 1.0805156823142815e-14, 1.4210854715202004e-14],
+        [[1, 3]],
+    ),
+    ("1.0", "3.0", "11.313708498984761"): (
+        "EP2Plus", -1, 1.2836953722228372e-16,
+        [(0.0, 0.0), (0.0, -8.485281374238575), (2.943627652740588e-08, -7.071067811865475),
+         (-2.943627652740588e-08, -7.071067811865475)],
+        [0.0, 2.842170943040401e-14, 5.0242958677880805e-15, 1.0658141036401503e-14],
+        [[2, 3]],
+    ),
+    ("1.0", "1.0", "0.0"): (
+        "SplitPair", 0, 0.2962962962962962,
+        [(0.0, 0.0), (0.0, 2.220446049250313e-16), (1.4142135623730951, -1.1102230246251565e-16),
+         (-1.4142135623730951, -1.1102230246251565e-16)],
+        [0.0, 9.860761315262648e-32, 9.155133597044475e-16, 1.0429598422709818e-15],
+        [[0, 1]],
+    ),
+    ("1.0", "5.0", "22.0"): (
+        "AllImaginary", -1, -58.23148148148153,
+        [(0.0, 0.0), (0.0, -18.87625804312251), (0.0, -11.540676253724216),
+         (0.0, -13.583065703153272)],
+        [0.0, 1.1372235930902295e-12, 1.4210854715202004e-13, 1.7288250917028504e-13],
+        [],
+    ),
+    ("-2.0", "1.0", "1.0"): (
+        "SplitPair", -1, 4.747685185185187,
+        [(0.0, 0.0), (0.0, -0.903148234415492), (2.226793505375021, -0.5484258827922541),
+         (-2.226793505375021, -0.5484258827922541)],
+        [0.0, 9.159339953157541e-16, 6.419898239293306e-15, 4.446439748506845e-15],
+        [],
+    ),
+    ("1e+20", "1.0", "1.0"): (
+        "SplitPair", 0, 3.703703703703705e+118,
+        [(0.0, 0.0), (0.0, -0.0), (1.0000000000000002e+20, -0.0), (-1.0000000000000002e+20, 0.0)],
+        [0.0, 0.0, 3.27680000152588e+64, 3.27680000152588e+64],
+        [[0, 1]],
+    ),
+}
+
+
 def test_cli_import_does_not_load_scipy():
     src = str(Path(lindblad_ep.__file__).resolve().parent.parent)
     code = f"import sys; sys.path.insert(0, {src!r}); import lindblad_ep.cli; print('scipy' in sys.modules)"
@@ -85,6 +147,20 @@ class TestSpectrumCommand:
         assert payload["biorthogonality_defect"] < 1e-8
         assert payload["matched_distance"] < 1e-10
 
+
+    @pytest.mark.parametrize("point", list(SPECTRUM_PINNED))
+    def test_pinned_fields(self, point, tmp_path):
+        out = tmp_path / "spec.json"
+        delta, d, gamma = point
+        assert run(["spectrum", "--delta", delta, "--d", d, "--gamma", gamma,
+                    "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        region, ordering, disc, zs, residuals, pairs = SPECTRUM_PINNED[point]
+        got = [payload[k] for k in ("region", "ordering", "disc", "eigenvalues_closed",
+                                    "char_residuals_closed", "degenerate_pairs")]
+        want = [region, ordering, disc, [{"re": re, "im": im} for re, im in zs], residuals, pairs]
+        # compared as text, so that the signs of zeros count too
+        assert json.dumps(got) == json.dumps(want)
 
 class TestPhaseDiagramCommand:
     def test_structure_and_determinism(self, tmp_path):
@@ -279,6 +355,21 @@ class TestEvolveCommand:
         rows = json.loads(out.read_text())
         assert rows[0]["t"] == "0.0"
 
+    @pytest.mark.parametrize("rho0", ["excited", "coherent"])
+    def test_csv_equals_row_by_row_formatting(self, rho0, tmp_path):
+        out = tmp_path / "traj.csv"
+        assert run(["evolve", "--delta", "0.5", "--d", "1.3", "--gamma", "4", "--rho0", rho0,
+                    "--t-max", "5", "--dt", "0.01", "--out", str(out)]) == 0
+        traj = lindblad_ep.evolve_rotating(lindblad_ep.ModelParams(0.5, 1.3, 4.0),
+                                           lindblad_ep.initial_state(rho0), 5.0, 0.01)
+        lines = ["t,re_ee,re_gg,re_eg,im_eg,trace_dev,dist_eq"]
+        for t, rho, tdev, dist in zip(traj.times, traj.states, traj.trace_dev, traj.dist_eq):
+            fields = (t, rho[0, 0].real, rho[1, 1].real, rho[0, 1].real, rho[0, 1].imag,
+                      tdev, dist)
+            lines.append(",".join(repr(float(x)) for x in fields))
+        assert len(lines) == 502
+        assert out.read_text() == "\n".join(lines) + "\n"
+
 
 class TestVerifyFrameCommand:
     def test_canonical_run(self, tmp_path):
@@ -294,6 +385,18 @@ class TestVerifyFrameCommand:
         rc = run(["verify-frame", "--t-max", "2", "--dt", "0.01",
                   "--tol", "1e-30", "--out", str(out)])
         assert rc == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_is_usage_error(self, tol, tmp_path, capsys):
+        out = tmp_path / "frame.json"
+        assert run(["verify-frame", "--tol", tol, "--out", str(out)]) == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_tolerance_is_accepted(self, tmp_path):
+        out = tmp_path / "frame.json"
+        rc = run(["verify-frame", "--t-max", "2", "--dt", "0.01", "--tol", "0", "--out", str(out)])
+        assert rc == (0 if json.loads(out.read_text())["deviation"] == 0 else 1)
 
     def test_unstable_lab_step_exits_3(self, tmp_path, capsys):
         # the rotating step is stable at dt = 1.6 here; the lab step is not

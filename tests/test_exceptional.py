@@ -29,7 +29,7 @@ from lindblad_ep import (
     splitting_exponent,
 )
 from lindblad_ep.exceptional import _coalescence_region, _scaled_disc
-from lindblad_ep.spectrum import _char_cubic_coeffs, _cubic_grid
+from lindblad_ep.spectrum import _char_cubic_coeffs, _cubic_coeffs, _cubic_grid, _real_radicals
 
 D_EP3 = 2.0 * math.sqrt(2.0)
 G_EP3 = 6.0 * math.sqrt(3.0)
@@ -369,15 +369,18 @@ class TestClassifyGrid:
     def test_cubic_equals_scalar(self):
         d_grid, g_grid = coalescence_grid()
         cubic = _cubic_grid(1.0, d_grid[:, None], g_grid[None, :])
-        assert (cubic.disc < 0).any() and (cubic.u == 0).any()
+        p, q, p3, disc, _ = _cubic_coeffs(1.0, d_grid[:, None], g_grid[None, :])
+        real = disc >= 0.0
+        ur, _, _ = _real_radicals(p, q, p3, disc, real)
+        assert (cubic.disc < 0).any() and (ur[real] == 0).any()
         for i, d in enumerate(d_grid):
             for j, g in enumerate(g_grid):
                 params = ModelParams(1.0, d, g)
                 cp = cardano_params(params)
                 zs = eigenvalues_closed_form(params).eigenvalues
-                got = (cubic.p[i, j], cubic.q[i, j], cubic.disc[i, j], cubic.u[i, j],
-                       cubic.v[i, j], cubic.z1[i, j], cubic.z2[i, j], cubic.z3[i, j])
-                want = (cp.p, cp.q, cp.disc, cp.u, cp.v, *zs[1:])
+                got = (cubic.p[i, j], cubic.q[i, j], cubic.disc[i, j],
+                       cubic.z1[i, j], cubic.z2[i, j], cubic.z3[i, j])
+                want = (cp.p, cp.q, cp.disc, *zs[1:])
                 # bit for bit, so that the signs of zeros count too
                 assert np.array_equal(np.array(got, dtype=complex).view(np.uint64),
                                       np.array(want, dtype=complex).view(np.uint64)), (d, g)
@@ -503,3 +506,55 @@ class TestSplittingExponent:
         base = classify(ModelParams(1.0, D_EP3, G_EP3))
         with pytest.raises(DomainError):
             splitting_exponent(base, (0.0, 0.0), [1e-4, 1e-3])
+
+    def test_equals_one_closed_form_call_per_epsilon(self):
+        def reference(base, direction, epsilons):
+            ux, uy = np.array(direction) / math.hypot(*direction)
+            logs = []
+            for eps in epsilons:
+                params = ModelParams(1.0, base.d_tilde + eps * ux, base.gamma_tilde + eps * uy)
+                zz = eigenvalues_closed_form(params).eigenvalues[1:]
+                pairwise = (abs(zz[0] - zz[1]), abs(zz[0] - zz[2]), abs(zz[1] - zz[2]))
+                gap = max(pairwise) if base.region is Region.EP3 else min(pairwise)
+                if gap > 1e-12:
+                    logs.append((math.log(eps), math.log(gap)))
+            x, y = np.array(logs).T
+            return float(np.polyfit(x, y, 1)[0])
+
+        rng = np.random.default_rng(11)
+        eps = np.geomspace(1e-6, 1e-3, 7)
+        bases = [classify(ModelParams(1.0, D_EP3, G_EP3))]
+        bases += [classify(ModelParams(1.0, d, ep2_gamma(d)[k % 2]))
+                  for k, d in enumerate(rng.uniform(2.9, 10.0, 40))]
+        for base in bases:
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            direction = (math.cos(theta), math.sin(theta))
+            assert splitting_exponent(base, direction, eps) == reference(base, direction, eps)
+
+    def test_negative_coupling_refused_at_the_first_such_epsilon(self):
+        base = classify(ModelParams(1.0, 3.0, ep2_gamma(3.0)[1]))
+        # the refusal ModelParams gives for the perturbed point at eps = 12
+        message = f"gamma must be >= 0, got {base.gamma_tilde - 12.0}"
+        assert message == "gamma must be >= 0, got -0.6862915010152388"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            splitting_exponent(base, (0.0, -1.0), [1e-3, 11.0, 12.0, 13.0])
+
+    def test_non_finite_point_refused(self):
+        base = classify(ModelParams(1.0, D_EP3, G_EP3))
+        with pytest.raises(DomainError, match="^d must be finite, got nan$"):
+            splitting_exponent(base, (1.0, 0.0), [1e-3, np.nan])
+
+    def test_nonpositive_epsilons_skipped(self):
+        _, gp = ep2_gamma(3.0)
+        base = classify(ModelParams(1.0, 3.0, gp))
+        eps = np.geomspace(1e-6, 1e-3, 7)
+        slope = splitting_exponent(base, (0.0, 1.0), eps)
+        # at eps = -20 the coupling would be negative, were the point not skipped
+        padded = [0.0, -20.0, *eps, -1e-3]
+        assert splitting_exponent(base, (0.0, 1.0), padded) == slope
+
+    @pytest.mark.parametrize("eps", [[], [1e-3], [0.0, -1e-3, 1e-3]])
+    def test_fewer_than_two_usable_points(self, eps):
+        base = classify(ModelParams(1.0, D_EP3, G_EP3))
+        with pytest.raises(DegenerateFitError):
+            splitting_exponent(base, (1.0, 0.0), eps)
