@@ -266,7 +266,8 @@ def cmd_verify_frame(args) -> int:
     dev = verify_frame_equivalence(params, rho0, args.t_max, args.dt)
     coarse = verify_frame_equivalence(params, rho0, args.t_max, args.order_dt)
     fine = verify_frame_equivalence(params, rho0, args.t_max, args.order_dt / 2.0)
-    order = math.log2(coarse / fine) if fine > 0 else float("inf")
+    ratio = coarse / fine if fine > 0 else math.inf
+    order = math.log2(ratio) if ratio > 0 else -math.inf
     payload = {
         "deviation": dev,
         "dt": args.dt,

@@ -11,13 +11,13 @@ checks before integrating that no mode grows (|R(-i dt z)| over the
 eigenvalues z of L), and advances sample to sample by powers of P.
 
 The lab-frame generator depends on time through the drive phase.  That path
-builds it from the 2x2 master equation (never from the rotating generator),
-evaluates the drive at every stage time, and turns each step into its own
-4x4 matrix P_i = I + dt/6 (K1 + 2 K2 + 2 K3 + K4), built in blocks of steps
-by array operations and applied one matrix-vector product per step.  It
-checks before integrating that no mode grows, through the frame symmetry
-that makes every P_i a unitary conjugate of P_0.  It shares no step code with
-the rotating path, so their agreement is an independent check.
+builds it from the 2x2 master equation (never from the rotating generator)
+and evaluates the drive at the stage times of the first step
+P_0 = I + dt/6 (K1 + 2 K2 + 2 K3 + K4).  Every later step is a unitary frame
+rotation of P_0, so the n-step product is V(t_n) S^n with the one step
+S = V(dt)^-1 P_0.  The path checks before integrating that S has spectral
+radius at most 1 and samples by powers of S through the rotating path's
+loop; the two share no step matrix, so their agreement is an independent check.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ TRACE_BLOWUP_TOL = 1e-8
 
 # Trace deviation above which `evolve` and `verify` fail a finished trajectory.
 _TRACE_TOL = 1e-10
-
-# Lab-frame step matrices are built this many steps at a time, which bounds
-# the memory of a run by the saved rows, not by the step count.
-_LAB_BLOCK = 256
 
 # Position of each flattened component (rho_eg, rho_ge, rho_ee, rho_gg) in the
 # 2x2 matrix.
@@ -189,12 +185,31 @@ def _schedule(t_max: float, dt: float) -> tuple[int, int, list[int]]:
     """Step count, save stride and the saved step indices (every stride-th and the last)."""
     if not (dt > 0 and dt <= t_max):
         raise DomainError(f"need 0 < dt <= t_max, got dt={dt}, t_max={t_max}")
+    if not math.isfinite(t_max / dt):
+        raise DomainError(f"need a finite step count t_max / dt, got dt={dt}, t_max={t_max}")
     n_steps = max(1, int(round(t_max / dt)))
     stride = max(1, math.ceil(n_steps / (MAX_SAVED - 1)))
     saved = list(range(0, n_steps + 1, stride))
     if saved[-1] != n_steps:
         saved.append(n_steps)
     return n_steps, stride, saved
+
+
+def _sample(step: np.ndarray, stride: int, saved: list[int], psi0: np.ndarray) -> np.ndarray:
+    """The vectors step^n psi0 at the saved step indices n, one row per sample.
+
+    Advances sample to sample by step^stride, and by step^gap for a partial
+    last stride, so the cost grows with the number of samples and the
+    logarithm of the stride, not with the step count.
+    """
+    step_stride = np.linalg.matrix_power(step, stride)
+    psi = np.empty((len(saved), 4), dtype=complex)
+    psi[0] = psi0
+    for k in range(1, len(saved)):
+        gap = saved[k] - saved[k - 1]
+        jump = step_stride if gap == stride else np.linalg.matrix_power(step, gap)
+        psi[k] = jump @ psi[k - 1]
+    return psi
 
 
 def _diagnostics(states: np.ndarray, rho_eq: np.ndarray):
@@ -251,15 +266,9 @@ def evolve_rotating(
     a = -1j * dt * (_TO_TRACE_BASIS @ L @ _FROM_TRACE_BASIS)
     eye = np.eye(4)
     step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
-    step_stride = np.linalg.matrix_power(step, stride)
-    psi = np.empty((len(saved), 4), dtype=complex)
-    psi[0] = _TO_TRACE_BASIS @ vectorize(rho0)
-    for k in range(1, len(saved)):
-        gap = saved[k] - saved[k - 1]
-        jump = step_stride if gap == stride else np.linalg.matrix_power(step, gap)
-        psi[k] = jump @ psi[k - 1]
+    psi = _sample(step, stride, saved, _TO_TRACE_BASIS @ vectorize(rho0))
 
-    times = np.array(saved) * dt
+    times = np.array(saved, dtype=float) * dt
     states = devectorize(psi @ _FROM_TRACE_BASIS.T)
     trace_dev, herm_dev, dist_eq = _diagnostics(states, rho_eq)
     _refuse_drift(times, states, trace_dev, zs)
@@ -290,39 +299,32 @@ def _lab_generators(params: LabParams) -> np.ndarray:
     return _TO_TRACE_BASIS @ gens @ _FROM_TRACE_BASIS
 
 
-def _lab_steps(gens: np.ndarray, omega: float, dt: float, start: int, stop: int) -> np.ndarray:
-    """RK4 step matrices P_i = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) for steps start <= i < stop.
+def _lab_step(gens: np.ndarray, omega: float, dt: float) -> np.ndarray:
+    """The lab step S = V(dt)^-1 P_0 in trace coordinates: P_{n-1}...P_0 = V(t_n) S^n.
 
-    The drive is evaluated at the stage times t_i, t_i + dt/2 and t_i + dt,
-    as a stage-wise step would evaluate it.
+    P_0 = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) is the RK4 step from t = 0, the
+    drive evaluated at the stage times 0, dt/2 and dt as a stage-wise step
+    would.  The lab generator obeys L(t + s) = V(t) L(s) V(t)^-1 with the unitary
+    V(t) = diag(e^{-i omega t}, e^{i omega t}, 1, 1), so P_i = V(t_i) P_0 V(t_i)^-1.
     """
-    t = np.arange(start, stop) * dt
-
-    def generator(s):
-        phase = np.exp(-1j * omega * s)[:, None, None]
-        return gens[0] + phase * gens[1] + np.conj(phase) * gens[2]
-
-    a1, a2, a4 = generator(t), generator(t + 0.5 * dt), generator(t + dt)
+    phase = np.exp(-1j * omega * np.array([0.0, 0.5 * dt, dt]))[:, None, None]
+    a1, a2, a4 = gens[0] + phase * gens[1] + np.conj(phase) * gens[2]
     k2 = a2 + (0.5 * dt) * (a2 @ a1)
     k3 = a2 + (0.5 * dt) * (a2 @ k2)
     k4 = a4 + dt * (a4 @ k3)
-    return np.eye(4) + (dt / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _check_lab_stability(gens: np.ndarray, omega: float, dt: float, n_steps: int) -> None:
-    """Raise :class:`StepSizeError` if the lab run would grow past tolerance.
-
-    The lab generator obeys L(t + s) = V(t) L(s) V(t)^-1 with the unitary
-    V(t) = diag(e^{-i omega t}, e^{i omega t}, 1, 1), so P_i = V(t_i) P_0
-    V(t_i)^-1 and the n-step product is V(t_n) S^n with S = V(dt)^-1 P_0:
-    the run is stable exactly when S has spectral radius at most 1.  An S
-    that overflowed counts as unbounded growth.
-    """
     undo = np.array([np.exp(1j * omega * dt), np.exp(-1j * omega * dt), 1.0, 1.0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = undo[:, None] * _lab_steps(gens, omega, dt, 0, 1)[0]
-        radius = float(np.max(np.abs(np.linalg.eigvals(s)))) if np.isfinite(s).all() else math.inf
-        excess = radius * radius - 1.0
+    return undo[:, None] * (np.eye(4) + (dt / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def _check_lab_stability(step: np.ndarray, dt: float, n_steps: int) -> None:
+    """Raise :class:`StepSizeError` if the lab step S compounds past tolerance.
+
+    V is unitary, so the run is stable exactly when S has spectral radius at
+    most 1.  An S that overflowed counts as unbounded growth.
+    """
+    finite = np.isfinite(step).all()
+    radius = float(np.max(np.abs(np.linalg.eigvals(step)))) if finite else math.inf
+    excess = radius * radius - 1.0
     if _compounds(excess, n_steps):
         raise StepSizeError(
             f"dt = {dt:.6g} is unstable: a mode grows by a factor {radius:.6g} "
@@ -335,32 +337,27 @@ def evolve_lab(
 ) -> Trajectory:
     """Integrate the lab-frame master equation with the oscillatory drive.
 
-    The drive is evaluated at every Runge-Kutta stage time; the step
-    matrices are built :data:`_LAB_BLOCK` steps at a time and applied one
-    matrix-vector product per step.  Agrees with :func:`evolve_rotating` to
-    roundoff when omega = 0.  Raises :class:`StepSizeError` before
-    integrating if ``dt`` makes some mode grow, and after integrating if a
-    saved state is not finite or its trace drifted anyway.
+    The drive is evaluated at every Runge-Kutta stage time; the state after
+    n steps is V(t_n) S^n psi_0 with the step S of :func:`_lab_step`, sampled
+    by powers of S.  Agrees with :func:`evolve_rotating` to roundoff when
+    omega = 0.  Raises :class:`StepSizeError` before integrating if ``dt``
+    makes some mode grow, and after integrating if a saved state is not
+    finite or its trace drifted anyway.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0)
     n_steps, stride, saved = _schedule(t_max, dt)
+    if not math.isfinite(params.omega * t_max):
+        raise DomainError(f"the drive phase overflows, got omega={params.omega}, t_max={t_max}")
     rho_eq_rot = equilibrium_state(params.to_rotating())
-    gens = _lab_generators(params)
-    _check_lab_stability(gens, params.omega, dt, n_steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = _lab_step(_lab_generators(params), params.omega, dt)
+        _check_lab_stability(step, dt, n_steps)
 
-    psi = np.empty((len(saved), 4), dtype=complex)
-    psi[0] = state = _TO_TRACE_BASIS @ vectorize(rho0)
-    k = 1
-    for start in range(0, n_steps, _LAB_BLOCK):
-        block = _lab_steps(gens, params.omega, dt, start, min(start + _LAB_BLOCK, n_steps))
-        for i, step in enumerate(block, start + 1):
-            state = step @ state
-            if i == saved[k]:
-                psi[k] = state
-                k += 1
-
-    times = np.array(saved) * dt
+    psi = _sample(step, stride, saved, _TO_TRACE_BASIS @ vectorize(rho0))
+    times = np.array(saved, dtype=float) * dt
+    phase = np.exp(-1j * params.omega * times)[:, None]
+    psi[:, :2] *= np.hstack([phase, np.conj(phase)])
     states = devectorize(psi @ _FROM_TRACE_BASIS.T)
     rho_eq = rotate_to_lab(rho_eq_rot, params.omega, times)
     trace_dev, herm_dev, dist_eq = _diagnostics(states, rho_eq)

@@ -267,7 +267,7 @@ def _stagewise_lab_states(params, rho0, dt, times):
 
 
 class TestLabStepMatrices:
-    # 2503 steps end on a partial stride; 549 = 2 * 256 + 37 steps are all saved
+    # 2503 steps end on a partial stride; all 549 steps of the last case are saved
     @pytest.mark.parametrize(
         "t_max, dt, n_steps, stride",
         [(5.0, 1e-3, 5000, 5), (5.0, 0.02, 250, 1), (5.0, 0.04, 125, 1),
@@ -316,6 +316,25 @@ class TestLabStepMatrices:
             tracemalloc.stop()
         assert traj.n_steps == 100_000
         assert peak < 2 * 2**20
+
+
+class TestLongHorizon:
+    # 10^163 steps: past 2**63, where integer step indices leave int64
+    @pytest.mark.parametrize("frame", ["lab", "rotating"])
+    def test_run_past_int64_steps(self, frame, hang_guard):
+        lab = LabParams(Delta=2.0, omega=1.0, d=1.0, gamma=0.3)
+        rho0 = initial_state("excited")
+        with hang_guard(30):
+            if frame == "lab":
+                traj = evolve_lab(lab, rho0, 1e160, 1e-3)
+            else:
+                traj = evolve_rotating(lab.to_rotating(), rho0, 1e160, 1e-3)
+        assert traj.n_steps > 2**63
+        assert traj.times.dtype == np.float64
+        assert traj.times[-1] == 1e160
+        assert np.isfinite(traj.states).all()
+        assert float(traj.trace_dev.max()) == 0.0
+        assert traj.dist_eq[-1] < 1e-12
 
 
 class TestFrameEquivalence:
