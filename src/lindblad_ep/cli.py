@@ -8,6 +8,7 @@ seed; numeric fields are printed with shortest round-trip decimals.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -25,8 +26,9 @@ from .exceptional import (
     D_TILDE_EP3,
     _ON_CURVE_TOL,
     _classified,
+    _classify_codes,
+    _REGIONS,
     _on_curve_residual,
-    classify_grid,
     ep2_eigenvalue,
     ep2_gamma,
     ep3_point,
@@ -55,56 +57,75 @@ EXIT_USAGE = 2
 EXIT_INTEGRATOR = 3
 
 
-def _fmt(x) -> str:
-    """Shortest decimal that round-trips to the same double."""
-    return repr(float(x))
-
-
-def _fmt_columns(*columns) -> list[list[str]]:
-    """Rows of :func:`_fmt` strings from equal-length columns of numbers."""
-    return [[repr(x) for x in row] for row in np.column_stack(columns).tolist()]
-
-
 def _cjson(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as handle:
-            handle.write(text)
+def _write(path: str | None, texts) -> None:
+    """Write each string of ``texts`` to the file at ``path``, or to stdout when it is None."""
+    with open(path, "w") if path is not None else contextlib.nullcontext(sys.stdout) as out:
+        out.writelines(texts)
 
 
-def _emit_table(path, fmt, header, rows):
-    """Serialise a table as CSV (default) or as a JSON list of row objects."""
+def _table(fmt, header, blocks, bare=()):
+    """A table, given its CSV header line, as CSV or as a JSON list of row objects, in
+    pieces of 1024 rows or fewer.  ``blocks`` yields lists of equal-length columns of cell
+    text or of numbers (written as shortest round-trip decimals), one row or more in all.
+    JSON quotes every cell but those in ``bare``: the bytes of ``json.dumps(rows, indent=2)``."""
+    names = header.split(",")
     if fmt == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _write_text(path, json.dumps(payload, indent=2) + "\n")
+        quote = ["" if name in bare else '"' for name in names]
+        # Each object opens with the comma after the one before; the first drops it.
+        lead = [",\n  {"] + [mark + "," for mark in quote[:-1]]
+        seps = [f'{a}\n    "{name}": {b}' for a, name, b in zip(lead, names, quote)]
+        seps, head, tail, skip = seps + [quote[-1] + "\n  }"], "[", "\n]\n", 1
     else:
-        lines = [",".join(header)]
-        lines += [",".join(map(str, row)) for row in rows]
-        _write_text(path, "\n".join(lines) + "\n")
+        seps, head, tail, skip = [""] + [","] * (len(names) - 1) + ["\n"], header + "\n", "", 0
+    # A row is seps[0], cell 0, seps[1], ..., cell K-1, seps[K].
+    template = [""] * (2 * len(seps) - 1)
+    template[::2] = seps
+    yield head
+    for block in blocks:
+        for start in range(0, len(block[0]), 1024):
+            cells = [column[start : start + 1024] for column in block]
+            parts = template * len(cells[0])
+            for k, column in enumerate(cells):
+                text = column if isinstance(column, list) else map(repr, column.tolist())
+                parts[2 * k + 1 :: len(template)] = text
+            yield "".join(parts)[skip:]
+            skip = 0
+    yield tail
 
 
-def _grid(lo: float, hi: float, n: int, flag: str) -> np.ndarray:
-    """``n`` evenly spaced values from ``lo`` to ``hi``, both included; ``flag``
-    names the ``--<flag>-min`` and ``--<flag>-max`` options they came from."""
-    for end, value in (("min", lo), ("max", hi)):
-        if not math.isfinite(value):
-            raise DomainError(f"--{flag}-{end} must be finite, got {value}")
-    if n < 1:
+# Most nodes a grid takes: a run at the cap stays under 1 GiB (measured, see README).
+_MAX_NODES = 2**21
+
+
+def _grids(args, *axes: str) -> list[np.ndarray]:
+    """For each axis ``a``, ``--n<a>`` evenly spaced values from ``--<a>-min`` to ``--<a>-max``,
+    both included; refuses more than :data:`_MAX_NODES` nodes before allocating any."""
+    counts = [getattr(args, f"n{a}") for a in axes]
+    if min(counts) < 1:
         raise DomainError("grid counts must be >= 1")
-    if hi < lo:
-        raise DomainError("range maxima must be >= minima")
-    if not math.isfinite(hi - lo):
-        raise DomainError(f"the range of --{flag}-min to --{flag}-max overflows a double")
-    return np.linspace(lo, hi, n)
+    if math.prod(counts) > _MAX_NODES:
+        flags = " x ".join(f"--n{a}" for a in axes)
+        raise DomainError(f"{flags} asks for {math.prod(counts)} nodes, more than {_MAX_NODES}")
+    bounds = [(getattr(args, f"{a}_min"), getattr(args, f"{a}_max")) for a in axes]
+    for a, (lo, hi) in zip(axes, bounds):
+        for end, value in (("min", lo), ("max", hi)):
+            if not math.isfinite(value):
+                raise DomainError(f"--{a}-{end} must be finite, got {value}")
+        if hi < lo:
+            raise DomainError("range maxima must be >= minima")
+        if not math.isfinite(hi - lo):
+            raise DomainError(f"the range of --{a}-min to --{a}-max overflows a double")
+    return [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, counts)]
 
 
-def _model_params(args) -> ModelParams:
-    return ModelParams(args.delta, args.d, args.gamma)
+def _fail(message: str) -> int:
+    """Report an error on stderr and return the exit code of a verification failure."""
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_VERIFY
 
 
 # --------------------------------------------------------------------------
@@ -112,7 +133,7 @@ def _model_params(args) -> ModelParams:
 # --------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    params = _model_params(args)
+    params = ModelParams(args.delta, args.d, args.gamma)
     # Rejects delta = 0 with a scaled-coordinate message.
     point, closed = _classified(params)
     L = build_lindblad(params)
@@ -149,13 +170,9 @@ def cmd_spectrum(args) -> int:
         "biorthogonality_defect": biorth_defect,
         "eigenvector_residual": vector_residual,
     }
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    _write(args.out, [json.dumps(payload, indent=2) + "\n"])
     if max(residuals + residuals_num) > residual_tol:
-        print(
-            f"error: characteristic residual exceeds {residual_tol:.3e}",
-            file=sys.stderr,
-        )
-        return EXIT_VERIFY
+        return _fail(f"characteristic residual exceeds {residual_tol:.3e}")
     return EXIT_OK
 
 
@@ -163,24 +180,23 @@ def cmd_spectrum(args) -> int:
 # phase-diagram
 # --------------------------------------------------------------------------
 
+# Cell text by region code of `_classify_codes`, and by ordering (-1 takes the last entry).
+_LABELS = np.array([region.value for region in _REGIONS], dtype=object)
+_ORDERINGS = np.array(["0", "1", "-1"], dtype=object)
+
+
 def cmd_phase_diagram(args) -> int:
     if args.delta <= 0:
         raise DomainError("grid commands use delta > 0 so flags read as d/delta, gamma/delta")
-    d_grid = _grid(args.d_min, args.d_max, args.nd, "d")
-    g_grid = _grid(args.gamma_min, args.gamma_max, args.ngamma, "gamma")
-    disc, region, ordering = classify_grid(args.delta, d_grid, g_grid)
-    # Each coordinate is formatted once; rows run d-major like the grid.
-    d_text = [_fmt(d_t) for d_t in d_grid]
-    g_text = [_fmt(g_t) for g_t in g_grid]
-    rows = zip(
-        [d_t for d_t in d_text for _ in g_text],
-        g_text * len(d_text),
-        map(repr, disc.ravel().tolist()),
-        [label.value for label in region.ravel().tolist()],
-        ordering.ravel().tolist(),
-    )
-    header = ("d_tilde", "gamma_tilde", "disc", "region", "ordering")
-    _emit_table(args.out, args.format, header, rows)
+    d_grid, g_grid = _grids(args, "d", "gamma")
+    disc, codes, ordering = _classify_codes(args.delta, d_grid, g_grid)
+    # One block per d-row, d-major like the grid; the gamma column is formatted once.
+    g_text = list(map(repr, g_grid.tolist()))
+    rows = zip(map(repr, d_grid.tolist()), disc, codes, ordering)
+    blocks = ([[d_t] * len(g_text), g_text, x, _LABELS[c].tolist(), _ORDERINGS[o].tolist()]
+              for d_t, x, c, o in rows)
+    header = "d_tilde,gamma_tilde,disc,region,ordering"
+    _write(args.out, _table(args.format, header, blocks, bare=("ordering",)))
     return EXIT_OK
 
 
@@ -189,31 +205,19 @@ def cmd_phase_diagram(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_ep_curve(args) -> int:
-    d_grid = _grid(args.d_min, args.d_max, args.nd, "d")
+    (d_grid,) = _grids(args, "d")
     if args.d_min < D_TILDE_EP3:
         raise DomainError(
             f"curves exist only for d_tilde >= 2*sqrt(2) = {D_TILDE_EP3!r}; "
             f"requested range starts at {args.d_min}"
         )
-    header = (
-        "d_tilde",
-        "gamma_minus",
-        "gamma_plus",
-        "im_z_minus",
-        "im_z_plus",
-        "disc_minus",
-        "disc_plus",
-    )
+    header = "d_tilde,gamma_minus,gamma_plus,im_z_minus,im_z_plus,disc_minus,disc_plus"
     gammas = np.stack(ep2_gamma(d_grid), axis=1)
     im_z = [ep2_eigenvalue(d_grid, branch).imag for branch in ("minus", "plus")]
     resid = _on_curve_residual(d_grid, gammas)
-    _emit_table(args.out, args.format, header, _fmt_columns(d_grid, gammas, *im_z, resid))
+    _write(args.out, _table(args.format, header, [[d_grid, *gammas.T, *im_z, *resid.T]]))
     if resid.max() > _ON_CURVE_TOL:
-        print(
-            f"error: on-curve discriminant residual {resid.max():.3e} exceeds {_ON_CURVE_TOL:g}",
-            file=sys.stderr,
-        )
-        return EXIT_VERIFY
+        return _fail(f"on-curve discriminant residual {resid.max():.3e} exceeds {_ON_CURVE_TOL:g}")
     return EXIT_OK
 
 
@@ -224,7 +228,7 @@ def cmd_ep_curve(args) -> int:
 def cmd_ep3(args) -> int:
     d_t, g_t, z = ep3_point()
     payload = {"d_tilde": d_t, "gamma_tilde": g_t, "z": _cjson(z)}
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    _write(args.out, [json.dumps(payload, indent=2) + "\n"])
     return EXIT_OK
 
 
@@ -233,23 +237,19 @@ def cmd_ep3(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_evolve(args) -> int:
-    params = _model_params(args)
+    params = ModelParams(args.delta, args.d, args.gamma)
     rho0 = initial_state(args.rho0)
     traj = evolve_rotating(params, rho0, args.t_max, args.dt)
-    header = ("t", "re_ee", "re_gg", "re_eg", "im_eg", "trace_dev", "dist_eq")
+    header = "t,re_ee,re_gg,re_eg,im_eg,trace_dev,dist_eq"
     rho = traj.states
-    rows = _fmt_columns(traj.times, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real,
-                        rho[:, 0, 1].imag, traj.trace_dev, traj.dist_eq)
-    _emit_table(args.out, args.format, header, rows)
+    columns = [traj.times, rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real,
+               rho[:, 0, 1].imag, traj.trace_dev, traj.dist_eq]
+    _write(args.out, _table(args.format, header, [columns]))
     # Stdout carries only the table when the table goes there.
     summary = sys.stdout if args.out is not None else sys.stderr
-    print(f"final_dist_eq = {_fmt(traj.dist_eq[-1])}", file=summary)
+    print(f"final_dist_eq = {float(traj.dist_eq[-1])!r}", file=summary)
     if float(traj.trace_dev.max()) > _TRACE_TOL:
-        print(
-            f"error: trace deviation {traj.trace_dev.max():.3e} exceeds {_TRACE_TOL:g}",
-            file=sys.stderr,
-        )
-        return EXIT_VERIFY
+        return _fail(f"trace deviation {traj.trace_dev.max():.3e} exceeds {_TRACE_TOL:g}")
     return EXIT_OK
 
 
@@ -276,10 +276,9 @@ def cmd_verify_frame(args) -> int:
         "coarse_deviation": coarse,
         "fine_deviation": fine,
     }
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    _write(args.out, [json.dumps(payload, indent=2) + "\n"])
     if args.tol is not None and not dev <= args.tol:
-        print(f"error: deviation {dev:.3e} exceeds --tol {args.tol}", file=sys.stderr)
-        return EXIT_VERIFY
+        return _fail(f"deviation {dev:.3e} exceeds --tol {args.tol}")
     return EXIT_OK
 
 
@@ -317,6 +316,13 @@ def _add_point_flags(p):
     p.add_argument("--gamma", type=float, default=1.0, help="environment coupling")
 
 
+def _add_axis_flags(p, axis, lo, hi, n):
+    """The flags of one axis of a grid, read by :func:`_grids`."""
+    p.add_argument(f"--{axis}-min", type=float, default=lo)
+    p.add_argument(f"--{axis}-max", type=float, default=hi)
+    p.add_argument(f"--n{axis}", type=int, default=n)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lindblad-ep",
@@ -332,19 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phase-diagram", help="region classification over a (d, gamma) grid")
     p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--d-min", type=float, default=0.0)
-    p.add_argument("--d-max", type=float, default=6.0)
-    p.add_argument("--nd", type=int, default=300)
-    p.add_argument("--gamma-min", type=float, default=0.0)
-    p.add_argument("--gamma-max", type=float, default=16.0)
-    p.add_argument("--ngamma", type=int, default=300)
+    _add_axis_flags(p, "d", 0.0, 6.0, 300)
+    _add_axis_flags(p, "gamma", 0.0, 16.0, 300)
     _add_out_flags(p)
     p.set_defaults(func=cmd_phase_diagram)
 
     p = sub.add_parser("ep-curve", help="both coalescence branches over a drive range")
-    p.add_argument("--d-min", type=float, default=D_TILDE_EP3)
-    p.add_argument("--d-max", type=float, default=10.0)
-    p.add_argument("--nd", type=int, default=200)
+    _add_axis_flags(p, "d", D_TILDE_EP3, 10.0, 200)
     _add_out_flags(p)
     p.set_defaults(func=cmd_ep_curve)
 
@@ -404,8 +404,7 @@ def main(argv=None) -> int:
         print(f"integrator error: {exc}", file=sys.stderr)
         return EXIT_INTEGRATOR
     except LindbladEPError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return _fail(str(exc))
 
 
 def entry() -> None:

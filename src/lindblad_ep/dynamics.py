@@ -147,12 +147,25 @@ def _largest_stable_dt(zs: np.ndarray) -> float:
     return float(np.min(lo / modulus))
 
 
+def _finite_eigenvalues(generator: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a 4x4 generator.
+
+    Raises :class:`OverflowError` when the generator or its eigenvalues are
+    not finite: the parameters overflow a double, which no step size mends.
+    """
+    if np.isfinite(generator).all():
+        zs = np.linalg.eigvals(generator)
+        if np.isfinite(zs).all():
+            return zs
+    raise OverflowError("the generator's eigenvalues overflow a double")
+
+
 def largest_stable_dt(params: ModelParams) -> float:
     """Largest rotating-frame RK4 step under which no mode of the generator grows.
 
     ``inf`` when the generator vanishes.
     """
-    return _largest_stable_dt(np.linalg.eigvals(build_lindblad(params)))
+    return _largest_stable_dt(_finite_eigenvalues(build_lindblad(params)))
 
 
 def _compounds(excess: float, n_steps: int) -> bool:
@@ -259,8 +272,8 @@ def evolve_rotating(
     check_density_matrix(rho0)
     n_steps, stride, saved = _schedule(t_max, dt)
     L = build_lindblad(params)
+    zs = _finite_eigenvalues(L)
     rho_eq = equilibrium_state(params)
-    zs = np.linalg.eigvals(L)
     margin = _check_stability(zs, dt, n_steps)
 
     a = -1j * dt * (_TO_TRACE_BASIS @ L @ _FROM_TRACE_BASIS)
@@ -351,7 +364,9 @@ def evolve_lab(
         raise DomainError(f"the drive phase overflows, got omega={params.omega}, t_max={t_max}")
     rho_eq_rot = equilibrium_state(params.to_rotating())
     with np.errstate(over="ignore", invalid="ignore"):
-        step = _lab_step(_lab_generators(params), params.omega, dt)
+        gens = _lab_generators(params)
+        _finite_eigenvalues(gens.sum(axis=0))  # the generator at t = 0
+        step = _lab_step(gens, params.omega, dt)
         _check_lab_stability(step, dt, n_steps)
 
     psi = _sample(step, stride, saved, _TO_TRACE_BASIS @ vectorize(rho0))

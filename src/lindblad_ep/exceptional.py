@@ -57,6 +57,13 @@ class Region(Enum):
 # The labels of the exceptional points, where no complete mode basis exists.
 _EP_REGIONS = (Region.EP2_MINUS, Region.EP2_PLUS, Region.EP3)
 
+# Region codes of the array classifier: code k is the region _REGIONS[k], in
+# the declaration order of Region (0 SplitPair, 1 AllImaginary, 2 EP2Minus,
+# 3 EP2Plus, 4 EP3).
+_REGIONS = np.array(list(Region), dtype=object)
+_CODE = {region: np.int8(k) for k, region in enumerate(_REGIONS)}
+_EP_CODES = np.array([_CODE[region] for region in _EP_REGIONS])
+
 
 @dataclass(frozen=True)
 class PhasePoint:
@@ -226,7 +233,8 @@ def _classified(params: ModelParams) -> tuple[PhasePoint, Spectrum]:
     if abs(cp.disc) > band:
         region = Region.SPLIT_PAIR if cp.disc > 0 else Region.ALL_IMAGINARY
     else:
-        region = _coalescence_region(*np.array([[cp.p], [cp.q], [scale2], [d_t], [g_t]]))[0]
+        codes = _coalescence_region(*np.array([[cp.p], [cp.q], [scale2], [d_t], [g_t]]))
+        region = _REGIONS[codes[0]]
     return PhasePoint(d_tilde=d_t, gamma_tilde=g_t, disc=cp.disc,
                       region=region, ordering=ordering), bare
 
@@ -238,8 +246,8 @@ def _refuse_zero_delta(delta: float) -> None:
 
 
 def _coalescence_region(p, q, scale2, d_t, g_t) -> np.ndarray:
-    """Labels of points inside the |disc| band, the triple point or one EP2 branch,
-    as an object array over five 1-D arrays of one length."""
+    """Region codes of points inside the |disc| band, the triple point or one EP2
+    branch, over five 1-D arrays of one length."""
     ep3 = np.maximum(np.abs(p), _pow(np.abs(q), 2.0 / 3.0)) <= EP3_BAND * scale2
     # Below the drive threshold the band can only be entered near the triple
     # point; split on the coupling side of it.
@@ -249,7 +257,7 @@ def _coalescence_region(p, q, scale2, d_t, g_t) -> np.ndarray:
         gm, gp = ep2_gamma(np.abs(d_t[curve]))
         midpoint[curve] = 0.5 * (gm + gp)
     # Indices into _EP_REGIONS: 0 minus branch, 1 plus branch, 2 triple point.
-    return np.array(_EP_REGIONS)[np.where(ep3, 2, np.abs(g_t) > midpoint)]
+    return _EP_CODES[np.where(ep3, 2, np.abs(g_t) > midpoint)]
 
 
 def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,8 +268,19 @@ def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.nd
     :class:`Region` members.  Every entry equals, bit for bit, the field of
     ``classify(ModelParams(delta, d_t * delta, g_t * delta))`` at that node:
     the whole grid is one array pass, and the few points inside the |disc|
-    band one more.
+    band one more.  The pass labels nodes with ``int8`` region codes, which
+    index the region table ``_REGIONS`` (code k is the k-th member of
+    :class:`Region` in declaration order); ``region`` is that table indexed
+    by the codes.
     """
+    disc, codes, ordering = _classify_codes(delta, d_tilde, gamma_tilde)
+    return disc, _REGIONS[codes], ordering
+
+
+def _classify_codes(
+    delta: float, d_tilde, gamma_tilde
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`classify_grid` with ``int8`` region codes in place of the ``Region`` members."""
     delta = float(delta)
     _refuse_zero_delta(delta)
     # An infinite or overflowing product is refused below, without numpy's warning.
@@ -284,12 +303,12 @@ def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.nd
     size = np.maximum(np.maximum(1.0, np.hypot(z1.real, z1.imag)), np.hypot(z2.real, z2.imag))
     ordering = np.where(np.abs(imdiff) <= _ORDERING_RTOL * size, 0, np.where(imdiff > 0, 1, -1))
 
-    region = np.where(cubic.disc > 0, Region.SPLIT_PAIR, Region.ALL_IMAGINARY)
+    codes = np.where(cubic.disc > 0, _CODE[Region.SPLIT_PAIR], _CODE[Region.ALL_IMAGINARY])
     i, j = np.nonzero(np.abs(cubic.disc) <= band)
-    region[i, j] = _coalescence_region(
+    codes[i, j] = _coalescence_region(
         cubic.p[i, j], cubic.q[i, j], scale2[i, j], d[i] / delta, gamma[j] / delta
     )
-    return cubic.disc, region, ordering
+    return cubic.disc, codes, ordering
 
 
 def _disc_at(d_tilde: np.ndarray, x: np.ndarray) -> np.ndarray:

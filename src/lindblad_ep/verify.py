@@ -27,10 +27,11 @@ from .exceptional import (
     D_TILDE_EP3,
     GAMMA_TILDE_EP3,
     Z_EP3,
+    _CODE,
     _ON_CURVE_TOL,
+    _classify_codes,
     _on_curve_residual,
     classify,
-    classify_grid,
     ep2_gamma,
     ep2_locate_numeric,
     ep3_locate_numeric,
@@ -268,8 +269,8 @@ def check_phase_diagram(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> Che
     d_grid = np.linspace(0.0, 6.0, 300)
     g_grid = np.linspace(0.0, 16.0, 300)
     cell = g_grid[1] - g_grid[0]
-    _, region, _ = classify_grid(1.0, d_grid, g_grid)
-    i, j = np.nonzero(region == Region.ALL_IMAGINARY)
+    _, codes, _ = _classify_codes(1.0, d_grid, g_grid)
+    i, j = np.nonzero(codes == _CODE[Region.ALL_IMAGINARY])
     d_t, g_t = d_grid[i], g_grid[j]
     n_shaded = len(d_t)
     min_d = float(d_t.min(initial=math.inf))

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,13 +15,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lindblad_ep
-from lindblad_ep.cli import main
+from lindblad_ep.cli import _MAX_NODES, main
+from lindblad_ep.exceptional import _on_curve_residual
 
 SQRT2 = math.sqrt(2.0)
 
 DEFAULT_GRID_SHA256 = "692e0490b867ccd7d12b8dac82750bfd203a84c4f8954a19d1231b5a1c0c3d00"
 
 DEFAULT_CURVE_SHA256 = "9cf04dbb85d51f8ec1f7a7825a7485f5fc8a8910513363728f930e420f82cd5f"
+
+# sha256 of outputs as written row by row, before the tables were built column-wise.
+DEFAULT_CURVE_JSON_SHA256 = "b56293c6335fba09cf9bad2fbca4ee5c2b83408eced904b5d418d5b72b6ef590"
+SMALL_GRID_JSON_SHA256 = "1c05795df1021a725388b27f71d37974f650f571eef4224885bbd4a09f128439"
+NON_DEFAULT_GRID_SHA256 = "c0f18438732e0ddb04b72de2701fe2ec197d594eb9c7d136f54e2c4f40da104b"
+
+# A 2x2 grid through the triple point and the plus curve at d/delta = 3: its
+# nodes carry the labels EP3, EP2Plus and SplitPair and the orderings -1, 0, 1.
+SMALL_GRID = ["--d-min", "2.8284271247461903", "--d-max", "3", "--nd", "2",
+              "--gamma-min", "10.392304845413264", "--gamma-max", "11.313708498984761",
+              "--ngamma", "2"]
+
+# delta != 1, drives of both signs and nd != ngamma; AllImaginary nodes on both sides.
+NON_DEFAULT_GRID = ["--delta", "2.5", "--d-min", "-7", "--d-max", "7", "--nd", "41",
+                    "--gamma-min", "0", "--gamma-max", "30", "--ngamma", "37"]
 
 VERIFY_DEFAULT_STDOUT = (
     "PASS ep3: d_tilde=2.82842712, gamma_tilde=10.3923048, im_z=-6.92820323, err_d=2.93409741e-12, err_gamma=1.43742795e-11, err_z=9.58344515e-12\n"
@@ -243,6 +260,55 @@ class TestPhaseDiagramCommand:
         assert len(rows) == 4
         assert set(rows[0]) == {"d_tilde", "gamma_tilde", "disc", "region", "ordering"}
 
+    def test_small_grid_json_is_byte_identical(self, tmp_path):
+        out = tmp_path / "grid.json"
+        assert run(["phase-diagram", *SMALL_GRID, "--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        assert {row["region"] for row in rows} == {"EP3", "EP2Plus", "SplitPair"}
+        assert {row["ordering"] for row in rows} == {-1, 0, 1}
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SMALL_GRID_JSON_SHA256
+
+    def test_non_default_grid_is_byte_identical(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        assert run(["phase-diagram", *NON_DEFAULT_GRID, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == NON_DEFAULT_GRID_SHA256
+
+    def test_both_formats_equal_row_by_row_formatting(self, tmp_path):
+        # 1500 nodes a d-row: past the 1024 rows the writer joins at a time
+        args = ["phase-diagram", "--d-min", "3", "--d-max", "5", "--nd", "2",
+                "--gamma-max", "40", "--ngamma", "1500", "--out"]
+        assert run(args + [str(tmp_path / "grid.csv")]) == 0
+        assert run(args + [str(tmp_path / "grid.json"), "--format", "json"]) == 0
+        d_grid, g_grid = np.linspace(3.0, 5.0, 2), np.linspace(0.0, 40.0, 1500)
+        disc, region, ordering = lindblad_ep.classify_grid(1.0, d_grid, g_grid)
+        header = ("d_tilde", "gamma_tilde", "disc", "region", "ordering")
+        rows = [(repr(float(d)), repr(float(g)), repr(float(disc[i, j])), region[i, j].value,
+                 int(ordering[i, j]))
+                for i, d in enumerate(d_grid) for j, g in enumerate(g_grid)]
+        assert {"SplitPair", "AllImaginary"} <= {row[3] for row in rows}
+        lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+        assert (tmp_path / "grid.csv").read_text() == "\n".join(lines) + "\n"
+        payload = [dict(zip(header, row)) for row in rows]
+        assert (tmp_path / "grid.json").read_text() == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("counts, message", [
+        (["--nd", "1000000000", "--ngamma", "1000000000"],
+         f"--nd x --ngamma asks for {10**18} nodes, more than {_MAX_NODES}"),
+        (["--nd", str(_MAX_NODES + 1), "--ngamma", "1"],
+         f"--nd x --ngamma asks for {_MAX_NODES + 1} nodes, more than {_MAX_NODES}"),
+        (["--nd", "1000000000", "--ngamma", "-1"], "grid counts must be >= 1"),
+    ])
+    def test_oversized_grid_refused_before_allocating(self, counts, message, capsys):
+        tracemalloc.start()
+        try:
+            assert run(["phase-diagram", *counts]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the parser's own objects only: one axis of 2^21 + 1 nodes would take 16 MiB
+        assert peak < 2**20
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestEPCurveCommand:
     def test_first_row_is_the_merge_point(self, tmp_path):
@@ -278,6 +344,42 @@ class TestEPCurveCommand:
         out = tmp_path / "curve.csv"
         assert run(["ep-curve", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_CURVE_SHA256
+
+    def test_default_json_is_byte_identical(self, tmp_path):
+        out = tmp_path / "curve.json"
+        assert run(["ep-curve", "--format", "json", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_CURVE_JSON_SHA256
+
+    def test_both_formats_equal_row_by_row_formatting(self, tmp_path):
+        # 1500 rows: past the 1024 rows the writer joins at a time
+        args = ["ep-curve", "--d-max", "40", "--nd", "1500", "--out"]
+        assert run(args + [str(tmp_path / "curve.csv")]) == 0
+        assert run(args + [str(tmp_path / "curve.json"), "--format", "json"]) == 0
+        d_grid = np.linspace(2.0 * SQRT2, 40.0, 1500)
+        header = ("d_tilde", "gamma_minus", "gamma_plus", "im_z_minus", "im_z_plus",
+                  "disc_minus", "disc_plus")
+        rows = []
+        for d in d_grid:
+            gammas = lindblad_ep.ep2_gamma(d)
+            im_z = [lindblad_ep.ep2_eigenvalue(d, branch).imag for branch in ("minus", "plus")]
+            resid = _on_curve_residual(np.array([d]), np.array([gammas]))[0]
+            rows.append([repr(float(x)) for x in (d, *gammas, *im_z, *resid)])
+        lines = [",".join(header)] + [",".join(row) for row in rows]
+        assert (tmp_path / "curve.csv").read_text() == "\n".join(lines) + "\n"
+        payload = [dict(zip(header, row)) for row in rows]
+        assert (tmp_path / "curve.json").read_text() == json.dumps(payload, indent=2) + "\n"
+
+    def test_oversized_grid_refused_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            assert run(["ep-curve", "--nd", "1000000000"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert capsys.readouterr().err == (
+            f"error: --nd asks for 1000000000 nodes, more than {_MAX_NODES}\n"
+        )
 
     def test_below_threshold_is_usage_error(self, capsys):
         assert run(["ep-curve", "--d-min", "2.5"]) == 2
@@ -359,6 +461,20 @@ class TestEvolveCommand:
         rows = json.loads(out.read_text())
         assert rows[0]["t"] == "0.0"
 
+    def test_json_equals_row_by_row_formatting(self, tmp_path):
+        out = tmp_path / "traj.json"
+        assert run(["evolve", "--delta", "0.5", "--d", "1.3", "--gamma", "4", "--rho0", "coherent",
+                    "--t-max", "5", "--dt", "0.01", "--format", "json", "--out", str(out)]) == 0
+        traj = lindblad_ep.evolve_rotating(lindblad_ep.ModelParams(0.5, 1.3, 4.0),
+                                           lindblad_ep.initial_state("coherent"), 5.0, 0.01)
+        header = ("t", "re_ee", "re_gg", "re_eg", "im_eg", "trace_dev", "dist_eq")
+        payload = []
+        for t, rho, tdev, dist in zip(traj.times, traj.states, traj.trace_dev, traj.dist_eq):
+            fields = (t, rho[0, 0].real, rho[1, 1].real, rho[0, 1].real, rho[0, 1].imag,
+                      tdev, dist)
+            payload.append(dict(zip(header, (repr(float(x)) for x in fields))))
+        assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
     @pytest.mark.parametrize("rho0", ["excited", "coherent"])
     def test_csv_equals_row_by_row_formatting(self, rho0, tmp_path):
         out = tmp_path / "traj.csv"
@@ -432,6 +548,20 @@ INTEGRATOR_FLAGS = {
     "verify-frame": ["--t-max", "--dt", "--order-dt", "--Delta", "--omega", "--d", "--gamma"],
 }
 
+# Flag values of every subcommand for the property test: the values above, grid
+# counts from 1 to 3, and always a cheap subset of the verify checks.
+ANY_FLAG_VALUES = {
+    **{command: dict.fromkeys(flags, EXTREME_VALUES) for command, flags in INTEGRATOR_FLAGS.items()},
+    "phase-diagram": {**dict.fromkeys(["--delta", "--d-min", "--d-max", "--gamma-min",
+                                       "--gamma-max"], EXTREME_VALUES),
+                      "--nd": ["1", "2", "3"], "--ngamma": ["1", "2", "3"]},
+    "ep-curve": {"--d-min": EXTREME_VALUES, "--d-max": EXTREME_VALUES, "--nd": ["1", "2", "3"]},
+    "spectrum": dict.fromkeys(["--delta", "--d", "--gamma"], EXTREME_VALUES),
+    "ep3": {},
+    "verify": {"--seed": EXTREME_VALUES, "--tol-scale": EXTREME_VALUES},
+}
+CHEAP_CHECKS = ["gamma0,ep3", "ep3", "gamma0"]
+
 
 class TestIntegratorCommands:
     @pytest.mark.parametrize("command", list(INTEGRATOR_FLAGS))
@@ -453,6 +583,20 @@ class TestIntegratorCommands:
             "error: the drive phase overflows, got omega=1e+300, t_max=1e+160\n"
         )
 
+    # The generator's eigenvalues are about 2.4e308: no step size can be named.
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--delta=1.7e308", "--d=1.7e308", "--gamma=1e154"],
+        ["verify-frame", "--Delta=1.7e308", "--d=1.7e308", "--gamma=1e154"],
+    ])
+    def test_overflowing_generator_is_usage_error(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: arithmetic overflow at this parameter scale: "
+            "the generator's eigenvalues overflow a double\n"
+        )
+
     def test_verify_frame_past_int64_steps(self, tmp_path, hang_guard):
         out = tmp_path / "frame.json"
         with hang_guard(60):
@@ -461,15 +605,17 @@ class TestIntegratorCommands:
         assert payload["deviation"] < 1e-8
         assert abs(payload["measured_order"] - 4.0) < 0.3
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_any_flag_values_end_in_an_exit_code(self, data, hang_guard):
-        command = data.draw(st.sampled_from(list(INTEGRATOR_FLAGS)))
+        command = data.draw(st.sampled_from(list(ANY_FLAG_VALUES)))
         argv = [command]
-        for flag in INTEGRATOR_FLAGS[command]:
-            value = data.draw(st.none() | st.sampled_from(EXTREME_VALUES), label=flag)
+        for flag, values in ANY_FLAG_VALUES[command].items():
+            value = data.draw(st.none() | st.sampled_from(values), label=flag)
             if value is not None:
                 argv.append(f"{flag}={value}")
+        if command == "verify":
+            argv.append(f"--checks={data.draw(st.sampled_from(CHEAP_CHECKS), label='--checks')}")
         out, err = io.StringIO(), io.StringIO()
         with hang_guard(5), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(argv)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,16 @@ class TestStepMatrix:
     def test_zero_generator_has_no_limit(self):
         assert largest_stable_dt(ModelParams(0.0, 0.0, 0.0)) == math.inf
 
+    # The eigenvalues of L are about 2.4e308 here: no step size can be named.
+    def test_overflowing_generator_is_refused_as_an_overflow(self):
+        params = ModelParams(1.7e308, 1.7e308, 1e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: largest_stable_dt(params),
+                         lambda: evolve_rotating(params, initial_state("excited"), 10.0, 1e-3)):
+                with pytest.raises(OverflowError, match="eigenvalues overflow a double"):
+                    call()
+
 
 class TestTrajectoryRecord:
     def test_rotating_run_records_steps_and_margin(self):
@@ -248,6 +259,13 @@ class TestEvolveLab:
         traj = evolve_lab(lab, initial_state("excited"), 5.0, 1e-3)
         assert float(traj.trace_dev.max()) < 1e-10
         assert float(traj.herm_dev.max()) < 1e-10
+
+    def test_overflowing_generator_is_refused_as_an_overflow(self):
+        lab = LabParams(Delta=1.7e308, omega=1.0, d=1.7e308, gamma=1e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="eigenvalues overflow a double"):
+                evolve_lab(lab, initial_state("excited"), 10.0, 1e-3)
 
 
 def _stagewise_lab_states(params, rho0, dt, times):

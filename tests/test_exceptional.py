@@ -28,7 +28,7 @@ from lindblad_ep import (
     scaled_discriminant,
     splitting_exponent,
 )
-from lindblad_ep.exceptional import _coalescence_region, _scaled_disc
+from lindblad_ep.exceptional import _REGIONS, _coalescence_region, _scaled_disc
 from lindblad_ep.spectrum import _char_cubic_coeffs, _cubic_coeffs, _cubic_grid, _real_radicals
 
 D_EP3 = 2.0 * math.sqrt(2.0)
@@ -202,11 +202,13 @@ class TestCurveArrays:
         scale2 = np.maximum(1.0, cubic.energy)
         i, j = np.nonzero(np.abs(cubic.disc) <= 1e-10 * scale2**3)
         args = (cubic.p[i, j], cubic.q[i, j], scale2[i, j], d[i] / delta, gamma[j] / delta)
-        labels = _coalescence_region(*args)
+        codes = _coalescence_region(*args)
+        assert codes.dtype == np.int8
+        labels = _REGIONS[codes]
         below = set(labels[np.abs(args[3]) < D_EP3])
         assert {Region.EP2_MINUS, Region.EP2_PLUS} <= below and Region.EP3 in set(labels)
         for k, point in enumerate(zip(*(a.tolist() for a in args))):
-            assert _coalescence_region(*np.array(point)[:, None])[0] is labels[k], point
+            assert _REGIONS[_coalescence_region(*np.array(point)[:, None])[0]] is labels[k], point
         region = classify_grid(delta, d_grid, g_grid)[1]
         assert (region[i, j] == labels).all()
 
