@@ -305,9 +305,13 @@ def cmd_verify(args) -> int:
 # parser plumbing
 # --------------------------------------------------------------------------
 
-def _add_out_flags(p, default_format="csv"):
+def _add_out_flag(p):
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=default_format)
+
+
+def _add_table_flags(p):
+    _add_out_flag(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_point_flags(p):
@@ -333,23 +337,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues, residuals and region at one point")
     _add_point_flags(p)
-    _add_out_flags(p, default_format="json")
+    _add_out_flag(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("phase-diagram", help="region classification over a (d, gamma) grid")
     p.add_argument("--delta", type=float, default=1.0)
     _add_axis_flags(p, "d", 0.0, 6.0, 300)
     _add_axis_flags(p, "gamma", 0.0, 16.0, 300)
-    _add_out_flags(p)
+    _add_table_flags(p)
     p.set_defaults(func=cmd_phase_diagram)
 
     p = sub.add_parser("ep-curve", help="both coalescence branches over a drive range")
     _add_axis_flags(p, "d", D_TILDE_EP3, 10.0, 200)
-    _add_out_flags(p)
+    _add_table_flags(p)
     p.set_defaults(func=cmd_ep_curve)
 
     p = sub.add_parser("ep3", help="the triple-point constants")
-    _add_out_flags(p, default_format="json")
+    _add_out_flag(p)
     p.set_defaults(func=cmd_ep3)
 
     p = sub.add_parser("evolve", help="integrate one trajectory and export it")
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho0", choices=INITIAL_STATES, default="excited")
     p.add_argument("--t-max", type=float, default=10.0)
     p.add_argument("--dt", type=float, default=1e-3)
-    _add_out_flags(p)
+    _add_table_flags(p)
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("verify-frame", help="lab versus rotating frame agreement")
@@ -372,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coarse step for the convergence-order measurement")
     p.add_argument("--tol", type=float, default=None,
                    help="fail (exit 1) if the deviation exceeds this")
-    _add_out_flags(p, default_format="json")
+    _add_out_flag(p)
     p.set_defaults(func=cmd_verify_frame)
 
     p = sub.add_parser("verify", help="run the acceptance checklist")

@@ -413,18 +413,19 @@ def spectral_evolve(params: ModelParams, rho0: np.ndarray, t: float) -> np.ndarr
     Valid only away from exceptional points, where the biorthogonal system is
     complete; refuses EP-labelled parameter points and propagates
     :class:`NearDegenerateError` from the eigenvector construction otherwise.
+    Raises :class:`DomainError` for a ``rho0`` that is not a density matrix
+    and for a ``t`` that is negative or not finite.
     """
+    rho0 = np.asarray(rho0, dtype=complex)
+    check_density_matrix(rho0)
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"t must be finite and >= 0, got {t}")
     point, bare = _classified(params)
     if point.region in _EP_REGIONS:
         raise NearDegenerateError(
             f"parameters classify as {point.region.value}; the spectral "
             "propagator has no complete mode basis there (use the integrator)"
         )
-    rho0 = np.asarray(rho0, dtype=complex)
     spec = _full_spectrum(params, bare)
-    psi0 = vectorize(rho0)
-    psi_t = np.zeros(4, dtype=complex)
-    for nu in range(4):
-        weight = spec.left[nu] @ psi0
-        psi_t = psi_t + np.exp(-1j * spec.eigenvalues[nu] * t) * weight * spec.right[nu]
-    return devectorize(psi_t)
+    weights = spec.left @ vectorize(rho0) * np.exp(-1j * spec.eigenvalues * t)
+    return devectorize(weights @ spec.right)

@@ -20,12 +20,13 @@ import cmath
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NearDegenerateError, NonConvergenceError
-from .model import ModelParams, max_abs
+from .model import ModelParams
 from .superop import _unit_scale, build_lindblad, null_eigenvectors
 
 # Phase attached to the second and third cubic roots.
@@ -42,6 +43,11 @@ TRIPLE_ROOT_RTOL = 1e-12
 
 # A real radical |u| at or below this counts as zero: v is then cbrt(q - sqrt(disc)).
 _RADICAL_FLOOR = 1e-100
+
+# Python's float power raises on overflow, but the sums and the product that
+# form p and q do not.  Each such overflow (an infinite q where p cancels, or
+# p**3 + q**2 past the largest double) ends in disc, which is refused with this.
+_DISC_OVERFLOW = "the cubic's discriminant overflows a double"
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,7 @@ class Spectrum:
     as 1-D arrays) with left[mu] @ right[nu] = delta_mu_nu.  ``residuals[nu]``
     is the larger of the two max-norm eigen-equation defects.
     ``degenerate_pairs`` lists index pairs whose gap is below the coalescence
-    threshold.
+    threshold: the one coalescence test, on which the eigenvectors are refused.
     """
 
     eigenvalues: np.ndarray
@@ -94,6 +100,8 @@ def cardano_params(params: ModelParams) -> CardanoParams:
     p = (delta**2 + d**2 - gamma**2 / 12.0) / 3.0
     q = (gamma / 6.0) * (delta**2 - d**2 / 2.0 + gamma**2 / 36.0)
     disc = p**3 + q**2
+    if not math.isfinite(disc):
+        raise OverflowError(_DISC_OVERFLOW)
     if disc >= 0.0:
         s = math.sqrt(disc)
         if q >= 0.0:
@@ -160,10 +168,14 @@ def _cubic_coeffs(delta, d, gamma) -> tuple[np.ndarray, ...]:
     elementwise over three arrays that broadcast together."""
     delta, d, gamma = (np.asarray(x, dtype=float) for x in (delta, d, gamma))
     delta2, d2, g2 = _pow(delta, 2), _pow(d, 2), _pow(gamma, 2)
-    p = (delta2 + d2 - g2 / 12.0) / 3.0
-    q = (gamma / 6.0) * (delta2 - d2 / 2.0 + g2 / 36.0)
-    p3 = _pow(p, 3)
-    return p, q, p3, p3 + _pow(q, 2), delta2 + d2 + g2
+    with np.errstate(over="ignore"):
+        p = (delta2 + d2 - g2 / 12.0) / 3.0
+        q = (gamma / 6.0) * (delta2 - d2 / 2.0 + g2 / 36.0)
+        p3 = _pow(p, 3)
+        disc = p3 + _pow(q, 2)
+        if not np.isfinite(disc).all():
+            raise OverflowError(_DISC_OVERFLOW)
+        return p, q, p3, disc, delta2 + d2 + g2
 
 
 def _cubic_grid(delta, d, gamma) -> _CubicGrid:
@@ -275,51 +287,56 @@ def eigenvectors_closed_form(
     They are the largest-norm row and column of adj(L - zI), formed at unit
     scale.  The left vector has unit norm and the right one is scaled so that
     left @ right = 1; its norm is then the eigenvalue's condition number.  Raises
-    :class:`NearDegenerateError` when ``z`` sits within the coalescence
-    threshold of another eigenvalue, or when the left/right pairing is
-    numerically singular (both are signatures of an exceptional point, where
-    no biorthogonal pair exists).
+    :class:`NearDegenerateError` when the decaying mode nearest ``z`` is in one
+    of the closed form's :attr:`Spectrum.degenerate_pairs`, or when the
+    left/right pairing is numerically singular (both are signatures of an
+    exceptional point, where no biorthogonal pair exists).
     """
     if nu not in (1, 2, 3):
         raise DomainError("nu must be 1, 2 or 3; the null mode has its own accessor")
-    return _eigenvectors(params, eigenvalues_closed_form(params).eigenvalues, complex(z))
+    bare = eigenvalues_closed_form(params)
+    _refuse_coalesced(bare, modes=(1 + int(np.argmin(np.abs(bare.eigenvalues[1:] - z))),))
+    return next(_eigenvectors(params, [z]))
 
 
-def _eigenvectors(
-    params: ModelParams, zs: np.ndarray, z: complex
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`eigenvectors_closed_form` given the eigenvalues ``zs`` already computed."""
-    self_idx = 1 + int(np.argmin(np.abs(zs[1:] - z)))
-    gap = min(abs(zs[k] - z) for k in range(4) if k != self_idx)
-    if gap < PAIR_GAP_RTOL * max(1.0, abs(z)):
-        raise NearDegenerateError(
-            f"eigenvalue {z} lies within {gap:.3e} of a neighbour; "
-            "no separable eigenvector pair exists there"
-        )
+def _refuse_coalesced(bare: Spectrum, modes=(1, 2, 3)) -> None:
+    """Refuse the eigenvectors if one of ``modes`` is in a pair of ``bare.degenerate_pairs``."""
+    for i, j in bare.degenerate_pairs:
+        if i in modes or j in modes:
+            zi, zj = bare.eigenvalues[[i, j]]
+            raise NearDegenerateError(f"eigenvalues z{i} = {zi} and z{j} = {zj} lie within the "
+                                      "coalescence threshold; no separable eigenvector pair exists")
+
+
+def _eigenvectors(params: ModelParams, zs) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`eigenvectors_closed_form` at each of ``zs`` in turn, past its coalescence
+    test: one generator at unit scale serves them all."""
     # At a simple eigenvalue, adj(L - zI) = r l * prod_{k != nu} (z_k - z) / (l r)
     # for the right (column) r and left (row) l: every nonzero column is a
     # right eigenvector and every nonzero row a left one.
     exponent, *unit = _unit_scale(params)
-    unit_z = complex(math.ldexp(z.real, -exponent), math.ldexp(z.imag, -exponent))
-    adj = np.array(_adjugate(_shifted(build_lindblad(ModelParams(*unit)), unit_z)))
-    power = (adj * adj.conj()).real
-    rows, cols = power.sum(axis=1), power.sum(axis=0)
-    i, j = rows.argmax(), cols.argmax()
-    left, right, norm = adj[i], adj[:, j], math.sqrt(rows[i])
-    pairing = left @ right
-    if abs(pairing) <= 1e-10 * max(norm * math.sqrt(cols[j]), 1e-300):
-        raise NearDegenerateError(
-            f"left/right pairing for z = {z} is numerically singular "
-            "(self-orthogonal mode at a coalescence)"
-        )
-    return left / norm, right * (norm / pairing)
+    unit_L = build_lindblad(ModelParams(*unit))
+    for z in map(complex, zs):
+        unit_z = complex(math.ldexp(z.real, -exponent), math.ldexp(z.imag, -exponent))
+        adj = np.array(_adjugate(_shifted(unit_L, unit_z)))
+        power = (adj * adj.conj()).real
+        rows, cols = power.sum(axis=1), power.sum(axis=0)
+        i, j = rows.argmax(), cols.argmax()
+        left, right, norm = adj[i], adj[:, j], math.sqrt(rows[i])
+        pairing = left @ right
+        if abs(pairing) <= 1e-10 * max(norm * math.sqrt(cols[j]), 1e-300):
+            raise NearDegenerateError(
+                f"left/right pairing for z = {z} is numerically singular "
+                "(self-orthogonal mode at a coalescence)"
+            )
+        yield left / norm, right * (norm / pairing)
 
 
 def full_spectrum(params: ModelParams) -> Spectrum:
     """Eigenvalues plus the complete biorthogonal system, null mode included.
 
-    Propagates :class:`NearDegenerateError` from the eigenvector construction
-    at and near exceptional points.
+    Raises :class:`NearDegenerateError` at and near exceptional points, where
+    :attr:`Spectrum.degenerate_pairs` is not empty or a pairing is singular.
     """
     return _full_spectrum(params, eigenvalues_closed_form(params))
 
@@ -328,21 +345,17 @@ def _full_spectrum(params: ModelParams, bare: Spectrum) -> Spectrum:
     """:func:`full_spectrum` given the closed-form eigenvalues ``bare`` already computed."""
     zs = bare.eigenvalues
     L = build_lindblad(params)
-    left = np.zeros((4, 4), dtype=complex)
-    right = np.zeros((4, 4), dtype=complex)
-    left[0], right[0] = null_eigenvectors(params)
-    for nu in (1, 2, 3):
-        left[nu], right[nu] = _eigenvectors(params, zs, complex(zs[nu]))
-    residuals = np.zeros(4)
-    for nu in range(4):
-        r_def = max_abs(L @ right[nu] - zs[nu] * right[nu])
-        l_def = max_abs(left[nu] @ L - zs[nu] * left[nu])
-        residuals[nu] = max(r_def, l_def)
+    null = null_eigenvectors(params)
+    _refuse_coalesced(bare)
+    left, right = (np.array(vectors) for vectors in zip(null, *_eigenvectors(params, zs[1:])))
+    # Row by row the per-vector max|L r - z r|, bit for bit (L @ right.T need not be).
+    r_def = np.abs(np.matmul(L, right[:, :, None])[..., 0] - zs[:, None] * right).max(axis=1)
+    l_def = np.abs(left @ L - zs[:, None] * left).max(axis=1)
     return Spectrum(
         eigenvalues=zs,
         left=left,
         right=right,
-        residuals=residuals,
+        residuals=np.maximum(r_def, l_def),
         degenerate_pairs=bare.degenerate_pairs,
     )
 

@@ -159,6 +159,18 @@ class TestSpectrumCommand:
         assert run(["spectrum", "--delta", "1e60", "--out", str(tmp_path / "spec.json")]) == 2
         assert capsys.readouterr().err.startswith("error: arithmetic overflow")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--delta=8.660254037844387e+119", "--d=0", "--gamma=3e+120"],
+        ["spectrum", "--delta=4e51", "--d=0", "--gamma=4e51"],
+        ["ep-curve", "--d-min=1e60", "--d-max=1e60"],
+        ["phase-diagram", "--d-max=1e154", "--gamma-min=1e60", "--gamma-max=1e154", "--ngamma=1"],
+    ])
+    def test_overflowing_cubic_is_usage_error_without_a_warning(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: arithmetic overflow") and "Warning" not in err
+
     def test_biorthogonality_reported_at_generic_point(self, tmp_path):
         out = tmp_path / "spec.json"
         assert run(["spectrum", "--delta", "1", "--d", "2", "--gamma", "1",
@@ -685,6 +697,12 @@ class TestParserPlumbing:
     def test_unknown_flag_exits_2(self, capsys):
         assert run(["spectrum", "--frobnicate"]) == 2
         capsys.readouterr()
+
+    # JSON is all these commands print, so they take no --format.
+    @pytest.mark.parametrize("command", ["spectrum", "ep3", "verify-frame"])
+    def test_format_is_only_a_table_flag(self, command, capsys):
+        assert run([command, "--format", "csv"]) == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert run([]) == 2

@@ -402,6 +402,41 @@ class TestSpectralEvolve:
         rho0 = initial_state("coherent")
         assert np.max(np.abs(spectral_evolve(params, rho0, 0.0) - rho0)) < 1e-10
 
+    def test_mode_sum_equals_the_loop_within_roundoff(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 200:
+            params = ModelParams(rng.uniform(-2, 2), rng.uniform(-4, 4), rng.uniform(0, 10))
+            try:
+                spec = full_spectrum(params)
+            except NearDegenerateError:
+                continue
+            rho0 = initial_state(INITIAL_STATES[checked % len(INITIAL_STATES)])
+            t = rng.uniform(0.0, 10.0)
+            psi0 = vectorize(rho0)
+            psi_t = np.zeros(4, dtype=complex)
+            bound = np.zeros(4)
+            for nu in range(4):
+                phase = np.exp(-1j * spec.eigenvalues[nu] * t)
+                psi_t = psi_t + phase * (spec.left[nu] @ psi0) * spec.right[nu]
+                bound += abs(phase) * (np.abs(spec.left[nu]) @ np.abs(psi0)) * np.abs(spec.right[nu])
+            got = vectorize(spectral_evolve(params, rho0, t))
+            # the sum and the overlaps may be accumulated in another order
+            assert (np.abs(got - psi_t) <= 8 * np.finfo(float).eps * bound).all()
+            checked += 1
+
+    @pytest.mark.parametrize("rho0", [np.eye(3) / 3.0, np.array([[2.0, 0.0], [0.0, 5.0]]),
+                                      np.array([[0.5, 0.5], [0.0, 0.5]])])
+    def test_non_density_matrix_refused(self, rho0):
+        with pytest.raises(DomainError):
+            spectral_evolve(ModelParams(1.0, 2.0, 1.0), rho0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_negative_or_non_finite_time_refused(self, t):
+        with pytest.raises(DomainError, match="t must be finite and >= 0"):
+            spectral_evolve(ModelParams(1.0, 2.0, 1.0), initial_state("excited"), t)
+
     def test_long_time_limit_is_equilibrium(self):
         params = ModelParams(1.0, 2.0, 1.0)
         rho = spectral_evolve(params, initial_state("excited"), 200.0)

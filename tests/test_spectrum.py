@@ -349,6 +349,113 @@ class TestEigenvectors:
             assert abs(left @ right - 1.0) < 1e-10
 
 
+def points_near_coalescences(seed: int, n: int = 400) -> list:
+    """Seeded points at relative offsets 10^U(-16, -2) from both EP2 curves and from EP3."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for k in range(n):
+        delta = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        offset = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-16, -2)
+        if k % 3 == 2:
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            d_t, g_t = D_EP3 * (1 + offset * math.cos(angle)), G_EP3 * (1 + offset * math.sin(angle))
+        else:
+            d_t = rng.uniform(2.9, 8.0)
+            g_t = ep2_gamma(d_t)[k % 3] * (1 + offset)
+        points.append(ModelParams(delta, delta * d_t, abs(delta) * g_t))
+    return points
+
+
+def fails_per_mode_gap_test(zs) -> bool:
+    """Whether some decaying mode lies within PAIR_GAP_RTOL * max(1, |z|) of another eigenvalue."""
+    return any(abs(zs[k] - zs[nu]) < spectrum.PAIR_GAP_RTOL * max(1.0, abs(zs[nu]))
+               for nu in (1, 2, 3) for k in range(4) if k != nu)
+
+
+class TestOneCoalescenceTest:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_full_spectrum_refuses_exactly_at_flagged_pairs(self, seed):
+        refused = 0
+        for params in points_near_coalescences(seed):
+            bare = eigenvalues_closed_form(params)
+            # a flagged pair fails the per-mode test for its larger-modulus member
+            assert bool(bare.degenerate_pairs) == fails_per_mode_gap_test(bare.eigenvalues)
+            if bare.degenerate_pairs:
+                refused += 1
+                with pytest.raises(NearDegenerateError, match="lie within"):
+                    full_spectrum(params)
+            else:
+                try:
+                    full_spectrum(params)
+                except NearDegenerateError as exc:
+                    assert "pairing" in str(exc)
+        assert 0 < refused < 400
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_eigenvectors_refused_exactly_for_modes_in_flagged_pairs(self, seed):
+        for params in points_near_coalescences(seed, 150):
+            bare = eigenvalues_closed_form(params)
+            flagged = {k for pair in bare.degenerate_pairs for k in pair}
+            for nu in (1, 2, 3):
+                if nu in flagged:
+                    with pytest.raises(NearDegenerateError, match="lie within"):
+                        eigenvectors_closed_form(params, nu, bare.eigenvalues[nu])
+                else:
+                    try:
+                        eigenvectors_closed_form(params, nu, bare.eigenvalues[nu])
+                    except NearDegenerateError as exc:
+                        assert "pairing" in str(exc)
+
+    def test_degenerate_origin_is_a_domain_error(self):
+        # every eigenvalue is zero there, but the null mode's refusal comes first
+        with pytest.raises(DomainError):
+            full_spectrum(ModelParams(0.0, 0.0, 0.0))
+
+    def test_residuals_equal_the_per_vector_formula(self):
+        points = [ModelParams(*x) for x in zip(*_spectra_points())][::7]
+        points += [ModelParams(1e-6, 0.0, 2.0), ModelParams(1.0, 1e-8, 0.7),
+                   ModelParams(3e40, -7e40, 2e41), ModelParams(3e-40, 7e-40, 2e-41)]
+        checked = 0
+        for params in points:
+            try:
+                spec = full_spectrum(params)
+            except NearDegenerateError:
+                continue
+            L = build_lindblad(params)
+            want = np.array([max(float(np.max(np.abs(L @ r - z * r))),
+                                 float(np.max(np.abs(left @ L - z * left))))
+                             for z, left, r in zip(spec.eigenvalues, spec.left, spec.right)])
+            assert np.array_equal(spec.residuals.view(np.uint64), want.view(np.uint64))
+            checked += 1
+        assert checked > 400
+
+    def test_unit_scale_generator_built_once(self, monkeypatch):
+        built = []
+        original = spectrum.build_lindblad
+        monkeypatch.setattr(spectrum, "build_lindblad",
+                            lambda params: built.append(params) or original(params))
+        full_spectrum(ModelParams(3.0, 6.0, 3.0))
+        # L itself for the residuals, and L / 2^3 once for the three modes
+        assert built == [ModelParams(3.0, 6.0, 3.0), ModelParams(0.375, 0.75, 0.375)]
+
+
+# q overflows a double where p cancels to 0.0 exactly; p**3 + q**2 overflows in the sum.
+OVERFLOWING_CUBICS = [(8.660254037844387e+119, 0.0, 3e+120), (4e51, 0.0, 4e51)]
+
+
+class TestCubicOverflow:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("point", OVERFLOWING_CUBICS)
+    def test_refused_as_an_overflow(self, point):
+        params = ModelParams(*point)
+        for solve in (cardano_params, eigenvalues_closed_form, full_spectrum, classify,
+                      scaled_discriminant):
+            with pytest.raises(OverflowError, match="discriminant overflows"):
+                solve(params)
+        with pytest.raises(OverflowError, match="discriminant overflows"):
+            _closed_form_stack(*np.array([point, (1.0, 2.0, 1.0)]).T)
+
+
 class TestNumericEigensolver:
     def test_diagonal_example(self):
         L = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
