@@ -137,10 +137,9 @@ def cmd_spectrum(args) -> int:
     # Rejects delta = 0 with a scaled-coordinate message.
     point, closed = _classified(params)
     L = build_lindblad(params)
-    scale = max(1.0, max_abs(L))
-    numeric = eigenvalues_numeric(L)
+    numeric = eigenvalues_numeric(L)  # raises if its roots fail the same residual bound
 
-    residual_tol = _RESIDUAL_RTOL * scale**4
+    residual_tol = _RESIDUAL_RTOL * max(1.0, max_abs(L))**4
     residuals = [characteristic_residual(L, z) for z in closed.eigenvalues]
     residuals_num = [characteristic_residual(L, z) for z in numeric]
 
@@ -171,7 +170,7 @@ def cmd_spectrum(args) -> int:
         "eigenvector_residual": vector_residual,
     }
     _write(args.out, [json.dumps(payload, indent=2) + "\n"])
-    if max(residuals + residuals_num) > residual_tol:
+    if max(residuals) > residual_tol:
         return _fail(f"characteristic residual exceeds {residual_tol:.3e}")
     return EXIT_OK
 

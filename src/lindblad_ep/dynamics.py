@@ -215,13 +215,15 @@ def _sample(step: np.ndarray, stride: int, saved: list[int], psi0: np.ndarray) -
     last stride, so the cost grows with the number of samples and the
     logarithm of the stride, not with the step count.
     """
-    step_stride = np.linalg.matrix_power(step, stride)
     psi = np.empty((len(saved), 4), dtype=complex)
     psi[0] = psi0
-    for k in range(1, len(saved)):
-        gap = saved[k] - saved[k - 1]
-        jump = step_stride if gap == stride else np.linalg.matrix_power(step, gap)
-        psi[k] = jump @ psi[k - 1]
+    # A power that overflows is left to _refuse_drift, which reports the state.
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_stride = np.linalg.matrix_power(step, stride)
+        for k in range(1, len(saved)):
+            gap = saved[k] - saved[k - 1]
+            jump = step_stride if gap == stride else np.linalg.matrix_power(step, gap)
+            psi[k] = jump @ psi[k - 1]
     return psi
 
 
@@ -427,5 +429,10 @@ def spectral_evolve(params: ModelParams, rho0: np.ndarray, t: float) -> np.ndarr
             "propagator has no complete mode basis there (use the integrator)"
         )
     spec = _full_spectrum(params, bare)
-    weights = spec.left @ vectorize(rho0) * np.exp(-1j * spec.eigenvalues * t)
+    # At a large t the phase Re(z) t of a decaying mode can overflow while its
+    # modulus exp(Im(z) t) underflows: that mode has vanished, not turned NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = np.exp(-1j * spec.eigenvalues * t)
+        factors[np.exp(spec.eigenvalues.imag * t) == 0.0] = 0.0
+    weights = spec.left @ vectorize(rho0) * factors
     return devectorize(weights @ spec.right)

@@ -279,24 +279,24 @@ def _closed_form(params: ModelParams, cp: CardanoParams) -> Spectrum:
     return Spectrum(eigenvalues=zs, degenerate_pairs=_flag_pairs(zs))
 
 
-def eigenvectors_closed_form(
-    params: ModelParams, nu: int, z: complex
-) -> tuple[np.ndarray, np.ndarray]:
-    """Left (row) and right (column) eigenvectors for one decaying eigenvalue.
+def eigenvectors_closed_form(params: ModelParams, nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left (row) and right (column) eigenvectors of the decaying mode ``nu``.
 
-    They are the largest-norm row and column of adj(L - zI), formed at unit
-    scale.  The left vector has unit norm and the right one is scaled so that
-    left @ right = 1; its norm is then the eigenvalue's condition number.  Raises
-    :class:`NearDegenerateError` when the decaying mode nearest ``z`` is in one
-    of the closed form's :attr:`Spectrum.degenerate_pairs`, or when the
-    left/right pairing is numerically singular (both are signatures of an
-    exceptional point, where no biorthogonal pair exists).
+    They are the largest-norm row and column of adj(L - z_nu I), formed at
+    unit scale.  The left vector has unit norm and the right one is scaled so
+    that left @ right = 1; its norm is then the eigenvalue's condition number.
+    Raises :class:`NearDegenerateError` when ``nu`` is in one of the closed
+    form's :attr:`Spectrum.degenerate_pairs`, or when the left/right pairing is
+    numerically singular (both are signatures of an exceptional point, where no
+    biorthogonal pair exists).
     """
     if nu not in (1, 2, 3):
         raise DomainError("nu must be 1, 2 or 3; the null mode has its own accessor")
     bare = eigenvalues_closed_form(params)
-    _refuse_coalesced(bare, modes=(1 + int(np.argmin(np.abs(bare.eigenvalues[1:] - z))),))
-    return next(_eigenvectors(params, [z]))
+    _refuse_coalesced(bare, modes=(nu,))
+    exponent, *unit = _unit_scale(params)
+    z = bare.eigenvalues[nu:nu + 1]
+    return next(_eigenvectors(build_lindblad(ModelParams(*unit)), _ldexp(z, -exponent), z))
 
 
 def _refuse_coalesced(bare: Spectrum, modes=(1, 2, 3)) -> None:
@@ -308,23 +308,21 @@ def _refuse_coalesced(bare: Spectrum, modes=(1, 2, 3)) -> None:
                                       "coalescence threshold; no separable eigenvector pair exists")
 
 
-def _eigenvectors(params: ModelParams, zs) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """:func:`eigenvectors_closed_form` at each of ``zs`` in turn, past its coalescence
-    test: one generator at unit scale serves them all."""
+def _eigenvectors(unit_L: np.ndarray, unit_zs, zs) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`eigenvectors_closed_form` at each unit-scale shift of ``unit_zs``, past its
+    coalescence test, from ``unit_L``; the refusal names the physical shift in ``zs``."""
     # At a simple eigenvalue, adj(L - zI) = r l * prod_{k != nu} (z_k - z) / (l r)
     # for the right (column) r and left (row) l: every nonzero column is a
     # right eigenvector and every nonzero row a left one.
-    exponent, *unit = _unit_scale(params)
-    unit_L = build_lindblad(ModelParams(*unit))
-    for z in map(complex, zs):
-        unit_z = complex(math.ldexp(z.real, -exponent), math.ldexp(z.imag, -exponent))
+    for unit_z, z in zip(unit_zs.tolist(), zs.tolist()):
         adj = np.array(_adjugate(_shifted(unit_L, unit_z)))
         power = (adj * adj.conj()).real
         rows, cols = power.sum(axis=1), power.sum(axis=0)
         i, j = rows.argmax(), cols.argmax()
         left, right, norm = adj[i], adj[:, j], math.sqrt(rows[i])
         pairing = left @ right
-        if abs(pairing) <= 1e-10 * max(norm * math.sqrt(cols[j]), 1e-300):
+        # Written as "not above" so that an all-zero adjugate refuses too.
+        if not abs(pairing) > 1e-10 * norm * math.sqrt(cols[j]):
             raise NearDegenerateError(
                 f"left/right pairing for z = {z} is numerically singular "
                 "(self-orthogonal mode at a coalescence)"
@@ -343,19 +341,22 @@ def full_spectrum(params: ModelParams) -> Spectrum:
 
 def _full_spectrum(params: ModelParams, bare: Spectrum) -> Spectrum:
     """:func:`full_spectrum` given the closed-form eigenvalues ``bare`` already computed."""
+    # Every mode and residual comes from one generator L at unit scale, L_phys / 2^e.
     zs = bare.eigenvalues
-    L = build_lindblad(params)
-    null = null_eigenvectors(params)
+    exponent, *unit = _unit_scale(params)
+    unit = ModelParams(*unit)
+    null = null_eigenvectors(unit)
     _refuse_coalesced(bare)
-    left, right = (np.array(vectors) for vectors in zip(null, *_eigenvectors(params, zs[1:])))
+    L, unit_zs = build_lindblad(unit), _ldexp(zs, -exponent)
+    left, right = map(np.array, zip(null, *_eigenvectors(L, unit_zs[1:], zs[1:])))
     # Row by row the per-vector max|L r - z r|, bit for bit (L @ right.T need not be).
-    r_def = np.abs(np.matmul(L, right[:, :, None])[..., 0] - zs[:, None] * right).max(axis=1)
-    l_def = np.abs(left @ L - zs[:, None] * left).max(axis=1)
+    r_def = np.abs(np.matmul(L, right[:, :, None])[..., 0] - unit_zs[:, None] * right).max(axis=1)
+    l_def = np.abs(left @ L - unit_zs[:, None] * left).max(axis=1)
     return Spectrum(
         eigenvalues=zs,
         left=left,
         right=right,
-        residuals=np.maximum(r_def, l_def),
+        residuals=np.ldexp(np.maximum(r_def, l_def), exponent),
         degenerate_pairs=bare.degenerate_pairs,
     )
 

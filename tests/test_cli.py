@@ -617,6 +617,20 @@ class TestIntegratorCommands:
         assert payload["deviation"] < 1e-8
         assert abs(payload["measured_order"] - 4.0) < 0.3
 
+    # Roundoff in the step matrix refuses these stable steps (exit 3); the
+    # overflowing powers behind the refusal print no RuntimeWarning.
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--t-max=1e300", "--delta=1e-60", "--gamma=1e-320"],
+        ["evolve", "--t-max=1e154", "--gamma=0"],
+        ["verify-frame", "--t-max=1e154", "--dt=1e-60", "--gamma=0"],
+    ])
+    def test_astronomically_long_run_exits_3_without_a_warning(self, argv, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv + ["--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("integrator error: state is not finite") and "Warning" not in err
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_any_flag_values_end_in_an_exit_code(self, data, hang_guard):

@@ -442,6 +442,15 @@ class TestSpectralEvolve:
         rho = spectral_evolve(params, initial_state("excited"), 200.0)
         assert np.max(np.abs(rho - equilibrium_state(params))) < 1e-12
 
+    # The decaying modes' phases overflow while their moduli underflow to 0.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale, t", [(1.0, 1.7e308), (1.0, 1e300), (1e40, 1e270)])
+    def test_astronomical_time_is_exactly_equilibrium(self, scale, t):
+        params = ModelParams(scale, 2.0 * scale, scale)
+        for name in INITIAL_STATES:
+            rho = spectral_evolve(params, initial_state(name), t)
+            assert np.array_equal(rho, equilibrium_state(params))
+
     def test_matches_integrator(self):
         params = ModelParams(1.0, 2.0, 1.0)
         rho0 = initial_state("coherent")

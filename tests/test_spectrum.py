@@ -313,20 +313,19 @@ class TestEigenvectors:
 
     def test_triple_point_refused(self):
         params = ModelParams(1.0, D_EP3, G_EP3)
-        z = eigenvalues_closed_form(params).eigenvalues[1]
         with pytest.raises(NearDegenerateError):
-            eigenvectors_closed_form(params, 1, z)
+            eigenvectors_closed_form(params, 1)
 
     def test_gamma_zero_null_pair_refused(self):
         # without dissipation the z1 = 0 mode collides with the conserved one
         params = ModelParams(1.0, 1.0, 0.0)
         with pytest.raises(NearDegenerateError):
-            eigenvectors_closed_form(params, 1, 0.0)
+            eigenvectors_closed_form(params, 1)
 
     def test_nu_is_validated(self):
         params = ModelParams(1.0, 2.0, 1.0)
         with pytest.raises(DomainError):
-            eigenvectors_closed_form(params, 0, 0.0)
+            eigenvectors_closed_form(params, 0)
 
     def test_left_vectors_have_unit_norm(self):
         # so that the norm of each right vector is the mode's condition number
@@ -343,9 +342,8 @@ class TestEigenvectors:
 
     def test_left_right_normalisation(self):
         params = ModelParams(0.7, 1.9, 2.3)
-        zs = eigenvalues_closed_form(params).eigenvalues
         for nu in (1, 2, 3):
-            left, right = eigenvectors_closed_form(params, nu, zs[nu])
+            left, right = eigenvectors_closed_form(params, nu)
             assert abs(left @ right - 1.0) < 1e-10
 
 
@@ -399,10 +397,10 @@ class TestOneCoalescenceTest:
             for nu in (1, 2, 3):
                 if nu in flagged:
                     with pytest.raises(NearDegenerateError, match="lie within"):
-                        eigenvectors_closed_form(params, nu, bare.eigenvalues[nu])
+                        eigenvectors_closed_form(params, nu)
                 else:
                     try:
-                        eigenvectors_closed_form(params, nu, bare.eigenvalues[nu])
+                        eigenvectors_closed_form(params, nu)
                     except NearDegenerateError as exc:
                         assert "pairing" in str(exc)
 
@@ -435,8 +433,19 @@ class TestOneCoalescenceTest:
         monkeypatch.setattr(spectrum, "build_lindblad",
                             lambda params: built.append(params) or original(params))
         full_spectrum(ModelParams(3.0, 6.0, 3.0))
-        # L itself for the residuals, and L / 2^3 once for the three modes
-        assert built == [ModelParams(3.0, 6.0, 3.0), ModelParams(0.375, 0.75, 0.375)]
+        # L / 2^3 once, for the four modes and their residuals
+        assert built == [ModelParams(0.375, 0.75, 0.375)]
+
+    @pytest.mark.filterwarnings("error")
+    def test_vanishing_adjugate_is_a_singular_pairing(self):
+        # At (0, 0, 1) the coherence pair is the semisimple double root -0.5i,
+        # -0.25i on the unit generator: L - zI has rank 2 there, so every
+        # cofactor is exactly zero and the pairing 0 is not above 0.
+        unit_L = build_lindblad(ModelParams(0.0, 0.0, 0.5))
+        z = np.array([-0.25j])
+        assert not np.array(spectrum._adjugate(spectrum._shifted(unit_L, z[0]))).any()
+        with pytest.raises(NearDegenerateError, match=r"pairing for z = \S*-0\.5j"):
+            next(spectrum._eigenvectors(unit_L, z, 2.0 * z))
 
 
 # q overflows a double where p cancels to 0.0 exactly; p**3 + q**2 overflows in the sum.
@@ -751,7 +760,7 @@ class TestEigenvaluesComputedOnce:
         spec = full_spectrum(params)
         assert len(calls) == 1
         for nu in (1, 2, 3):
-            left, right = eigenvectors_closed_form(params, nu, spec.eigenvalues[nu])
+            left, right = eigenvectors_closed_form(params, nu)
             assert np.array_equal(left, spec.left[nu])
             assert np.array_equal(right, spec.right[nu])
 
