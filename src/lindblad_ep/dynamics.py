@@ -40,7 +40,7 @@ from .model import (
     trace_defect,
     vectorize,
 )
-from .spectrum import _full_spectrum
+from .spectrum import _modes
 from .superop import build_lindblad, equilibrium_state, lindblad_rhs
 
 # Snapshot cadence: at most this many saved states per trajectory.
@@ -428,11 +428,11 @@ def spectral_evolve(params: ModelParams, rho0: np.ndarray, t: float) -> np.ndarr
             f"parameters classify as {point.region.value}; the spectral "
             "propagator has no complete mode basis there (use the integrator)"
         )
-    spec = _full_spectrum(params, bare)
+    *_, left, right = _modes(params, bare)
     # At a large t the phase Re(z) t of a decaying mode can overflow while its
     # modulus exp(Im(z) t) underflows: that mode has vanished, not turned NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = np.exp(-1j * spec.eigenvalues * t)
-        factors[np.exp(spec.eigenvalues.imag * t) == 0.0] = 0.0
-    weights = spec.left @ vectorize(rho0) * factors
-    return devectorize(weights @ spec.right)
+        factors = np.exp(-1j * bare.eigenvalues * t)
+        factors[np.exp(bare.eigenvalues.imag * t) == 0.0] = 0.0
+    weights = left @ vectorize(rho0) * factors
+    return devectorize(weights @ right)

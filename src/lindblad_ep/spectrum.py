@@ -7,11 +7,11 @@ polynomial rather than assumed.  The numeric route never touches the radicals:
 it deflates the null eigenvalue exactly and runs a companion-matrix root
 finder, then polishes each root by Newton steps on det(L - zI).
 
-One kernel, :func:`_adjugate`, gives the cofactors of L - zI to all three
-users: the characteristic residual (a first-row expansion), the derivative
--tr adj(L - zI) for the Newton polish, and the eigenvectors, which are a row
-and a column of the adjugate (Denton, Parke, Tao & Zhang, Bull. AMS 59, 31
-(2022)).
+Two kernels share the 2x2 minors of L - zI.  :func:`_det_trace` forms only the
+cofactors that det(L - zI) and its derivative -tr adj(L - zI) read: it serves
+the characteristic residual and the Newton polish.  :func:`_adjugate` forms all
+sixteen: it serves the eigenvectors, which are a row and a column of the
+adjugate (Denton, Parke, Tao & Zhang, Bull. AMS 59, 31 (2022)).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -35,6 +36,10 @@ _W = cmath.exp(2j * cmath.pi / 3)
 # Below this relative gap two eigenvalues count as coalesced and the
 # closed-form eigenvectors are refused.
 PAIR_GAP_RTOL = 1e-6
+
+# A mode whose left/right pairing has a condition number
+# kappa = |l| |r| / |l @ r| at or above this is refused as self-orthogonal.
+KAPPA_MAX = 1e10
 
 # p and q both below this (relative to the squared energy scale): skip the
 # radicals entirely and return the exact triple root -2i*gamma/3.  Avoids the
@@ -290,12 +295,17 @@ def eigenvectors_closed_form(params: ModelParams, nu: int) -> tuple[np.ndarray, 
     numerically singular (both are signatures of an exceptional point, where no
     biorthogonal pair exists).
     """
-    if nu not in (1, 2, 3):
-        raise DomainError("nu must be 1, 2 or 3; the null mode has its own accessor")
+    try:
+        index = None if isinstance(nu, bool) else operator.index(nu)
+    except TypeError:
+        index = None
+    if index not in (1, 2, 3):
+        raise DomainError(f"nu must be the integer 1, 2 or 3, got {nu!r}; "
+                          "the null mode has its own accessor")
     bare = eigenvalues_closed_form(params)
-    _refuse_coalesced(bare, modes=(nu,))
+    _refuse_coalesced(bare, modes=(index,))
     exponent, *unit = _unit_scale(params)
-    z = bare.eigenvalues[nu:nu + 1]
+    z = bare.eigenvalues[index:index + 1]
     return next(_eigenvectors(build_lindblad(ModelParams(*unit)), _ldexp(z, -exponent), z))
 
 
@@ -314,17 +324,20 @@ def _eigenvectors(unit_L: np.ndarray, unit_zs, zs) -> Iterator[tuple[np.ndarray,
     # At a simple eigenvalue, adj(L - zI) = r l * prod_{k != nu} (z_k - z) / (l r)
     # for the right (column) r and left (row) l: every nonzero column is a
     # right eigenvector and every nonzero row a left one.
-    for unit_z, z in zip(unit_zs.tolist(), zs.tolist()):
-        adj = np.array(_adjugate(_shifted(unit_L, unit_z)))
-        power = (adj * adj.conj()).real
-        rows, cols = power.sum(axis=1), power.sum(axis=0)
-        i, j = rows.argmax(), cols.argmax()
-        left, right, norm = adj[i], adj[:, j], math.sqrt(rows[i])
+    rows = unit_L.tolist()
+    adj = np.array([_adjugate(_shifted(rows, unit_z)) for unit_z in unit_zs.tolist()])
+    power = (adj * adj.conj()).real
+    row_power, col_power = power.sum(axis=2), power.sum(axis=1)
+    best_rows, best_cols = row_power.argmax(axis=1).tolist(), col_power.argmax(axis=1).tolist()
+    for k, (z, i, j) in enumerate(zip(zs.tolist(), best_rows, best_cols)):
+        left, right, norm = adj[k, i], adj[k, :, j], math.sqrt(row_power[k, i])
         pairing = left @ right
         # Written as "not above" so that an all-zero adjugate refuses too.
-        if not abs(pairing) > 1e-10 * norm * math.sqrt(cols[j]):
+        if not abs(pairing) > (1.0 / KAPPA_MAX) * norm * math.sqrt(col_power[k, j]):
+            kappa = norm * math.sqrt(col_power[k, j]) / abs(pairing) if pairing else math.inf
             raise NearDegenerateError(
-                f"left/right pairing for z = {z} is numerically singular "
+                f"left/right pairing for z = {z} is numerically singular: its condition number "
+                f"kappa = {kappa:.3e} is not below {KAPPA_MAX:.0e} "
                 "(self-orthogonal mode at a coalescence)"
             )
         yield left / norm, right * (norm / pairing)
@@ -339,9 +352,13 @@ def full_spectrum(params: ModelParams) -> Spectrum:
     return _full_spectrum(params, eigenvalues_closed_form(params))
 
 
-def _full_spectrum(params: ModelParams, bare: Spectrum) -> Spectrum:
-    """:func:`full_spectrum` given the closed-form eigenvalues ``bare`` already computed."""
-    # Every mode and residual comes from one generator L at unit scale, L_phys / 2^e.
+def _modes(params: ModelParams, bare: Spectrum) -> tuple[int, np.ndarray, ...]:
+    """The biorthogonal system of :func:`full_spectrum`, without its residuals.
+
+    Returns the exponent e of the unit scale, the generator L at unit scale,
+    L_phys / 2^e, the eigenvalues at that scale and the ``(4, 4)`` left and
+    right vectors.  Every mode comes from that one generator.
+    """
     zs = bare.eigenvalues
     exponent, *unit = _unit_scale(params)
     unit = ModelParams(*unit)
@@ -349,11 +366,17 @@ def _full_spectrum(params: ModelParams, bare: Spectrum) -> Spectrum:
     _refuse_coalesced(bare)
     L, unit_zs = build_lindblad(unit), _ldexp(zs, -exponent)
     left, right = map(np.array, zip(null, *_eigenvectors(L, unit_zs[1:], zs[1:])))
+    return exponent, L, unit_zs, left, right
+
+
+def _full_spectrum(params: ModelParams, bare: Spectrum) -> Spectrum:
+    """:func:`full_spectrum` given the closed-form eigenvalues ``bare`` already computed."""
+    exponent, L, unit_zs, left, right = _modes(params, bare)
     # Row by row the per-vector max|L r - z r|, bit for bit (L @ right.T need not be).
     r_def = np.abs(np.matmul(L, right[:, :, None])[..., 0] - unit_zs[:, None] * right).max(axis=1)
     l_def = np.abs(left @ L - unit_zs[:, None] * left).max(axis=1)
     return Spectrum(
-        eigenvalues=zs,
+        eigenvalues=bare.eigenvalues,
         left=left,
         right=right,
         residuals=np.ldexp(np.maximum(r_def, l_def), exponent),
@@ -403,15 +426,17 @@ def _char_cubic_coeffs(L: np.ndarray) -> np.ndarray:
 def _cubic_roots(coeffs: np.ndarray) -> np.ndarray:
     """Roots of the monic cubic ``coeffs``, or of each row of a stack of them.
 
-    A stack takes one batched ``eigvals`` of the companion matrices that
-    ``np.roots`` builds row by row, and gives the same roots wherever the
-    constant coefficient is nonzero (``np.roots`` strips trailing zeros).
+    Both take ``eigvals`` of the companion matrix that ``np.roots`` builds,
+    which gives the same roots wherever the constant coefficient is nonzero.
+    One cubic whose constant coefficient is exactly zero (gamma = 0) still goes
+    through ``np.roots``, which strips the trailing zero and returns the root
+    0 exactly.
     """
-    if coeffs.ndim == 1:
+    if coeffs.ndim == 1 and coeffs[3] == 0:
         return np.roots(coeffs)
-    companion = np.zeros((len(coeffs), 3, 3), dtype=complex)
-    companion[:, 0] = -coeffs[:, 1:] / coeffs[:, :1]
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    companion = np.zeros(coeffs.shape[:-1] + (3, 3), dtype=complex)
+    companion[..., 0, :] = -coeffs[..., 1:] / coeffs[..., :1]
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
     return np.linalg.eigvals(companion)
 
 
@@ -506,7 +531,8 @@ def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
     coeffs = _char_cubic_coeffs(L)
     seeds = _cubic_roots(coeffs)
     if first is None:
-        roots = np.array([_newton_polish(L, z) for z in seeds.tolist()])
+        rows = L.tolist()
+        roots = np.array([_newton_polish(rows, z) for z in seeds.tolist()])
         roots = _collapse_clusters(roots, complex(-coeffs[1]), scale)
     else:
         roots = _newton_polish(L, seeds)
@@ -517,11 +543,11 @@ def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
     zs = np.zeros(roots.shape[:-1] + (4,), dtype=complex)
     zs[..., 1:] = roots
     if first is None:
-        res = np.array([characteristic_residual(L, z) for z in zs.tolist()])
+        res = np.array([abs(_det_trace(_shifted(rows, z))[0]) for z in zs.tolist()])
     else:
         # A NaN or infinite root gives a NaN or infinite residual, which fails below.
         with np.errstate(invalid="ignore", over="ignore"):
-            res = characteristic_residual(L, zs)
+            res = abs(_det_trace(_shifted(L, zs))[0])
     if shift is not None:
         zs = _ldexp(zs, shift[..., None])
     tol = _RESIDUAL_RTOL * scale**4
@@ -543,28 +569,27 @@ def _stack_index(bad: np.ndarray, first: int | None) -> str:
     return f"matrix {first + row} of the stack: "
 
 
-def _newton_polish(L: np.ndarray, z):
+def _newton_polish(L, z):
     """Three Newton steps on det(L - zI), whose derivative is -tr adj(L - zI).
 
-    ``z`` is one root of one matrix as a Python complex, or an ``(N, k)``
-    array of roots of an ``(N, 4, 4)`` stack.  A root where the trace
-    vanishes is left where it is.
+    ``L`` is one matrix as the nested lists of its ``tolist()``, with ``z``
+    one root as a Python complex; or an ``(N, 4, 4)`` stack, with ``z`` an
+    ``(N, k)`` array of roots.  A root where the trace vanishes is left where
+    it is.
     """
     for _ in range(3):
-        m = _shifted(L, z)
-        adj = _adjugate(m)
-        trace = adj[0][0] + adj[1][1] + adj[2][2] + adj[3][3]
-        if L.ndim == 2:
+        det, trace = _det_trace(_shifted(L, z), trace=True)
+        if isinstance(L, list):
             if trace == 0:
                 break
-            z += _det(m, adj) / trace
+            z += det / trace
         else:
             # numpy's complex division multiplies by the reciprocal of the
             # divisor, which overflows for a subnormal trace: divide both by
             # 2^k ~ |trace| first, which is exact.
             k = -np.frexp(np.abs(trace))[1]
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = _ldexp(_det(m, adj), k) / _ldexp(trace, k)
+                step = _ldexp(det, k) / _ldexp(trace, k)
                 z = np.where(trace != 0, z + step, z)
     return z
 
@@ -597,12 +622,42 @@ def _adjugate(m: list) -> list:
     ]
 
 
-def _shifted(L: np.ndarray, z) -> list:
-    """L - zI as nested lists: of Python complex numbers for one matrix and a
-    scalar ``z``, and for an ``(N, 4, 4)`` stack with ``z`` of shape ``(N,)`` or
-    ``(N, k)``, of arrays that broadcast against ``z``."""
-    if L.ndim == 2:
-        m = L.tolist()
+def _det_trace(m: list, trace: bool = False):
+    """det(m) and, when ``trace`` is set, tr adj(m) (else None), for ``m`` as
+    :func:`_adjugate` takes it.
+
+    Forms only the cofactors these read, each in :func:`_adjugate`'s order:
+    the first column for det(m), expanded along the first row, and the rest
+    of the diagonal for the trace.  The results equal, bit for bit,
+    ``sum(m[0][j] * adj[j][0] for j in range(4))`` and the diagonal sum of
+    ``adj = _adjugate(m)``.
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    t01, t02, t03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+    t12, t13, t23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+    adj00 = b1 * t23 - b2 * t13 + b3 * t12
+    adj10 = -(b0 * t23 - b2 * t03 + b3 * t02)
+    adj20 = b0 * t13 - b1 * t03 + b3 * t01
+    adj30 = -(b0 * t12 - b1 * t02 + b2 * t01)
+    # sum() starts from the integer 0, which fixes the signs of zero results.
+    det = sum((a0 * adj00, a1 * adj10, a2 * adj20, a3 * adj30))
+    if not trace:
+        return det, None
+    s01, s02, s03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    s12, s13 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1
+    adj11 = a0 * t23 - a2 * t03 + a3 * t02
+    adj22 = d0 * s13 - d1 * s03 + d3 * s01
+    adj33 = c0 * s12 - c1 * s02 + c2 * s01
+    return det, adj00 + adj11 + adj22 + adj33
+
+
+def _shifted(L, z) -> list:
+    """L - zI as nested lists: of Python complex numbers for one matrix, given
+    as the nested lists of ``L.tolist()``, and a scalar ``z``; and for an
+    ``(N, 4, 4)`` stack with ``z`` of shape ``(N,)`` or ``(N, k)``, of arrays
+    that broadcast against ``z``."""
+    if isinstance(L, list):
+        m = [row[:] for row in L]
         for i in range(4):
             m[i][i] -= z
         return m
@@ -611,11 +666,6 @@ def _shifted(L: np.ndarray, z) -> list:
     for i in range(4):
         m[i][i] = m[i][i] - z
     return m
-
-
-def _det(m: list, adj: list) -> complex:
-    """det(m) by expansion along the first row, from the cofactors in ``adj``."""
-    return sum(m[0][j] * adj[j][0] for j in range(4))
 
 
 def characteristic_residual(L: np.ndarray, z):
@@ -627,7 +677,7 @@ def characteristic_residual(L: np.ndarray, z):
     """
     L = np.asarray(L, dtype=complex)
     if L.ndim == 2 and L.shape == (4, 4):
-        z = complex(z)
+        L, z = L.tolist(), complex(z)
     else:
         z = np.asarray(z, dtype=complex)
         if L.ndim != 3 or L.shape[1:] != (4, 4) or z.ndim not in (1, 2) or len(z) != len(L):
@@ -635,8 +685,7 @@ def characteristic_residual(L: np.ndarray, z):
                 f"expected a 4x4 matrix with a scalar shift, or an (N, 4, 4) stack with "
                 f"(N,) or (N, k) shifts; got shapes {L.shape} and {z.shape}"
             )
-    m = _shifted(L, z)
-    return abs(_det(m, _adjugate(m)))
+    return abs(_det_trace(_shifted(L, z))[0])
 
 
 # Pairings whose summed distance is within this many roundoffs of the least

@@ -27,7 +27,7 @@ from lindblad_ep import (
     spectral_evolve,
 )
 from lindblad_ep.cli import main
-from lindblad_ep.spectrum import _adjugate, _closed_form_stack, _flag_pairs
+from lindblad_ep.spectrum import _adjugate, _closed_form_stack, _det_trace, _flag_pairs, _shifted
 from lindblad_ep.superop import _lindblad_stack
 from lindblad_ep.verify import _gamma_zero_points, _spectra_points
 
@@ -324,8 +324,17 @@ class TestEigenvectors:
 
     def test_nu_is_validated(self):
         params = ModelParams(1.0, 2.0, 1.0)
-        with pytest.raises(DomainError):
-            eigenvectors_closed_form(params, 0)
+        # 1.0 used to pass the membership test and fail as a slice index;
+        # True used to mean mode 1.
+        for nu in (0, 4, 1.0, True, "1", None):
+            with pytest.raises(DomainError, match="nu must be the integer 1, 2 or 3"):
+                eigenvectors_closed_form(params, nu)
+
+    def test_numpy_integer_nu_is_accepted(self):
+        params = ModelParams(1.0, 2.0, 1.0)
+        for got, want in zip(eigenvectors_closed_form(params, np.int64(2)),
+                             eigenvectors_closed_form(params, 2)):
+            assert got.tobytes() == want.tobytes()
 
     def test_left_vectors_have_unit_norm(self):
         # so that the norm of each right vector is the mode's condition number
@@ -443,9 +452,19 @@ class TestOneCoalescenceTest:
         # cofactor is exactly zero and the pairing 0 is not above 0.
         unit_L = build_lindblad(ModelParams(0.0, 0.0, 0.5))
         z = np.array([-0.25j])
-        assert not np.array(spectrum._adjugate(spectrum._shifted(unit_L, z[0]))).any()
-        with pytest.raises(NearDegenerateError, match=r"pairing for z = \S*-0\.5j"):
+        assert not np.array(spectrum._adjugate(spectrum._shifted(unit_L.tolist(), z[0]))).any()
+        with pytest.raises(NearDegenerateError, match=r"pairing for z = \S*-0\.5j.*kappa = inf"):
             next(spectrum._eigenvectors(unit_L, z, 2.0 * z))
+
+    def test_refusal_names_the_condition_number(self):
+        # At the EP3 the three decaying modes are one self-orthogonal mode:
+        # its pairing is roundoff, not zero, and the refusal gives kappa.
+        unit = ModelParams(1.0 / 16.0, D_EP3 / 16.0, G_EP3 / 16.0)
+        z = eigenvalues_closed_form(unit).eigenvalues[1:2]
+        with pytest.raises(NearDegenerateError, match="pairing for z = .*kappa = ") as err:
+            next(spectrum._eigenvectors(build_lindblad(unit), z, z))
+        kappa = float(err.value.args[0].split("kappa = ")[1].split()[0])
+        assert spectrum.KAPPA_MAX <= kappa < math.inf
 
 
 # q overflows a double where p cancels to 0.0 exactly; p**3 + q**2 overflows in the sum.
@@ -515,6 +534,25 @@ class TestNumericEigensolver:
     def test_rejects_wrong_shape(self):
         with pytest.raises(DomainError):
             eigenvalues_numeric(np.eye(3, dtype=complex))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.complex_numbers(max_magnitude=1e6), min_size=3, max_size=3)
+           .filter(lambda c: c[2] != 0))
+    def test_one_cubic_companion_roots_are_np_roots(self, coeffs):
+        coeffs = np.array([1.0, *coeffs], dtype=complex)
+        assert spectrum._cubic_roots(coeffs).tobytes() == np.roots(coeffs).tobytes()
+
+    # Without dissipation the cubic's constant coefficient is exactly zero:
+    # np.roots strips it and gives the root 0 exactly.
+    def test_zero_constant_coefficient_takes_np_roots(self, monkeypatch):
+        calls = []
+        original = np.roots
+        monkeypatch.setattr(np, "roots", lambda coeffs: calls.append(coeffs) or original(coeffs))
+        eigenvalues_numeric(build_lindblad(ModelParams(1.0, 2.0, 1.0)))
+        assert calls == []
+        zs = eigenvalues_numeric(build_lindblad(ModelParams(1, 2, 0)))
+        assert len(calls) == 1 and calls[0][3] == 0
+        assert np.count_nonzero(zs == 0) == 2
 
 
 def stack_of(points) -> np.ndarray:
@@ -695,6 +733,57 @@ class TestAdjugate:
             characteristic_residual(Ls, np.zeros(2))
         with pytest.raises(DomainError):
             characteristic_residual(Ls, 0.0)
+
+
+# Entries with exact and signed zeros, whose signs the kernels must keep.
+entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                  st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+entries = st.builds(complex, entry, entry)
+
+
+SIGNED_ZERO_DET = [
+    [(-0.0, -0.0), (1.0, 0.0), (-1.0, -1.0), (0.0, -0.0)],
+    [(-1.0, 1.0), (0.0, -1.0), (-1.0, 1.0), (0.0, 0.0)],
+    [(1.0, 0.0), (-1.0, 1.0), (0.0, -0.0), (-0.0, -0.0)],
+    [(1.0, 1.0), (0.0, 1.0), (-1.0, 0.0), (0.0, 0.0)],
+]
+
+
+def det_and_trace_via_adjugate(m):
+    adj = _adjugate(m)
+    det = sum(m[0][j] * adj[j][0] for j in range(4))
+    return det, adj[0][0] + adj[1][1] + adj[2][2] + adj[3][3]
+
+
+def as_bytes(values) -> bytes:
+    return b"".join(np.asarray(v, dtype=complex).tobytes() for v in values)
+
+
+class TestDetTrace:
+    # The kernel forms only the cofactors det and tr adj read; both must equal
+    # what the full adjugate gives, bit for bit.
+    # The example's det is +0j from the integer start of sum() and -0j without it.
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(entries, min_size=4, max_size=4), min_size=4, max_size=4))
+    @example([[complex(*z) for z in row] for row in SIGNED_ZERO_DET])
+    def test_one_matrix_equals_the_adjugate(self, m):
+        want = det_and_trace_via_adjugate(m)
+        assert as_bytes(_det_trace(m, trace=True)) == as_bytes(want)
+        det, trace = _det_trace(m)
+        assert trace is None and as_bytes([det]) == as_bytes(want[:1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(entries, min_size=16 * n, max_size=16 * n),
+        st.sampled_from([(n,), (n, 1), (n, 3)]).flatmap(
+            lambda shape: st.lists(entries, min_size=math.prod(shape), max_size=math.prod(shape))
+            .map(lambda z: np.array(z, dtype=complex).reshape(shape))))))
+    def test_stack_equals_the_adjugate(self, drawn):
+        flat, z = drawn
+        m = _shifted(np.array(flat, dtype=complex).reshape(-1, 4, 4), z)
+        got = _det_trace(m, trace=True)
+        assert got[0].shape == z.shape
+        assert as_bytes(got) == as_bytes(det_and_trace_via_adjugate(m))
 
 
 class TestCharacteristicResidual:
