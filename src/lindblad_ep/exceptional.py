@@ -17,15 +17,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, DomainError, NoRootError
 from .model import ModelParams
-from .spectrum import (
-    Spectrum,
-    _closed_form,
-    _closed_form_stack,
-    _cubic_coeffs,
-    _cubic_grid,
-    _pow,
-    cardano_params,
-)
+from .spectrum import Spectrum, _closed_form, _closed_form_stack, _cubic, _cubic_coeffs, _kernels, _pow
 
 D_TILDE_EP3 = 2.0 * math.sqrt(2.0)
 GAMMA_TILDE_EP3 = 6.0 * math.sqrt(3.0)
@@ -93,7 +85,7 @@ class EPCurvePoint:
 
 def discriminant(params: ModelParams) -> float:
     """p^3 + q^2 of the eigenvalue cubic; zero exactly on the coalescence set."""
-    return cardano_params(params).disc
+    return _cubic_coeffs(params.delta, params.d, params.gamma)[3]
 
 
 def scaled_discriminant(params: ModelParams) -> float:
@@ -102,9 +94,11 @@ def scaled_discriminant(params: ModelParams) -> float:
 
 
 def _scaled_disc(delta, d, gamma) -> np.ndarray:
-    """:func:`scaled_discriminant` elementwise over arrays that broadcast together."""
+    """:func:`scaled_discriminant` at one point of three floats, or elementwise over
+    arrays that broadcast together."""
+    k = _kernels(delta, d, gamma)
     _, _, _, disc, energy = _cubic_coeffs(delta, d, gamma)
-    return disc / np.maximum(1.0, _pow(energy, 3))
+    return disc / k.maximum(1.0, k.pow(energy, 3))
 
 
 # On-curve residual above which `ep-curve` and `verify` fail the closed-form curves.
@@ -210,6 +204,13 @@ def classify(params: ModelParams) -> PhasePoint:
     reserved for the coalescence labels; inside it the triple point is
     recognised by p and q themselves being small, and the two second-order
     branches are told apart by which curve the point sits nearer.
+
+    The band is not a guard against rounding.  Against an exact rational
+    reference, the float discriminant had the right sign at every node of
+    every tenth row of the default grid, with an error of at most
+    3e-17 * energy^3; ``EP_BAND = 1e-10`` is about 3e6 times that.  The
+    default grid's 7 band nodes, whose exact |disc| is 5e-5 to 6e-4, are
+    labelled for being near a curve, not because their sign is in doubt.
     """
     return _classified(params)[0]
 
@@ -218,25 +219,23 @@ def _classified(params: ModelParams) -> tuple[PhasePoint, Spectrum]:
     """:func:`classify` plus the closed-form spectrum, from one solve of the cubic."""
     _refuse_zero_delta(params.delta)
     d_t, g_t = params.scaled()
-    cp = cardano_params(params)
-    scale2 = max(1.0, params.energy_scale())
+    p, q, disc, energy, _, _, z1, z2, z3 = _cubic(params.delta, params.d, params.gamma)
+    scale2 = max(1.0, energy)
     band = EP_BAND * scale2**3
 
-    bare = _closed_form(params, cp)
-    zs = bare.eigenvalues
-    imdiff = zs[1].imag - zs[2].imag
-    if abs(imdiff) <= _ORDERING_RTOL * max(1.0, abs(zs[1]), abs(zs[2])):
+    imdiff = z1.imag - z2.imag
+    if abs(imdiff) <= _ORDERING_RTOL * max(1.0, abs(z1), abs(z2)):
         ordering = 0
     else:
         ordering = 1 if imdiff > 0 else -1
 
-    if abs(cp.disc) > band:
-        region = Region.SPLIT_PAIR if cp.disc > 0 else Region.ALL_IMAGINARY
+    if abs(disc) > band:
+        region = Region.SPLIT_PAIR if disc > 0 else Region.ALL_IMAGINARY
     else:
-        codes = _coalescence_region(*np.array([[cp.p], [cp.q], [scale2], [d_t], [g_t]]))
+        codes = _coalescence_region(*np.array([[p], [q], [scale2], [d_t], [g_t]]))
         region = _REGIONS[codes[0]]
-    return PhasePoint(d_tilde=d_t, gamma_tilde=g_t, disc=cp.disc,
-                      region=region, ordering=ordering), bare
+    return PhasePoint(d_tilde=d_t, gamma_tilde=g_t, disc=disc,
+                      region=region, ordering=ordering), _closed_form(z1, z2, z3)
 
 
 def _refuse_zero_delta(delta: float) -> None:
@@ -294,21 +293,18 @@ def _classify_codes(
     if (gamma < 0).any():
         raise DomainError(f"gamma must be >= 0, got {gamma.min()}")
 
-    cubic = _cubic_grid(delta, d[:, None], gamma[None, :])
-    scale2 = np.maximum(1.0, cubic.energy)
+    p, q, disc, energy, _, _, z1, z2, _ = _cubic(delta, d[:, None], gamma[None, :])
+    scale2 = np.maximum(1.0, energy)
     band = EP_BAND * _pow(scale2, 3)
 
-    z1, z2 = cubic.z1, cubic.z2
     imdiff = z1.imag - z2.imag
     size = np.maximum(np.maximum(1.0, np.hypot(z1.real, z1.imag)), np.hypot(z2.real, z2.imag))
     ordering = np.where(np.abs(imdiff) <= _ORDERING_RTOL * size, 0, np.where(imdiff > 0, 1, -1))
 
-    codes = np.where(cubic.disc > 0, _CODE[Region.SPLIT_PAIR], _CODE[Region.ALL_IMAGINARY])
-    i, j = np.nonzero(np.abs(cubic.disc) <= band)
-    codes[i, j] = _coalescence_region(
-        cubic.p[i, j], cubic.q[i, j], scale2[i, j], d[i] / delta, gamma[j] / delta
-    )
-    return cubic.disc, codes, ordering
+    codes = np.where(disc > 0, _CODE[Region.SPLIT_PAIR], _CODE[Region.ALL_IMAGINARY])
+    i, j = np.nonzero(np.abs(disc) <= band)
+    codes[i, j] = _coalescence_region(p[i, j], q[i, j], scale2[i, j], d[i] / delta, gamma[j] / delta)
+    return disc, codes, ordering
 
 
 def _disc_at(d_tilde: np.ndarray, x: np.ndarray) -> np.ndarray:

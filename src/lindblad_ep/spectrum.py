@@ -3,7 +3,10 @@
 One eigenvalue is identically zero (trace conservation).  The other three are
 the roots of a depressed cubic solved by radicals; branch choices are pinned
 by the constraint u * v = -p and validated against the characteristic
-polynomial rather than assumed.  The numeric route never touches the radicals:
+polynomial rather than assumed.  One core, :func:`_cubic`, solves the cubic at
+one point and elementwise over arrays: each rule is written once, and only
+the kernels of :func:`_kernels` differ with the kind of input.  The numeric
+route never touches the radicals:
 it deflates the null eigenvalue exactly and runs a companion-matrix root
 finder, then polishes each root by Newton steps on det(L - zI).
 
@@ -23,6 +26,7 @@ import math
 import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,9 +45,8 @@ PAIR_GAP_RTOL = 1e-6
 # kappa = |l| |r| / |l @ r| at or above this is refused as self-orthogonal.
 KAPPA_MAX = 1e10
 
-# p and q both below this (relative to the squared energy scale): skip the
-# radicals entirely and return the exact triple root -2i*gamma/3.  Avoids the
-# 0/0 in the v = -p/u rule at the triple coalescence.
+# p and q both below this (relative to the squared energy scale): the exact
+# triple root -2i*gamma/3, which avoids the 0/0 of v = -p/u at the coalescence.
 TRIPLE_ROOT_RTOL = 1e-12
 
 # A real radical |u| at or below this counts as zero: v is then cbrt(q - sqrt(disc)).
@@ -84,10 +87,6 @@ class Spectrum:
     degenerate_pairs: tuple[tuple[int, int], ...] = ()
 
 
-def _real_cbrt(x: float) -> float:
-    return float(np.cbrt(x))
-
-
 def cardano_params(params: ModelParams) -> CardanoParams:
     """Coefficients and radicals of the cubic behind the three decaying modes.
 
@@ -96,109 +95,90 @@ def cardano_params(params: ModelParams) -> CardanoParams:
     makes the three phased combinations of u and v genuine roots.  For
     disc < 0 the square root is taken as +i sqrt(|disc|); v then equals
     conj(u) and all three roots come out pure imaginary.
-
-    When q < 0 the radicand q + sqrt(disc) is evaluated through the identity
-    q + sqrt(disc) = p^3 / (sqrt(disc) - q), which is exact in real arithmetic
-    and avoids the cancellation that would otherwise wreck u near p = 0.
     """
-    delta, d, gamma = params.delta, params.d, params.gamma
-    p = (delta**2 + d**2 - gamma**2 / 12.0) / 3.0
-    q = (gamma / 6.0) * (delta**2 - d**2 / 2.0 + gamma**2 / 36.0)
-    disc = p**3 + q**2
-    if not math.isfinite(disc):
-        raise OverflowError(_DISC_OVERFLOW)
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        if q >= 0.0:
-            radicand = q + s
-        else:
-            radicand = p**3 / (s - q)
-        u = complex(_real_cbrt(radicand))
-        if abs(u) > _RADICAL_FLOOR:
-            v = complex(-p / u)
-        else:
-            v = complex(_real_cbrt(q - s))
-    else:
-        u, v = _complex_radicals(p, q, disc)
+    p, q, disc, _, u, v, *_ = _cubic(params.delta, params.d, params.gamma)
     return CardanoParams(p=p, q=q, disc=disc, u=u, v=v)
 
 
-def _complex_radicals(p: float, q: float, disc: float) -> tuple[complex, complex]:
-    """u and v = -p/u for disc < 0, where the radicand q + i sqrt(-disc) is complex."""
-    s = 1j * math.sqrt(-disc)
-    u = (q + s) ** (1.0 / 3.0)
-    return u, -p / u
-
-
-def _phased_roots(gamma: float, u: complex, v: complex) -> tuple[complex, complex, complex]:
-    """The three decaying eigenvalues from the radicals, in the fixed branch order."""
+def _cubic(delta, d, gamma) -> tuple:
+    """``(p, q, disc, energy, u, v, z1, z2, z3)``: the cubic, energy scale and roots
+    at one point of three Python floats, or elementwise over arrays that broadcast
+    together, with u and v None and each entry equal to the point's bit for bit."""
+    k = _kernels(delta, d, gamma)
+    p, q, p3, disc, energy = k.coefficients(k, delta, d, gamma)
+    real = disc >= 0.0
+    # The real radicals; where disc < 0, k.roots takes the complex ones instead.
+    s = k.sqrt(k.where(real, disc, 0.0))
+    ur = k.cbrt(k.select(q >= 0.0, _RADICANDS, p3, q, s))
+    vr, vi = k.select(abs(ur) > _RADICAL_FLOOR, _VS, k, p, q, s, ur)
     base = 2.0 * gamma / 3.0
-    z1 = -1j * (base + u + v)
-    z2 = -1j * (base + _W * u + _W.conjugate() * v)
-    z3 = -1j * (base + _W.conjugate() * u + _W * v)
-    return z1, z2, z3
+    u, v, roots = k.roots(base, p, q, disc, real, ur, vr, vi)
+    # The exact triple root -2i*gamma/3 where v = -p/u would be 0/0.
+    triple = k.maximum(abs(p), abs(q)) < TRIPLE_ROOT_RTOL * k.maximum(1.0, energy)
+    z1, z2, z3 = k.where(triple, (-1j * base,) * 3, roots)
+    return p, q, disc, energy, u, v, z1, z2, z3
 
 
-def _pow(x: np.ndarray, k: int) -> np.ndarray:
+def _cubic_coeffs(delta, d, gamma) -> tuple:
+    """``p``, ``q``, ``p**3``, ``disc`` and the energy scale of :func:`_cubic`."""
+    k = _kernels(delta, d, gamma)
+    return k.coefficients(k, delta, d, gamma)
+
+
+def _coefficients(k, delta, d, gamma) -> tuple:
+    """:func:`_cubic_coeffs` with the kernels ``k``."""
+    delta2, d2, g2 = k.pow(delta, 2), k.pow(d, 2), k.pow(gamma, 2)
+    p = (delta2 + d2 - g2 / 12.0) / 3.0
+    q = (gamma / 6.0) * (delta2 - d2 / 2.0 + g2 / 36.0)
+    p3 = k.pow(p, 3)
+    disc = p3 + k.pow(q, 2)
+    if not k.finite(disc):
+        raise OverflowError(_DISC_OVERFLOW)
+    return p, q, p3, disc, delta2 + d2 + g2
+
+
+# The radicand q + s of u, s = sqrt(disc), and for q < 0 the same through the identity
+# q + s = p^3 / (s - q): exact, and free of the cancellation that would wreck u near p = 0.
+_RADICANDS = (lambda p3, q, s: q + s, lambda p3, q, s: p3 / (s - q))
+
+
+def _v_by_quotient(k, p, q, s, ur) -> tuple:
+    ratio = 0.0 / ur
+    return (-p + 0.0 * ratio) / ur, (0.0 - (-p) * ratio) / ur
+
+
+# The real and imaginary parts of v: above the radical floor -p / (ur, 0.0) as Python
+# divides, through the ratio 0.0 / ur, which leaves v an imaginary zero of the sign of
+# ur; at the floor, where u is zero, the real cube root of q - s.
+_VS = (_v_by_quotient, lambda k, p, q, s, ur: (k.cbrt(q - s), 0.0))
+
+
+def _pow(x, k: int) -> np.ndarray:
     """Elementwise ``x**k`` through Python's float power.
 
     numpy's own power (and even its ``x*x`` for squares) can round differently
     from the C library ``pow`` behind Python floats, and the array path must
     match the scalar functions bit for bit.
     """
+    x = np.asarray(x, dtype=float)
     flat = x.ravel().tolist()
     return np.fromiter(map(pow, flat, itertools.repeat(k)), float, len(flat)).reshape(x.shape)
 
 
-@dataclass(frozen=True)
-class _CubicGrid:
-    """Array form of the cubic of :class:`CardanoParams` plus its three decaying roots.
-
-    Every entry equals, bit for bit, what :func:`cardano_params` and
-    :func:`eigenvalues_closed_form` give at the same point.  ``energy`` is
-    :meth:`ModelParams.energy_scale` at each point.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-    disc: np.ndarray
-    z1: np.ndarray
-    z2: np.ndarray
-    z3: np.ndarray
-    energy: np.ndarray
+def _point_roots(base, p, q, disc, real, ur, vr, vi) -> tuple:
+    """The radicals u and v at one point and the three decaying eigenvalues from them
+    and base = 2 gamma / 3, in the fixed branch order.  Where disc < 0 (not ``real``)
+    the radicand q + i sqrt(-disc) is complex."""
+    u = complex(ur) if real else (q + 1j * math.sqrt(-disc)) ** (1.0 / 3.0)
+    v = complex(vr, vi) if real else -p / u
+    return u, v, (-1j * (base + u + v), -1j * (base + _W * u + _W.conjugate() * v),
+                  -1j * (base + _W.conjugate() * u + _W * v))
 
 
-def _cubic_coeffs(delta, d, gamma) -> tuple[np.ndarray, ...]:
-    """``p``, ``q``, ``p**3``, ``disc`` and the energy scale of :func:`cardano_params`,
-    elementwise over three arrays that broadcast together."""
-    delta, d, gamma = (np.asarray(x, dtype=float) for x in (delta, d, gamma))
-    delta2, d2, g2 = _pow(delta, 2), _pow(d, 2), _pow(gamma, 2)
-    with np.errstate(over="ignore"):
-        p = (delta2 + d2 - g2 / 12.0) / 3.0
-        q = (gamma / 6.0) * (delta2 - d2 / 2.0 + g2 / 36.0)
-        p3 = _pow(p, 3)
-        disc = p3 + _pow(q, 2)
-        if not np.isfinite(disc).all():
-            raise OverflowError(_DISC_OVERFLOW)
-        return p, q, p3, disc, delta2 + d2 + g2
-
-
-def _cubic_grid(delta, d, gamma) -> _CubicGrid:
-    """The cubic of :func:`cardano_params` and its roots, elementwise over three
-    arrays that broadcast together.
-
-    Where the radicals are real (disc >= 0, all but a few percent of a
-    typical grid) the phased combinations of :func:`_phased_roots` are
-    expanded into real arithmetic in the exact operation order of Python's
-    complex expressions, signed zeros included.  The complex radicals, and
-    everything after them, go through the scalar helpers.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    p, q, p3, disc, energy = _cubic_coeffs(delta, d, gamma)
-    base = 2.0 * gamma / 3.0
-
-    real = disc >= 0.0
-    ur, vr, vi = _real_radicals(p, q, p3, disc, real)
+def _array_roots(base, p, q, disc, real, ur, vr, vi) -> tuple:
+    """None, None and the three roots of :func:`_point_roots`, elementwise: where the
+    radicals are real, the phased combinations expanded into real arithmetic in the
+    exact operation order of Python's complex expressions, signed zeros included."""
     # u = (ur, 0.0) and v = (vr, vi) in the three phased combinations.
     wr, wi = _W.real, _W.imag
     z1 = _times_minus_i((base + ur) + vr, 0.0 + vi)
@@ -206,34 +186,11 @@ def _cubic_grid(delta, d, gamma) -> _CubicGrid:
                         (0.0 + wi * ur) + (wr * vi + (-wi) * vr))
     z3 = _times_minus_i((base + (wr * ur + 0.0)) + (wr * vr - wi * vi),
                         (0.0 + (-wi) * ur) + (wr * vi + wi * vr))
-    gammas = np.broadcast_to(gamma, p.shape)
+    bases = np.broadcast_to(base, p.shape)
     for idx in zip(*np.nonzero(~real)):
-        uc, vc = _complex_radicals(float(p[idx]), float(q[idx]), float(disc[idx]))
-        z1[idx], z2[idx], z3[idx] = _phased_roots(float(gammas[idx]), uc, vc)
-
-    # The exact triple root -2i*gamma/3 of _closed_form, real part +0.0.
-    triple = np.maximum(np.abs(p), np.abs(q)) < TRIPLE_ROOT_RTOL * np.maximum(1.0, energy)
-    if triple.any():
-        z = np.zeros(p.shape, dtype=complex)
-        z.imag = -2.0 * gamma / 3.0
-        z1, z2, z3 = (np.where(triple, z, zk) for zk in (z1, z2, z3))
-    return _CubicGrid(p=p, q=q, disc=disc, z1=z1, z2=z2, z3=z3, energy=energy)
-
-
-def _real_radicals(p, q, p3, disc, real) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``u.real``, ``v.real`` and ``v.imag`` of :func:`cardano_params` where ``real``
-    (disc >= 0) holds; the other entries are meaningless."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sqrt(np.where(real, disc, 0.0))
-        radicand = np.where(q >= 0.0, q + s, p3 / (s - q))
-        ur = np.cbrt(radicand)
-        big = np.abs(ur) > _RADICAL_FLOOR
-        # v = -p / complex(u): Python divides by (ur, 0.0) through the ratio
-        # 0.0 / ur, which leaves v an imaginary zero of the sign of ur.
-        ratio = 0.0 / ur
-        vr = np.where(big, (-p + 0.0 * ratio) / ur, np.cbrt(q - s))
-        vi = np.where(big, (0.0 - (-p) * ratio) / ur, 0.0)
-    return ur, vr, vi
+        point = [float(x[idx]) for x in (bases, p, q, disc)]
+        z1[idx], z2[idx], z3[idx] = _point_roots(*point, False, None, None, None)[2]
+    return None, None, (z1, z2, z3)
 
 
 def _times_minus_i(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -242,6 +199,45 @@ def _times_minus_i(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     z.real = -0.0 * x + y
     z.imag = -0.0 * y - x
     return z
+
+
+def _where(cond, a, b):
+    # b itself where cond holds nowhere, so that a grid without a triple point is not copied.
+    if not cond.any():
+        return b
+    if type(a) is tuple:
+        return tuple(np.where(cond, x, y) for x, y in zip(a, b))
+    return np.where(cond, a, b)
+
+
+def _select_on_arrays(cond, branches, *args):
+    # Both branches are formed in full: the side not taken may overflow or divide by zero.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _where(cond, *(branch(*args) for branch in branches))
+
+
+# The operations in which _cubic differs between one point and arrays.  ``where(cond,
+# a, b)`` is a where cond holds, else b, pairwise for tuples; ``select(cond, (then,
+# other), *args)`` is ``where(cond, then(*args), other(*args))`` but forms at a point
+# only the branch taken, as the other may divide by zero.  ``coefficients`` runs
+# _coefficients, on arrays under np.errstate, so that an overflowing sum reaches the
+# disc check silently, as it does in Python's floats.  ``roots`` is the last step.
+_POINT = SimpleNamespace(
+    pow=pow, sqrt=math.sqrt, cbrt=lambda x: float(np.cbrt(x)), maximum=max,
+    finite=math.isfinite, coefficients=_coefficients, where=lambda cond, a, b: a if cond else b,
+    select=lambda cond, branches, *args: branches[0](*args) if cond else branches[1](*args),
+    roots=_point_roots,
+)
+_ARRAYS = SimpleNamespace(
+    pow=_pow, sqrt=np.sqrt, cbrt=np.cbrt, maximum=np.maximum,
+    finite=lambda x: np.isfinite(x).all(), coefficients=np.errstate(over="ignore")(_coefficients),
+    where=_where, select=_select_on_arrays, roots=_array_roots,
+)
+
+
+def _kernels(delta, d, gamma) -> SimpleNamespace:
+    """The point kernels for three Python floats, the array kernels otherwise."""
+    return _POINT if type(delta) is type(d) is type(gamma) is float else _ARRAYS
 
 
 def _flag_pairs(zs: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -259,8 +255,8 @@ def _closed_form_stack(delta, d, gamma) -> np.ndarray:
     Returns the ``(N, 4)`` eigenvalues: row ``k`` equals, bit for bit, the
     eigenvalues of ``eigenvalues_closed_form(ModelParams(delta[k], d[k], gamma[k]))``.
     """
-    cubic = _cubic_grid(delta, d, gamma)
-    return np.stack([np.zeros_like(cubic.z1), cubic.z1, cubic.z2, cubic.z3], axis=-1)
+    *_, z1, z2, z3 = _cubic(delta, d, gamma)
+    return np.stack([np.zeros_like(z1), z1, z2, z3], axis=-1)
 
 
 def eigenvalues_closed_form(params: ModelParams) -> Spectrum:
@@ -269,18 +265,12 @@ def eigenvalues_closed_form(params: ModelParams) -> Spectrum:
     Labels follow the fixed branch convention, not any ordering of the values,
     so that branches stay continuous across parameter sweeps.
     """
-    return _closed_form(params, cardano_params(params))
+    return _closed_form(*_cubic(params.delta, params.d, params.gamma)[6:])
 
 
-def _closed_form(params: ModelParams, cp: CardanoParams) -> Spectrum:
-    """:func:`eigenvalues_closed_form` given the cubic ``cp`` already solved."""
-    gamma = params.gamma
-    guard = TRIPLE_ROOT_RTOL * max(1.0, params.energy_scale())
-    if max(abs(cp.p), abs(cp.q)) < guard:
-        z = -2j * gamma / 3.0
-        zs = np.array([0.0, z, z, z], dtype=complex)
-    else:
-        zs = np.array([0.0, *_phased_roots(gamma, cp.u, cp.v)], dtype=complex)
+def _closed_form(z1: complex, z2: complex, z3: complex) -> Spectrum:
+    """:func:`eigenvalues_closed_form` given the three decaying roots already found."""
+    zs = np.array([0.0, z1, z2, z3], dtype=complex)
     return Spectrum(eigenvalues=zs, degenerate_pairs=_flag_pairs(zs))
 
 
@@ -673,13 +663,18 @@ def characteristic_residual(L: np.ndarray, z):
 
     ``L`` is one matrix with a scalar ``z``, giving a float, or an
     ``(N, 4, 4)`` stack with ``z`` of shape ``(N,)`` or ``(N, k)``, giving one
-    residual per shift in an array shaped like ``z``.
+    residual per shift in an array shaped like ``z``.  Shifts must be numbers.
     """
     L = np.asarray(L, dtype=complex)
     if L.ndim == 2 and L.shape == (4, 4):
+        if isinstance(z, (bool, np.bool_, str, bytes, type(None))):
+            raise DomainError(f"shifts must be numbers, got {z!r}")
         L, z = L.tolist(), complex(z)
     else:
-        z = np.asarray(z, dtype=complex)
+        z = np.asarray(z)
+        if z.dtype.kind not in "iufc":
+            raise DomainError(f"shifts must be numbers, got an array of {z.dtype}")
+        z = z.astype(complex)
         if L.ndim != 3 or L.shape[1:] != (4, 4) or z.ndim not in (1, 2) or len(z) != len(L):
             raise DomainError(
                 f"expected a 4x4 matrix with a scalar shift, or an (N, 4, 4) stack with "

@@ -29,7 +29,7 @@ from lindblad_ep import (
     splitting_exponent,
 )
 from lindblad_ep.exceptional import _REGIONS, _coalescence_region, _scaled_disc
-from lindblad_ep.spectrum import _char_cubic_coeffs, _cubic_coeffs, _cubic_grid, _real_radicals
+from lindblad_ep.spectrum import _char_cubic_coeffs, _cubic
 
 D_EP3 = 2.0 * math.sqrt(2.0)
 G_EP3 = 6.0 * math.sqrt(3.0)
@@ -198,10 +198,10 @@ class TestCurveArrays:
         if delta < 0:
             g_grid = -g_grid
         d, gamma = d_grid * delta, g_grid * delta
-        cubic = _cubic_grid(delta, d[:, None], gamma[None, :])
-        scale2 = np.maximum(1.0, cubic.energy)
-        i, j = np.nonzero(np.abs(cubic.disc) <= 1e-10 * scale2**3)
-        args = (cubic.p[i, j], cubic.q[i, j], scale2[i, j], d[i] / delta, gamma[j] / delta)
+        p, q, disc, energy, *_ = _cubic(delta, d[:, None], gamma[None, :])
+        scale2 = np.maximum(1.0, energy)
+        i, j = np.nonzero(np.abs(disc) <= 1e-10 * scale2**3)
+        args = (p[i, j], q[i, j], scale2[i, j], d[i] / delta, gamma[j] / delta)
         codes = _coalescence_region(*args)
         assert codes.dtype == np.int8
         labels = _REGIONS[codes]
@@ -370,22 +370,21 @@ class TestClassifyGrid:
 
     def test_cubic_equals_scalar(self):
         d_grid, g_grid = coalescence_grid()
-        cubic = _cubic_grid(1.0, d_grid[:, None], g_grid[None, :])
-        p, q, p3, disc, _ = _cubic_coeffs(1.0, d_grid[:, None], g_grid[None, :])
-        real = disc >= 0.0
-        ur, _, _ = _real_radicals(p, q, p3, disc, real)
-        assert (cubic.disc < 0).any() and (ur[real] == 0).any()
-        for i, d in enumerate(d_grid):
-            for j, g in enumerate(g_grid):
+        p, q, disc, _, _, _, z1, z2, z3 = _cubic(1.0, d_grid[:, None], g_grid[None, :])
+        zero_radical = False
+        for i, d in enumerate(d_grid.tolist()):
+            for j, g in enumerate(g_grid.tolist()):
                 params = ModelParams(1.0, d, g)
                 cp = cardano_params(params)
                 zs = eigenvalues_closed_form(params).eigenvalues
-                got = (cubic.p[i, j], cubic.q[i, j], cubic.disc[i, j],
-                       cubic.z1[i, j], cubic.z2[i, j], cubic.z3[i, j])
+                zero_radical |= cp.disc >= 0 and cp.u == 0
+                got = (p[i, j], q[i, j], disc[i, j], z1[i, j], z2[i, j], z3[i, j])
                 want = (cp.p, cp.q, cp.disc, *zs[1:])
                 # bit for bit, so that the signs of zeros count too
                 assert np.array_equal(np.array(got, dtype=complex).view(np.uint64),
                                       np.array(want, dtype=complex).view(np.uint64)), (d, g)
+        # Both radical branches and the floor on a zero real radical are crossed.
+        assert (disc < 0).any() and zero_radical
 
     def test_bad_grids_rejected(self):
         grid = np.linspace(0.0, 1.0, 3)

@@ -27,13 +27,18 @@ from lindblad_ep import (
     spectral_evolve,
 )
 from lindblad_ep.cli import main
-from lindblad_ep.spectrum import _adjugate, _closed_form_stack, _det_trace, _flag_pairs, _shifted
+from lindblad_ep.spectrum import _adjugate, _closed_form_stack, _cubic, _det_trace, _flag_pairs, _shifted
 from lindblad_ep.superop import _lindblad_stack
 from lindblad_ep.verify import _gamma_zero_points, _spectra_points
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
 coupling = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 params_st = st.builds(ModelParams, delta=finite, d=finite, gamma=coupling)
+
+
+def signed_zero_or(values):
+    return st.one_of(st.sampled_from([0.0, -0.0]), values)
+
 
 D_EP3 = 2.0 * math.sqrt(2.0)
 G_EP3 = 6.0 * math.sqrt(3.0)
@@ -186,13 +191,21 @@ def bits(z) -> np.ndarray:
 
 
 def assert_stack_is_scalar(delta, d, gamma) -> np.ndarray:
-    """Each row of the array closed form equals eigenvalues_closed_form bit for bit."""
+    """Each row of the array closed form equals eigenvalues_closed_form bit for bit,
+    and the one core gives the same p, q, disc, energy and roots on arrays as at
+    each point."""
     delta, d, gamma = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (delta, d, gamma)))
     zs = _closed_form_stack(delta, d, gamma)
     assert zs.shape == (len(delta), 4)
-    for k, point in enumerate(zip(delta, d, gamma)):
+    p, q, disc, energy, u, v, *roots = _cubic(delta, d, gamma)
+    assert u is None and v is None
+    stacked = np.stack([p, q, disc, energy, *roots], axis=1)
+    for k, point in enumerate(zip(delta.tolist(), d.tolist(), gamma.tolist())):
         spec = eigenvalues_closed_form(ModelParams(*point))
         assert np.array_equal(bits(zs[k]), bits(spec.eigenvalues)), point
+        at_point = _cubic(*point)
+        assert all(type(x) is float for x in at_point[:4]), point
+        assert np.array_equal(bits(stacked[k]), bits(at_point[:4] + at_point[6:])), point
     return zs
 
 
@@ -237,6 +250,12 @@ class TestClosedFormStack:
     @given(st.lists(params_st, min_size=1, max_size=8))
     def test_random_points(self, points):
         assert_stack_is_scalar(*np.array([(p.delta, p.d, p.gamma) for p in points]).T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(signed_zero_or(finite), signed_zero_or(finite),
+                              st.one_of(st.just(0.0), coupling)), min_size=1, max_size=8))
+    def test_exact_and_signed_zeros(self, points):
+        assert_stack_is_scalar(*np.array(points).T)
 
 
 def flag_pairs_by_index(zs) -> tuple:
@@ -734,6 +753,23 @@ class TestAdjugate:
         with pytest.raises(DomainError):
             characteristic_residual(Ls, 0.0)
 
+    @pytest.mark.parametrize("shift", [True, np.bool_(False), "1+2j", b"1", None],
+                             ids=["bool", "numpy-bool", "str", "bytes", "None"])
+    def test_rejects_shifts_that_are_not_numbers(self, shift):
+        L = build_lindblad(ModelParams(1.0, 2.0, 1.0))
+        with pytest.raises(DomainError, match="shifts must be numbers"):
+            characteristic_residual(L, shift)
+        with pytest.raises(DomainError, match="shifts must be numbers"):
+            characteristic_residual(stack_of([ModelParams(1.0, 2.0, 1.0)] * 2), np.array([shift] * 2))
+
+    @pytest.mark.parametrize("shift", [2, np.int64(2), 2.0, np.float64(2.0), 2 + 0j, np.complex128(2)])
+    def test_accepts_every_kind_of_number(self, shift):
+        L = build_lindblad(ModelParams(1.0, 2.0, 1.0))
+        want = characteristic_residual(L, 2.0)
+        assert characteristic_residual(L, shift) == want
+        stack = characteristic_residual(stack_of([ModelParams(1.0, 2.0, 1.0)] * 2), np.array([shift] * 2))
+        assert np.array_equal(stack, [want, want])
+
 
 # Entries with exact and signed zeros, whose signs the kernels must keep.
 entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
@@ -829,13 +865,14 @@ class TestPow:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Calls of cardano_params, counted at every package module that binds it."""
+    """The points at which the closed-form core solves the cubic, counted at every
+    package module that binds it."""
     calls = []
-    original = spectrum.cardano_params
+    original = spectrum._cubic
     for name, module in list(sys.modules.items()):
-        if name.startswith("lindblad_ep") and getattr(module, "cardano_params", None) is original:
-            monkeypatch.setattr(module, "cardano_params",
-                                lambda params: calls.append(params) or original(params))
+        if name.startswith("lindblad_ep") and getattr(module, "_cubic", None) is original:
+            monkeypatch.setattr(module, "_cubic",
+                                lambda *point: calls.append(point) or original(*point))
     return calls
 
 
@@ -864,7 +901,7 @@ class TestEigenvaluesComputedOnce:
             out = tmp_path / "spec.json"
             assert main(["spectrum", "--delta", "1", "--d", "2", "--gamma", "1",
                          "--out", str(out)]) == 0
-        assert solves == [params]
+        assert solves == [(params.delta, params.d, params.gamma)]
 
     def test_zero_detuning_refused_before_the_cubic(self, solves):
         # p**3 overflows at d = 1e60; the delta = 0 refusal must come first.
