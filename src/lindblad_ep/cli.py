@@ -27,10 +27,9 @@ from .exceptional import (
     _ON_CURVE_TOL,
     _classified,
     _classify_codes,
+    _curve,
     _REGIONS,
     _on_curve_residual,
-    ep2_eigenvalue,
-    ep2_gamma,
     ep3_point,
 )
 from .model import (
@@ -211,10 +210,10 @@ def cmd_ep_curve(args) -> int:
             f"requested range starts at {args.d_min}"
         )
     header = "d_tilde,gamma_minus,gamma_plus,im_z_minus,im_z_plus,disc_minus,disc_plus"
-    gammas = np.stack(ep2_gamma(d_grid), axis=1)
-    im_z = [ep2_eigenvalue(d_grid, branch).imag for branch in ("minus", "plus")]
-    resid = _on_curve_residual(d_grid, gammas)
-    _write(args.out, _table(args.format, header, [[d_grid, *gammas.T, *im_z, *resid.T]]))
+    gammas, *zs = _curve(d_grid, ("minus", "plus"))
+    im_z = [z.imag for z in zs]
+    resid = _on_curve_residual(d_grid, np.stack(gammas, axis=1))
+    _write(args.out, _table(args.format, header, [[d_grid, *gammas, *im_z, *resid.T]]))
     if resid.max() > _ON_CURVE_TOL:
         return _fail(f"on-curve discriminant residual {resid.max():.3e} exceeds {_ON_CURVE_TOL:g}")
     return EXIT_OK

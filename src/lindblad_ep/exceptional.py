@@ -49,11 +49,11 @@ class Region(Enum):
 # The labels of the exceptional points, where no complete mode basis exists.
 _EP_REGIONS = (Region.EP2_MINUS, Region.EP2_PLUS, Region.EP3)
 
-# Region codes of the array classifier: code k is the region _REGIONS[k], in
-# the declaration order of Region (0 SplitPair, 1 AllImaginary, 2 EP2Minus,
-# 3 EP2Plus, 4 EP3).
+# Region codes of the classifier: code k is _REGIONS[k], the k-th member of Region
+# in declaration order (0 SplitPair, 1 AllImaginary, 2 EP2Minus, 3 EP2Plus, 4 EP3).
 _REGIONS = np.array(list(Region), dtype=object)
 _CODE = {region: np.int8(k) for k, region in enumerate(_REGIONS)}
+_SPLIT_PAIR, _ALL_IMAGINARY = _CODE[Region.SPLIT_PAIR], _CODE[Region.ALL_IMAGINARY]
 _EP_CODES = np.array([_CODE[region] for region in _EP_REGIONS])
 
 
@@ -125,10 +125,11 @@ def _drives(d_tilde) -> tuple[np.ndarray, bool]:
     return d.reshape(-1), d.ndim == 0
 
 
-def _curve(d_tilde):
-    """The drives and ``one`` from :func:`_drives`, d^4, and in rows (minus, plus) the
-    couplings and the inner radicands of :func:`ep2_eigenvalue`.  Refuses a drive
-    below the threshold, or far above it one where gamma_minus^2 cancels below zero."""
+def _curve(d_tilde, branches=()) -> list:
+    """The couplings of :func:`ep2_gamma`, then the eigenvalue of :func:`ep2_eigenvalue`
+    on each of ``branches``, from one evaluation of the curve formulas.  Refuses a
+    drive below the threshold, or far above it one where gamma_minus^2 cancels below
+    zero, then branch by branch a negative inner radicand."""
     d, one = _drives(d_tilde)
     _refuse(~(d >= D_TILDE_EP3), one, DomainError,
             lambda i: f"no real coalescence curves below d_tilde = 2*sqrt(2); got {float(d[i])}")
@@ -140,7 +141,17 @@ def _curve(d_tilde):
         inner = d4 / 2.0 - 2.0 * d2 - 16.0 + wing
     _refuse(gamma2[0] < 0.0, one, DomainError,
             lambda i: f"gamma_minus^2 cancels below zero at d_tilde = {float(d[i])}")
-    return d, one, d4, np.sqrt(gamma2), inner
+    gammas = np.sqrt(gamma2)
+    out = [tuple(gammas[:, 0].tolist()) if one else tuple(gammas)]
+    for branch in branches:
+        sign = -1.0 if branch == "minus" else 1.0
+        row = int(sign > 0)
+        _refuse(inner[row] < -1e-9 * np.maximum(1.0, d4), one, DomainError,
+                lambda i: f"inner radicand {float(inner[row, i]):.3e} is negative on the {branch} "
+                f"branch at d_tilde = {float(d[i])}; curve formula invalid here")
+        z = (-2j / 3.0) * (gammas[row] - sign * 0.25 * np.sqrt(np.maximum(inner[row], 0.0)))
+        out.append(complex(z[0]) if one else z)
+    return out
 
 
 def ep2_gamma(d_tilde):
@@ -151,8 +162,7 @@ def ep2_gamma(d_tilde):
     gamma_minus <= gamma_plus: two floats for one drive, or two arrays for a
     1-D array of drives, each element equal to the call on its drive alone.
     """
-    _, one, _, gammas, _ = _curve(d_tilde)
-    return tuple(gammas[:, 0].tolist()) if one else tuple(gammas)
+    return _curve(d_tilde)[0]
 
 
 def ep2_eigenvalue(d_tilde, branch: str):
@@ -167,27 +177,13 @@ def ep2_eigenvalue(d_tilde, branch: str):
     """
     if branch not in ("minus", "plus"):
         raise DomainError(f"branch must be 'minus' or 'plus', got {branch!r}")
-    sign = -1.0 if branch == "minus" else 1.0
-    row = int(sign > 0)
-    d, one, d4, gammas, inners = _curve(d_tilde)
-    gamma_t, inner = gammas[row], inners[row]
-    _refuse(inner < -1e-9 * np.maximum(1.0, d4), one, DomainError,
-            lambda i: f"inner radicand {float(inner[i]):.3e} is negative on the {branch} "
-            f"branch at d_tilde = {float(d[i])}; curve formula invalid here")
-    z = (-2j / 3.0) * (gamma_t - sign * 0.25 * np.sqrt(np.maximum(inner, 0.0)))
-    return complex(z[0]) if one else z
+    return _curve(d_tilde, (branch,))[1]
 
 
 def ep_curve_point(d_tilde: float) -> EPCurvePoint:
     """Both branches of the coalescence curves at one drive value."""
-    gm, gp = ep2_gamma(d_tilde)
-    return EPCurvePoint(
-        d_tilde=float(d_tilde),
-        gamma_tilde_minus=gm,
-        gamma_tilde_plus=gp,
-        z_ep2_minus=ep2_eigenvalue(d_tilde, "minus"),
-        z_ep2_plus=ep2_eigenvalue(d_tilde, "plus"),
-    )
+    (gm, gp), z_minus, z_plus = _curve(d_tilde, ("minus", "plus"))
+    return EPCurvePoint(float(d_tilde), gm, gp, z_minus, z_plus)
 
 
 def ep3_point() -> tuple[float, float, complex]:
@@ -218,24 +214,25 @@ def classify(params: ModelParams) -> PhasePoint:
 def _classified(params: ModelParams) -> tuple[PhasePoint, Spectrum]:
     """:func:`classify` plus the closed-form spectrum, from one solve of the cubic."""
     _refuse_zero_delta(params.delta)
-    d_t, g_t = params.scaled()
-    p, q, disc, energy, _, _, z1, z2, z3 = _cubic(params.delta, params.d, params.gamma)
-    scale2 = max(1.0, energy)
-    band = EP_BAND * scale2**3
+    disc, code, ordering, zs = _classify(params.delta, params.d, params.gamma)
+    return PhasePoint(*params.scaled(), disc, _REGIONS[code], ordering), _closed_form(*zs)
 
+
+def _classify(delta, d, gamma) -> tuple:
+    """``(disc, region code, ordering, (z1, z2, z3))`` at one point of three Python
+    floats (a float disc, an int ordering), or elementwise over arrays that broadcast
+    together, each entry equal to the point's bit for bit, on the kernels of _cubic."""
+    k = _kernels(delta, d, gamma)
+    p, q, disc, energy, _, _, z1, z2, z3 = _cubic(delta, d, gamma)
+    scale2 = k.maximum(1.0, energy)
     imdiff = z1.imag - z2.imag
-    if abs(imdiff) <= _ORDERING_RTOL * max(1.0, abs(z1), abs(z2)):
-        ordering = 0
-    else:
-        ordering = 1 if imdiff > 0 else -1
-
-    if abs(disc) > band:
-        region = Region.SPLIT_PAIR if disc > 0 else Region.ALL_IMAGINARY
-    else:
-        codes = _coalescence_region(*np.array([[p], [q], [scale2], [d_t], [g_t]]))
-        region = _REGIONS[codes[0]]
-    return PhasePoint(d_tilde=d_t, gamma_tilde=g_t, disc=disc,
-                      region=region, ordering=ordering), _closed_form(z1, z2, z3)
+    tol = _ORDERING_RTOL * k.maximum(1.0, k.abs(z1), k.abs(z2))
+    # The sign of imdiff, and 0 where |imdiff| <= tol: an int at a point, int64 on arrays.
+    ordering = (imdiff > tol) * 1 - (imdiff < -tol) * 1
+    codes = k.where_full(disc > 0, _SPLIT_PAIR, _ALL_IMAGINARY)
+    codes = k.patch(abs(disc) <= EP_BAND * k.pow(scale2, 3), codes, _coalescence_region,
+                    p, q, scale2, d / delta, gamma / delta)
+    return disc, codes, ordering, (z1, z2, z3)
 
 
 def _refuse_zero_delta(delta: float) -> None:
@@ -245,8 +242,8 @@ def _refuse_zero_delta(delta: float) -> None:
 
 
 def _coalescence_region(p, q, scale2, d_t, g_t) -> np.ndarray:
-    """Region codes of points inside the |disc| band, the triple point or one EP2
-    branch, over five 1-D arrays of one length."""
+    """Region codes of points inside the |disc| band, the triple point or one EP2 branch,
+    over five 1-D arrays of one length: the band patch of :func:`_classify`, its one caller."""
     ep3 = np.maximum(np.abs(p), _pow(np.abs(q), 2.0 / 3.0)) <= EP3_BAND * scale2
     # Below the drive threshold the band can only be entered near the triple
     # point; split on the coupling side of it.
@@ -266,11 +263,11 @@ def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.nd
     ``(len(d_tilde), len(gamma_tilde))``, with ``region`` an object array of
     :class:`Region` members.  Every entry equals, bit for bit, the field of
     ``classify(ModelParams(delta, d_t * delta, g_t * delta))`` at that node:
-    the whole grid is one array pass, and the few points inside the |disc|
-    band one more.  The pass labels nodes with ``int8`` region codes, which
-    index the region table ``_REGIONS`` (code k is the k-th member of
-    :class:`Region` in declaration order); ``region`` is that table indexed
-    by the codes.
+    both run one classifier body, whose kernels are picked by the input's type,
+    in one array pass over the grid and one more over the few points inside the
+    |disc| band.  The pass labels nodes with ``int8`` region codes, indices into
+    the region table ``_REGIONS`` (code k is the k-th member of :class:`Region`
+    in declaration order); ``region`` is that table indexed by the codes.
     """
     disc, codes, ordering = _classify_codes(delta, d_tilde, gamma_tilde)
     return disc, _REGIONS[codes], ordering
@@ -279,7 +276,7 @@ def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.nd
 def _classify_codes(
     delta: float, d_tilde, gamma_tilde
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`classify_grid` with ``int8`` region codes in place of the ``Region`` members."""
+    """:func:`classify_grid` with ``int8`` codes: the grid's checks, then :func:`_classify`."""
     delta = float(delta)
     _refuse_zero_delta(delta)
     # An infinite or overflowing product is refused below, without numpy's warning.
@@ -293,18 +290,7 @@ def _classify_codes(
     if (gamma < 0).any():
         raise DomainError(f"gamma must be >= 0, got {gamma.min()}")
 
-    p, q, disc, energy, _, _, z1, z2, _ = _cubic(delta, d[:, None], gamma[None, :])
-    scale2 = np.maximum(1.0, energy)
-    band = EP_BAND * _pow(scale2, 3)
-
-    imdiff = z1.imag - z2.imag
-    size = np.maximum(np.maximum(1.0, np.hypot(z1.real, z1.imag)), np.hypot(z2.real, z2.imag))
-    ordering = np.where(np.abs(imdiff) <= _ORDERING_RTOL * size, 0, np.where(imdiff > 0, 1, -1))
-
-    codes = np.where(disc > 0, _CODE[Region.SPLIT_PAIR], _CODE[Region.ALL_IMAGINARY])
-    i, j = np.nonzero(np.abs(disc) <= band)
-    codes[i, j] = _coalescence_region(p[i, j], q[i, j], scale2[i, j], d[i] / delta, gamma[j] / delta)
-    return disc, codes, ordering
+    return _classify(delta, d[:, None], gamma[None, :])[:3]
 
 
 def _disc_at(d_tilde: np.ndarray, x: np.ndarray) -> np.ndarray:

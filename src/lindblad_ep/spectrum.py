@@ -5,8 +5,9 @@ the roots of a depressed cubic solved by radicals; branch choices are pinned
 by the constraint u * v = -p and validated against the characteristic
 polynomial rather than assumed.  One core, :func:`_cubic`, solves the cubic at
 one point and elementwise over arrays: each rule is written once, and only
-the kernels of :func:`_kernels` differ with the kind of input.  The numeric
-route never touches the radicals:
+the kernels of :func:`_kernels` differ with the kind of input.  The same
+kernels serve ``_cubic`` and the phase-plane classifier
+(``exceptional._classify``).  The numeric route never touches the radicals:
 it deflates the null eigenvalue exactly and runs a companion-matrix root
 finder, then polishes each root by Newton steps on det(L - zI).
 
@@ -216,22 +217,35 @@ def _select_on_arrays(cond, branches, *args):
         return _where(cond, *(branch(*args) for branch in branches))
 
 
-# The operations in which _cubic differs between one point and arrays.  ``where(cond,
-# a, b)`` is a where cond holds, else b, pairwise for tuples; ``select(cond, (then,
-# other), *args)`` is ``where(cond, then(*args), other(*args))`` but forms at a point
-# only the branch taken, as the other may divide by zero.  ``coefficients`` runs
+def _patch_on_arrays(cond, base, fn, *args):
+    at = np.nonzero(cond)
+    base[at] = fn(*(np.broadcast_to(x, cond.shape)[at] for x in args))
+    return base
+
+
+# The operations in which _cubic and the classifier differ between one point and arrays.
+# ``where(cond, a, b)`` is a where cond holds, else b, pairwise for tuples; ``where_full``
+# also broadcasts scalar branches to cond's shape.  ``select(cond, (then, other), *args)``
+# is ``where(cond, then(*args), other(*args))`` but forms at a point only the branch
+# taken, as the other may divide by zero.  ``patch(cond, base, fn, *args)`` is ``where(
+# cond, fn(*args), base)``, fn given as 1-D arrays only the entries that cond flags.
+# ``abs`` is the complex magnitude as Python rounds it.  ``coefficients`` runs
 # _coefficients, on arrays under np.errstate, so that an overflowing sum reaches the
 # disc check silently, as it does in Python's floats.  ``roots`` is the last step.
 _POINT = SimpleNamespace(
-    pow=pow, sqrt=math.sqrt, cbrt=lambda x: float(np.cbrt(x)), maximum=max,
+    pow=pow, sqrt=math.sqrt, cbrt=lambda x: float(np.cbrt(x)), maximum=max, abs=abs,
     finite=math.isfinite, coefficients=_coefficients, where=lambda cond, a, b: a if cond else b,
     select=lambda cond, branches, *args: branches[0](*args) if cond else branches[1](*args),
+    patch=lambda cond, base, fn, *args: fn(*np.array(args)[:, None])[0] if cond else base,
     roots=_point_roots,
 )
+_POINT.where_full = _POINT.where
 _ARRAYS = SimpleNamespace(
-    pow=_pow, sqrt=np.sqrt, cbrt=np.cbrt, maximum=np.maximum,
+    pow=_pow, sqrt=np.sqrt, cbrt=np.cbrt, maximum=lambda *xs: functools.reduce(np.maximum, xs),
+    abs=lambda z: np.hypot(z.real, z.imag),
     finite=lambda x: np.isfinite(x).all(), coefficients=np.errstate(over="ignore")(_coefficients),
-    where=_where, select=_select_on_arrays, roots=_array_roots,
+    where=_where, where_full=np.where, select=_select_on_arrays, patch=_patch_on_arrays,
+    roots=_array_roots,
 )
 
 

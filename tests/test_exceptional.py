@@ -368,6 +368,39 @@ class TestClassifyGrid:
             g_grid = -g_grid  # gamma = g_t * delta stays nonnegative
         assert assert_grid_is_scalar(delta, d_grid, g_grid) == set(Region)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["minus", "plus", "ep3"]),
+        st.floats(min_value=D_EP3, max_value=12.0),
+        st.floats(min_value=-16.0, max_value=-9.0),
+        st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.sampled_from([-1.0, 1.0]),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    def test_band_point_equals_grid(self, near, drive, log_offset, angle, log_delta,
+                                    delta_sign, drive_sign):
+        # Points a relative 1e-16 to 1e-9 off either curve or off the triple point, where
+        # classify takes the band path at one point and classify_grid takes it on arrays.
+        offset = 10.0**log_offset
+        if near == "ep3":
+            d_t = D_EP3 * (1.0 + offset * math.cos(angle))
+            g_t = G_EP3 * (1.0 + offset * math.sin(angle))
+        else:
+            d_t = drive
+            g_t = ep2_gamma(drive)[near == "plus"] * (1.0 + offset * math.cos(angle))
+        d_t *= drive_sign
+        delta = delta_sign * 10.0**log_delta
+        if delta < 0:
+            g_t = -g_t  # gamma = g_t * delta stays nonnegative
+        point = classify(ModelParams(delta, d_t * delta, g_t * delta))
+        disc, region, ordering = classify_grid(delta, [d_t], [g_t])
+        assert bits(point.disc) == bits(disc[0, 0])
+        assert point.region is region[0, 0]
+        assert point.ordering == ordering[0, 0]
+        # cmd_spectrum serialises both with json.dumps, which refuses numpy scalars.
+        assert type(point.disc) is float and type(point.ordering) is int
+
     def test_cubic_equals_scalar(self):
         d_grid, g_grid = coalescence_grid()
         p, q, disc, _, _, _, z1, z2, z3 = _cubic(1.0, d_grid[:, None], g_grid[None, :])
