@@ -42,6 +42,7 @@ from .model import (
 from .dynamics import _TRACE_TOL, evolve_rotating, verify_frame_equivalence
 from .spectrum import (
     _RESIDUAL_RTOL,
+    _closed_form,
     _full_spectrum,
     characteristic_residual,
     eigenvalues_numeric,
@@ -134,7 +135,8 @@ def _fail(message: str) -> int:
 def cmd_spectrum(args) -> int:
     params = ModelParams(args.delta, args.d, args.gamma)
     # Rejects delta = 0 with a scaled-coordinate message.
-    point, closed = _classified(params)
+    point, zs = _classified(params)
+    closed = _closed_form(*zs)
     L = build_lindblad(params)
     numeric = eigenvalues_numeric(L)  # raises if its roots fail the same residual bound
 

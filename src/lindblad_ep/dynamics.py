@@ -40,7 +40,7 @@ from .model import (
     trace_defect,
     vectorize,
 )
-from .spectrum import _modes
+from .spectrum import _closed_form, _modes
 from .superop import build_lindblad, equilibrium_state, lindblad_rhs
 
 # Snapshot cadence: at most this many saved states per trajectory.
@@ -422,12 +422,13 @@ def spectral_evolve(params: ModelParams, rho0: np.ndarray, t: float) -> np.ndarr
     check_density_matrix(rho0)
     if not 0.0 <= t < math.inf:
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    point, bare = _classified(params)
+    point, zs = _classified(params)
     if point.region in _EP_REGIONS:
         raise NearDegenerateError(
             f"parameters classify as {point.region.value}; the spectral "
             "propagator has no complete mode basis there (use the integrator)"
         )
+    bare = _closed_form(*zs)
     *_, left, right = _modes(params, bare)
     # At a large t the phase Re(z) t of a decaying mode can overflow while its
     # modulus exp(Im(z) t) underflows: that mode has vanished, not turned NaN.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateFitError, DomainError, NoRootError
 from .model import ModelParams
-from .spectrum import Spectrum, _closed_form, _closed_form_stack, _cubic, _cubic_coeffs, _kernels, _pow
+from .spectrum import _closed_form_stack, _cubic, _cubic_coeffs, _kernels, _pow
 
 D_TILDE_EP3 = 2.0 * math.sqrt(2.0)
 GAMMA_TILDE_EP3 = 6.0 * math.sqrt(3.0)
@@ -211,11 +211,11 @@ def classify(params: ModelParams) -> PhasePoint:
     return _classified(params)[0]
 
 
-def _classified(params: ModelParams) -> tuple[PhasePoint, Spectrum]:
-    """:func:`classify` plus the closed-form spectrum, from one solve of the cubic."""
+def _classified(params: ModelParams) -> tuple[PhasePoint, tuple]:
+    """:func:`classify` plus the three decaying closed-form roots, from one solve of the cubic."""
     _refuse_zero_delta(params.delta)
     disc, code, ordering, zs = _classify(params.delta, params.d, params.gamma)
-    return PhasePoint(*params.scaled(), disc, _REGIONS[code], ordering), _closed_form(*zs)
+    return PhasePoint(*params.scaled(), disc, _REGIONS[code], ordering), zs
 
 
 def _classify(delta, d, gamma) -> tuple:

@@ -3,13 +3,13 @@
 One eigenvalue is identically zero (trace conservation).  The other three are
 the roots of a depressed cubic solved by radicals; branch choices are pinned
 by the constraint u * v = -p and validated against the characteristic
-polynomial rather than assumed.  One core, :func:`_cubic`, solves the cubic at
-one point and elementwise over arrays: each rule is written once, and only
-the kernels of :func:`_kernels` differ with the kind of input.  The same
-kernels serve ``_cubic`` and the phase-plane classifier
-(``exceptional._classify``).  The numeric route never touches the radicals:
+polynomial rather than assumed.  The numeric route never touches the radicals:
 it deflates the null eigenvalue exactly and runs a companion-matrix root
-finder, then polishes each root by Newton steps on det(L - zI).
+finder, then polishes each root by Newton steps on det(L - zI).  Each is one
+body for one point and for arrays, in which only the kernels of ``_POINT``
+and ``_ARRAYS`` differ: :func:`_cubic`, which the phase-plane classifier
+(``exceptional._classify``) shares, picks them by the input's type, and the
+oracle, :func:`_oracle`, by the shape of L, one matrix or a stack.
 
 Two kernels share the 2x2 minors of L - zI.  :func:`_det_trace` forms only the
 cofactors that det(L - zI) and its derivative -tr adj(L - zI) read: it serves
@@ -24,7 +24,9 @@ import cmath
 import functools
 import itertools
 import math
+import numbers
 import operator
+import reprlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -223,21 +225,44 @@ def _patch_on_arrays(cond, base, fn, *args):
     return base
 
 
-# The operations in which _cubic and the classifier differ between one point and arrays.
-# ``where(cond, a, b)`` is a where cond holds, else b, pairwise for tuples; ``where_full``
-# also broadcasts scalar branches to cond's shape.  ``select(cond, (then, other), *args)``
-# is ``where(cond, then(*args), other(*args))`` but forms at a point only the branch
-# taken, as the other may divide by zero.  ``patch(cond, base, fn, *args)`` is ``where(
-# cond, fn(*args), base)``, fn given as 1-D arrays only the entries that cond flags.
-# ``abs`` is the complex magnitude as Python rounds it.  ``coefficients`` runs
-# _coefficients, on arrays under np.errstate, so that an overflowing sum reaches the
-# disc check silently, as it does in Python's floats.  ``roots`` is the last step.
+def _newton_on_arrays(z, det, trace):
+    # numpy's complex division multiplies by the reciprocal of the divisor, which overflows
+    # for a subnormal trace: divide both by 2^k ~ |trace| first, which is exact.
+    k = -np.frexp(np.abs(trace))[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(trace != 0, z + _ldexp(det, k) / _ldexp(trace, k), z)
+
+
+def _collapse_rows(roots, coeffs, scale):
+    # Only a row whose tightest gap is below the larger threshold can collapse.
+    gaps = np.abs(roots[:, [0, 0, 1]] - roots[:, [1, 2, 2]])
+    for i in np.flatnonzero(gaps.min(axis=1) < _TRIPLE_RTOL * scale):
+        roots[i] = _collapse_clusters(roots[i], -coeffs[i, 1], scale[i])
+    return roots
+
+
+# The operations in which _cubic and the classifier differ between one point and arrays,
+# and the oracle between one matrix and a stack.  ``where(cond, a, b)`` is a where cond
+# holds, else b, pairwise for tuples; ``where_full`` also broadcasts scalar branches to
+# cond's shape.  ``select(cond, (then, other), *args)`` is ``where(cond, then(*args),
+# other(*args))`` but forms at a point only the branch taken, as the other may divide by
+# zero.  ``patch(cond, base, fn, *args)`` is ``where(cond, fn(*args), base)``, fn given as
+# 1-D arrays only the entries that cond flags.  ``abs`` is the complex magnitude as Python
+# rounds it.  ``coefficients`` runs _coefficients, on arrays under np.errstate, so that an
+# overflowing sum reaches the disc check silently, as it does in Python's floats.
+# ``roots`` is the last step.  For the oracle, ``entries`` hold L for _shifted, ``trace``
+# is tr L, ``newton`` is one Newton step (none where the trace is zero), ``collapse`` runs
+# _collapse_clusters per matrix, and ``map(f, z)`` is f at each shift, one at a time or at
+# once under np.errstate: a NaN or infinite root must reach the residual gate silently.
 _POINT = SimpleNamespace(
     pow=pow, sqrt=math.sqrt, cbrt=lambda x: float(np.cbrt(x)), maximum=max, abs=abs,
     finite=math.isfinite, coefficients=_coefficients, where=lambda cond, a, b: a if cond else b,
     select=lambda cond, branches, *args: branches[0](*args) if cond else branches[1](*args),
     patch=lambda cond, base, fn, *args: fn(*np.array(args)[:, None])[0] if cond else base,
-    roots=_point_roots,
+    roots=_point_roots, entries=np.ndarray.tolist, trace=lambda m: complex(np.trace(m)),
+    map=lambda f, z: np.array([f(w) for w in z.tolist()]) if z.ndim else f(z.item()),
+    newton=lambda z, det, trace: z + det / trace if trace else z,
+    collapse=lambda roots, coeffs, scale: _collapse_clusters(roots, complex(-coeffs[1]), scale),
 )
 _POINT.where_full = _POINT.where
 _ARRAYS = SimpleNamespace(
@@ -245,8 +270,13 @@ _ARRAYS = SimpleNamespace(
     abs=lambda z: np.hypot(z.real, z.imag),
     finite=lambda x: np.isfinite(x).all(), coefficients=np.errstate(over="ignore")(_coefficients),
     where=_where, where_full=np.where, select=_select_on_arrays, patch=_patch_on_arrays,
-    roots=_array_roots,
+    roots=_array_roots, entries=lambda L: [[L[:, None, i, j] for j in range(4)] for i in range(4)],
+    trace=lambda m: np.trace(m, axis1=-2, axis2=-1),
+    map=np.errstate(invalid="ignore", over="ignore")(
+        lambda f, z: f(z.reshape(len(z), math.prod(z.shape[1:]))).reshape(z.shape)),
+    newton=_newton_on_arrays, collapse=_collapse_rows,
 )
+_MATRIX_KERNELS = {2: _POINT, 3: _ARRAYS}
 
 
 def _kernels(delta, d, gamma) -> SimpleNamespace:
@@ -419,9 +449,7 @@ def _char_cubic_coeffs(L: np.ndarray) -> np.ndarray:
     gives one row per matrix; one matrix keeps Python complex arithmetic.
     """
     L2 = L @ L
-    e1, t2, t3 = (np.trace(m, axis1=-2, axis2=-1) for m in (L, L2, L2 @ L))
-    if L.ndim == 2:
-        e1, t2, t3 = complex(e1), complex(t2), complex(t3)
+    e1, t2, t3 = (_MATRIX_KERNELS[L.ndim].trace(m) for m in (L, L2, L2 @ L))
     e2 = (e1 * e1 - t2) / 2.0
     e3 = (e1**3 - 3.0 * e1 * t2 + 2.0 * t3) / 6.0
     return np.array([np.ones(np.shape(e1)), -e1, e2, -e3], dtype=complex).T
@@ -486,19 +514,19 @@ def eigenvalues_numeric(L: np.ndarray) -> np.ndarray:
     null root is returned first.
 
     ``L`` is one 4x4 matrix, giving 4 eigenvalues, or an ``(N, 4, 4)`` stack,
-    giving ``(N, 4)``.  A stack is solved in blocks of numpy arrays; one
-    matrix keeps Python complex arithmetic, which is faster at that size.
-    Above max|L| ~ 2^200 the matrix is first divided by a power of two, an
-    exact rescale that keeps det(L - zI) finite at any finite scale; the
-    residual check is then made at that scale, relative to it as always.
+    giving ``(N, 4)``, by one body on kernels the shape picks (Python complex
+    arithmetic for one matrix, numpy blocks for a stack).  Above max|L| ~ 2^200
+    L is first divided by a power of two, an exact rescale that keeps
+    det(L - zI) finite at any finite scale; the residual check is then made at
+    that scale, relative to it as always.
 
-    Raises :class:`DomainError` for a matrix with non-finite entries or one
-    that does not conserve population, and :class:`NonConvergenceError` if
-    any returned value fails the characteristic-polynomial residual check
-    (a NaN or infinite residual fails it).  For a stack the message names the
-    index of the first offending matrix.
+    Raises :class:`DomainError` for entries that are not numbers or are bools,
+    for non-finite entries and for a matrix that does not conserve population,
+    and :class:`NonConvergenceError` if any returned value fails the
+    characteristic-polynomial residual check (a NaN or infinite residual fails
+    it).  For a stack the message names the index of the first offending matrix.
     """
-    L = np.asarray(L, dtype=complex)
+    L = _numbers(L, "matrix entries")
     if L.ndim not in (2, 3) or L.shape[-2:] != (4, 4):
         raise DomainError(f"expected a 4x4 matrix or an (N, 4, 4) stack, got shape {L.shape}")
     if L.ndim == 2:
@@ -512,7 +540,7 @@ def eigenvalues_numeric(L: np.ndarray) -> np.ndarray:
 
 def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
     """:func:`eigenvalues_numeric` of one matrix (``first`` is None), or of a
-    block of a stack whose first matrix has index ``first``."""
+    block of a stack whose first matrix, named in the messages, has index ``first``."""
     amax = np.abs(L).reshape(L.shape[:-2] + (16,)).max(axis=-1)
     scale = np.maximum(1.0, amax)
     leak = np.abs(L[..., 2, :] + L[..., 3, :]).max(axis=-1)
@@ -532,26 +560,13 @@ def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
         shift = np.maximum(np.frexp(amax)[1] - _MAX_EXPONENT, 0)
         L = _ldexp(L, -shift[..., None, None])
         scale = np.ldexp(scale, -shift)
-    coeffs = _char_cubic_coeffs(L)
-    seeds = _cubic_roots(coeffs)
-    if first is None:
-        rows = L.tolist()
-        roots = np.array([_newton_polish(rows, z) for z in seeds.tolist()])
-        roots = _collapse_clusters(roots, complex(-coeffs[1]), scale)
-    else:
-        roots = _newton_polish(L, seeds)
-        # Only a row whose tightest gap is below the larger threshold can collapse.
-        gaps = np.abs(roots[:, [0, 0, 1]] - roots[:, [1, 2, 2]])
-        for i in np.flatnonzero(gaps.min(axis=1) < _TRIPLE_RTOL * scale):
-            roots[i] = _collapse_clusters(roots[i], -coeffs[i, 1], scale[i])
+    k, coeffs = _MATRIX_KERNELS[L.ndim], _char_cubic_coeffs(L)
+    m = k.entries(L)
+    roots = k.map(functools.partial(_newton_polish, k, m), _cubic_roots(coeffs))
+    roots = k.collapse(roots, coeffs, scale)
     zs = np.zeros(roots.shape[:-1] + (4,), dtype=complex)
     zs[..., 1:] = roots
-    if first is None:
-        res = np.array([abs(_det_trace(_shifted(rows, z))[0]) for z in zs.tolist()])
-    else:
-        # A NaN or infinite root gives a NaN or infinite residual, which fails below.
-        with np.errstate(invalid="ignore", over="ignore"):
-            res = abs(_det_trace(_shifted(L, zs))[0])
+    res = k.map(functools.partial(_residual, m), zs)
     if shift is not None:
         zs = _ldexp(zs, shift[..., None])
     tol = _RESIDUAL_RTOL * scale**4
@@ -573,36 +588,17 @@ def _stack_index(bad: np.ndarray, first: int | None) -> str:
     return f"matrix {first + row} of the stack: "
 
 
-def _newton_polish(L, z):
-    """Three Newton steps on det(L - zI), whose derivative is -tr adj(L - zI).
-
-    ``L`` is one matrix as the nested lists of its ``tolist()``, with ``z``
-    one root as a Python complex; or an ``(N, 4, 4)`` stack, with ``z`` an
-    ``(N, k)`` array of roots.  A root where the trace vanishes is left where
-    it is.
-    """
+def _newton_polish(k: SimpleNamespace, m: list, z):
+    """Three Newton steps on det(L - zI), whose derivative is -tr adj(L - zI), for L held
+    in ``m`` by the kernels ``k``: from one root of one matrix, or all roots of a stack."""
     for _ in range(3):
-        det, trace = _det_trace(_shifted(L, z), trace=True)
-        if isinstance(L, list):
-            if trace == 0:
-                break
-            z += det / trace
-        else:
-            # numpy's complex division multiplies by the reciprocal of the
-            # divisor, which overflows for a subnormal trace: divide both by
-            # 2^k ~ |trace| first, which is exact.
-            k = -np.frexp(np.abs(trace))[1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = _ldexp(det, k) / _ldexp(trace, k)
-                z = np.where(trace != 0, z + step, z)
+        z = k.newton(z, *_det_trace(_shifted(m, z), trace=True))
     return z
 
 
 def _adjugate(m: list) -> list:
-    """The adjugate of a 4x4 matrix held as nested lists of Python complex numbers.
-
-    The entries may as well be arrays of one shape, one matrix per element:
-    that is how a stack goes through the same kernel.
+    """The adjugate of a 4x4 matrix held as nested lists of Python complex numbers,
+    or of arrays of one shape, one matrix per element.
 
     Built from the 12 2x2 minors of the row pairs (0, 1) and (2, 3): ``s_ij``
     and ``t_ij`` on columns i and j.  Each cofactor is a 3x3 determinant that
@@ -655,21 +651,16 @@ def _det_trace(m: list, trace: bool = False):
     return det, adj00 + adj11 + adj22 + adj33
 
 
-def _shifted(L, z) -> list:
-    """L - zI as nested lists: of Python complex numbers for one matrix, given
-    as the nested lists of ``L.tolist()``, and a scalar ``z``; and for an
-    ``(N, 4, 4)`` stack with ``z`` of shape ``(N,)`` or ``(N, k)``, of arrays
-    that broadcast against ``z``."""
-    if isinstance(L, list):
-        m = [row[:] for row in L]
-        for i in range(4):
-            m[i][i] -= z
-        return m
-    L = L.reshape(L.shape[:1] + (1,) * (np.ndim(z) - 1) + (4, 4))
-    m = [[L[..., i, j] for j in range(4)] for i in range(4)]
-    for i in range(4):
-        m[i][i] = m[i][i] - z
-    return m
+def _shifted(m: list, z) -> list:
+    """L - zI for ``L`` held in ``m`` as the kernels' ``entries`` hold it: Python complex
+    numbers with one shift ``z``, or arrays that broadcast against the shifts of a stack."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    return [[a0 - z, a1, a2, a3], [b0, b1 - z, b2, b3], [c0, c1, c2 - z, c3], [d0, d1, d2, d3 - z]]
+
+
+def _residual(m: list, z):
+    """|det(L - zI)|, with ``L`` and ``z`` as :func:`_shifted` takes them."""
+    return abs(_det_trace(_shifted(m, z))[0])
 
 
 def characteristic_residual(L: np.ndarray, z):
@@ -677,24 +668,30 @@ def characteristic_residual(L: np.ndarray, z):
 
     ``L`` is one matrix with a scalar ``z``, giving a float, or an
     ``(N, 4, 4)`` stack with ``z`` of shape ``(N,)`` or ``(N, k)``, giving one
-    residual per shift in an array shaped like ``z``.  Shifts must be numbers.
+    residual per shift in an array shaped like ``z``.  Both must hold numbers.
     """
-    L = np.asarray(L, dtype=complex)
-    if L.ndim == 2 and L.shape == (4, 4):
-        if isinstance(z, (bool, np.bool_, str, bytes, type(None))):
-            raise DomainError(f"shifts must be numbers, got {z!r}")
-        L, z = L.tolist(), complex(z)
-    else:
-        z = np.asarray(z)
-        if z.dtype.kind not in "iufc":
-            raise DomainError(f"shifts must be numbers, got an array of {z.dtype}")
-        z = z.astype(complex)
-        if L.ndim != 3 or L.shape[1:] != (4, 4) or z.ndim not in (1, 2) or len(z) != len(L):
-            raise DomainError(
-                f"expected a 4x4 matrix with a scalar shift, or an (N, 4, 4) stack with "
-                f"(N,) or (N, k) shifts; got shapes {L.shape} and {z.shape}"
-            )
-    return abs(_det_trace(_shifted(L, z))[0])
+    L, z = _numbers(L, "matrix entries"), _numbers(z, "shifts")
+    if not (L.shape == (4, 4) and z.ndim == 0 or L.ndim == 3 and L.shape[1:] == (4, 4)
+            and z.ndim in (1, 2) and len(z) == len(L)):
+        raise DomainError(
+            f"expected a 4x4 matrix with a scalar shift, or an (N, 4, 4) stack with "
+            f"(N,) or (N, k) shifts; got shapes {L.shape} and {z.shape}"
+        )
+    k = _MATRIX_KERNELS[L.ndim]
+    return k.map(functools.partial(_residual, k.entries(L)), z)
+
+
+def _numbers(x, what: str) -> np.ndarray:
+    """``x`` as a complex array if it holds numbers in a double's range and no bools, else
+    DomainError; ints past int64 arrive as objects, so object arrays are checked one by one."""
+    try:
+        a = np.asarray(x)
+        if a.dtype.kind in "iufc" or a.dtype.kind == "O" and all(
+                isinstance(v, numbers.Number) and not isinstance(v, bool) for v in a.flat):
+            return a.astype(complex, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{what} must be numbers within the range of a double, got {reprlib.repr(x)}")
 
 
 # Pairings whose summed distance is within this many roundoffs of the least
@@ -721,8 +718,7 @@ def match_distance(a, b):
     Two sets give a float; two ``(N, n)`` stacks of sets give an ``(N,)``
     array, each entry equal to the call on that row alone.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = _numbers(a, "set entries"), _numbers(b, "set entries")
     if a.shape != b.shape or a.ndim not in (1, 2):
         raise DomainError(
             f"sets must have equal size, as two sets or two (N, n) stacks; "

@@ -546,6 +546,21 @@ class TestNumericEigensolver:
                 scale = max(1.0, float(np.max(np.abs(zs))))
                 assert match_distance(zs, -np.conj(zs)) < 1e-10 * scale, (delta, gamma)
 
+    # Without any coupling L is zero: np.roots gives the roots as float64 zeros,
+    # Python floats after tolist(), so the Newton kernel must come from the
+    # matrix's shape, never from the type of a root.
+    def test_zero_generator_gives_exact_zeros(self):
+        zero = build_lindblad(ModelParams(0.0, 0.0, 0.0))
+        assert eigenvalues_numeric(zero).tobytes() == bytes(64)
+        stack = stack_of([ModelParams(1.0, 2.0, 1.0), ModelParams(0.0, 0.0, 0.0),
+                          ModelParams(0.5, 3.0, 2.0)])
+        zs = eigenvalues_numeric(stack)
+        assert zs[1].tobytes() == bytes(64)
+        single = [eigenvalues_numeric(L) for L in stack[[0, 2]]]
+        assert match_distance(zs[[0, 2]], single).max() < 1e-14
+        assert characteristic_residual(zero, 0) == 0.0
+        assert np.array_equal(characteristic_residual(stack, np.zeros(3)), np.zeros(3))
+
     def test_rejects_non_conserving_matrix(self):
         with pytest.raises(DomainError):
             eigenvalues_numeric(np.eye(4, dtype=complex))
@@ -653,8 +668,8 @@ class TestStackedOracle:
         # gate; numpy gives NaN and inf silently where Python would raise.
         polish = spectrum._newton_polish
 
-        def faulty(L, z):
-            roots = polish(L, z)
+        def faulty(*args):
+            roots = polish(*args)
             roots[2, 1] += fault
             return roots
 
@@ -771,6 +786,55 @@ class TestAdjugate:
         assert np.array_equal(stack, [want, want])
 
 
+ONE = build_lindblad(ModelParams(1.0, 2.0, 1.0))
+
+
+# Inputs that are not numbers, each given as one matrix (or set) and as a stack.
+NOT_NUMBERS = {
+    "str": (eigenvalues_numeric, "x"),
+    "bytes": (eigenvalues_numeric, b"ab"),
+    "objects": (eigenvalues_numeric, [[object()] * 4] * 4),
+    "objects-stack": (eigenvalues_numeric, [[[object()] * 4] * 4] * 2),
+    "bool-matrix": (eigenvalues_numeric, np.zeros((4, 4), bool)),
+    "bool-stack": (eigenvalues_numeric, np.zeros((2, 4, 4), bool)),
+    "residual-bool-matrix": (characteristic_residual, np.zeros((4, 4), bool), 1.0),
+    "residual-bool-stack": (characteristic_residual, np.zeros((2, 4, 4), bool), np.ones(2)),
+    "residual-str-matrix": (characteristic_residual, "x", 1.0),
+    "residual-overflowing-shift": (characteristic_residual, ONE, 10**400),
+    "residual-overflowing-shifts": (characteristic_residual, np.array([ONE, ONE]),
+                                    np.array([1, 10**400], dtype=object)),
+    "residual-none-in-shifts": (characteristic_residual, np.array([ONE, ONE]),
+                                np.array([1.0, None], dtype=object)),
+    "distance-str": (match_distance, ["a"], ["b"]),
+    "distance-bool": (match_distance, [True], [False]),
+    "distance-str-stack": (match_distance, [["a"]] * 2, [["b"]] * 2),
+    "distance-bool-stack": (match_distance, np.zeros((2, 4), bool), np.zeros((2, 4), bool)),
+}
+
+
+class TestNumericInputs:
+    # One rule for the oracle's entry points: numbers (numpy's, Python ints past
+    # int64 included) are accepted, anything else ends in a DomainError.
+    @pytest.mark.parametrize("call", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
+    def test_refuses_what_is_not_a_number(self, call):
+        fn, *args = call
+        with pytest.raises(DomainError, match="must be numbers"):
+            fn(*args)
+
+    def test_accepts_python_ints_and_object_arrays_of_numbers(self):
+        zs = eigenvalues_numeric(ONE)
+        assert eigenvalues_numeric(np.array(ONE.tolist(), dtype=object)).tobytes() == zs.tobytes()
+        stack = np.array([ONE, ONE])
+        want = eigenvalues_numeric(stack).tobytes()
+        assert eigenvalues_numeric(stack.astype(object)).tobytes() == want
+        assert characteristic_residual(ONE, 2**70) == characteristic_residual(ONE, float(2**70))
+        shifts = np.array([2**70, 1], dtype=object)
+        assert np.array_equal(characteristic_residual(stack, shifts),
+                              characteristic_residual(stack, shifts.astype(complex)))
+        assert match_distance([2**70, 1], [1, 2**70]) == 0.0
+        assert match_distance(zs.astype(object), zs) == 0.0
+
+
 # Entries with exact and signed zeros, whose signs the kernels must keep.
 entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                   st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
@@ -816,7 +880,10 @@ class TestDetTrace:
             .map(lambda z: np.array(z, dtype=complex).reshape(shape))))))
     def test_stack_equals_the_adjugate(self, drawn):
         flat, z = drawn
-        m = _shifted(np.array(flat, dtype=complex).reshape(-1, 4, 4), z)
+        # The entries of each matrix as arrays that broadcast against z.
+        shape = z.shape[:1] + (1,) * (z.ndim - 1) + (4, 4)
+        stack = np.array(flat, dtype=complex).reshape(shape)
+        m = _shifted([[stack[..., i, j] for j in range(4)] for i in range(4)], z)
         got = _det_trace(m, trace=True)
         assert got[0].shape == z.shape
         assert as_bytes(got) == as_bytes(det_and_trace_via_adjugate(m))
