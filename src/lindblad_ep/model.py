@@ -10,6 +10,7 @@ All energies are real with hbar = 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -150,34 +151,51 @@ def devectorize(psi: np.ndarray) -> np.ndarray:
 
     Exact inverse of :func:`vectorize` (components are copied, never
     symmetrised).  A stack of vectors, shape ``(..., 4)``, gives the stack of
-    matrices, shape ``(..., 2, 2)``.  A vector whose components violate the
+    matrices, shape ``(..., 2, 2)``; one vector is handled as Python numbers,
+    a stack by numpy, under one rule.  A vector whose components violate the
     Hermiticity pairing beyond :data:`_PAIRING_RTOL` (relative to that
     vector's largest entry, floored at 1) triggers one non-fatal
-    :class:`HermiticityWarning` for the whole stack.
+    :class:`HermiticityWarning` for the whole stack; a vector with a NaN or
+    infinite entry never does.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim == 0 or psi.shape[-1] != 4:
         raise DomainError(f"expected length-4 vectors, got shape {psi.shape}")
-    scale = np.maximum(1.0, np.max(np.abs(psi), axis=-1))
-    defect = np.maximum.reduce(
-        [
-            np.abs(psi[..., 0] - np.conj(psi[..., 1])),
-            np.abs(psi[..., 2].imag),
-            np.abs(psi[..., 3].imag),
-        ]
-    )
-    if np.any(defect > _PAIRING_RTOL * scale):
+    if psi.ndim == 1:
+        eg, ge, ee, gg = psi.tolist()
+        rho = np.array([[ee, eg], [ge, gg]])
+        # A NaN entry makes the stack's scale NaN, which no defect exceeds.
+        scale = math.nan if cmath.isnan(eg + ge + ee + gg) else max(
+            1.0, _modulus(eg), _modulus(ge), _modulus(ee), _modulus(gg))
+        defect = max(_modulus(eg - ge.conjugate()), abs(ee.imag), abs(gg.imag))
+        broken = defect > _PAIRING_RTOL * scale
+    else:
+        scale = np.maximum(1.0, np.max(np.abs(psi), axis=-1))
+        defect = np.maximum.reduce(
+            [
+                np.abs(psi[..., 0] - np.conj(psi[..., 1])),
+                np.abs(psi[..., 2].imag),
+                np.abs(psi[..., 3].imag),
+            ]
+        )
+        broken = np.any(defect > _PAIRING_RTOL * scale)
+        rho = np.empty(psi.shape[:-1] + (2, 2), dtype=complex)
+        rho[..., 0, 0] = psi[..., 2]
+        rho[..., 0, 1] = psi[..., 0]
+        rho[..., 1, 0] = psi[..., 1]
+        rho[..., 1, 1] = psi[..., 3]
+    if broken:
         warnings.warn(
             f"flattened state violates Hermiticity pairing by {np.max(defect):.3e}",
             HermiticityWarning,
             stacklevel=2,
         )
-    rho = np.empty(psi.shape[:-1] + (2, 2), dtype=complex)
-    rho[..., 0, 0] = psi[..., 2]
-    rho[..., 0, 1] = psi[..., 0]
-    rho[..., 1, 0] = psi[..., 1]
-    rho[..., 1, 1] = psi[..., 3]
     return rho
+
+
+def _modulus(z: complex) -> float:
+    """|z|, or inf where it overflows a double (Python's abs raises there, numpy's does not)."""
+    return math.hypot(z.real, z.imag)
 
 
 def initial_state(name: str) -> np.ndarray:
@@ -212,15 +230,25 @@ def trace_defect(rho: np.ndarray) -> float | np.ndarray:
 def check_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> None:
     """Raise :class:`DomainError` unless ``rho`` is a physical state within ``tol``.
 
-    Checks Hermiticity, unit trace and an eigenvalue floor at ``-tol``.
+    Checks Hermiticity (the max-norm of rho - rho^H, as in
+    :func:`hermiticity_defect`), unit trace and an eigenvalue floor at
+    ``-tol``, in closed form from the four entries: the Hermitian part
+    (rho + rho^H) / 2, with a and d on its diagonal and beta off it, has the
+    smaller eigenvalue (a + d)/2 - hypot((a - d)/2, |beta|).  Each test is
+    written "not within", so a NaN or infinite entry is refused too.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise DomainError(f"expected a 2x2 matrix, got shape {rho.shape}")
-    if hermiticity_defect(rho) > tol:
+    (a, b), (c, d) = rho.tolist()
+    # rho - rho^H holds 2i Im a and 2i Im d on its diagonal and b - conj(c) off it, twice.
+    if not (2.0 * abs(a.imag) <= tol and 2.0 * abs(d.imag) <= tol
+            and _modulus(b - c.conjugate()) <= tol):
         raise DomainError("density matrix is not Hermitian within tolerance")
-    if trace_defect(rho) > tol:
+    if not _modulus(a + d - 1.0) <= tol:
         raise DomainError("density matrix does not have unit trace within tolerance")
-    lowest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
-    if lowest < -tol:
+    # Halved before the sum and the differences, which then cannot overflow.
+    a, d = 0.5 * a.real, 0.5 * d.real
+    lowest = (a + d) - math.hypot(a - d, 0.5 * b.real + 0.5 * c.real, 0.5 * b.imag - 0.5 * c.imag)
+    if not lowest >= -tol:
         raise DomainError(f"density matrix has a negative eigenvalue {lowest:.3e}")

@@ -236,9 +236,66 @@ def _newton_on_arrays(z, det, trace):
 def _collapse_rows(roots, coeffs, scale):
     # Only a row whose tightest gap is below the larger threshold can collapse.
     gaps = np.abs(roots[:, [0, 0, 1]] - roots[:, [1, 2, 2]])
+    e1 = -coeffs[1]
     for i in np.flatnonzero(gaps.min(axis=1) < _TRIPLE_RTOL * scale):
-        roots[i] = _collapse_clusters(roots[i], -coeffs[i, 1], scale[i])
-    return roots
+        roots[i] = _collapse_clusters(roots[i], e1[i], scale[i])
+    zs = np.zeros(roots.shape[:-1] + (4,), dtype=complex)
+    zs[..., 1:] = roots
+    return zs
+
+
+def _point_scale(L, m):
+    """max(1, max|L|) for one matrix held in ``m`` on the oracle's common path, where
+    it is neither refused nor rescaled, else None; as Python numbers."""
+    try:
+        mags = [abs(x) for row in m for x in row]
+    except OverflowError:  # an entry's modulus is past the largest double
+        return None
+    # The sum bounds max|L| and, unlike max, keeps a NaN; a matrix whose sum reaches
+    # 2^_MAX_EXPONENT but whose max|L| does not takes the long way, with a shift of 0.
+    if not sum(mags) < 2.0**_MAX_EXPONENT:
+        return None
+    scale = max(1.0, *mags)
+    leak = max(abs(x + y) for x, y in zip(m[2], m[3]))
+    return scale if leak <= _LEAK_RTOL * scale else None
+
+
+def _rows_scale(L, m):
+    """:func:`_point_scale` for a stack: one scale per matrix, or None if any matrix
+    leaves the common path."""
+    amax, scale, leak = _extent(L)
+    # A NaN fails the first comparison and an infinity passes the second.
+    return None if (~(leak <= _LEAK_RTOL * scale) | (amax >= 2.0**_MAX_EXPONENT)).any() else scale
+
+
+def _point_trace(d0, d1, d2, d3) -> complex:
+    # Summed in np.trace's order, pairwise and onto a zero, so the cubic keeps np.trace's bits.
+    return 0j + ((d0 + d1) + (d2 + d3))
+
+
+def _cubic_roots(coeffs) -> np.ndarray:
+    """Roots of one monic cubic ``coeffs`` (four numbers, the first 1).
+
+    They are the ``eigvals`` of the companion matrix that ``np.roots`` builds,
+    which gives the same roots wherever the constant coefficient is nonzero.
+    A cubic whose constant coefficient is exactly zero (gamma = 0) still goes
+    through ``np.roots``, which strips the trailing zero and returns the root
+    0 exactly.
+    """
+    one, *rest = coeffs
+    if rest[2] == 0:
+        return np.roots(coeffs)
+    top = [-c / one for c in rest]
+    return np.linalg.eigvals(np.array([top, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=complex))
+
+
+def _cubic_roots_rows(coeffs: tuple) -> np.ndarray:
+    """:func:`_cubic_roots` of each cubic of a stack, all through the companion matrix."""
+    one, *rest = coeffs
+    companion = np.zeros(rest[0].shape + (3, 3), dtype=complex)
+    companion[..., 0, :] = -np.stack(rest, axis=-1) / one
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    return np.linalg.eigvals(companion)
 
 
 # The operations in which _cubic and the classifier differ between one point and arrays,
@@ -250,19 +307,27 @@ def _collapse_rows(roots, coeffs, scale):
 # 1-D arrays only the entries that cond flags.  ``abs`` is the complex magnitude as Python
 # rounds it.  ``coefficients`` runs _coefficients, on arrays under np.errstate, so that an
 # overflowing sum reaches the disc check silently, as it does in Python's floats.
-# ``roots`` is the last step.  For the oracle, ``entries`` hold L for _shifted, ``trace``
-# is tr L, ``newton`` is one Newton step (none where the trace is zero), ``collapse`` runs
-# _collapse_clusters per matrix, and ``map(f, z)`` is f at each shift, one at a time or at
-# once under np.errstate: a NaN or infinite root must reach the residual gate silently.
+# ``roots`` is the last step.  For the oracle, ``entries`` hold L for _shifted, ``scale``
+# is max(1, max|L|) on the common path (None where a matrix is refused or rescaled),
+# ``trace`` is the trace of a matrix power, ``cubic_roots`` solves the cubics, ``newton``
+# is one Newton step (none where the trace is zero), ``collapse`` runs _collapse_clusters
+# per matrix and puts the null root first, ``bad`` flags the roots that fail the residual
+# gate, and ``map(f, z)`` is f at each shift, one at a time or at once under np.errstate:
+# a NaN or infinite root must reach the residual gate silently.  For one matrix all of
+# these work on Python numbers; only the products L @ L and L2 @ L and the companion
+# matrix's eigenvalues stay in numpy.
 _POINT = SimpleNamespace(
     pow=pow, sqrt=math.sqrt, cbrt=lambda x: float(np.cbrt(x)), maximum=max, abs=abs,
     finite=math.isfinite, coefficients=_coefficients, where=lambda cond, a, b: a if cond else b,
     select=lambda cond, branches, *args: branches[0](*args) if cond else branches[1](*args),
     patch=lambda cond, base, fn, *args: fn(*np.array(args)[:, None])[0] if cond else base,
-    roots=_point_roots, entries=np.ndarray.tolist, trace=lambda m: complex(np.trace(m)),
-    map=lambda f, z: np.array([f(w) for w in z.tolist()]) if z.ndim else f(z.item()),
+    roots=_point_roots, entries=np.ndarray.tolist, scale=_point_scale,
+    trace=lambda a: _point_trace(*a.diagonal().tolist()),
+    cubic_roots=_cubic_roots, map=lambda f, z: [f(w) for w in z.tolist()],
     newton=lambda z, det, trace: z + det / trace if trace else z,
-    collapse=lambda roots, coeffs, scale: _collapse_clusters(roots, complex(-coeffs[1]), scale),
+    collapse=lambda roots, coeffs, scale: np.array(
+        [0j, *_collapse_clusters(roots, -coeffs[1], scale)]),
+    bad=lambda res, tol: [not r <= tol for r in res],
 )
 _POINT.where_full = _POINT.where
 _ARRAYS = SimpleNamespace(
@@ -271,10 +336,12 @@ _ARRAYS = SimpleNamespace(
     finite=lambda x: np.isfinite(x).all(), coefficients=np.errstate(over="ignore")(_coefficients),
     where=_where, where_full=np.where, select=_select_on_arrays, patch=_patch_on_arrays,
     roots=_array_roots, entries=lambda L: [[L[:, None, i, j] for j in range(4)] for i in range(4)],
-    trace=lambda m: np.trace(m, axis1=-2, axis2=-1),
+    scale=_rows_scale, trace=lambda m: np.trace(m, axis1=-2, axis2=-1),
+    cubic_roots=_cubic_roots_rows,
     map=np.errstate(invalid="ignore", over="ignore")(
         lambda f, z: f(z.reshape(len(z), math.prod(z.shape[1:]))).reshape(z.shape)),
     newton=_newton_on_arrays, collapse=_collapse_rows,
+    bad=lambda res, tol: ~(res <= tol[..., None]),
 )
 _MATRIX_KERNELS = {2: _POINT, 3: _ARRAYS}
 
@@ -441,35 +508,19 @@ def _ldexp(x, e) -> np.ndarray:
     return np.ldexp(parts, np.asarray(e)[..., None]).view(complex)[..., 0]
 
 
-def _char_cubic_coeffs(L: np.ndarray) -> np.ndarray:
-    """Coefficients [1, -e1, e2, -e3] of the null-deflated characteristic cubic.
+def _char_cubic_coeffs(L: np.ndarray) -> tuple:
+    """Coefficients (1, -e1, e2, -e3) of the null-deflated characteristic cubic.
 
     Assembled from traces of matrix powers (Newton's identities), so the
     deflation of the known zero eigenvalue is exact.  A stack ``(N, 4, 4)``
-    gives one row per matrix; one matrix keeps Python complex arithmetic.
+    gives one array of N per coefficient past the first; one matrix gives
+    Python complex numbers.  The products stay in numpy for both.
     """
     L2 = L @ L
     e1, t2, t3 = (_MATRIX_KERNELS[L.ndim].trace(m) for m in (L, L2, L2 @ L))
     e2 = (e1 * e1 - t2) / 2.0
     e3 = (e1**3 - 3.0 * e1 * t2 + 2.0 * t3) / 6.0
-    return np.array([np.ones(np.shape(e1)), -e1, e2, -e3], dtype=complex).T
-
-
-def _cubic_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of the monic cubic ``coeffs``, or of each row of a stack of them.
-
-    Both take ``eigvals`` of the companion matrix that ``np.roots`` builds,
-    which gives the same roots wherever the constant coefficient is nonzero.
-    One cubic whose constant coefficient is exactly zero (gamma = 0) still goes
-    through ``np.roots``, which strips the trailing zero and returns the root
-    0 exactly.
-    """
-    if coeffs.ndim == 1 and coeffs[3] == 0:
-        return np.roots(coeffs)
-    companion = np.zeros(coeffs.shape[:-1] + (3, 3), dtype=complex)
-    companion[..., 0, :] = -coeffs[..., 1:] / coeffs[..., :1]
-    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-    return np.linalg.eigvals(companion)
+    return 1.0, -e1, e2, -e3
 
 
 # Root clusters tighter than these multiples of the scale are collapsed: all
@@ -478,7 +529,7 @@ _TRIPLE_RTOL = 5e-5
 _PAIR_RTOL = 1e-7
 
 
-def _collapse_clusters(roots: np.ndarray, e1: complex, scale: float) -> np.ndarray:
+def _collapse_clusters(roots, e1: complex, scale: float):
     """Replace root clusters tighter than the attainable accuracy by exact means.
 
     A backward-stable root finder scatters a defective double (triple) root
@@ -490,14 +541,11 @@ def _collapse_clusters(roots: np.ndarray, e1: complex, scale: float) -> np.ndarr
     """
     gaps = [(abs(roots[i] - roots[j]), i, j) for i, j in ((0, 1), (0, 2), (1, 2))]
     if all(g[0] < _TRIPLE_RTOL * scale for g in gaps):
-        mean = e1 / 3.0
-        return np.array([mean, mean, mean])
+        return [e1 / 3.0] * 3
     gap, i, j = min(gaps)
     if gap < _PAIR_RTOL * scale:
-        k = 3 - i - j
-        mean = (e1 - roots[k]) / 2.0
-        out = roots.copy()
-        out[i] = out[j] = mean
+        out = list(roots)
+        out[i] = out[j] = (e1 - roots[3 - i - j]) / 2.0
         return out
     return roots
 
@@ -541,13 +589,11 @@ def eigenvalues_numeric(L: np.ndarray) -> np.ndarray:
 def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
     """:func:`eigenvalues_numeric` of one matrix (``first`` is None), or of a
     block of a stack whose first matrix, named in the messages, has index ``first``."""
-    amax = np.abs(L).reshape(L.shape[:-2] + (16,)).max(axis=-1)
-    scale = np.maximum(1.0, amax)
-    leak = np.abs(L[..., 2, :] + L[..., 3, :]).max(axis=-1)
-    shift = None
-    # One test on the common path, where nothing is refused or rescaled.  A
-    # NaN fails the first comparison and an infinity passes the second.
-    if (~(leak <= _LEAK_RTOL * scale) | (amax >= 2.0**_MAX_EXPONENT)).any():
+    k = _MATRIX_KERNELS[L.ndim]
+    m, shift = k.entries(L), None
+    scale = k.scale(L, m)
+    if scale is None:
+        amax, scale, leak = _extent(L)
         nonfinite = ~(amax < np.inf)
         if nonfinite.any():
             raise DomainError(_stack_index(nonfinite, first) + "matrix has non-finite entries")
@@ -559,25 +605,28 @@ def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
             )
         shift = np.maximum(np.frexp(amax)[1] - _MAX_EXPONENT, 0)
         L = _ldexp(L, -shift[..., None, None])
-        scale = np.ldexp(scale, -shift)
-    k, coeffs = _MATRIX_KERNELS[L.ndim], _char_cubic_coeffs(L)
-    m = k.entries(L)
-    roots = k.map(functools.partial(_newton_polish, k, m), _cubic_roots(coeffs))
-    roots = k.collapse(roots, coeffs, scale)
-    zs = np.zeros(roots.shape[:-1] + (4,), dtype=complex)
-    zs[..., 1:] = roots
+        m, scale = k.entries(L), np.ldexp(scale, -shift)
+    coeffs = _char_cubic_coeffs(L)
+    roots = k.map(functools.partial(_newton_polish, k, m), k.cubic_roots(coeffs))
+    zs = k.collapse(roots, coeffs, scale)
     res = k.map(functools.partial(_residual, m), zs)
     if shift is not None:
         zs = _ldexp(zs, shift[..., None])
     tol = _RESIDUAL_RTOL * scale**4
-    bad = ~(res <= tol[..., None])
-    if bad.any():
-        at = np.unravel_index(np.argmax(bad), bad.shape)
+    bad = k.bad(res, tol)
+    if True in bad:
+        at = np.unravel_index(np.argmax(bad), np.shape(bad))
         raise NonConvergenceError(
-            _stack_index(bad, first)
-            + f"root {zs[at]} fails the residual check: {res[at]:.3e} > {tol[at[:-1]]:.3e}"
+            _stack_index(bad, first) + f"root {zs[at]} fails the residual check: "
+            f"{np.asarray(res)[at]:.3e} > {np.asarray(tol)[at[:-1]]:.3e}"
         )
     return zs
+
+
+def _extent(L: np.ndarray) -> tuple:
+    """max|L|, max(1, max|L|) and the population leak max|L[2] + L[3]|, per matrix."""
+    amax = np.abs(L).reshape(L.shape[:-2] + (16,)).max(axis=-1)
+    return amax, np.maximum(1.0, amax), np.abs(L[..., 2, :] + L[..., 3, :]).max(axis=-1)
 
 
 def _stack_index(bad: np.ndarray, first: int | None) -> str:
@@ -671,23 +720,31 @@ def characteristic_residual(L: np.ndarray, z):
     residual per shift in an array shaped like ``z``.  Both must hold numbers.
     """
     L, z = _numbers(L, "matrix entries"), _numbers(z, "shifts")
-    if not (L.shape == (4, 4) and z.ndim == 0 or L.ndim == 3 and L.shape[1:] == (4, 4)
-            and z.ndim in (1, 2) and len(z) == len(L)):
+    if L.shape == (4, 4) and z.ndim == 0:
+        return _residual(L.tolist(), z.item())
+    if not (L.ndim == 3 and L.shape[1:] == (4, 4) and z.ndim in (1, 2) and len(z) == len(L)):
         raise DomainError(
             f"expected a 4x4 matrix with a scalar shift, or an (N, 4, 4) stack with "
             f"(N,) or (N, k) shifts; got shapes {L.shape} and {z.shape}"
         )
-    k = _MATRIX_KERNELS[L.ndim]
-    return k.map(functools.partial(_residual, k.entries(L)), z)
+    return _ARRAYS.map(functools.partial(_residual, _ARRAYS.entries(L)), z)
 
 
 def _numbers(x, what: str) -> np.ndarray:
     """``x`` as a complex array if it holds numbers in a double's range and no bools, else
-    DomainError; ints past int64 arrive as objects, so object arrays are checked one by one."""
+    DomainError.  An array or a single number is judged by its dtype.  Object arrays, in
+    which ints past int64 arrive, are checked one by one, and so are lists: numpy reads
+    a list that mixes bools with numbers as numbers."""
     try:
         a = np.asarray(x)
-        if a.dtype.kind in "iufc" or a.dtype.kind == "O" and all(
-                isinstance(v, numbers.Number) and not isinstance(v, bool) for v in a.flat):
+        kind = a.dtype.kind
+        if kind == "O":
+            ok = all(isinstance(v, numbers.Number) and not isinstance(v, bool) for v in a.flat)
+        else:
+            ok = kind in "iufc" and (a.ndim == 0 or isinstance(x, np.ndarray) or not any(
+                isinstance(v, bool) or getattr(v, "dtype", None) == bool
+                for v in np.array(x, dtype=object).flat))
+        if ok:
             return a.astype(complex, copy=False)
     except (TypeError, ValueError, OverflowError):
         pass

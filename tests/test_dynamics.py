@@ -13,6 +13,7 @@ from lindblad_ep import (
     StepSizeError,
     INITIAL_STATES,
     build_lindblad,
+    check_density_matrix,
     devectorize,
     equilibrium_state,
     evolve_lab,
@@ -480,3 +481,38 @@ class TestSpectralEvolve:
         _, gp = ep2_gamma(3.0)
         with pytest.raises(NearDegenerateError):
             spectral_evolve(ModelParams(1.0, 3.0, gp), initial_state("excited"), 1.0)
+
+
+def _with_entry(at: tuple[int, int], value: float) -> np.ndarray:
+    rho = initial_state("mixed")
+    rho[at] = value
+    return rho
+
+
+NON_FINITE_STATES = [
+    pytest.param(_with_entry(at, value), id=f"{value}-at-{at[0]}{at[1]}")
+    for value in (math.nan, math.inf) for at in ((0, 0), (0, 1), (1, 0), (1, 1))
+] + [
+    pytest.param(np.array([[math.nan, 0.0], [0.0, 1.0]]), id="nan-population"),
+    pytest.param(np.array([[1.0, math.inf], [math.inf, 0.0]]), id="inf-coherences"),
+    pytest.param(np.array([[0.5, math.nan], [math.nan, 0.5]]), id="nan-coherences"),
+]
+
+STATE_CONSUMERS = {
+    "check_density_matrix": check_density_matrix,
+    "spectral_evolve": lambda rho0: spectral_evolve(ModelParams(1.0, 2.0, 1.0), rho0, 1.0),
+    "evolve_rotating": lambda rho0: evolve_rotating(ModelParams(1.0, 2.0, 1.0), rho0, 1.0, 0.01),
+    "evolve_lab": lambda rho0: evolve_lab(LabParams(1.5, 0.5, 2.0, 1.0), rho0, 1.0, 0.01),
+}
+
+
+class TestNonFiniteStates:
+    # A "defect > tol" test is false for NaN; the state checks are written
+    # "not within tol", so a NaN or infinite entry is refused as a state
+    # before anything is integrated, and not blamed on the step.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("consume", list(STATE_CONSUMERS.values()), ids=list(STATE_CONSUMERS))
+    @pytest.mark.parametrize("rho0", NON_FINITE_STATES)
+    def test_refused_as_a_state(self, consume, rho0):
+        with pytest.raises(DomainError, match="density matrix"):
+            consume(rho0)

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lindblad_ep import (
@@ -22,6 +23,12 @@ from lindblad_ep import (
 )
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
+# Components of flattened states: signed zeros, non-finite values and magnitudes
+# from subnormal to 1e300.
+component = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf, 5e-324]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+)
 nonneg = st.floats(min_value=0.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 
 
@@ -193,6 +200,23 @@ class TestVectorization:
         with pytest.warns(HermiticityWarning):
             devectorize(psi)
 
+    # One vector is handled as Python numbers and a stack by numpy: the one-row
+    # stack must give the same bytes and the same HermiticityWarning, or none.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(component, min_size=8, max_size=8), st.sampled_from([0.0, 1e-12, 1e-6, 1.0]))
+    def test_one_vector_equals_the_one_row_stack(self, parts, broken):
+        psi = np.array(parts).view(complex)
+        psi[1] = np.conj(psi[0]) + broken  # paired, or broken by a drawn amount
+        with warnings.catch_warnings(record=True) as one:
+            warnings.simplefilter("always")
+            got = devectorize(psi)
+        with warnings.catch_warnings(record=True) as row, np.errstate(all="ignore"):
+            warnings.simplefilter("always")
+            want = devectorize(psi[None])[0]
+        assert got.tobytes() == want.tobytes()
+        assert [str(w.message) for w in one if w.category is HermiticityWarning] == [
+            str(w.message) for w in row if w.category is HermiticityWarning]
+
 
 class TestStates:
     @pytest.mark.parametrize("name", ["excited", "ground", "mixed", "coherent"])
@@ -218,3 +242,23 @@ class TestStates:
     def test_check_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
             check_density_matrix(np.array([[0.5, 0.4], [0.1, 0.5]], dtype=complex))
+
+    # The check takes the smaller eigenvalue in closed form; it must decide as
+    # LAPACK's eigenvalue does wherever that is not within roundoff of -tol.
+    # The coherence is drawn near the pure-state bound |beta|^2 = a (1 - a) too.
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(-2.0, 3.0), st.floats(0.0, 2 * math.pi),
+           st.one_of(st.floats(0.0, 3.0), st.floats(1 - 1e-8, 1 + 1e-8)), st.floats(0.0, 1.0),
+           st.sampled_from([1e-9, 1e-6, 0.0]))
+    def test_check_decides_as_eigvalsh(self, a, phi, ratio, raw, tol):
+        bound = math.sqrt(max(a * (1.0 - a), 0.0))
+        beta = (ratio * bound if bound else raw) * complex(math.cos(phi), math.sin(phi))
+        rho = np.array([[a, beta], [beta.conjugate(), 1.0 - a]])
+        assume(abs(np.trace(rho) - 1.0) <= tol)
+        lowest = np.linalg.eigvalsh(rho).min()
+        assume(abs(lowest + tol) > 1e-12 * np.abs(rho).max())
+        if lowest < -tol:
+            with pytest.raises(DomainError, match="negative eigenvalue"):
+                check_density_matrix(rho, tol=tol)
+        else:
+            check_density_matrix(rho, tol=tol)

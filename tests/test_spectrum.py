@@ -809,6 +809,12 @@ NOT_NUMBERS = {
     "distance-bool": (match_distance, [True], [False]),
     "distance-str-stack": (match_distance, [["a"]] * 2, [["b"]] * 2),
     "distance-bool-stack": (match_distance, np.zeros((2, 4), bool), np.zeros((2, 4), bool)),
+    # numpy reads a list that mixes bools with numbers as numbers.
+    "distance-bool-in-list": (match_distance, [True, 2], [1, 2]),
+    "distance-numpy-bool-in-list": (match_distance, [[1.0, np.True_]], [[1.0, 1.0]]),
+    "bool-in-nested-list": (eigenvalues_numeric, [[0, True, 0, 0]] + [[0] * 4] * 3),
+    "residual-bool-in-nested-list": (characteristic_residual, ONE.tolist()[:3] + [[0, 0, True, 0]], 1.0),
+    "residual-bool-in-shift-list": (characteristic_residual, np.array([ONE, ONE]), [1.0, True]),
 }
 
 
@@ -887,6 +893,15 @@ class TestDetTrace:
         got = _det_trace(m, trace=True)
         assert got[0].shape == z.shape
         assert as_bytes(got) == as_bytes(det_and_trace_via_adjugate(m))
+
+
+    # One matrix takes the traces of its powers on Python numbers, summed in
+    # np.trace's order, so that its cubic's coefficients keep np.trace's bits.
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(entries, min_size=4, max_size=4))
+    def test_point_trace_equals_np_trace(self, diagonal):
+        a = np.diag(np.array(diagonal, dtype=complex))
+        assert as_bytes([spectrum._POINT.trace(a)]) == as_bytes([np.trace(a)])
 
 
 class TestCharacteristicResidual:
