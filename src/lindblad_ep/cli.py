@@ -25,11 +25,11 @@ from .errors import (
 from .exceptional import (
     D_TILDE_EP3,
     _ON_CURVE_TOL,
-    _classified,
     _classify_codes,
     _curve,
     _REGIONS,
     _on_curve_residual,
+    classify,
     ep3_point,
 )
 from .model import (
@@ -42,10 +42,10 @@ from .model import (
 from .dynamics import _TRACE_TOL, evolve_rotating, verify_frame_equivalence
 from .spectrum import (
     _RESIDUAL_RTOL,
-    _closed_form,
-    _full_spectrum,
     characteristic_residual,
+    eigenvalues_closed_form,
     eigenvalues_numeric,
+    full_spectrum,
     match_distance,
 )
 from .superop import build_lindblad
@@ -135,8 +135,8 @@ def _fail(message: str) -> int:
 def cmd_spectrum(args) -> int:
     params = ModelParams(args.delta, args.d, args.gamma)
     # Rejects delta = 0 with a scaled-coordinate message.
-    point, zs = _classified(params)
-    closed = _closed_form(*zs)
+    point = classify(params)
+    closed = eigenvalues_closed_form(params)
     L = build_lindblad(params)
     numeric = eigenvalues_numeric(L)  # raises if its roots fail the same residual bound
 
@@ -148,7 +148,7 @@ def cmd_spectrum(args) -> int:
     biorth_defect = None
     vector_residual = None
     try:
-        spec = _full_spectrum(params, closed)
+        spec = full_spectrum(params)
         biorth = spec.left @ spec.right.T
         biorth_defect = float(np.max(np.abs(biorth - np.eye(4))))
         vector_residual = float(spec.residuals.max())

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NearDegenerateError, StepSizeError
-from .exceptional import _EP_REGIONS, _classified
+from .exceptional import _EP_REGIONS, classify
 from .model import (
     LabParams,
     ModelParams,
@@ -40,7 +40,7 @@ from .model import (
     trace_defect,
     vectorize,
 )
-from .spectrum import _closed_form, _modes
+from .spectrum import _modes
 from .superop import build_lindblad, equilibrium_state, lindblad_rhs
 
 # Snapshot cadence: at most this many saved states per trajectory.
@@ -422,18 +422,17 @@ def spectral_evolve(params: ModelParams, rho0: np.ndarray, t: float) -> np.ndarr
     check_density_matrix(rho0)
     if not 0.0 <= t < math.inf:
         raise DomainError(f"t must be finite and >= 0, got {t}")
-    point, zs = _classified(params)
+    point = classify(params)
     if point.region in _EP_REGIONS:
         raise NearDegenerateError(
             f"parameters classify as {point.region.value}; the spectral "
             "propagator has no complete mode basis there (use the integrator)"
         )
-    bare = _closed_form(*zs)
-    *_, left, right = _modes(params, bare)
+    modes = _modes(params)
     # At a large t the phase Re(z) t of a decaying mode can overflow while its
     # modulus exp(Im(z) t) underflows: that mode has vanished, not turned NaN.
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = np.exp(-1j * bare.eigenvalues * t)
-        factors[np.exp(bare.eigenvalues.imag * t) == 0.0] = 0.0
-    weights = left @ vectorize(rho0) * factors
-    return devectorize(weights @ right)
+        factors = np.exp(-1j * modes.eigenvalues * t)
+        factors[np.exp(modes.eigenvalues.imag * t) == 0.0] = 0.0
+    weights = modes.left @ vectorize(rho0) * factors
+    return devectorize(weights @ modes.right)

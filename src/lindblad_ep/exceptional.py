@@ -9,6 +9,7 @@ what both the classifier and the numeric curve locator exploit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +18,15 @@ import numpy as np
 
 from .errors import DegenerateFitError, DomainError, NoRootError
 from .model import ModelParams
-from .spectrum import _closed_form_stack, _cubic, _cubic_coeffs, _kernels, _pow
+from .spectrum import (
+    _KEY,
+    _MEMO_SIZE,
+    _closed_form_stack,
+    _cubic,
+    _cubic_coeffs,
+    _kernels,
+    _pow,
+)
 
 D_TILDE_EP3 = 2.0 * math.sqrt(2.0)
 GAMMA_TILDE_EP3 = 6.0 * math.sqrt(3.0)
@@ -128,17 +137,16 @@ def _drives(d_tilde) -> tuple[np.ndarray, bool]:
 def _curve(d_tilde, branches=()) -> list:
     """The couplings of :func:`ep2_gamma`, then the eigenvalue of :func:`ep2_eigenvalue`
     on each of ``branches``, from one evaluation of the curve formulas.  Refuses a
-    drive below the threshold, or far above it one where gamma_minus^2 cancels below
-    zero, then branch by branch a negative inner radicand."""
+    drive below the threshold or infinite, or far above it one where gamma_minus^2
+    cancels below zero, then branch by branch a negative inner radicand."""
     d, one = _drives(d_tilde)
     _refuse(~(d >= D_TILDE_EP3), one, DomainError,
             lambda i: f"no real coalescence curves below d_tilde = 2*sqrt(2); got {float(d[i])}")
+    _refuse(d == math.inf, one, DomainError, lambda i: f"d_tilde must be finite, got {float(d[i])!r}")
     d2, d4 = _pow(d, 2), _pow(d, 4)
     wing = np.array([[-0.5], [0.5]]) * d * _pow(np.maximum(d2 - 8.0, 0.0), 1.5)
-    # An infinite drive gives inf - inf, a NaN as it always has.
-    with np.errstate(invalid="ignore"):
-        gamma2 = d4 / 2.0 + 10.0 * d2 - 4.0 + wing
-        inner = d4 / 2.0 - 2.0 * d2 - 16.0 + wing
+    gamma2 = d4 / 2.0 + 10.0 * d2 - 4.0 + wing
+    inner = d4 / 2.0 - 2.0 * d2 - 16.0 + wing
     _refuse(gamma2[0] < 0.0, one, DomainError,
             lambda i: f"gamma_minus^2 cancels below zero at d_tilde = {float(d[i])}")
     gammas = np.sqrt(gamma2)
@@ -161,6 +169,7 @@ def ep2_gamma(d_tilde):
     there at 6 sqrt(3).  Returned as (gamma_minus, gamma_plus) with
     gamma_minus <= gamma_plus: two floats for one drive, or two arrays for a
     1-D array of drives, each element equal to the call on its drive alone.
+    A drive below the threshold, NaN or infinite raises :class:`DomainError`.
     """
     return _curve(d_tilde)[0]
 
@@ -208,22 +217,23 @@ def classify(params: ModelParams) -> PhasePoint:
     default grid's 7 band nodes, whose exact |disc| is 5e-5 to 6e-4, are
     labelled for being near a curve, not because their sign is in doubt.
     """
-    return _classified(params)[0]
-
-
-def _classified(params: ModelParams) -> tuple[PhasePoint, tuple]:
-    """:func:`classify` plus the three decaying closed-form roots, from one solve of the cubic."""
     _refuse_zero_delta(params.delta)
-    disc, code, ordering, zs = _classify(params.delta, params.d, params.gamma)
-    return PhasePoint(*params.scaled(), disc, _REGIONS[code], ordering), zs
+    disc, code, ordering = _classify_at(_KEY.pack(params.delta, params.d, params.gamma))
+    return PhasePoint(*params.scaled(), disc, _REGIONS[code], ordering)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _classify_at(key: bytes) -> tuple:
+    """:func:`_classify` at the point whose bits are ``key``: the point memo of classify."""
+    return _classify(*_KEY.unpack(key))
 
 
 def _classify(delta, d, gamma) -> tuple:
-    """``(disc, region code, ordering, (z1, z2, z3))`` at one point of three Python
-    floats (a float disc, an int ordering), or elementwise over arrays that broadcast
-    together, each entry equal to the point's bit for bit, on the kernels of _cubic."""
+    """``(disc, region code, ordering)`` at one point of three Python floats (a float
+    disc, an int ordering), or elementwise over arrays that broadcast together, each
+    entry equal to the point's bit for bit, on the kernels of _cubic."""
     k = _kernels(delta, d, gamma)
-    p, q, disc, energy, _, _, z1, z2, z3 = _cubic(delta, d, gamma)
+    p, q, disc, energy, _, _, z1, z2, _ = _cubic(delta, d, gamma)
     scale2 = k.maximum(1.0, energy)
     imdiff = z1.imag - z2.imag
     tol = _ORDERING_RTOL * k.maximum(1.0, k.abs(z1), k.abs(z2))
@@ -232,7 +242,7 @@ def _classify(delta, d, gamma) -> tuple:
     codes = k.where_full(disc > 0, _SPLIT_PAIR, _ALL_IMAGINARY)
     codes = k.patch(abs(disc) <= EP_BAND * k.pow(scale2, 3), codes, _coalescence_region,
                     p, q, scale2, d / delta, gamma / delta)
-    return disc, codes, ordering, (z1, z2, z3)
+    return disc, codes, ordering
 
 
 def _refuse_zero_delta(delta: float) -> None:
@@ -290,7 +300,7 @@ def _classify_codes(
     if (gamma < 0).any():
         raise DomainError(f"gamma must be >= 0, got {gamma.min()}")
 
-    return _classify(delta, d[:, None], gamma[None, :])[:3]
+    return _classify(delta, d[:, None], gamma[None, :])
 
 
 def _disc_at(d_tilde: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -11,6 +11,16 @@ and ``_ARRAYS`` differ: :func:`_cubic`, which the phase-plane classifier
 (``exceptional._classify``) shares, picks them by the input's type, and the
 oracle, :func:`_oracle`, by the shape of L, one matrix or a stack.
 
+At one point of three Python floats, the cubic (:func:`_cubic`), the
+classification (``exceptional.classify``) and the modes (:func:`_modes`) are
+derived once and kept in the point memo: each is a module-level
+``functools.lru_cache`` of ``_MEMO_SIZE`` = 64 points, keyed on the IEEE bits
+of (delta, d, gamma), so that -0.0 and 0.0 are two points.  A hit equals a
+cold solve bit for bit.  The memo's arrays are read-only, and every public
+function returns fresh arrays.  A refusal is not kept and is raised on every
+call.  Arrays and stacks bypass the memo.  ``cache_clear()`` on
+``_cubic_at``, ``exceptional._classify_at`` and ``_modes_at`` empties it.
+
 Two kernels share the 2x2 minors of L - zI.  :func:`_det_trace` forms only the
 cofactors that det(L - zI) and its derivative -tr adj(L - zI) read: it serves
 the characteristic residual and the Newton polish.  :func:`_adjugate` forms all
@@ -27,6 +37,7 @@ import math
 import numbers
 import operator
 import reprlib
+import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -59,6 +70,12 @@ _RADICAL_FLOOR = 1e-100
 # form p and q do not.  Each such overflow (an infinite q where p cancels, or
 # p**3 + q**2 past the largest double) ends in disc, which is refused with this.
 _DISC_OVERFLOW = "the cubic's discriminant overflows a double"
+
+# Points each memo of the module docstring keeps, and the key of a point: the IEEE
+# bits of (delta, d, gamma).  Bits, not values: -0.0 == 0.0 with equal hashes, yet
+# classify reports the sign of d/delta and the stationary mode carries it.
+_MEMO_SIZE = 64
+_KEY = struct.Struct("<3d")
 
 
 @dataclass(frozen=True)
@@ -105,8 +122,22 @@ def cardano_params(params: ModelParams) -> CardanoParams:
 
 def _cubic(delta, d, gamma) -> tuple:
     """``(p, q, disc, energy, u, v, z1, z2, z3)``: the cubic, energy scale and roots
-    at one point of three Python floats, or elementwise over arrays that broadcast
-    together, with u and v None and each entry equal to the point's bit for bit."""
+    at one point of three Python floats, through the point memo, or elementwise over
+    arrays that broadcast together, with u and v None and each entry equal to the
+    point's bit for bit."""
+    if _kernels(delta, d, gamma) is _POINT:
+        return _cubic_at(_KEY.pack(delta, d, gamma))
+    return _solve_cubic(delta, d, gamma)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _cubic_at(key: bytes) -> tuple:
+    """:func:`_solve_cubic` at the point whose bits are ``key``."""
+    return _solve_cubic(*_KEY.unpack(key))
+
+
+def _solve_cubic(delta, d, gamma) -> tuple:
+    """:func:`_cubic` without the memo."""
     k = _kernels(delta, d, gamma)
     p, q, p3, disc, energy = k.coefficients(k, delta, d, gamma)
     real = disc >= 0.0
@@ -376,11 +407,7 @@ def eigenvalues_closed_form(params: ModelParams) -> Spectrum:
     Labels follow the fixed branch convention, not any ordering of the values,
     so that branches stay continuous across parameter sweeps.
     """
-    return _closed_form(*_cubic(params.delta, params.d, params.gamma)[6:])
-
-
-def _closed_form(z1: complex, z2: complex, z3: complex) -> Spectrum:
-    """:func:`eigenvalues_closed_form` given the three decaying roots already found."""
+    *_, z1, z2, z3 = _cubic(params.delta, params.d, params.gamma)
     zs = np.array([0.0, z1, z2, z3], dtype=complex)
     return Spectrum(eigenvalues=zs, degenerate_pairs=_flag_pairs(zs))
 
@@ -450,16 +477,25 @@ def full_spectrum(params: ModelParams) -> Spectrum:
     Raises :class:`NearDegenerateError` at and near exceptional points, where
     :attr:`Spectrum.degenerate_pairs` is not empty or a pairing is singular.
     """
-    return _full_spectrum(params, eigenvalues_closed_form(params))
+    spec = _modes(params)
+    return Spectrum(spec.eigenvalues.copy(), spec.left.copy(), spec.right.copy(),
+                    spec.residuals.copy(), spec.degenerate_pairs)
 
 
-def _modes(params: ModelParams, bare: Spectrum) -> tuple[int, np.ndarray, ...]:
-    """The biorthogonal system of :func:`full_spectrum`, without its residuals.
+def _modes(params: ModelParams) -> Spectrum:
+    """:func:`full_spectrum` through the point memo, its arrays read-only."""
+    return _modes_at(_KEY.pack(params.delta, params.d, params.gamma))
 
-    Returns the exponent e of the unit scale, the generator L at unit scale,
-    L_phys / 2^e, the eigenvalues at that scale and the ``(4, 4)`` left and
-    right vectors.  Every mode comes from that one generator.
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _modes_at(key: bytes) -> Spectrum:
+    """:func:`full_spectrum` at the point whose bits are ``key``, its arrays read-only.
+
+    Every mode comes from one generator L at unit scale, L_phys / 2^e, and the
+    residuals are taken at that scale and scaled back.
     """
+    params = ModelParams(*_KEY.unpack(key))
+    bare = eigenvalues_closed_form(params)
     zs = bare.eigenvalues
     exponent, *unit = _unit_scale(params)
     unit = ModelParams(*unit)
@@ -467,22 +503,13 @@ def _modes(params: ModelParams, bare: Spectrum) -> tuple[int, np.ndarray, ...]:
     _refuse_coalesced(bare)
     L, unit_zs = build_lindblad(unit), _ldexp(zs, -exponent)
     left, right = map(np.array, zip(null, *_eigenvectors(L, unit_zs[1:], zs[1:])))
-    return exponent, L, unit_zs, left, right
-
-
-def _full_spectrum(params: ModelParams, bare: Spectrum) -> Spectrum:
-    """:func:`full_spectrum` given the closed-form eigenvalues ``bare`` already computed."""
-    exponent, L, unit_zs, left, right = _modes(params, bare)
     # Row by row the per-vector max|L r - z r|, bit for bit (L @ right.T need not be).
     r_def = np.abs(np.matmul(L, right[:, :, None])[..., 0] - unit_zs[:, None] * right).max(axis=1)
     l_def = np.abs(left @ L - unit_zs[:, None] * left).max(axis=1)
-    return Spectrum(
-        eigenvalues=bare.eigenvalues,
-        left=left,
-        right=right,
-        residuals=np.ldexp(np.maximum(r_def, l_def), exponent),
-        degenerate_pairs=bare.degenerate_pairs,
-    )
+    residuals = np.ldexp(np.maximum(r_def, l_def), exponent)
+    for array in (zs, left, right, residuals):
+        array.flags.writeable = False
+    return Spectrum(zs, left, right, residuals, bare.degenerate_pairs)
 
 
 # The oracle's residual gate: |det(L - zI)| <= _RESIDUAL_RTOL * max(1, max|L|)^4.
@@ -495,8 +522,9 @@ _LEAK_RTOL = 1e-12
 # with the block, so this bounds the oracle's memory for any stack.
 _ORACLE_BLOCK = 1024
 
-# The oracle works on L / 2^s, where 2^s brings max|L| down to at most
-# 2^_MAX_EXPONENT: det(L - zI) then stays below about 2^820 at any finite
+# The oracle works on L / 2^s, where 2^s brings the largest real or imaginary
+# part of L down to at most 2^_MAX_EXPONENT, and so max|L| to at most
+# 2^(_MAX_EXPONENT + 1/2): det(L - zI) then stays below about 2^822 at any finite
 # scale.  Below 2^_MAX_EXPONENT (about 1.6e60), s is 0 and L is used as it is.
 _MAX_EXPONENT = 200
 
@@ -593,19 +621,21 @@ def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
     m, shift = k.entries(L), None
     scale = k.scale(L, m)
     if scale is None:
-        amax, scale, leak = _extent(L)
-        nonfinite = ~(amax < np.inf)
+        nonfinite = ~np.isfinite(L).all(axis=(-2, -1))
         if nonfinite.any():
             raise DomainError(_stack_index(nonfinite, first) + "matrix has non-finite entries")
+        # From the largest real or imaginary part: a modulus may overflow before the rescale.
+        parts = np.maximum(abs(L.real), abs(L.imag)).reshape(L.shape[:-2] + (16,)).max(axis=-1)
+        shift = np.maximum(np.frexp(parts)[1] - _MAX_EXPONENT, 0)
+        L = _ldexp(L, -shift[..., None, None])
+        _, scale, leak = _extent(L)
         leaking = leak > _LEAK_RTOL * scale
         if leaking.any():
             raise DomainError(
                 _stack_index(leaking, first)
                 + "matrix does not conserve population; cannot deflate the null eigenvalue"
             )
-        shift = np.maximum(np.frexp(amax)[1] - _MAX_EXPONENT, 0)
-        L = _ldexp(L, -shift[..., None, None])
-        m, scale = k.entries(L), np.ldexp(scale, -shift)
+        m = k.entries(L)
     coeffs = _char_cubic_coeffs(L)
     roots = k.map(functools.partial(_newton_polish, k, m), k.cubic_roots(coeffs))
     zs = k.collapse(roots, coeffs, scale)

@@ -1,7 +1,19 @@
 import contextlib
 import signal
+import sys
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def empty_caches():
+    """Empty every functools cache of the package before each test, as a fresh process
+    starts, so that no test sees the point memo that an earlier one filled."""
+    for name, module in list(sys.modules.items()):
+        if name == "lindblad_ep" or name.startswith("lindblad_ep."):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 class Hang(Exception):

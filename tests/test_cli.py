@@ -154,6 +154,10 @@ class TestSpectrumCommand:
         assert run(["spectrum", "--delta", "0", "--d", "1e60"]) == 2
         assert "delta != 0" in capsys.readouterr().err
 
+    def test_infinite_scaled_drive_is_usage_error(self, capsys):
+        assert run(["spectrum", "--delta", "5e-324", "--d", "1", "--gamma", "4"]) == 2
+        assert "d_tilde must be finite" in capsys.readouterr().err
+
     def test_overflow_is_usage_error(self, tmp_path, capsys):
         # p**3 of the cubic overflows a double at this scale.
         assert run(["spectrum", "--delta", "1e60", "--out", str(tmp_path / "spec.json")]) == 2

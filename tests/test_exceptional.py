@@ -65,6 +65,14 @@ class TestEP2Gamma:
         with pytest.raises(DomainError):
             ep2_gamma(2.5)
 
+    def test_infinite_drive_rejected(self):
+        finite = r"d_tilde must be finite, got inf$"
+        for curve in (ep2_gamma, ep_curve_point, lambda d: ep2_eigenvalue(d, "plus")):
+            with pytest.raises(DomainError, match="^" + finite):
+                curve(math.inf)
+        with pytest.raises(DomainError, match="^element 1 of the batch: " + finite):
+            ep2_gamma([3.0, math.inf])
+
     def test_plugback_residuals(self):
         for d_t in np.linspace(D_EP3, 10.0, 25):
             gm, gp = ep2_gamma(d_t)
@@ -295,6 +303,11 @@ class TestClassify:
     def test_zero_detuning_rejected(self):
         with pytest.raises(DomainError):
             classify(ModelParams(0.0, 1.0, 1.0))
+
+    def test_infinite_scaled_drive_in_the_band_refused(self):
+        # d/delta = inf; the band test once labelled it because |g_t| > NaN is false.
+        with pytest.raises(DomainError, match="d_tilde must be finite, got inf$"):
+            classify(ModelParams(5e-324, 1.0, 4.0))
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lindblad_ep import spectrum
+from lindblad_ep import exceptional, spectrum
 from lindblad_ep import (
     DomainError,
     ModelParams,
@@ -16,6 +16,7 @@ from lindblad_ep import (
     cardano_params,
     characteristic_residual,
     classify,
+    classify_grid,
     eigenvalues_closed_form,
     eigenvalues_numeric,
     eigenvectors_closed_form,
@@ -694,6 +695,30 @@ class TestLargeScale:
         dist = match_distance(zs / scales[:, None], np.tile(ref, (3, 1)))
         assert np.all(dist <= 1e-12 * np.max(np.abs(ref)))
 
+    # |delta - i gamma/2| is past the largest double, though every part of L is finite.
+    def test_oracle_solves_a_modulus_past_the_largest_double(self):
+        L = build_lindblad(ModelParams(1.79e308, 0.0, 1.79e308))
+        lapack = np.linalg.eigvals(L / 2.0**824)
+        for zs in (eigenvalues_numeric(L), eigenvalues_numeric(np.asfortranarray(L)),
+                   eigenvalues_numeric(L[None])[0]):
+            assert np.isfinite(zs).all()
+            assert match_distance(zs / 2.0**824, lapack) <= 1e-12 * np.max(np.abs(lapack))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, np.inf)])
+    def test_non_finite_entry_still_refused(self, bad):
+        L = build_lindblad(ModelParams(1.79e308, 0.0, 1.79e308))
+        L[0, 1] = bad
+        with pytest.raises(DomainError, match="^matrix has non-finite entries$"):
+            eigenvalues_numeric(L)
+        with pytest.raises(DomainError, match="^matrix 0 of the stack: matrix has non-finite"):
+            eigenvalues_numeric(L[None])
+
+    def test_leak_past_the_largest_double_named_as_a_leak(self):
+        L = build_lindblad(ModelParams(1.79e308, 0.0, 1.79e308))
+        L[2, 0] = 1e300
+        with pytest.raises(DomainError, match="does not conserve population"):
+            eigenvalues_numeric(L)
+
 
 def hadamard(rows) -> float:
     """Hadamard's bound on |det|: the product of the row norms."""
@@ -950,10 +975,10 @@ def solves(monkeypatch):
     """The points at which the closed-form core solves the cubic, counted at every
     package module that binds it."""
     calls = []
-    original = spectrum._cubic
+    original = spectrum._solve_cubic
     for name, module in list(sys.modules.items()):
-        if name.startswith("lindblad_ep") and getattr(module, "_cubic", None) is original:
-            monkeypatch.setattr(module, "_cubic",
+        if name.startswith("lindblad_ep") and getattr(module, "_solve_cubic", None) is original:
+            monkeypatch.setattr(module, "_solve_cubic",
                                 lambda *point: calls.append(point) or original(*point))
     return calls
 
@@ -993,6 +1018,129 @@ class TestEigenvaluesComputedOnce:
         with pytest.raises(DomainError):
             spectral_evolve(params, initial_state("excited"), 0.5)
         assert solves == []
+
+
+def outcome(solve, *args):
+    """What ``solve(*args)`` returns, every float and array as its bits, or the type and
+    message of what it raises."""
+    def bits(x):
+        if isinstance(x, np.ndarray):
+            return x.dtype.str, x.shape, x.tobytes()
+        if isinstance(x, (float, complex)):
+            return np.array(x).tobytes()
+        if isinstance(x, (tuple, list)):
+            return tuple(map(bits, x))
+        if hasattr(x, "__dataclass_fields__"):
+            return tuple(bits(getattr(x, name)) for name in x.__dataclass_fields__)
+        return x
+
+    try:
+        return bits(solve(*args))
+    except (ArithmeticError, DomainError, NearDegenerateError) as exc:
+        return type(exc), str(exc)
+
+
+def point_api(params):
+    """The one-point public API at ``params``, as :func:`outcome` records it."""
+    rho0 = initial_state("coherent")
+    return [outcome(classify, params), outcome(eigenvalues_closed_form, params),
+            outcome(full_spectrum, params), outcome(spectral_evolve, params, rho0, 0.7),
+            outcome(cardano_params, params)]
+
+
+# Signed zeros, subnormals and unit-scale values, scaled by 10^-150, 1 or 10^150.
+memo_points = st.builds(
+    lambda delta, d, gamma, scale: ModelParams(delta * scale, d * scale, gamma * scale),
+    st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]), finite),
+    st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]), finite),
+    st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308]), coupling),
+    st.sampled_from([1e-150, 1.0, 1e150]),
+)
+
+MEMOS = (spectrum._cubic_at, exceptional._classify_at, spectrum._modes_at)
+
+
+def forget() -> None:
+    """Empty the point memo."""
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+class TestPointMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(memo_points)
+    @example(ModelParams(1.0, -0.0, 0.0))
+    @example(ModelParams(1.0, D_EP3, G_EP3))
+    @example(ModelParams(5e-324, 1.0, 4.0))
+    @example(ModelParams(0.0, 1.0, 1.0))
+    @example(ModelParams(*OVERFLOWING_CUBICS[0]))
+    def test_a_warm_hit_equals_a_cold_solve(self, params):
+        forget()
+        cold = point_api(params)
+        assert point_api(params) == cold
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_signed_zero_is_its_own_point(self, gamma):
+        plus, minus = ModelParams(1.0, 0.0, gamma), ModelParams(1.0, -0.0, gamma)
+        cold = point_api(minus)
+        forget()
+        warm = point_api(plus)
+        assert point_api(minus) == cold != warm
+        assert math.copysign(1.0, classify(minus).d_tilde) == -1.0
+
+    def test_returned_arrays_are_fresh(self):
+        params, rho0 = ModelParams(1.0, 2.0, 1.0), initial_state("excited")
+        first = point_api(params)
+        spec, closed = full_spectrum(params), eigenvalues_closed_form(params)
+        rho_t = spectral_evolve(params, rho0, 0.7)
+        for array in (spec.eigenvalues, spec.left, spec.right, spec.residuals,
+                      closed.eigenvalues, rho_t):
+            array[...] = 7.0
+        assert point_api(params) == first
+
+    def test_memo_arrays_are_read_only(self):
+        spec = spectrum._modes(ModelParams(1.0, 2.0, 1.0))
+        for array in (spec.eigenvalues, spec.left, spec.right, spec.residuals):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("params, solve, error", [
+        (ModelParams(0.0, 1.0, 1.0), classify, DomainError),
+        (ModelParams(1.0, D_EP3, G_EP3), full_spectrum, NearDegenerateError),
+        (ModelParams(*OVERFLOWING_CUBICS[0]), eigenvalues_closed_form, OverflowError),
+        (ModelParams(5e-324, 1.0, 4.0), classify, DomainError),
+    ])
+    def test_refusals_are_raised_cold_and_warm(self, params, solve, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                solve(params)
+
+    def test_a_second_entry_point_solves_nothing(self, solves, tmp_path):
+        params = ModelParams(1.0, 2.0, 1.0)
+        classify(params)
+        assert len(solves) == 1
+        eigenvalues_closed_form(params)
+        cardano_params(params)
+        full_spectrum(params)
+        spectral_evolve(params, initial_state("excited"), 0.5)
+        assert main(["spectrum", "--delta", "1", "--d", "2", "--gamma", "1",
+                     "--out", str(tmp_path / "spec.json")]) == 0
+        assert len(solves) == 1
+
+    def test_never_grows_past_its_bound(self):
+        for k in range(3 * spectrum._MEMO_SIZE):
+            params = ModelParams(1.0, 0.01 * k, 1.0)
+            classify(params)
+            full_spectrum(params)
+        for memo in MEMOS:
+            info = memo.cache_info()
+            assert info.maxsize == spectrum._MEMO_SIZE == info.currsize
+
+    def test_arrays_bypass_it(self):
+        grid = np.linspace(0.0, 12.0, 7)
+        classify_grid(1.0, grid, grid)
+        _closed_form_stack(*np.ones((3, 5)))
+        assert all(memo.cache_info().currsize == 0 for memo in MEMOS)
 
 
 class TestMatchDistance:
