@@ -9,47 +9,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
 
-import numpy as np
-
-from . import __version__
-from .errors import (
-    DomainError,
-    LindbladEPError,
-    NearDegenerateError,
-    StepSizeError,
-)
-from .exceptional import (
-    D_TILDE_EP3,
-    _ON_CURVE_TOL,
-    _classify_codes,
-    _curve,
-    _REGIONS,
-    _on_curve_residual,
-    classify,
-    ep3_point,
-)
-from .model import (
-    INITIAL_STATES,
-    LabParams,
-    ModelParams,
-    initial_state,
-    max_abs,
-)
-from .dynamics import _TRACE_TOL, evolve_rotating, verify_frame_equivalence
-from .spectrum import (
-    _RESIDUAL_RTOL,
-    characteristic_residual,
-    eigenvalues_closed_form,
-    eigenvalues_numeric,
-    full_spectrum,
-    match_distance,
-)
-from .superop import build_lindblad
-from .verify import CHECK_NAMES, DEFAULT_SEED, run_checks
+# Nothing numeric loads here: a command that computes loads numpy and the numeric
+# core when it runs (see main), so --version, ep3 and usage errors import no numpy.
+from . import __version__, _load
+from .constants import CHECK_NAMES, D_TILDE_EP3, DEFAULT_SEED, INITIAL_STATES, ep3_point
+from .errors import DomainError, LindbladEPError, NearDegenerateError, StepSizeError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -101,9 +70,11 @@ def _table(fmt, header, blocks, bare=()):
 _MAX_NODES = 2**21
 
 
-def _grids(args, *axes: str) -> list[np.ndarray]:
+def _grids(args, *axes: str) -> list:
     """For each axis ``a``, ``--n<a>`` evenly spaced values from ``--<a>-min`` to ``--<a>-max``,
     both included; refuses more than :data:`_MAX_NODES` nodes before allocating any."""
+    import numpy as np
+
     counts = [getattr(args, f"n{a}") for a in axes]
     if min(counts) < 1:
         raise DomainError("grid counts must be >= 1")
@@ -133,6 +104,20 @@ def _fail(message: str) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
+    import numpy as np
+
+    from .exceptional import classify
+    from .model import ModelParams, max_abs
+    from .spectrum import (
+        _RESIDUAL_RTOL,
+        characteristic_residual,
+        eigenvalues_closed_form,
+        eigenvalues_numeric,
+        full_spectrum,
+        match_distance,
+    )
+    from .superop import build_lindblad
+
     params = ModelParams(args.delta, args.d, args.gamma)
     # Rejects delta = 0 with a scaled-coordinate message.
     point = classify(params)
@@ -180,20 +165,22 @@ def cmd_spectrum(args) -> int:
 # phase-diagram
 # --------------------------------------------------------------------------
 
-# Cell text by region code of `_classify_codes`, and by ordering (-1 takes the last entry).
-_LABELS = np.array([region.value for region in _REGIONS], dtype=object)
-_ORDERINGS = np.array(["0", "1", "-1"], dtype=object)
-
-
 def cmd_phase_diagram(args) -> int:
+    import numpy as np
+
+    from .exceptional import _REGIONS, _classify_codes
+
     if args.delta <= 0:
         raise DomainError("grid commands use delta > 0 so flags read as d/delta, gamma/delta")
+    # Cell text by region code of `_classify_codes`, and by ordering (-1 takes the last entry).
+    labels = np.array([region.value for region in _REGIONS], dtype=object)
+    orderings = np.array(["0", "1", "-1"], dtype=object)
     d_grid, g_grid = _grids(args, "d", "gamma")
     disc, codes, ordering = _classify_codes(args.delta, d_grid, g_grid)
     # One block per d-row, d-major like the grid; the gamma column is formatted once.
     g_text = list(map(repr, g_grid.tolist()))
     rows = zip(map(repr, d_grid.tolist()), disc, codes, ordering)
-    blocks = ([[d_t] * len(g_text), g_text, x, _LABELS[c].tolist(), _ORDERINGS[o].tolist()]
+    blocks = ([[d_t] * len(g_text), g_text, x, labels[c].tolist(), orderings[o].tolist()]
               for d_t, x, c, o in rows)
     header = "d_tilde,gamma_tilde,disc,region,ordering"
     _write(args.out, _table(args.format, header, blocks, bare=("ordering",)))
@@ -205,6 +192,10 @@ def cmd_phase_diagram(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_ep_curve(args) -> int:
+    import numpy as np
+
+    from .exceptional import _ON_CURVE_TOL, _curve, _on_curve_residual
+
     (d_grid,) = _grids(args, "d")
     if args.d_min < D_TILDE_EP3:
         raise DomainError(
@@ -237,6 +228,9 @@ def cmd_ep3(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_evolve(args) -> int:
+    from .dynamics import _TRACE_TOL, evolve_rotating
+    from .model import ModelParams, initial_state
+
     params = ModelParams(args.delta, args.d, args.gamma)
     rho0 = initial_state(args.rho0)
     traj = evolve_rotating(params, rho0, args.t_max, args.dt)
@@ -258,6 +252,9 @@ def cmd_evolve(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_verify_frame(args) -> int:
+    from .dynamics import verify_frame_equivalence
+    from .model import LabParams, initial_state
+
     # A NaN gate would pass every deviation and a negative one fail every one.
     if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
         raise DomainError(f"--tol must be finite and >= 0, got {args.tol}")
@@ -287,6 +284,8 @@ def cmd_verify_frame(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from .verify import run_checks
+
     names = None
     if args.checks is not None:
         names = [name.strip() for name in args.checks.split(",") if name.strip()]
@@ -390,13 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of main, built on its first call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
+        # Every command but ep3 computes: numpy and the numeric core load here, as one unit.
+        if args.func is not cmd_ep3:
+            _load()
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

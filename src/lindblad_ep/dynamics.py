@@ -72,6 +72,10 @@ _FROM_TRACE_BASIS = np.array(
     [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, -0.5, 0.5]]
 )
 
+# Largest phase |z| t, in radians, that a double still resolves: past 1/eps the
+# spacing of doubles near |z| t exceeds 2 pi, so exp(-i z t) has no correct digit.
+_PHASE_HORIZON = 1.0 / np.finfo(float).eps
+
 # |w| = 4 lies outside the RK4 stability region in every direction (the region
 # reaches |w| ~ 2.96), so it brackets the stability boundary on every ray.
 _OUTSIDE_STABILITY_REGION = 4.0
@@ -415,8 +419,10 @@ def spectral_evolve(params: ModelParams, rho0: np.ndarray, t: float) -> np.ndarr
     Valid only away from exceptional points, where the biorthogonal system is
     complete; refuses EP-labelled parameter points and propagates
     :class:`NearDegenerateError` from the eigenvector construction otherwise.
-    Raises :class:`DomainError` for a ``rho0`` that is not a density matrix
-    and for a ``t`` that is negative or not finite.
+    Raises :class:`DomainError` for a ``rho0`` that is not a density matrix,
+    for a ``t`` that is negative or not finite, and for a ``t`` past the
+    precision horizon, where a mode that has not decayed turns more than 1/eps
+    radians or grows past the largest double.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     check_density_matrix(rho0)
@@ -431,8 +437,19 @@ def spectral_evolve(params: ModelParams, rho0: np.ndarray, t: float) -> np.ndarr
     modes = _modes(params)
     # At a large t the phase Re(z) t of a decaying mode can overflow while its
     # modulus exp(Im(z) t) underflows: that mode has vanished, not turned NaN.
+    zs = modes.eigenvalues
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = np.exp(-1j * modes.eigenvalues * t)
-        factors[np.exp(modes.eigenvalues.imag * t) == 0.0] = 0.0
+        growth = np.exp(zs.imag * t)
+        factors = np.exp(-1j * zs * t)
+    # A mode that has not vanished must keep its phase |z| t within the horizon,
+    # and its growth, which only roundoff makes exceed 1, finite.
+    for z, g in zip(zs.tolist(), growth.tolist()):
+        phase = math.hypot(z.real, z.imag) * t
+        if g != 0.0 and (phase > _PHASE_HORIZON or g == math.inf):
+            reason = (f"its phase |z| t = {phase:.3e} exceeds 1/eps = {_PHASE_HORIZON:.3e} "
+                      "radians" if g < math.inf else "its growth exp(Im(z) t) overflows")
+            raise DomainError(f"t = {t!r} is past the precision horizon: the mode "
+                              f"z = {z!r} has not decayed, and {reason}")
+    factors[growth == 0.0] = 0.0
     weights = modes.left @ vectorize(rho0) * factors
     return devectorize(weights @ modes.right)

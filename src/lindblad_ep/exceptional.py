@@ -16,6 +16,8 @@ from enum import Enum
 
 import numpy as np
 
+# The triple point is defined in constants, which needs no numpy; re-exported here.
+from .constants import D_TILDE_EP3, GAMMA_TILDE_EP3, Z_EP3, ep3_point  # noqa: F401
 from .errors import DegenerateFitError, DomainError, NoRootError
 from .model import ModelParams
 from .spectrum import (
@@ -27,10 +29,6 @@ from .spectrum import (
     _kernels,
     _pow,
 )
-
-D_TILDE_EP3 = 2.0 * math.sqrt(2.0)
-GAMMA_TILDE_EP3 = 6.0 * math.sqrt(3.0)
-Z_EP3 = -4j * math.sqrt(3.0)
 
 # Relative half-width of the |disc| band that earns a coalescence label.  The
 # discriminant scales as the sixth power of energy, so the band uses the cube
@@ -193,11 +191,6 @@ def ep_curve_point(d_tilde: float) -> EPCurvePoint:
     """Both branches of the coalescence curves at one drive value."""
     (gm, gp), z_minus, z_plus = _curve(d_tilde, ("minus", "plus"))
     return EPCurvePoint(float(d_tilde), gm, gp, z_minus, z_plus)
-
-
-def ep3_point() -> tuple[float, float, complex]:
-    """Drive, coupling and eigenvalue of the triple coalescence (units of detuning)."""
-    return D_TILDE_EP3, GAMMA_TILDE_EP3, Z_EP3
 
 
 def classify(params: ModelParams) -> PhasePoint:

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import INITIAL_STATES
 from .errors import DomainError
 
 HS_COMPONENTS = ("rho_eg", "rho_ge", "rho_ee", "rho_gg")
-
-INITIAL_STATES = ("excited", "ground", "mixed", "coherent")
 
 # Hermiticity-pairing defect of a flattened state, relative to its largest
 # entry (floored at 1), above which devectorize warns.

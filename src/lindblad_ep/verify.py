@@ -15,6 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import (
+    CHECK_NAMES,
+    D_TILDE_EP3,
+    DEFAULT_SEED,
+    GAMMA_TILDE_EP3,
+    INITIAL_STATES,
+    Z_EP3,
+)
 from .dynamics import (
     _TRACE_TOL,
     evolve_lab,
@@ -24,9 +32,6 @@ from .dynamics import (
 )
 from .errors import DomainError
 from .exceptional import (
-    D_TILDE_EP3,
-    GAMMA_TILDE_EP3,
-    Z_EP3,
     _CODE,
     _ON_CURVE_TOL,
     _classify_codes,
@@ -38,7 +43,7 @@ from .exceptional import (
     splitting_exponent,
     Region,
 )
-from .model import INITIAL_STATES, LabParams, ModelParams, initial_state, max_abs
+from .model import LabParams, ModelParams, initial_state, max_abs
 from .spectrum import (
     _closed_form_stack,
     _pow,
@@ -46,8 +51,6 @@ from .spectrum import (
     match_distance,
 )
 from .superop import _lindblad_stack, build_lindblad, null_eigenvectors
-
-DEFAULT_SEED = 1234
 
 
 @dataclass
@@ -295,19 +298,18 @@ def check_phase_diagram(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> Che
     )
 
 
-CHECKS = {
-    "ep3": check_ep3_constants,
-    "ep2-curve": check_ep2_curve,
-    "spectra": check_spectra,
-    "gamma0": check_gamma_zero,
-    "equilibrium": check_equilibrium,
-    "frame": check_frame,
-    "conservation": check_conservation,
-    "splitting": check_splitting,
-    "phase-diagram": check_phase_diagram,
-}
-
-CHECK_NAMES = tuple(CHECKS)
+# Each check by its name, in the order of CHECK_NAMES.
+CHECKS = dict(zip(CHECK_NAMES, (
+    check_ep3_constants,
+    check_ep2_curve,
+    check_spectra,
+    check_gamma_zero,
+    check_equilibrium,
+    check_frame,
+    check_conservation,
+    check_splitting,
+    check_phase_diagram,
+), strict=True))
 
 
 def run_checks(

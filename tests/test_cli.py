@@ -122,6 +122,106 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def fresh(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a fresh interpreter that imports this package."""
+    src = str(Path(lindblad_ep.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n{code}"],
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()
+
+
+EP3_JSON = """{
+  "d_tilde": 2.8284271247461903,
+  "gamma_tilde": 10.392304845413264,
+  "z": {
+    "re": 0.0,
+    "im": -6.928203230275509
+  }
+}"""
+
+# What a process may do before it imports numpy: import the package and its command
+# line, build the parser, print the version, the help or the triple point, refuse a
+# usage error, and look up a name the package does not have.
+WITHOUT_NUMPY = {
+    "build_parser": "import lindblad_ep, lindblad_ep.cli; lindblad_ep.cli.build_parser()",
+    "version": "from lindblad_ep.cli import main; assert main(['--version']) == 0",
+    "help": "from lindblad_ep.cli import main; assert main(['--help']) == 0",
+    "usage-error": "from lindblad_ep.cli import main; assert main(['spectrum', '--d', 'x']) == 2",
+    "ep3": "from lindblad_ep.cli import main; assert main(['ep3']) == 0",
+    "unknown-name": "import lindblad_ep; assert not hasattr(lindblad_ep, 'no_such_name')",
+    "dir": "import lindblad_ep; assert set(lindblad_ep.__all__) <= set(dir(lindblad_ep))",
+}
+
+NUMERIC_MODULES = ("model", "superop", "spectrum", "exceptional", "dynamics", "verify")
+
+
+class TestLazyPackage:
+    @pytest.mark.parametrize("code", WITHOUT_NUMPY.values(), ids=WITHOUT_NUMPY)
+    def test_imports_no_numpy(self, code):
+        lines = fresh(f"{code}\nprint('numpy' in sys.modules)")
+        assert lines[-1] == "False"
+
+    def test_ep3_prints_its_bytes_without_numpy(self):
+        assert fresh("from lindblad_ep.cli import main; main(['ep3'])") == EP3_JSON.splitlines()
+
+    def test_one_public_access_loads_the_whole_numeric_core(self):
+        lines = fresh("import json, lindblad_ep\nlindblad_ep.classify\n"
+                      "print(json.dumps(sorted(sys.modules)))")
+        loaded = json.loads(lines[-1])
+        assert "numpy" in loaded
+        assert {f"lindblad_ep.{m}" for m in NUMERIC_MODULES} <= set(loaded)
+
+    def test_star_import_binds_every_name(self):
+        lines = fresh("from lindblad_ep import *\nimport lindblad_ep\n"
+                      "print([n for n in lindblad_ep.__all__ if globals().get(n) is not getattr(lindblad_ep, n)])")
+        assert lines == ["[]"]
+
+    def test_each_public_name_is_its_home_modules_object(self):
+        homes = {"HS_COMPONENTS": "lindblad_ep.model", "INITIAL_STATES": "lindblad_ep.constants"}
+        for name in lindblad_ep.__all__:
+            value = getattr(lindblad_ep, name)
+            home = homes.get(name) or value.__module__
+            assert value is getattr(sys.modules[home], name), name
+        assert lindblad_ep.exceptional.ep3_point is lindblad_ep.ep3_point
+        assert lindblad_ep.model.INITIAL_STATES is lindblad_ep.INITIAL_STATES
+
+    def test_dir_lists_every_public_name(self):
+        assert set(lindblad_ep.__all__) <= set(dir(lindblad_ep))
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            lindblad_ep.no_such_name
+
+
+class TestParserReuse:
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0), (["--help"], 0), (["spectrum", "--help"], 0), ([], 2),
+        (["no-such-command"], 2), (["spectrum", "--d", "x"], 2), (["ep3", "--bogus"], 2),
+    ])
+    def test_repeated_calls_print_the_same_bytes(self, argv, code, capsys):
+        outputs = []
+        for _ in range(3):
+            assert main(argv) == code
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out + outputs[0].err
+        assert outputs[1:] == outputs[:1] * 2
+
+    def test_help_is_a_fresh_parsers_help(self, capsys):
+        from lindblad_ep.cli import build_parser
+
+        for _ in range(2):
+            assert main(["--help"]) == 0
+            assert capsys.readouterr().out == build_parser().format_help()
+
+    def test_main_builds_its_parser_once(self, tmp_path):
+        from lindblad_ep import cli
+
+        for argv in (["--version"], ["ep3", "--out", str(tmp_path / "ep3.json")], ["nope"]):
+            main(argv)
+        assert cli._parser.cache_info().misses == 1
+        assert cli.build_parser() is not cli.build_parser()
+
+
 def run(args):
     return main(list(args))
 
@@ -541,7 +641,8 @@ class TestVerifyFrameCommand:
     def test_zero_deviation_gives_an_infinite_order(self, coarse, fine, order, tmp_path,
                                                     monkeypatch):
         deviations = iter([1e-12, coarse, fine])
-        monkeypatch.setattr(lindblad_ep.cli, "verify_frame_equivalence",
+        # The command reads verify_frame_equivalence from its home module when it runs.
+        monkeypatch.setattr(lindblad_ep.dynamics, "verify_frame_equivalence",
                             lambda *args: next(deviations))
         out = tmp_path / "frame.json"
         assert run(["verify-frame", "--out", str(out)]) == 0

@@ -452,6 +452,21 @@ class TestSpectralEvolve:
             rho = spectral_evolve(params, initial_state(name), t)
             assert np.array_equal(rho, equilibrium_state(params))
 
+    # At gamma = 0 nothing decays, and at these scales the closed form splits the
+    # double zero by roundoff.  A mode's phase |z| t passes 1/eps, or the spurious
+    # growth exp(Im(z) t) of the split pair passes the largest double: no digit of the
+    # state is known.  Both used to return NaN through a RuntimeWarning.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("point, reason", [
+        ((1e16, 1e16, 0.0), "exceeds 1/eps"),
+        ((1e20, 2e20, 0.0), "growth exp"),
+        ((1e40, 1e40, 0.0), "growth exp"),
+    ])
+    def test_past_the_precision_horizon_refused(self, point, reason):
+        for name in INITIAL_STATES:
+            with pytest.raises(DomainError, match=f"past the precision horizon.*{reason}"):
+                spectral_evolve(ModelParams(*point), initial_state(name), 0.7)
+
     def test_matches_integrator(self):
         params = ModelParams(1.0, 2.0, 1.0)
         rho0 = initial_state("coherent")

@@ -1074,6 +1074,10 @@ class TestPointMemo:
     @example(ModelParams(5e-324, 1.0, 4.0))
     @example(ModelParams(0.0, 1.0, 1.0))
     @example(ModelParams(*OVERFLOWING_CUBICS[0]))
+    # gamma = 0 at large scales: spectral_evolve refuses a mode past the precision
+    # horizon, where it used to return NaN through a RuntimeWarning.
+    @example(ModelParams(1.0185e43, 1.0185e43, 0.0))
+    @example(ModelParams(1e40, 1e40, 0.0))
     def test_a_warm_hit_equals_a_cold_solve(self, params):
         forget()
         cold = point_api(params)
