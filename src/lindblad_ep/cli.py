@@ -66,7 +66,8 @@ def _table(fmt, header, blocks, bare=()):
     yield tail
 
 
-# Most nodes a grid takes: a run at the cap stays under 1 GiB (measured, see README).
+# Most nodes a grid takes: a run at the cap peaks at 66 MB for a 2048x1024 phase diagram
+# and at 544 MB for ep-curve, its largest (measured, see README).
 _MAX_NODES = 2**21
 
 

@@ -26,6 +26,7 @@ from .spectrum import (
     _closed_form_stack,
     _cubic,
     _cubic_coeffs,
+    _in_blocks,
     _kernels,
     _pow,
 )
@@ -234,7 +235,7 @@ def _classify(delta, d, gamma) -> tuple:
     ordering = (imdiff > tol) * 1 - (imdiff < -tol) * 1
     codes = k.where_full(disc > 0, _SPLIT_PAIR, _ALL_IMAGINARY)
     codes = k.patch(abs(disc) <= EP_BAND * k.pow(scale2, 3), codes, _coalescence_region,
-                    p, q, scale2, d / delta, gamma / delta)
+                    p, q, scale2, delta, d, gamma)
     return disc, codes, ordering
 
 
@@ -244,15 +245,25 @@ def _refuse_zero_delta(delta: float) -> None:
                           "(coordinates are d/delta and gamma/delta)")
 
 
-def _coalescence_region(p, q, scale2, d_t, g_t) -> np.ndarray:
+def _coalescence_region(p, q, scale2, delta, d, gamma) -> np.ndarray:
     """Region codes of points inside the |disc| band, the triple point or one EP2 branch,
-    over five 1-D arrays of one length: the band patch of :func:`_classify`, its one caller."""
+    over six 1-D arrays of one length: the band patch of :func:`_classify`, its one caller.
+    Refuses a point off the triple point whose d/delta overflows, naming the point."""
     ep3 = np.maximum(np.abs(p), _pow(np.abs(q), 2.0 / 3.0)) <= EP3_BAND * scale2
+    # An overflowing quotient is refused below, without numpy's warning.
+    with np.errstate(over="ignore"):
+        d_t, g_t = d / delta, gamma / delta
     # Below the drive threshold the band can only be entered near the triple
     # point; split on the coupling side of it.
     midpoint = np.full(d_t.shape, GAMMA_TILDE_EP3)
     curve = ~ep3 & (np.abs(d_t) >= D_TILDE_EP3)
     if curve.any():
+        far = curve & np.isinf(d_t)
+        if far.any():
+            i = int(np.argmax(far))
+            raise DomainError(
+                f"the coalescence branch at delta = {float(delta[i])!r}, d = {float(d[i])!r}, "
+                f"gamma = {float(gamma[i])!r} cannot be told: d_tilde must be finite, got inf")
         gm, gp = ep2_gamma(np.abs(d_t[curve]))
         midpoint[curve] = 0.5 * (gm + gp)
     # Indices into _EP_REGIONS: 0 minus branch, 1 plus branch, 2 triple point.
@@ -267,8 +278,9 @@ def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.nd
     :class:`Region` members.  Every entry equals, bit for bit, the field of
     ``classify(ModelParams(delta, d_t * delta, g_t * delta))`` at that node:
     both run one classifier body, whose kernels are picked by the input's type,
-    in one array pass over the grid and one more over the few points inside the
-    |disc| band.  The pass labels nodes with ``int8`` region codes, indices into
+    in blocks of whole d-rows of about 8,192 nodes (``spectrum._BLOCK``), each
+    one array pass and one more over its few points inside the |disc| band.
+    The pass labels nodes with ``int8`` region codes, indices into
     the region table ``_REGIONS`` (code k is the k-th member of :class:`Region`
     in declaration order); ``region`` is that table indexed by the codes.
     """
@@ -292,8 +304,16 @@ def _classify_codes(
         raise DomainError("delta, d and gamma must be finite on the whole grid")
     if (gamma < 0).any():
         raise DomainError(f"gamma must be >= 0, got {gamma.min()}")
+    # Blocks of whole d-rows, or of one long row's columns, each classified into the
+    # preallocated outputs: memory grows with the outputs and one block.
+    shape = (len(d), len(gamma))
+    outs = (np.empty(shape), np.empty(shape, dtype=np.int8), np.empty(shape, dtype=np.int64))
 
-    return _classify(delta, d[:, None], gamma[None, :])
+    def block(ix):
+        rows, cols = ix if type(ix) is tuple else (ix, slice(None))
+        return _classify(delta, d[rows, None], gamma[None, cols])
+
+    return _in_blocks(block, outs, len(gamma))
 
 
 def _disc_at(d_tilde: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -518,15 +518,36 @@ _RESIDUAL_RTOL = 1e-9
 # Largest population leak max|L[2] + L[3]|, relative to max(1, max|L|), the oracle deflates.
 _LEAK_RTOL = 1e-12
 
-# Matrices per block of a stacked oracle call: the kernel's temporaries grow
-# with the block, so this bounds the oracle's memory for any stack.
-_ORACLE_BLOCK = 1024
-
 # The oracle works on L / 2^s, where 2^s brings the largest real or imaginary
 # part of L down to at most 2^_MAX_EXPONENT, and so max|L| to at most
 # 2^(_MAX_EXPONENT + 1/2): det(L - zI) then stays below about 2^822 at any finite
 # scale.  Below 2^_MAX_EXPONENT (about 1.6e60), s is 0 and L is used as it is.
 _MAX_EXPONENT = 200
+
+
+# Numbers per block of an array path: the nodes of a grid, or the entries of a stack's
+# matrices.  Every operation on those paths is elementwise per node or per matrix, so a
+# block changes no bit; it bounds the temporaries, which stay in cache.  A stack's row
+# holds at most 64 numbers, so only a grid's rows are ever longer than a block.
+_BLOCK = 8192
+
+
+def _in_blocks(fn, outs: tuple, width: int) -> tuple:
+    """Fill the preallocated arrays ``outs``, whose rows along the common leading axis
+    hold ``width`` numbers each, one block of about _BLOCK numbers at a time:
+    ``fn(block)`` gives ``out[block]`` for each ``out`` of ``outs``, in their order.  A
+    block is a slice of whole rows, or, where one row is longer, a pair (slice of one
+    row, slice of its columns)."""
+    n, step = len(outs[0]), _BLOCK // max(1, width)
+    if step:
+        blocks = (slice(i, i + step) for i in range(0, n, step))
+    else:
+        blocks = ((slice(i, i + 1), slice(j, j + _BLOCK))
+                  for i in range(n) for j in range(0, width, _BLOCK))
+    for block in blocks:
+        for out, part in zip(outs, fn(block)):
+            out[block] = part
+    return outs
 
 
 def _ldexp(x, e) -> np.ndarray:
@@ -607,11 +628,8 @@ def eigenvalues_numeric(L: np.ndarray) -> np.ndarray:
         raise DomainError(f"expected a 4x4 matrix or an (N, 4, 4) stack, got shape {L.shape}")
     if L.ndim == 2:
         return _oracle(L, None)
-    out = np.empty((len(L), 4), dtype=complex)
-    for first in range(0, len(L), _ORACLE_BLOCK):
-        block = slice(first, first + _ORACLE_BLOCK)
-        out[block] = _oracle(L[block], first)
-    return out
+    return _in_blocks(lambda rows: (_oracle(L[rows], rows.start),),
+                      (np.empty((len(L), 4), dtype=complex),), 16)[0]
 
 
 def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
@@ -757,7 +775,10 @@ def characteristic_residual(L: np.ndarray, z):
             f"expected a 4x4 matrix with a scalar shift, or an (N, 4, 4) stack with "
             f"(N,) or (N, k) shifts; got shapes {L.shape} and {z.shape}"
         )
-    return _ARRAYS.map(functools.partial(_residual, _ARRAYS.entries(L)), z)
+    def block(rows):
+        return (_ARRAYS.map(functools.partial(_residual, _ARRAYS.entries(L[rows])), z[rows]),)
+
+    return _in_blocks(block, (np.empty(z.shape),), 16)[0]
 
 
 def _numbers(x, what: str) -> np.ndarray:
@@ -814,11 +835,19 @@ def match_distance(a, b):
     n = a.shape[-1]
     if n > _MAX_SET_SIZE:
         raise DomainError(f"sets of {n} values are too large for a search over {n}! pairings")
+    if a.ndim == 1:
+        return float(_match_rows(a, b))
+    return _in_blocks(lambda rows: (_match_rows(a[rows], b[rows]),),
+                      (np.empty(len(a)),), n * n)[0]
+
+
+def _match_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`match_distance` of two sets, or of each row of two stacks of sets, as an array."""
+    n = a.shape[-1]
     cost = np.abs(a[..., :, None] - b[..., None, :])
     picked = cost[..., np.arange(n), _pairings(n)]
     sums = picked.sum(axis=-1)
     least = sums.min(axis=-1, keepdims=True)
     # Written as "not above" so that a NaN sum ties and its NaN distance shows.
     tied = ~(sums > least + _TIE_ULPS * np.finfo(float).eps * least)
-    worst = picked.max(axis=(-2, -1), where=tied[..., None], initial=0.0)
-    return float(worst) if a.ndim == 1 else worst
+    return picked.max(axis=(-2, -1), where=tied[..., None], initial=0.0)

@@ -256,7 +256,10 @@ class TestSpectrumCommand:
 
     def test_infinite_scaled_drive_is_usage_error(self, capsys):
         assert run(["spectrum", "--delta", "5e-324", "--d", "1", "--gamma", "4"]) == 2
-        assert "d_tilde must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "d_tilde must be finite" in err
+        # The point is named, and no batch index is counted.
+        assert "delta = 5e-324, d = 1.0, gamma = 4.0" in err and "batch" not in err
 
     def test_overflow_is_usage_error(self, tmp_path, capsys):
         # p**3 of the cubic overflows a double at this scale.
@@ -321,6 +324,14 @@ class TestPhaseDiagramCommand:
         assert run(["phase-diagram", "--delta", "1e120", "--nd", "2", "--ngamma", "2",
                     "--out", str(tmp_path / "grid.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: arithmetic overflow")
+
+    def test_overflow_in_a_late_block_writes_nothing(self, tmp_path, monkeypatch):
+        # One d-row a block: the first row is classified, the second overflows.
+        monkeypatch.setattr(lindblad_ep.spectrum, "_BLOCK", 64)
+        out = tmp_path / "grid.csv"
+        assert run(["phase-diagram", "--d-max", "1e60", "--nd", "2", "--ngamma", "40",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_row_major_order_with_d_outer(self, tmp_path):
         out = tmp_path / "grid.csv"

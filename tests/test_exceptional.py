@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,8 +29,16 @@ from lindblad_ep import (
     scaled_discriminant,
     splitting_exponent,
 )
-from lindblad_ep.exceptional import _REGIONS, _coalescence_region, _scaled_disc
+from lindblad_ep import spectrum
+from lindblad_ep.exceptional import (
+    _EP_REGIONS,
+    _REGIONS,
+    _classify,
+    _coalescence_region,
+    _scaled_disc,
+)
 from lindblad_ep.spectrum import _char_cubic_coeffs, _cubic
+from lindblad_ep.verify import check_phase_diagram
 
 D_EP3 = 2.0 * math.sqrt(2.0)
 G_EP3 = 6.0 * math.sqrt(3.0)
@@ -209,11 +218,11 @@ class TestCurveArrays:
         p, q, disc, energy, *_ = _cubic(delta, d[:, None], gamma[None, :])
         scale2 = np.maximum(1.0, energy)
         i, j = np.nonzero(np.abs(disc) <= 1e-10 * scale2**3)
-        args = (p[i, j], q[i, j], scale2[i, j], d[i] / delta, gamma[j] / delta)
+        args = (p[i, j], q[i, j], scale2[i, j], np.full(len(i), float(delta)), d[i], gamma[j])
         codes = _coalescence_region(*args)
         assert codes.dtype == np.int8
         labels = _REGIONS[codes]
-        below = set(labels[np.abs(args[3]) < D_EP3])
+        below = set(labels[np.abs(d[i] / delta) < D_EP3])
         assert {Region.EP2_MINUS, Region.EP2_PLUS} <= below and Region.EP3 in set(labels)
         for k, point in enumerate(zip(*(a.tolist() for a in args))):
             assert _REGIONS[_coalescence_region(*np.array(point)[:, None])[0]] is labels[k], point
@@ -306,8 +315,21 @@ class TestClassify:
 
     def test_infinite_scaled_drive_in_the_band_refused(self):
         # d/delta = inf; the band test once labelled it because |g_t| > NaN is false.
-        with pytest.raises(DomainError, match="d_tilde must be finite, got inf$"):
+        with pytest.raises(DomainError, match="d_tilde must be finite, got inf$") as info:
             classify(ModelParams(5e-324, 1.0, 4.0))
+        # The point is named, and no batch index is counted.
+        assert "delta = 5e-324, d = 1.0, gamma = 4.0" in str(info.value)
+        assert "element" not in str(info.value)
+
+    def test_infinite_scaled_drive_in_the_band_refused_on_arrays(self):
+        # classify_grid forms d = d_tilde * delta, so its d/delta is within two roundings of a
+        # finite d_tilde and does not overflow; its blocks run this body, on arrays.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="d_tilde must be finite, got inf$") as info:
+                _classify(5e-324, np.array([[0.5], [1.0]]), np.array([[0.0, 4.0]]))
+        assert "delta = 5e-324, d = 1.0, gamma = 4.0" in str(info.value)
+        assert "element" not in str(info.value)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -450,6 +472,90 @@ class TestClassifyGrid:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="finite"):
                 classify_grid(delta, grid, grid)
+
+
+def assert_grid_is_scalar_bitwise(delta, d_grid, g_grid) -> np.ndarray:
+    """classify_grid equals classify at every node, disc and signed zeros bit for bit, with
+    today's dtypes; returns the labels."""
+    disc, region, ordering = classify_grid(delta, d_grid, g_grid)
+    assert (disc.dtype, region.dtype, ordering.dtype) == (np.float64, object, np.int64)
+    points = [[classify(ModelParams(delta, d_t * delta, g_t * delta)) for g_t in g_grid.tolist()]
+              for d_t in d_grid.tolist()]
+    assert np.array_equal(bits(disc), bits([[p.disc for p in row] for row in points]))
+    assert region.tolist() == [[p.region for p in row] for row in points]
+    assert ordering.tolist() == [[p.ordering for p in row] for row in points]
+    return region
+
+
+class TestGridBlocks:
+    """The grid is classified in blocks of whole d-rows (spectrum._in_blocks), or of one long
+    row's columns; each block is elementwise, so the seams change no bit."""
+
+    def test_rows_over_three_blocks_equal_scalar(self, monkeypatch):
+        # 64 // 9 = 7 rows a block: 9 columns do not divide the block, and the 17 rows make
+        # three blocks, the last one short.
+        monkeypatch.setattr(spectrum, "_BLOCK", 64)
+        gm3, gp3 = ep2_gamma(3.0)
+        mid5, mid45 = (0.5 * sum(ep2_gamma(d_t)) for d_t in (5.0, 4.5))
+        g_grid = np.array([0.0, 1.0, gm3, gp3, G_EP3, mid5, mid45, 40.0, 100.0])
+        d_grid = np.array([0.0, 0.5, 1.0, 5.0, -5.0, 4.5, 2.0,
+                           3.0, -3.0, D_EP3, 1.5, 0.25, -1.0, 2.5,
+                           0.75, -0.5, -2.0])
+        region = assert_grid_is_scalar_bitwise(1.0, d_grid, g_grid)
+        block_of_row = np.arange(len(d_grid)) // 7
+        band = set(block_of_row[np.isin(region, _EP_REGIONS).any(axis=1)].tolist())
+        negative = set(block_of_row[(region == Region.ALL_IMAGINARY).any(axis=1)].tolist())
+        # Band nodes in the middle block only, disc < 0 nodes in the first only.
+        assert (band, negative) == ({1}, {0})
+        assert set(region.ravel()) == set(Region)
+
+    def test_row_longer_than_a_block_equals_scalar(self, monkeypatch):
+        # 153 columns: each d-row is three blocks of columns, 64, 64 and 25 long.
+        monkeypatch.setattr(spectrum, "_BLOCK", 64)
+        mid5 = 0.5 * sum(ep2_gamma(5.0))
+        g_grid = np.sort(np.concatenate([np.linspace(0.0, 30.0, 150), [*ep2_gamma(3.0), mid5]]))
+        region = assert_grid_is_scalar_bitwise(1.0, np.array([3.0, -5.0]), g_grid)
+        assert {Region.EP2_MINUS, Region.EP2_PLUS} <= set(region[0])
+        assert Region.ALL_IMAGINARY in set(region[1])
+        assert_grid_is_scalar_bitwise(1.0, np.array([3.0]), g_grid)
+
+    @pytest.mark.parametrize("n_d, n_g", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_axes_keep_shapes_and_dtypes(self, n_d, n_g):
+        disc, region, ordering = classify_grid(1.0, np.linspace(0.0, 6.0, n_d),
+                                               np.linspace(0.0, 16.0, n_g))
+        for array, dtype in ((disc, np.float64), (region, object), (ordering, np.int64)):
+            assert array.shape == (n_d, n_g) and array.dtype == dtype
+
+    def test_overflow_in_the_last_block_is_raised(self, monkeypatch):
+        # One d-row a block; only the last row's cubic overflows (p**3, in Python's power).
+        monkeypatch.setattr(spectrum, "_BLOCK", 64)
+        with pytest.raises(OverflowError):
+            classify_grid(1.0, np.array([0.0, 1.0, 1e60]), np.linspace(0.0, 16.0, 40))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates, by tracemalloc, after one untraced call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    # Measured with numpy 2.4 on Python 3.11: 25.2 bytes per node, the float64, int8 and
+    # int64 outputs (17) and the Region table indexed by the codes (8), plus one block.
+    # A whole-grid pass held about 161; 34 leaves room for another numpy version.
+    def test_classify_grid_peak_per_node(self):
+        d_grid, g_grid = np.linspace(0.0, 6.0, 600), np.linspace(0.0, 16.0, 600)
+        peak = traced_peak(lambda: classify_grid(1.0, d_grid, g_grid))
+        assert peak / (600 * 600) < 34
+
+    # Measured: 2.91 MB.  A whole-grid pass held 14.5 MB.
+    def test_check_phase_diagram_peak(self):
+        assert traced_peak(check_phase_diagram) < 4e6
 
 
 class TestEP2LocateNumeric:

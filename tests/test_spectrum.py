@@ -632,7 +632,7 @@ class TestStackedOracle:
     def test_stack_crosses_a_block_boundary(self):
         rng = np.random.default_rng(21)
         n = 1025
-        assert n > spectrum._ORACLE_BLOCK
+        assert n > 2 * (spectrum._BLOCK // 16)
         points = [ModelParams(rng.uniform(-2, 2), rng.uniform(-4, 4), rng.uniform(0, 10))
                   for _ in range(n)]
         Ls = stack_of(points)
@@ -678,6 +678,65 @@ class TestStackedOracle:
         Ls = stack_of([ModelParams(1.0, 2.0, 1.0), ModelParams(0.5, 3.0, 2.0)] * 3)
         with pytest.raises(NonConvergenceError, match="matrix 2 of the stack: root"):
             eigenvalues_numeric(Ls)
+
+
+class TestStackBlocks:
+    """Stacks run in blocks of _BLOCK // 16 rows (spectrum._in_blocks); each block is
+    elementwise per row, so the seams change no bit."""
+
+    # 64 numbers a block: 4 matrices, or 4 rows of two 4-sets, and 2 * 4 + 1 = 9 rows.
+    ROWS = 9
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_BLOCK", 64)
+
+    @staticmethod
+    def stack():
+        rng = np.random.default_rng(5)
+        return stack_of(ModelParams(rng.uniform(-2, 2), rng.uniform(-4, 4), rng.uniform(0, 10))
+                        for _ in range(TestStackBlocks.ROWS))
+
+    def test_match_distance_equals_row_by_row(self, small_blocks):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(self.ROWS, 4)) + 1j * rng.normal(size=(self.ROWS, 4))
+        b = a[:, ::-1] + 1e-3 * rng.normal(size=(self.ROWS, 4))
+        b[self.ROWS - 1, 2] = np.nan  # its NaN distance shows in the last block
+        got = match_distance(a, b)
+        want = [match_distance(x, y) for x, y in zip(a, b)]
+        assert bits(got).tolist() == bits(want).tolist()
+        assert np.isnan(got[-1]) and not np.isnan(got[:-1]).any()
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_characteristic_residual_equals_row_by_row(self, small_blocks, k):
+        Ls = self.stack()
+        z = np.random.default_rng(7).normal(size=(self.ROWS,) if k is None else (self.ROWS, k))
+        got = characteristic_residual(Ls, z)
+        want = [characteristic_residual(Ls[i : i + 1], z[i : i + 1])[0] for i in range(self.ROWS)]
+        assert got.shape == z.shape and got.dtype == np.float64
+        assert bits(got).tolist() == bits(want).tolist()
+
+    def test_oracle_equals_one_block(self, monkeypatch):
+        Ls = self.stack()
+        whole = eigenvalues_numeric(Ls)
+        monkeypatch.setattr(spectrum, "_BLOCK", 64)
+        assert bits(eigenvalues_numeric(Ls)).tolist() == bits(whole).tolist()
+
+    @pytest.mark.parametrize("fault, message", [
+        (np.eye(4), "conserve population"), (np.full((4, 4), np.nan), "non-finite"),
+    ])
+    def test_refusal_in_the_last_block_names_the_global_index(self, small_blocks, fault, message):
+        Ls = self.stack()
+        Ls[self.ROWS - 1] = fault
+        with pytest.raises(DomainError, match=f"^matrix {self.ROWS - 1} of the stack: .*{message}"):
+            eigenvalues_numeric(Ls)
+
+    def test_empty_stacks_keep_shapes_and_dtypes(self, small_blocks):
+        empty = np.zeros((0, 4), dtype=complex)
+        got = match_distance(empty, empty)
+        assert got.shape == (0,) and got.dtype == np.float64
+        got = characteristic_residual(np.zeros((0, 4, 4)), np.zeros((0, 2)))
+        assert got.shape == (0, 2) and got.dtype == np.float64
 
 
 class TestLargeScale:
