@@ -253,7 +253,7 @@ def cmd_evolve(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_verify_frame(args) -> int:
-    from .dynamics import verify_frame_equivalence
+    from .dynamics import _frame_order, verify_frame_equivalence
     from .model import LabParams, initial_state
 
     # A NaN gate would pass every deviation and a negative one fail every one.
@@ -262,10 +262,7 @@ def cmd_verify_frame(args) -> int:
     params = LabParams(args.Delta, args.omega, args.d, args.gamma)
     rho0 = initial_state(args.rho0)
     dev = verify_frame_equivalence(params, rho0, args.t_max, args.dt)
-    coarse = verify_frame_equivalence(params, rho0, args.t_max, args.order_dt)
-    fine = verify_frame_equivalence(params, rho0, args.t_max, args.order_dt / 2.0)
-    ratio = coarse / fine if fine > 0 else math.inf
-    order = math.log2(ratio) if ratio > 0 else -math.inf
+    coarse, fine, order = _frame_order(params, rho0, args.t_max, args.order_dt)
     payload = {
         "deviation": dev,
         "dt": args.dt,

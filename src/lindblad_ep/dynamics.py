@@ -172,30 +172,32 @@ def largest_stable_dt(params: ModelParams) -> float:
     return _largest_stable_dt(_finite_eigenvalues(build_lindblad(params)))
 
 
-def _compounds(excess: float, n_steps: int) -> bool:
-    """Whether a per-step amplification a, given as a^2 - 1, grows past tolerance.
+def _remedy(zs: np.ndarray | None) -> str:
+    """The advice of a refusal: given the rotating generator's eigenvalues ``zs``,
+    the largest stable step; in the lab frame, whose generator depends on time,
+    "reduce dt"."""
+    if zs is None:
+        return "reduce dt"
+    return f"the largest stable step is dt = {_largest_stable_dt(zs):.6g}"
 
-    The test is a^n_steps > 1 + TRACE_BLOWUP_TOL, taken in logarithms.  A
-    bare a > 1 test would reject the undamped modes, whose a may round to
-    just above 1.
+
+def _refuse_growth(
+    excess: float, factor: float, dt: float, n_steps: int, zs: np.ndarray | None
+) -> None:
+    """Gate before sampling: raise :class:`StepSizeError` if a mode's growth compounds.
+
+    ``factor`` is the largest per-step amplification a of any mode and
+    ``excess`` is a^2 - 1, which each frame measures on its own step.  The test
+    is a^n_steps > 1 + TRACE_BLOWUP_TOL, taken in logarithms: a bare a > 1 test
+    would reject the undamped modes, whose a may round to just above 1.
     """
-    if excess > 0.0 or math.isnan(excess):
-        return not 0.5 * n_steps * math.log1p(excess) <= math.log1p(TRACE_BLOWUP_TOL)
-    return False
-
-
-def _check_stability(zs: np.ndarray, dt: float, n_steps: int) -> float:
-    """Return max |R(-i dt z)|; raise :class:`StepSizeError` if it compounds past tolerance."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        excess = float(np.max(_rk4_excess(-1j * dt * zs)))
-    margin = 0.0 if excess <= -1.0 else math.sqrt(1.0 + excess)
-    if _compounds(excess, n_steps):
+    if (excess > 0.0 or math.isnan(excess)) and not (
+        0.5 * n_steps * math.log1p(excess) <= math.log1p(TRACE_BLOWUP_TOL)
+    ):
         raise StepSizeError(
-            f"dt = {dt:.6g} is unstable: a mode grows by a factor {margin:.6g} "
-            f"per step, over {n_steps} step(s); the largest stable step is "
-            f"dt = {_largest_stable_dt(zs):.6g}"
+            f"dt = {dt:.6g} is unstable: a mode grows by a factor {factor:.6g} "
+            f"per step, over {n_steps} step(s); {_remedy(zs)}"
         )
-    return margin
 
 
 def _schedule(t_max: float, dt: float) -> tuple[int, int, list[int]]:
@@ -221,7 +223,7 @@ def _sample(step: np.ndarray, stride: int, saved: list[int], psi0: np.ndarray) -
     """
     psi = np.empty((len(saved), 4), dtype=complex)
     psi[0] = psi0
-    # A power that overflows is left to _refuse_drift, which reports the state.
+    # A power that overflows is left to the drift backstop of _trajectory.
     with np.errstate(over="ignore", invalid="ignore"):
         step_stride = np.linalg.matrix_power(step, stride)
         for k in range(1, len(saved)):
@@ -231,24 +233,16 @@ def _sample(step: np.ndarray, stride: int, saved: list[int], psi0: np.ndarray) -
     return psi
 
 
-def _diagnostics(states: np.ndarray, rho_eq: np.ndarray):
-    """Trace defect, Hermiticity defect and distance to ``rho_eq`` per stacked state.
+def _trajectory(psi, times, rho_eq, n_steps, stride, margin, zs) -> Trajectory:
+    """The :class:`Trajectory` of the sampled trace-coordinate vectors ``psi``.
 
-    ``rho_eq`` is one 2x2 state or a stack matching ``states``.
+    The drift backstop runs first: it raises :class:`StepSizeError` at the
+    first sample whose state is not finite or whose trace drifted past
+    :data:`TRACE_BLOWUP_TOL`, with the remedy of :func:`_remedy`.  ``rho_eq``
+    is one 2x2 state or a stack matching the samples.
     """
+    states = devectorize(psi @ _FROM_TRACE_BASIS.T)
     trace_dev = trace_defect(states)
-    herm_dev = hermiticity_defect(states)
-    dist_eq = np.max(np.abs(states - rho_eq), axis=(1, 2))
-    return trace_dev, herm_dev, dist_eq
-
-
-def _refuse_drift(times, states, trace_dev, zs: np.ndarray | None = None) -> None:
-    """Backstop after integrating: raise :class:`StepSizeError` at the first bad sample.
-
-    A sample is bad when its state is not finite or its trace drifted past
-    :data:`TRACE_BLOWUP_TOL`.  Given the generator's eigenvalues ``zs``, the
-    message names the largest stable step.
-    """
     bad = np.flatnonzero(~(trace_dev <= TRACE_BLOWUP_TOL) | ~np.isfinite(states).all(axis=(1, 2)))
     if bad.size:
         k = bad[0]
@@ -256,12 +250,10 @@ def _refuse_drift(times, states, trace_dev, zs: np.ndarray | None = None) -> Non
             f"trace drifted by {trace_dev[k]:.3e}" if np.isfinite(states[k]).all()
             else "state is not finite"
         )
-        remedy = "reduce dt" if zs is None else (
-            f"the largest stable step is dt = {_largest_stable_dt(zs):.6g}"
-        )
-        raise StepSizeError(
-            f"{fault} at t = {times[k]:.6g}; the step is unstable, {remedy}"
-        )
+        raise StepSizeError(f"{fault} at t = {times[k]:.6g}; the step is unstable, {_remedy(zs)}")
+    herm_dev = hermiticity_defect(states)
+    dist_eq = np.max(np.abs(states - rho_eq), axis=(1, 2))
+    return Trajectory(times, states, trace_dev, herm_dev, dist_eq, n_steps, stride, margin)
 
 
 def evolve_rotating(
@@ -274,24 +266,22 @@ def evolve_rotating(
     lies outside the stability region, naming the largest stable step, and
     after integrating if the trace drifted anyway.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    check_density_matrix(rho0)
+    rho0 = check_density_matrix(rho0)
     n_steps, stride, saved = _schedule(t_max, dt)
     L = build_lindblad(params)
     zs = _finite_eigenvalues(L)
     rho_eq = equilibrium_state(params)
-    margin = _check_stability(zs, dt, n_steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        excess = float(np.max(_rk4_excess(-1j * dt * zs)))
+    margin = 0.0 if excess <= -1.0 else math.sqrt(1.0 + excess)
+    _refuse_growth(excess, margin, dt, n_steps, zs)
 
     a = -1j * dt * (_TO_TRACE_BASIS @ L @ _FROM_TRACE_BASIS)
     eye = np.eye(4)
     step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
     psi = _sample(step, stride, saved, _TO_TRACE_BASIS @ vectorize(rho0))
-
     times = np.array(saved, dtype=float) * dt
-    states = devectorize(psi @ _FROM_TRACE_BASIS.T)
-    trace_dev, herm_dev, dist_eq = _diagnostics(states, rho_eq)
-    _refuse_drift(times, states, trace_dev, zs)
-    return Trajectory(times, states, trace_dev, herm_dev, dist_eq, n_steps, stride, margin)
+    return _trajectory(psi, times, rho_eq, n_steps, stride, margin, zs)
 
 
 def _lab_generators(params: LabParams) -> np.ndarray:
@@ -335,22 +325,6 @@ def _lab_step(gens: np.ndarray, omega: float, dt: float) -> np.ndarray:
     return undo[:, None] * (np.eye(4) + (dt / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
-def _check_lab_stability(step: np.ndarray, dt: float, n_steps: int) -> None:
-    """Raise :class:`StepSizeError` if the lab step S compounds past tolerance.
-
-    V is unitary, so the run is stable exactly when S has spectral radius at
-    most 1.  An S that overflowed counts as unbounded growth.
-    """
-    finite = np.isfinite(step).all()
-    radius = float(np.max(np.abs(np.linalg.eigvals(step)))) if finite else math.inf
-    excess = radius * radius - 1.0
-    if _compounds(excess, n_steps):
-        raise StepSizeError(
-            f"dt = {dt:.6g} is unstable: a mode grows by a factor {radius:.6g} "
-            f"per step, over {n_steps} step(s); reduce dt"
-        )
-
-
 def evolve_lab(
     params: LabParams, rho0: np.ndarray, t_max: float, dt: float
 ) -> Trajectory:
@@ -363,8 +337,7 @@ def evolve_lab(
     makes some mode grow, and after integrating if a saved state is not
     finite or its trace drifted anyway.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    check_density_matrix(rho0)
+    rho0 = check_density_matrix(rho0)
     n_steps, stride, saved = _schedule(t_max, dt)
     if not math.isfinite(params.omega * t_max):
         raise DomainError(f"the drive phase overflows, got omega={params.omega}, t_max={t_max}")
@@ -373,17 +346,18 @@ def evolve_lab(
         gens = _lab_generators(params)
         _finite_eigenvalues(gens.sum(axis=0))  # the generator at t = 0
         step = _lab_step(gens, params.omega, dt)
-        _check_lab_stability(step, dt, n_steps)
+        # V is unitary, so the run is stable exactly when S has spectral radius
+        # at most 1.  An S that overflowed counts as unbounded growth.
+        finite = np.isfinite(step).all()
+        radius = float(np.max(np.abs(np.linalg.eigvals(step)))) if finite else math.inf
+    _refuse_growth(radius * radius - 1.0, radius, dt, n_steps, None)
 
     psi = _sample(step, stride, saved, _TO_TRACE_BASIS @ vectorize(rho0))
     times = np.array(saved, dtype=float) * dt
     phase = np.exp(-1j * params.omega * times)[:, None]
     psi[:, :2] *= np.hstack([phase, np.conj(phase)])
-    states = devectorize(psi @ _FROM_TRACE_BASIS.T)
     rho_eq = rotate_to_lab(rho_eq_rot, params.omega, times)
-    trace_dev, herm_dev, dist_eq = _diagnostics(states, rho_eq)
-    _refuse_drift(times, states, trace_dev)
-    return Trajectory(times, states, trace_dev, herm_dev, dist_eq, n_steps, stride, None)
+    return _trajectory(psi, times, rho_eq, n_steps, stride, None, None)
 
 
 def frame_deviation(lab: Trajectory, rot: Trajectory, omega: float) -> float:
@@ -413,6 +387,20 @@ def verify_frame_equivalence(
     return frame_deviation(traj_lab, traj_rot, params.omega)
 
 
+def _frame_order(
+    params: LabParams, rho0: np.ndarray, t_max: float, dt: float
+) -> tuple[float, float, float]:
+    """Frame mismatches at ``dt`` and ``dt / 2``, and the convergence order log2 of their ratio.
+
+    A zero mismatch has no logarithm: a zero fine one gives ``inf`` and a zero
+    coarse one over a nonzero fine one ``-inf``.
+    """
+    coarse = verify_frame_equivalence(params, rho0, t_max, dt)
+    fine = verify_frame_equivalence(params, rho0, t_max, dt / 2.0)
+    ratio = coarse / fine if fine > 0 else math.inf
+    return coarse, fine, math.log2(ratio) if ratio > 0 else -math.inf
+
+
 def spectral_evolve(params: ModelParams, rho0: np.ndarray, t: float) -> np.ndarray:
     """Propagate by eigendecomposition: sum of decaying modes weighted by overlaps.
 
@@ -424,8 +412,7 @@ def spectral_evolve(params: ModelParams, rho0: np.ndarray, t: float) -> np.ndarr
     precision horizon, where a mode that has not decayed turns more than 1/eps
     radians or grows past the largest double.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    check_density_matrix(rho0)
+    rho0 = check_density_matrix(rho0)
     if not 0.0 <= t < math.inf:
         raise DomainError(f"t must be finite and >= 0, got {t}")
     point = classify(params)

@@ -90,7 +90,7 @@ class LabParams:
 
     def to_rotating(self) -> ModelParams:
         """Parameters of the equivalent co-rotating-frame description."""
-        return ModelParams(self.Delta - self.omega, self.d, self.gamma)
+        return ModelParams(self.detuning, self.d, self.gamma)
 
 
 def hamiltonian_rwa(params: LabParams, t: float) -> np.ndarray:
@@ -226,7 +226,7 @@ def trace_defect(rho: np.ndarray) -> float | np.ndarray:
     return np.abs(np.trace(np.asarray(rho), axis1=-2, axis2=-1) - 1.0)
 
 
-def check_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> None:
+def check_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Raise :class:`DomainError` unless ``rho`` is a physical state within ``tol``.
 
     Checks Hermiticity (the max-norm of rho - rho^H, as in
@@ -235,6 +235,7 @@ def check_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> None:
     (rho + rho^H) / 2, with a and d on its diagonal and beta off it, has the
     smaller eigenvalue (a + d)/2 - hypot((a - d)/2, |beta|).  Each test is
     written "not within", so a NaN or infinite entry is refused too.
+    Returns ``rho`` as the complex array it checked.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
@@ -251,3 +252,4 @@ def check_density_matrix(rho: np.ndarray, tol: float = 1e-9) -> None:
     lowest = (a + d) - math.hypot(a - d, 0.5 * b.real + 0.5 * c.real, 0.5 * b.imag - 0.5 * c.imag)
     if not lowest >= -tol:
         raise DomainError(f"density matrix has a negative eigenvalue {lowest:.3e}")
+    return rho

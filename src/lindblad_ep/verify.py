@@ -23,13 +23,7 @@ from .constants import (
     INITIAL_STATES,
     Z_EP3,
 )
-from .dynamics import (
-    _TRACE_TOL,
-    evolve_lab,
-    evolve_rotating,
-    frame_deviation,
-    verify_frame_equivalence,
-)
+from .dynamics import _TRACE_TOL, _frame_order, evolve_lab, evolve_rotating, frame_deviation
 from .errors import DomainError
 from .exceptional import (
     _CODE,
@@ -215,9 +209,7 @@ def check_frame(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckResult
     """
     params, rho0, lab, rot = _frame_pair()
     dev = frame_deviation(lab, rot, params.omega)
-    coarse = verify_frame_equivalence(params, rho0, t_max=10.0, dt=0.04)
-    fine = verify_frame_equivalence(params, rho0, t_max=10.0, dt=0.02)
-    order = math.log2(coarse / fine)
+    coarse, fine, order = _frame_order(params, rho0, t_max=10.0, dt=0.04)
     passed = dev < 1e-8 * tol_scale and abs(order - 4.0) < 0.3 * tol_scale
     return CheckResult(
         "frame",

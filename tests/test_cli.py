@@ -246,6 +246,24 @@ class TestSpectrumCommand:
         for z in payload["eigenvalues_closed"][1:]:
             assert abs(complex(z["re"], z["im"]) - (-4j * math.sqrt(3.0))) < 0.05
 
+    # The commands read these names from their home modules when they run.
+    def test_residual_gate_exits_1_after_writing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lindblad_ep.spectrum, "characteristic_residual", lambda L, z: 1.0)
+        out = tmp_path / "spec.json"
+        assert run(["spectrum", "--d", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: characteristic residual exceeds 1.563e-09\n"
+        assert json.loads(out.read_text())["char_residuals_closed"] == [1.0] * 4
+
+    def test_solver_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def fail(L):
+            raise lindblad_ep.NonConvergenceError("the oracle did not converge")
+
+        monkeypatch.setattr(lindblad_ep.spectrum, "eigenvalues_numeric", fail)
+        out = tmp_path / "spec.json"
+        assert run(["spectrum", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: the oracle did not converge\n"
+        assert not out.exists()  # the failure comes before the payload
+
     def test_zero_detuning_is_usage_error(self, capsys):
         assert run(["spectrum", "--delta", "0", "--d", "1", "--gamma", "1"]) == 2
         assert "delta" in capsys.readouterr().err
@@ -458,6 +476,17 @@ class TestEPCurveCommand:
         assert abs(float(row[2]) - math.sqrt(128.0)) < 1e-10
         assert abs(float(row[4]) + 5.0 * SQRT2) < 1e-10
 
+    def test_on_curve_gate_exits_1_after_writing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lindblad_ep.exceptional, "_on_curve_residual",
+                            lambda d, gammas: np.ones(gammas.shape))
+        out = tmp_path / "curve.csv"
+        assert run(["ep-curve", "--nd", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: on-curve discriminant residual 1.000e+00 exceeds 1e-10\n"
+        )
+        rows = out.read_text().splitlines()
+        assert len(rows) == 4 and all(row.endswith(",1.0,1.0") for row in rows[1:])
+
     def test_residual_columns_within_tolerance(self, tmp_path):
         out = tmp_path / "curve.csv"
         assert run(["ep-curve", "--nd", "40", "--out", str(out)]) == 0
@@ -555,6 +584,16 @@ class TestEvolveCommand:
         final = float(capsys.readouterr().out.split("=")[1])
         assert final < 1e-6
 
+    def test_trace_gate_exits_1_after_writing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lindblad_ep.dynamics, "_TRACE_TOL", -1.0)
+        out = tmp_path / "traj.csv"
+        assert run(["evolve", "--t-max", "1", "--dt", "0.01", "--out", str(out)]) == 1
+        table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert table.shape == (101, 7)
+        captured = capsys.readouterr()
+        assert captured.out.startswith("final_dist_eq = ")
+        assert captured.err == f"error: trace deviation {table[:, 5].max():.3e} exceeds -1\n"
+
     def test_zero_step_is_usage_error(self, capsys):
         assert run(["evolve", "--dt", "0"]) == 2
         assert "dt" in capsys.readouterr().err
@@ -564,7 +603,10 @@ class TestEvolveCommand:
         rc = run(["evolve", "--delta", "1", "--d", "2", "--gamma", "1",
                   "--t-max", "60", "--dt", "3", "--out", str(out)])
         assert rc == 3
-        assert "dt" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "integrator error: dt = 3 is unstable: a mode grows by a factor 76.9893 per step, "
+            "over 20 step(s); the largest stable step is dt = 1.2186\n"
+        )
 
     def test_stdout_table_parses_as_csv(self, capsys):
         assert run(["evolve", "--t-max", "1", "--dt", "0.01"]) == 0
@@ -663,7 +705,10 @@ class TestVerifyFrameCommand:
         # the rotating step is stable at dt = 1.6 here; the lab step is not
         out = tmp_path / "frame.json"
         assert run(["verify-frame", "--dt", "1.6", "--out", str(out)]) == 3
-        assert "dt = 1.6 is unstable" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "integrator error: dt = 1.6 is unstable: a mode grows by a factor 3.70117 per step, "
+            "over 6 step(s); reduce dt\n"
+        )
 
 
 # Flag values for the integrator commands: zero, unit, subnormal, the scales
@@ -734,7 +779,9 @@ class TestIntegratorCommands:
         assert abs(payload["measured_order"] - 4.0) < 0.3
 
     # Roundoff in the step matrix refuses these stable steps (exit 3); the
-    # overflowing powers behind the refusal print no RuntimeWarning.
+    # overflowing powers behind the refusal print no RuntimeWarning.  The
+    # rotating frame names a step (its value is not pinned: it is wrong for
+    # these runs); the lab frame, whose generator depends on time, cannot.
     @pytest.mark.parametrize("argv", [
         ["evolve", "--t-max=1e300", "--delta=1e-60", "--gamma=1e-320"],
         ["evolve", "--t-max=1e154", "--gamma=0"],
@@ -746,6 +793,12 @@ class TestIntegratorCommands:
             assert run(argv + ["--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("integrator error: state is not finite") and "Warning" not in err
+        _, remedy = err.split("; the step is unstable, ")
+        if argv[0] == "evolve":
+            step = remedy.removeprefix("the largest stable step is dt = ")
+            assert float(step) > 0
+        else:
+            assert remedy == "reduce dt\n"
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -111,8 +111,12 @@ class TestEvolveRotating:
         assert abs(traj.times[-1] - 5.0) < 1e-12
 
     def test_unstable_step_aborts(self):
-        with pytest.raises(StepSizeError):
+        with pytest.raises(StepSizeError) as refusal:
             evolve_rotating(ModelParams(1.0, 2.0, 1.0), initial_state("excited"), 60.0, 3.0)
+        assert str(refusal.value) == (
+            "dt = 3 is unstable: a mode grows by a factor 76.9893 per step, over 20 step(s); "
+            "the largest stable step is dt = 1.2186"
+        )
 
     def test_invalid_initial_state_rejected(self):
         with pytest.raises(DomainError):
@@ -312,6 +316,15 @@ class TestLabStepMatrices:
     def test_unstable_step_refused_before_integrating(self, t_max, dt):
         with pytest.raises(StepSizeError, match="unstable: a mode grows"):
             evolve_lab(LabParams(2.0, 1.0, 1.0, 0.3), initial_state("excited"), t_max, dt)
+
+    def test_unstable_step_says_reduce_dt(self):
+        # the lab generator depends on time, so no largest stable step is named
+        with pytest.raises(StepSizeError) as refusal:
+            evolve_lab(LabParams(2.0, 1.0, 1.0, 0.3), initial_state("excited"), 400.0, 1.6)
+        assert str(refusal.value) == (
+            "dt = 1.6 is unstable: a mode grows by a factor 3.70117 per step, over 250 step(s); "
+            "reduce dt"
+        )
 
     def test_coarse_stable_step_integrates(self):
         # stable but coarse: the entry magnitudes settle, off the exact equilibrium
