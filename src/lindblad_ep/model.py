@@ -133,10 +133,22 @@ def rotate_to_lab(rho_tilde: np.ndarray, omega: float, t) -> np.ndarray:
 
     Unitary conjugation: preserves trace, Hermiticity and eigenvalues; only the
     phase of the coherence changes.  Broadcasts over stacks: an array of times
-    with one state or a stack of states, one per time.
+    with one state or a stack of states, one per time.  The unitary of
+    :func:`frame_unitary` is diagonal, diag(e, 1) with e = exp(-i omega t), so
+    the conjugation is written entry by entry: (e rho_ee) conj(e), e rho_eg,
+    rho_ge conj(e) and rho_gg.  No entry enters another, so a NaN or infinite
+    entry stays where it is (a matrix product would spread NaN through 0 inf).
+    Returns a fresh array.
     """
-    u = frame_unitary(omega, t)
-    return u @ np.asarray(rho_tilde, dtype=complex) @ np.swapaxes(u.conj(), -1, -2)
+    rho = np.asarray(rho_tilde, dtype=complex)
+    e = np.exp(-1j * omega * np.asarray(t, dtype=float))
+    e_bar = np.conj(e)
+    out = np.empty(np.broadcast_shapes(e.shape, rho.shape[:-2]) + (2, 2), dtype=complex)
+    out[..., 0, 0] = e * rho[..., 0, 0] * e_bar
+    out[..., 0, 1] = e * rho[..., 0, 1]
+    out[..., 1, 0] = rho[..., 1, 0] * e_bar
+    out[..., 1, 1] = rho[..., 1, 1]
+    return out
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:

@@ -187,16 +187,18 @@ def _v_by_quotient(k, p, q, s, ur) -> tuple:
 _VS = (_v_by_quotient, lambda k, p, q, s, ur: (k.cbrt(q - s), 0.0))
 
 
-def _pow(x, k: int) -> np.ndarray:
+def _pow(x, k: float) -> np.ndarray:
     """Elementwise ``x**k`` through Python's float power.
 
     numpy's own power (and even its ``x*x`` for squares) can round differently
     from the C library ``pow`` behind Python floats, and the array path must
-    match the scalar functions bit for bit.
+    match the scalar functions bit for bit.  The exponent goes in as the float
+    that float power would convert it to anyway.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel().tolist()
-    return np.fromiter(map(pow, flat, itertools.repeat(k)), float, len(flat)).reshape(x.shape)
+    powers = map(pow, flat, itertools.repeat(float(k)))
+    return np.fromiter(powers, float, len(flat)).reshape(x.shape)
 
 
 def _point_roots(base, p, q, disc, real, ur, vr, vi) -> tuple:

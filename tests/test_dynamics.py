@@ -30,6 +30,7 @@ from lindblad_ep import (
     vectorize,
     verify_frame_equivalence,
 )
+from lindblad_ep.dynamics import _lab_generators, _lab_step, _sample, _schedule
 
 D_EP3 = 2.0 * math.sqrt(2.0)
 G_EP3 = 6.0 * math.sqrt(3.0)
@@ -348,6 +349,60 @@ class TestLabStepMatrices:
             tracemalloc.stop()
         assert traj.n_steps == 100_000
         assert peak < 2 * 2**20
+
+
+def _recurrence(step, saved, psi0):
+    """psi[k] = jump @ psi[k-1] with jump = step^gap for each gap between saved indices."""
+    psi = np.empty((len(saved), 4), dtype=complex)
+    psi[0] = psi0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(saved)):
+            jump = np.linalg.matrix_power(step, saved[k] - saved[k - 1])
+            psi[k] = jump @ psi[k - 1]
+    return psi
+
+
+class TestSampling:
+    """_sample writes each row in place; its rows are the bits of the ``@`` recurrence."""
+
+    @staticmethod
+    def _random_step(seed, scale=1.0):
+        rng = np.random.default_rng(seed)
+        step = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        psi0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+        return scale * step / np.max(np.abs(np.linalg.eigvals(step))), psi0
+
+    @staticmethod
+    def _assert_same_bits(got, ref):
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    # (0.9, 1e-3): stride 1, every step saved; (2.503, 1e-3): stride 3 and a
+    # last stride of 1 step
+    @pytest.mark.parametrize("t_max, dt, stride, last_gap", [(0.9, 1e-3, 1, 1), (2.503, 1e-3, 3, 1)])
+    def test_random_step(self, t_max, dt, stride, last_gap):
+        _, got_stride, saved = _schedule(t_max, dt)
+        assert (got_stride, saved[-1] - saved[-2]) == (stride, last_gap)
+        step, psi0 = self._random_step(3)
+        self._assert_same_bits(_sample(step, stride, saved, psi0), _recurrence(step, saved, psi0))
+
+    def test_lab_step(self):
+        lab = LabParams(Delta=2.0, omega=1.0, d=1.0, gamma=0.3)
+        step = _lab_step(_lab_generators(lab), lab.omega, 1e-3)
+        _, stride, saved = _schedule(2.503, 1e-3)
+        psi0 = np.array([0.5, 0.5, 0.0, 1.0], dtype=complex)  # "coherent" in trace coordinates
+        self._assert_same_bits(_sample(step, stride, saved, psi0), _recurrence(step, saved, psi0))
+
+    # at 1e3 the samples overflow after some rows; at 1e120 step^3 itself does
+    @pytest.mark.parametrize("scale", [1e3, 1e120])
+    def test_overflowing_step_warns_nothing(self, scale):
+        step, psi0 = self._random_step(5, scale)
+        _, stride, saved = _schedule(2.503, 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _sample(step, stride, saved, psi0)
+        assert np.isnan(got).any()
+        self._assert_same_bits(got, _recurrence(step, saved, psi0))
 
 
 class TestLongHorizon:

@@ -155,6 +155,67 @@ class TestRotateToLab:
         )
 
 
+def _elementwise(rho, omega, t):
+    """The conjugation by diag(e, 1), e = exp(-i omega t), entry by entry on full-shape arrays.
+
+    The arithmetic is numpy's elementwise complex product, as in rotate_to_lab,
+    so the bits agree on any host; a matrix product may round differently.
+    """
+    e = np.exp(-1j * omega * np.asarray(t, dtype=float))
+    rho = np.asarray(rho, dtype=complex)
+    shape = np.broadcast_shapes(np.shape(e), rho.shape[:-2])
+    e = np.broadcast_to(e, shape)
+    rho = np.broadcast_to(rho, shape + (2, 2))
+    top = [e * rho[..., 0, 0] * np.conj(e), e * rho[..., 0, 1]]
+    bottom = [rho[..., 1, 0] * np.conj(e), rho[..., 1, 1]]
+    return np.stack([np.stack(top, axis=-1), np.stack(bottom, axis=-1)], axis=-2)
+
+
+def _frame_cases():
+    """(rho, t) pairs over one state or a stack and a scalar or an array of times."""
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    stack[1] = [[-0.0, complex(-0.0, -0.0)], [complex(0.0, -0.0), complex(-0.0, 0.0)]]
+    times = np.array([0.0, 0.4, 1.7, 12.5])
+    return {
+        "scalar t, one state": (stack[0], 0.9),
+        "scalar t, stack": (stack, 0.9),
+        "array t, one state": (stack[2], times),
+        "array t, stack": (stack, times),
+        "signed zeros": (stack[1], times),
+    }
+
+
+_FRAME_CASES = _frame_cases()
+
+
+class TestRotateToLabElementwise:
+    """rotate_to_lab is the entrywise conjugation by the diagonal frame unitary."""
+
+    OMEGA = 2.3
+
+    @pytest.mark.parametrize("case", list(_FRAME_CASES))
+    def test_equals_the_elementwise_definition(self, case):
+        rho, t = _FRAME_CASES[case]
+        before = rho.copy()
+        out = rotate_to_lab(rho, self.OMEGA, t)
+        ref = _elementwise(rho, self.OMEGA, t)
+        assert out.shape == ref.shape
+        np.testing.assert_array_equal(out.view(np.int64), ref.view(np.int64))
+        # within roundoff of the matrix product u rho u^H
+        u = frame_unitary(self.OMEGA, t)
+        np.testing.assert_allclose(out, u @ rho @ np.swapaxes(u.conj(), -1, -2), rtol=1e-15)
+        # the input is untouched and the output a fresh writable array
+        np.testing.assert_array_equal(rho.view(np.int64), before.view(np.int64))
+        assert out.flags.writeable and not np.shares_memory(out, rho)
+
+    def test_non_finite_entry_stays_in_place(self):
+        rho = np.array([[0.5, 0.25j], [-0.25j, math.inf]])
+        out = rotate_to_lab(rho, self.OMEGA, np.array([0.0, 0.4, 1.7]))
+        assert np.isfinite(out[:, 0, :]).all() and np.isfinite(out[:, 1, 0]).all()
+        assert np.isinf(out[:, 1, 1]).all()
+
+
 class TestVectorization:
     def test_ordering_on_diagonal_state(self):
         psi = vectorize(np.diag([0.3, 0.7]))
