@@ -405,7 +405,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:
-        print(f"error: arithmetic overflow at this parameter scale: {exc}", file=sys.stderr)
+        # Python's float power raises (errno, text): print the text alone.
+        text = exc.args[-1] if exc.args else ""
+        print(f"error: arithmetic overflow at this parameter scale: {text}", file=sys.stderr)
         return EXIT_USAGE
     except StepSizeError as exc:
         print(f"integrator error: {exc}", file=sys.stderr)

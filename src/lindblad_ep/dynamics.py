@@ -32,6 +32,7 @@ from .exceptional import _EP_REGIONS, classify
 from .model import (
     LabParams,
     ModelParams,
+    _refuse,
     check_density_matrix,
     devectorize,
     hermiticity_defect,
@@ -247,14 +248,11 @@ def _trajectory(psi, times, rho_eq, n_steps, stride, margin, zs) -> Trajectory:
     """
     states = devectorize(psi @ _FROM_TRACE_BASIS.T)
     trace_dev = trace_defect(states)
-    bad = np.flatnonzero(~(trace_dev <= TRACE_BLOWUP_TOL) | ~np.isfinite(states).all(axis=(1, 2)))
-    if bad.size:
-        k = bad[0]
-        fault = (
-            f"trace drifted by {trace_dev[k]:.3e}" if np.isfinite(states[k]).all()
-            else "state is not finite"
-        )
-        raise StepSizeError(f"{fault} at t = {times[k]:.6g}; the step is unstable, {_remedy(zs)}")
+    finite = np.isfinite(states).all(axis=(1, 2))
+    _refuse(~(trace_dev <= TRACE_BLOWUP_TOL) | ~finite, StepSizeError,
+            lambda k: (f"trace drifted by {trace_dev[k]:.3e}" if finite[k]
+                       else "state is not finite")
+            + f" at t = {times[k]:.6g}; the step is unstable, {_remedy(zs)}")
     herm_dev = hermiticity_defect(states)
     dist_eq = np.max(np.abs(states - rho_eq), axis=(1, 2))
     return Trajectory(times, states, trace_dev, herm_dev, dist_eq, n_steps, stride, margin)

@@ -19,7 +19,7 @@ import numpy as np
 # The triple point is defined in constants, which needs no numpy; re-exported here.
 from .constants import D_TILDE_EP3, GAMMA_TILDE_EP3, Z_EP3, ep3_point  # noqa: F401
 from .errors import DegenerateFitError, DomainError, NoRootError
-from .model import ModelParams
+from .model import ModelParams, _refuse
 from .spectrum import (
     _KEY,
     _MEMO_SIZE,
@@ -118,19 +118,13 @@ def _on_curve_residual(d_tilde: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     return np.abs(_scaled_disc(1.0, d_tilde[:, None], gammas))
 
 
-def _refuse(bad: np.ndarray, one: bool, error: type, message) -> None:
-    """Raise ``error`` with ``message(i)`` for the first drive ``i`` that ``bad`` flags."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise error(("" if one else f"element {i} of the batch: ") + message(i))
-
-
-def _drives(d_tilde) -> tuple[np.ndarray, bool]:
-    """``d_tilde`` as a 1-D array of drives, and whether it was one number."""
+def _drives(d_tilde) -> tuple:
+    """``d_tilde`` as a 1-D array of drives, and the namer of :func:`model._refuse` for
+    its elements: None for one number."""
     d = np.asarray(d_tilde, dtype=float)
     if d.ndim > 1:
         raise DomainError(f"d_tilde must be a number or a 1-D array, got shape {d.shape}")
-    return d.reshape(-1), d.ndim == 0
+    return d.reshape(-1), None if d.ndim == 0 else "element {} of the batch: ".format
 
 
 def _curve(d_tilde, branches=()) -> list:
@@ -138,26 +132,28 @@ def _curve(d_tilde, branches=()) -> list:
     on each of ``branches``, from one evaluation of the curve formulas.  Refuses a
     drive below the threshold or infinite, or far above it one where gamma_minus^2
     cancels below zero, then branch by branch a negative inner radicand."""
-    d, one = _drives(d_tilde)
-    _refuse(~(d >= D_TILDE_EP3), one, DomainError,
-            lambda i: f"no real coalescence curves below d_tilde = 2*sqrt(2); got {float(d[i])}")
-    _refuse(d == math.inf, one, DomainError, lambda i: f"d_tilde must be finite, got {float(d[i])!r}")
+    d, batch = _drives(d_tilde)
+    _refuse(~(d >= D_TILDE_EP3), DomainError,
+            lambda i: f"no real coalescence curves below d_tilde = 2*sqrt(2); got {float(d[i])}",
+            batch)
+    _refuse(d == math.inf, DomainError, lambda i: f"d_tilde must be finite, got {float(d[i])!r}",
+            batch)
     d2, d4 = _pow(d, 2), _pow(d, 4)
     wing = np.array([[-0.5], [0.5]]) * d * _pow(np.maximum(d2 - 8.0, 0.0), 1.5)
     gamma2 = d4 / 2.0 + 10.0 * d2 - 4.0 + wing
     inner = d4 / 2.0 - 2.0 * d2 - 16.0 + wing
-    _refuse(gamma2[0] < 0.0, one, DomainError,
-            lambda i: f"gamma_minus^2 cancels below zero at d_tilde = {float(d[i])}")
+    _refuse(gamma2[0] < 0.0, DomainError,
+            lambda i: f"gamma_minus^2 cancels below zero at d_tilde = {float(d[i])}", batch)
     gammas = np.sqrt(gamma2)
-    out = [tuple(gammas[:, 0].tolist()) if one else tuple(gammas)]
+    out = [tuple(gammas[:, 0].tolist()) if batch is None else tuple(gammas)]
     for branch in branches:
         sign = -1.0 if branch == "minus" else 1.0
         row = int(sign > 0)
-        _refuse(inner[row] < -1e-9 * np.maximum(1.0, d4), one, DomainError,
+        _refuse(inner[row] < -1e-9 * np.maximum(1.0, d4), DomainError,
                 lambda i: f"inner radicand {float(inner[row, i]):.3e} is negative on the {branch} "
-                f"branch at d_tilde = {float(d[i])}; curve formula invalid here")
+                f"branch at d_tilde = {float(d[i])}; curve formula invalid here", batch)
         z = (-2j / 3.0) * (gammas[row] - sign * 0.25 * np.sqrt(np.maximum(inner[row], 0.0)))
-        out.append(complex(z[0]) if one else z)
+        out.append(complex(z[0]) if batch is None else z)
     return out
 
 
@@ -233,7 +229,7 @@ def _classify(delta, d, gamma) -> tuple:
     tol = _ORDERING_RTOL * k.maximum(1.0, k.abs(z1), k.abs(z2))
     # The sign of imdiff, and 0 where |imdiff| <= tol: an int at a point, int64 on arrays.
     ordering = (imdiff > tol) * 1 - (imdiff < -tol) * 1
-    codes = k.where_full(disc > 0, _SPLIT_PAIR, _ALL_IMAGINARY)
+    codes = k.where(disc > 0, _SPLIT_PAIR, _ALL_IMAGINARY)
     codes = k.patch(abs(disc) <= EP_BAND * k.pow(scale2, 3), codes, _coalescence_region,
                     p, q, scale2, delta, d, gamma)
     return disc, codes, ordering
@@ -258,12 +254,10 @@ def _coalescence_region(p, q, scale2, delta, d, gamma) -> np.ndarray:
     midpoint = np.full(d_t.shape, GAMMA_TILDE_EP3)
     curve = ~ep3 & (np.abs(d_t) >= D_TILDE_EP3)
     if curve.any():
-        far = curve & np.isinf(d_t)
-        if far.any():
-            i = int(np.argmax(far))
-            raise DomainError(
-                f"the coalescence branch at delta = {float(delta[i])!r}, d = {float(d[i])!r}, "
-                f"gamma = {float(gamma[i])!r} cannot be told: d_tilde must be finite, got inf")
+        _refuse(curve & np.isinf(d_t), DomainError,
+                lambda i: f"the coalescence branch at delta = {float(delta[i])!r}, "
+                f"d = {float(d[i])!r}, gamma = {float(gamma[i])!r} cannot be told: "
+                "d_tilde must be finite, got inf")
         gm, gp = ep2_gamma(np.abs(d_t[curve]))
         midpoint[curve] = 0.5 * (gm + gp)
     # Indices into _EP_REGIONS: 0 minus branch, 1 plus branch, 2 triple point.
@@ -335,10 +329,8 @@ def _bisect_brackets(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     root = np.where(flo == 0.0, lo, hi)
     open_ = (flo != 0.0) & (fhi != 0.0)
     up = flo > 0.0
-    same = open_ & (up == (fhi > 0.0))
-    if same.any():
-        i = int(np.argmax(same))
-        raise NoRootError(f"no sign change over [{float(lo[i])}, {float(hi[i])}]")
+    _refuse(open_ & (up == (fhi > 0.0)), NoRootError,
+            lambda i: f"no sign change over [{float(lo[i])}, {float(hi[i])}]")
     k, lo, hi, up = k[open_], lo[open_], hi[open_], up[open_]
     while k.size:
         mid = 0.5 * (lo + hi)
@@ -364,13 +356,13 @@ def ep2_locate_numeric(d_tilde):
     Raises :class:`NoRootError` when no negative dip exists (drive below
     threshold); for an array the message names the first such element.
     """
-    d, one = _drives(d_tilde)
-    _refuse(~np.isfinite(d), one, DomainError,
-            lambda i: f"d_tilde must be finite, got {float(d[i])!r}")
+    d, batch = _drives(d_tilde)
+    _refuse(~np.isfinite(d), DomainError, lambda i: f"d_tilde must be finite, got {float(d[i])!r}",
+            batch)
     x_star, depth = _dip(d)
-    _refuse(depth >= 0.0, one, NoRootError,
+    _refuse(depth >= 0.0, NoRootError,
             lambda i: f"discriminant has no negative dip at d_tilde = {float(d[i])}; "
-            "no coalescence coupling exists")
+            "no coalescence coupling exists", batch)
     hi = 2.0 * x_star
     rows = np.arange(len(d))
     for _ in range(64):
@@ -379,8 +371,8 @@ def ep2_locate_numeric(d_tilde):
             break
         hi[rows] *= 2.0
     else:
-        _refuse(np.isin(np.arange(len(d)), rows), one, NoRootError,
-                lambda i: "failed to bracket the upper coalescence coupling")
+        _refuse(np.isin(np.arange(len(d)), rows), NoRootError,
+                lambda i: "failed to bracket the upper coalescence coupling", batch)
     # Brackets [0, x*] of the minus branch, then [x*, hi] of the plus branch.
     both = np.concatenate([d, d])
     x = _bisect_brackets(
@@ -389,7 +381,7 @@ def ep2_locate_numeric(d_tilde):
         np.concatenate([x_star, hi]),
     )
     gammas = np.sqrt(x).reshape(2, len(d))
-    return tuple(gammas[:, 0].tolist()) if one else tuple(gammas)
+    return tuple(gammas[:, 0].tolist()) if batch is None else tuple(gammas)
 
 
 def _dip(d_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

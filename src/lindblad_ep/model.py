@@ -209,6 +209,22 @@ def _modulus(z: complex) -> float:
     return math.hypot(z.real, z.imag)
 
 
+def _refuse(bad, error: type, message, batch=None) -> None:
+    """Raise ``error`` at the first entry that ``bad`` flags, if any: the one rule that
+    names the first bad element of a batch, a stack or a trajectory.
+
+    ``bad`` is an array of flags with at least one axis, or a list of them, whose
+    first axis runs over the elements; ``at`` is the index of its first flagged
+    entry in row-major order.  The message is ``message(*at)``, led by
+    ``batch(at[0])`` for a batch; for one input ``batch`` is None.
+    """
+    # A list of a few flags is tested by ``in``: np.any would first make it an array.
+    if not (True in bad if type(bad) is list else bad.any()):
+        return
+    at = tuple(int(i) for i in np.unravel_index(np.argmax(bad), np.shape(bad)))
+    raise error(("" if batch is None else batch(at[0])) + message(*at))
+
+
 def initial_state(name: str) -> np.ndarray:
     """One of the built-in preparations: excited, ground, mixed, coherent."""
     if name == "excited":

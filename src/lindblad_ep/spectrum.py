@@ -45,7 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import DomainError, NearDegenerateError, NonConvergenceError
-from .model import ModelParams
+from .model import ModelParams, _refuse
 from .superop import _unit_scale, build_lindblad, null_eigenvectors
 
 # Phase attached to the second and third cubic roots.
@@ -238,9 +238,6 @@ def _times_minus_i(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _where(cond, a, b):
-    # b itself where cond holds nowhere, so that a grid without a triple point is not copied.
-    if not cond.any():
-        return b
     if type(a) is tuple:
         return tuple(np.where(cond, x, y) for x, y in zip(a, b))
     return np.where(cond, a, b)
@@ -333,12 +330,11 @@ def _cubic_roots_rows(coeffs: tuple) -> np.ndarray:
 
 # The operations in which _cubic and the classifier differ between one point and arrays,
 # and the oracle between one matrix and a stack.  ``where(cond, a, b)`` is a where cond
-# holds, else b, pairwise for tuples; ``where_full`` also broadcasts scalar branches to
-# cond's shape.  ``select(cond, (then, other), *args)`` is ``where(cond, then(*args),
-# other(*args))`` but forms at a point only the branch taken, as the other may divide by
-# zero.  ``patch(cond, base, fn, *args)`` is ``where(cond, fn(*args), base)``, fn given as
-# 1-D arrays only the entries that cond flags.  ``abs`` is the complex magnitude as Python
-# rounds it.  ``coefficients`` runs _coefficients, on arrays under np.errstate, so that an
+# holds, else b, pairwise for tuples.  ``select(cond, (then, other), *args)`` is
+# ``where(cond, then(*args), other(*args))`` but forms at a point only the branch taken,
+# as the other may divide by zero.  ``patch(cond, base, fn, *args)`` is
+# ``where(cond, fn(*args), base)``, fn given as 1-D arrays only the entries that cond
+# flags.  ``abs`` is the complex magnitude as Python rounds it.  ``coefficients`` runs _coefficients, on arrays under np.errstate, so that an
 # overflowing sum reaches the disc check silently, as it does in Python's floats.
 # ``roots`` is the last step.  For the oracle, ``entries`` hold L for _shifted, ``scale``
 # is max(1, max|L|) on the common path (None where a matrix is refused or rescaled),
@@ -362,12 +358,11 @@ _POINT = SimpleNamespace(
         [0j, *_collapse_clusters(roots, -coeffs[1], scale)]),
     bad=lambda res, tol: [not r <= tol for r in res],
 )
-_POINT.where_full = _POINT.where
 _ARRAYS = SimpleNamespace(
     pow=_pow, sqrt=np.sqrt, cbrt=np.cbrt, maximum=lambda *xs: functools.reduce(np.maximum, xs),
     abs=lambda z: np.hypot(z.real, z.imag),
     finite=lambda x: np.isfinite(x).all(), coefficients=np.errstate(over="ignore")(_coefficients),
-    where=_where, where_full=np.where, select=_select_on_arrays, patch=_patch_on_arrays,
+    where=_where, select=_select_on_arrays, patch=_patch_on_arrays,
     roots=_array_roots, entries=lambda L: [[L[:, None, i, j] for j in range(4)] for i in range(4)],
     scale=_rows_scale, trace=lambda m: np.trace(m, axis1=-2, axis2=-1),
     cubic_roots=_cubic_roots_rows,
@@ -638,23 +633,21 @@ def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
     """:func:`eigenvalues_numeric` of one matrix (``first`` is None), or of a
     block of a stack whose first matrix, named in the messages, has index ``first``."""
     k = _MATRIX_KERNELS[L.ndim]
+    batch = None if first is None else (lambda row: f"matrix {first + row} of the stack: ")
     m, shift = k.entries(L), None
     scale = k.scale(L, m)
     if scale is None:
-        nonfinite = ~np.isfinite(L).all(axis=(-2, -1))
-        if nonfinite.any():
-            raise DomainError(_stack_index(nonfinite, first) + "matrix has non-finite entries")
+        # One matrix's flags are 0-d; at least 1-D, they name no element.
+        _refuse(np.atleast_1d(~np.isfinite(L).all(axis=(-2, -1))), DomainError,
+                lambda *_: "matrix has non-finite entries", batch)
         # From the largest real or imaginary part: a modulus may overflow before the rescale.
         parts = np.maximum(abs(L.real), abs(L.imag)).reshape(L.shape[:-2] + (16,)).max(axis=-1)
         shift = np.maximum(np.frexp(parts)[1] - _MAX_EXPONENT, 0)
         L = _ldexp(L, -shift[..., None, None])
         _, scale, leak = _extent(L)
-        leaking = leak > _LEAK_RTOL * scale
-        if leaking.any():
-            raise DomainError(
-                _stack_index(leaking, first)
-                + "matrix does not conserve population; cannot deflate the null eigenvalue"
-            )
+        _refuse(np.atleast_1d(leak > _LEAK_RTOL * scale), DomainError,
+                lambda *_: "matrix does not conserve population; "
+                "cannot deflate the null eigenvalue", batch)
         m = k.entries(L)
     coeffs = _char_cubic_coeffs(L)
     roots = k.map(functools.partial(_newton_polish, k, m), k.cubic_roots(coeffs))
@@ -663,13 +656,9 @@ def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
     if shift is not None:
         zs = _ldexp(zs, shift[..., None])
     tol = _RESIDUAL_RTOL * scale**4
-    bad = k.bad(res, tol)
-    if True in bad:
-        at = np.unravel_index(np.argmax(bad), np.shape(bad))
-        raise NonConvergenceError(
-            _stack_index(bad, first) + f"root {zs[at]} fails the residual check: "
-            f"{np.asarray(res)[at]:.3e} > {np.asarray(tol)[at[:-1]]:.3e}"
-        )
+    _refuse(k.bad(res, tol), NonConvergenceError,
+            lambda *at: f"root {zs[at]} fails the residual check: "
+            f"{np.asarray(res)[at]:.3e} > {np.asarray(tol)[at[:-1]]:.3e}", batch)
     return zs
 
 
@@ -677,14 +666,6 @@ def _extent(L: np.ndarray) -> tuple:
     """max|L|, max(1, max|L|) and the population leak max|L[2] + L[3]|, per matrix."""
     amax = np.abs(L).reshape(L.shape[:-2] + (16,)).max(axis=-1)
     return amax, np.maximum(1.0, amax), np.abs(L[..., 2, :] + L[..., 3, :]).max(axis=-1)
-
-
-def _stack_index(bad: np.ndarray, first: int | None) -> str:
-    """Message prefix naming the first matrix of a block that ``bad`` flags."""
-    if first is None:
-        return ""
-    row = int(np.argmax(np.reshape(bad, (len(bad), -1)).any(axis=1)))
-    return f"matrix {first + row} of the stack: "
 
 
 def _newton_polish(k: SimpleNamespace, m: list, z):

@@ -1,8 +1,10 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -283,6 +285,19 @@ class TestSpectrumCommand:
         # p**3 of the cubic overflows a double at this scale.
         assert run(["spectrum", "--delta", "1e60", "--out", str(tmp_path / "spec.json")]) == 2
         assert capsys.readouterr().err.startswith("error: arithmetic overflow")
+
+    # Python's float power raises OverflowError(errno, text): the line carries the text alone.
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--delta", "1e60"],
+        ["spectrum", "--delta", "1e-300", "--d", "1", "--gamma", "4"],
+        ["ep-curve", "--d-min=1e60", "--d-max=1e60"],
+        ["phase-diagram", "--d-max=1e154", "--gamma-min=1e60", "--gamma-max=1e154", "--ngamma=1"],
+    ])
+    def test_overflow_prints_the_error_text(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: arithmetic overflow at this parameter scale: {os.strerror(errno.ERANGE)}\n"
+        )
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,10 +30,12 @@ from lindblad_ep import (
     scaled_discriminant,
     splitting_exponent,
 )
-from lindblad_ep import spectrum
+from lindblad_ep import exceptional, spectrum
+from lindblad_ep.constants import D_TILDE_EP3, GAMMA_TILDE_EP3, Z_EP3
 from lindblad_ep.exceptional import (
     _EP_REGIONS,
     _REGIONS,
+    _bisect_brackets,
     _classify,
     _coalescence_region,
     _scaled_disc,
@@ -264,6 +267,18 @@ class TestEP3Point:
         assert d_t == D_EP3
         assert g_t == G_EP3
         assert z == -4j * math.sqrt(3.0)
+
+    # Each constant is the double nearest its square root: no tolerance.
+    @pytest.mark.parametrize("x, n", [(D_TILDE_EP3, 8), (GAMMA_TILDE_EP3, 108), (-Z_EP3.imag, 48)])
+    def test_constants_are_the_nearest_doubles(self, x, n):
+        def miss(y):
+            return abs(Fraction(y) ** 2 - n)
+
+        assert miss(x) < miss(math.nextafter(x, 0.0))
+        assert miss(x) < miss(math.nextafter(x, math.inf))
+
+    def test_triple_eigenvalue_is_pure_imaginary(self):
+        assert Z_EP3.real == 0.0
 
     def test_discriminant_vanishes_there(self):
         d_t, g_t, _ = ep3_point()
@@ -612,6 +627,20 @@ class TestEP2LocateNumeric:
     def test_bad_drives_rejected(self, bad):
         with pytest.raises(DomainError):
             ep2_locate_numeric(bad)
+
+    # No drive reaches this branch: a discriminant that never turns positive forces it.
+    @pytest.mark.parametrize("drives, prefix",
+                             [(3.0, ""), ([3.0, 4.0], "element 0 of the batch: ")])
+    def test_unbracketed_upper_coupling_refused(self, monkeypatch, drives, prefix):
+        monkeypatch.setattr(exceptional, "_disc_at", lambda d, x: -np.ones_like(x))
+        with pytest.raises(NoRootError) as info:
+            ep2_locate_numeric(drives)
+        assert str(info.value) == prefix + "failed to bracket the upper coalescence coupling"
+
+    def test_bisection_without_a_sign_change_refused(self):
+        with pytest.raises(NoRootError) as info:
+            _bisect_brackets(lambda x, k: np.ones_like(x), np.array([0.0]), np.array([1.0]))
+        assert str(info.value) == "no sign change over [0.0, 1.0]"
 
 
 class TestEP3LocateNumeric:

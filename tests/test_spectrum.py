@@ -680,6 +680,32 @@ class TestStackedOracle:
             eigenvalues_numeric(Ls)
 
 
+class TestOneMatrixRefusals:
+    """One matrix is refused with the texts of a stack, without the matrix index."""
+
+    def test_non_finite_entry(self):
+        L = build_lindblad(ModelParams(1.0, 2.0, 1.0))
+        L[1, 2] = np.nan
+        with pytest.raises(DomainError) as info:
+            eigenvalues_numeric(L)
+        assert str(info.value) == "matrix has non-finite entries"
+
+    def test_population_leak(self):
+        L = build_lindblad(ModelParams(1.0, 2.0, 1.0))
+        L[2, 0] += 1e-3
+        with pytest.raises(DomainError) as info:
+            eigenvalues_numeric(L)
+        assert str(info.value) == (
+            "matrix does not conserve population; cannot deflate the null eigenvalue")
+
+    def test_residual_gate(self, monkeypatch):
+        polish = spectrum._newton_polish
+        monkeypatch.setattr(spectrum, "_newton_polish", lambda *args: polish(*args) + 1e-3)
+        with pytest.raises(NonConvergenceError,
+                           match=r"^root \(.+\) fails the residual check: \S+ > 1\.563e-09$"):
+            eigenvalues_numeric(build_lindblad(ModelParams(1.0, 2.0, 1.0)))
+
+
 class TestStackBlocks:
     """Stacks run in blocks of _BLOCK // 16 rows (spectrum._in_blocks); each block is
     elementwise per row, so the seams change no bit."""
