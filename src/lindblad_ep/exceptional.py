@@ -4,7 +4,8 @@ Everything here lives in the scaled coordinates d_tilde = d/delta and
 gamma_tilde = gamma/delta, where the two second-order coalescence curves and
 their triple-point endpoint sit at fixed positions.  The discriminant
 p^3 + q^2 of the eigenvalue cubic changes sign exactly on the curves, which is
-what both the classifier and the numeric curve locator exploit.
+what both the classifier and the numeric curve locator exploit.  Near them the
+sign of q, which names the closer eigenvalue pair, names the branch as well.
 """
 
 from __future__ import annotations
@@ -198,7 +199,9 @@ def classify(params: ModelParams) -> PhasePoint:
     all three decaying eigenvalues imaginary.  A relative band around zero is
     reserved for the coalescence labels; inside it the triple point is
     recognised by p and q themselves being small, and the two second-order
-    branches are told apart by which curve the point sits nearer.
+    branches are told apart by sign(q), which names the closer pair of
+    decaying eigenvalues: EP2Plus where q > 0, the two slowest-decaying
+    modes, else EP2Minus.
 
     The band is not a guard against rounding.  Against an exact rational
     reference, the float discriminant had the right sign at every node of
@@ -231,7 +234,7 @@ def _classify(delta, d, gamma) -> tuple:
     ordering = (imdiff > tol) * 1 - (imdiff < -tol) * 1
     codes = k.where(disc > 0, _SPLIT_PAIR, _ALL_IMAGINARY)
     codes = k.patch(abs(disc) <= EP_BAND * k.pow(scale2, 3), codes, _coalescence_region,
-                    p, q, scale2, delta, d, gamma)
+                    p, q, scale2)
     return disc, codes, ordering
 
 
@@ -241,27 +244,14 @@ def _refuse_zero_delta(delta: float) -> None:
                           "(coordinates are d/delta and gamma/delta)")
 
 
-def _coalescence_region(p, q, scale2, delta, d, gamma) -> np.ndarray:
-    """Region codes of points inside the |disc| band, the triple point or one EP2 branch,
-    over six 1-D arrays of one length: the band patch of :func:`_classify`, its one caller.
-    Refuses a point off the triple point whose d/delta overflows, naming the point."""
+def _coalescence_region(p, q, scale2) -> np.ndarray:
+    """Region codes of points inside the |disc| band, over three 1-D arrays of one length:
+    the band patch of :func:`_classify`, its one caller.  The decaying eigenvalues are
+    -i (2 gamma/3 + y) over the roots y of y^3 + 3 p y - 2 q = 0, whose product is 2 q,
+    so sign(q) names the closer pair: q > 0 the two slowest-decaying modes, EP2Plus."""
     ep3 = np.maximum(np.abs(p), _pow(np.abs(q), 2.0 / 3.0)) <= EP3_BAND * scale2
-    # An overflowing quotient is refused below, without numpy's warning.
-    with np.errstate(over="ignore"):
-        d_t, g_t = d / delta, gamma / delta
-    # Below the drive threshold the band can only be entered near the triple
-    # point; split on the coupling side of it.
-    midpoint = np.full(d_t.shape, GAMMA_TILDE_EP3)
-    curve = ~ep3 & (np.abs(d_t) >= D_TILDE_EP3)
-    if curve.any():
-        _refuse(curve & np.isinf(d_t), DomainError,
-                lambda i: f"the coalescence branch at delta = {float(delta[i])!r}, "
-                f"d = {float(d[i])!r}, gamma = {float(gamma[i])!r} cannot be told: "
-                "d_tilde must be finite, got inf")
-        gm, gp = ep2_gamma(np.abs(d_t[curve]))
-        midpoint[curve] = 0.5 * (gm + gp)
     # Indices into _EP_REGIONS: 0 minus branch, 1 plus branch, 2 triple point.
-    return _EP_CODES[np.where(ep3, 2, np.abs(g_t) > midpoint)]
+    return _EP_CODES[np.where(ep3, 2, q > 0.0)]
 
 
 def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -618,7 +618,8 @@ def eigenvalues_numeric(L: np.ndarray) -> np.ndarray:
     for non-finite entries and for a matrix that does not conserve population,
     and :class:`NonConvergenceError` if any returned value fails the
     characteristic-polynomial residual check (a NaN or infinite residual fails
-    it).  For a stack the message names the index of the first offending matrix.
+    it), and OverflowError where an eigenvalue passes the largest double.  For a
+    stack the message names the index of the first offending matrix.
     """
     L = _numbers(L, "matrix entries")
     if L.ndim not in (2, 3) or L.shape[-2:] != (4, 4):
@@ -654,7 +655,11 @@ def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
     zs = k.collapse(roots, coeffs, scale)
     res = k.map(functools.partial(_residual, m), zs)
     if shift is not None:
-        zs = _ldexp(zs, shift[..., None])
+        # A root past the largest double is refused below, without numpy's warning.
+        with np.errstate(over="ignore"):
+            zs = _ldexp(zs, shift[..., None])
+        _refuse(np.atleast_1d(~np.isfinite(zs).all(axis=-1)), OverflowError,
+                lambda *_: "eigenvalues overflow a double", batch)
     tol = _RESIDUAL_RTOL * scale**4
     _refuse(k.bad(res, tol), NonConvergenceError,
             lambda *at: f"root {zs[at]} fails the residual check: "

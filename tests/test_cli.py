@@ -274,12 +274,12 @@ class TestSpectrumCommand:
         assert run(["spectrum", "--delta", "0", "--d", "1e60"]) == 2
         assert "delta != 0" in capsys.readouterr().err
 
-    def test_infinite_scaled_drive_is_usage_error(self, capsys):
-        assert run(["spectrum", "--delta", "5e-324", "--d", "1", "--gamma", "4"]) == 2
-        err = capsys.readouterr().err
-        assert "d_tilde must be finite" in err
-        # The point is named, and no batch index is counted.
-        assert "delta = 5e-324, d = 1.0, gamma = 4.0" in err and "batch" not in err
+    # d/delta overflows to infinity at the first, d_tilde**4 at the second; the band names
+    # the branch by the sign of q, which forms neither.
+    @pytest.mark.parametrize("delta", ["5e-324", "1e-300"])
+    def test_vanishing_detuning_in_the_band_is_minus_branch(self, delta, capsys):
+        assert run(["spectrum", "--delta", delta, "--d", "1", "--gamma", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["region"] == "EP2Minus"
 
     def test_overflow_is_usage_error(self, tmp_path, capsys):
         # p**3 of the cubic overflows a double at this scale.
@@ -289,7 +289,7 @@ class TestSpectrumCommand:
     # Python's float power raises OverflowError(errno, text): the line carries the text alone.
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--delta", "1e60"],
-        ["spectrum", "--delta", "1e-300", "--d", "1", "--gamma", "4"],
+        ["spectrum", "--gamma", "1e60"],
         ["ep-curve", "--d-min=1e60", "--d-max=1e60"],
         ["phase-diagram", "--d-max=1e154", "--gamma-min=1e60", "--gamma-max=1e154", "--ngamma=1"],
     ])

@@ -209,7 +209,7 @@ class TestCurveArrays:
                               bits(want[7]))
 
     @pytest.mark.parametrize("delta", [1.0, 3.0, -2.0])
-    def test_coalescence_region_on_band_points(self, delta):
+    def test_coalescence_region_on_band_points(self, delta, request):
         d_grid, g_grid = coalescence_grid()
         # Just below the drive threshold the band is entered near the triple point only.
         near = D_EP3 - np.array([1e-6, 1e-4, 2e-3])
@@ -217,11 +217,13 @@ class TestCurveArrays:
         g_grid = np.concatenate([g_grid, G_EP3 + np.linspace(-3e-2, 3e-2, 13)])
         if delta < 0:
             g_grid = -g_grid
+        # The band is decided by p, q and the scale alone: the curve layer is never called.
+        request.getfixturevalue("no_curve_layer")
         d, gamma = d_grid * delta, g_grid * delta
         p, q, disc, energy, *_ = _cubic(delta, d[:, None], gamma[None, :])
         scale2 = np.maximum(1.0, energy)
         i, j = np.nonzero(np.abs(disc) <= 1e-10 * scale2**3)
-        args = (p[i, j], q[i, j], scale2[i, j], np.full(len(i), float(delta)), d[i], gamma[j])
+        args = (p[i, j], q[i, j], scale2[i, j])
         codes = _coalescence_region(*args)
         assert codes.dtype == np.int8
         labels = _REGIONS[codes]
@@ -328,23 +330,23 @@ class TestClassify:
         with pytest.raises(DomainError):
             classify(ModelParams(0.0, 1.0, 1.0))
 
-    def test_infinite_scaled_drive_in_the_band_refused(self):
-        # d/delta = inf; the band test once labelled it because |g_t| > NaN is false.
-        with pytest.raises(DomainError, match="d_tilde must be finite, got inf$") as info:
-            classify(ModelParams(5e-324, 1.0, 4.0))
-        # The point is named, and no batch index is counted.
-        assert "delta = 5e-324, d = 1.0, gamma = 4.0" in str(info.value)
-        assert "element" not in str(info.value)
-
-    def test_infinite_scaled_drive_in_the_band_refused_on_arrays(self):
-        # classify_grid forms d = d_tilde * delta, so its d/delta is within two roundings of a
-        # finite d_tilde and does not overflow; its blocks run this body, on arrays.
+    # As delta -> 0 the minus branch tends to gamma = 4 d, where the pair at -3i d
+    # coalesces below the third root, -2i d (q < 0).  d/delta overflows to infinity, or
+    # Python's d_tilde**4 would, yet no quotient is formed: sign(q) names the branch.
+    @pytest.mark.parametrize("delta", [5e-324, 1e-300])
+    def test_vanishing_detuning_in_the_band_is_minus_branch(self, delta):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="d_tilde must be finite, got inf$") as info:
-                _classify(5e-324, np.array([[0.5], [1.0]]), np.array([[0.0, 4.0]]))
-        assert "delta = 5e-324, d = 1.0, gamma = 4.0" in str(info.value)
-        assert "element" not in str(info.value)
+            assert classify(ModelParams(delta, 1.0, 4.0)).region is Region.EP2_MINUS
+
+    def test_vanishing_detuning_in_the_band_is_minus_branch_on_arrays(self):
+        # classify_grid forms d = d_tilde * delta, so _classify itself takes the quotient-free
+        # band at delta = 5e-324, on arrays, as its blocks do.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes = _classify(5e-324, np.array([[0.5], [1.0]]), np.array([[0.0, 4.0]]))[1]
+            region = classify_grid(1e-300, [1e300], [4e300])[1]
+        assert _REGIONS[codes[1, 1]] is region[0, 0] is Region.EP2_MINUS
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -389,6 +391,16 @@ def assert_grid_is_scalar(delta, d_grid, g_grid) -> set:
     return labels
 
 
+@pytest.fixture
+def no_curve_layer(monkeypatch):
+    """The curve layer, patched to raise: the classifier must not call it."""
+    def called(*args):
+        raise AssertionError("the classifier called the curve layer")
+
+    for name in ("ep2_gamma", "_curve"):
+        monkeypatch.setattr(exceptional, name, called)
+
+
 def coalescence_grid():
     """Drives at and above the threshold (both signs) and the couplings of both
     curves there, so that every region label occurs on the outer grid.  At
@@ -405,6 +417,13 @@ class TestClassifyGrid:
     def test_default_grid_equals_scalar(self):
         labels = assert_grid_is_scalar(1.0, np.linspace(0.0, 6.0, 300), np.linspace(0.0, 16.0, 300))
         assert Region.ALL_IMAGINARY in labels and Region.SPLIT_PAIR in labels
+
+    def test_default_grid_band_nodes_without_the_curve_layer(self, no_curve_layer):
+        region = classify_grid(1.0, np.linspace(0.0, 6.0, 300), np.linspace(0.0, 16.0, 300))[1]
+        band = [(i, j, region[i, j]) for i, j in zip(*np.nonzero(np.isin(region, _EP_REGIONS)))]
+        minus, plus = Region.EP2_MINUS, Region.EP2_PLUS
+        assert band == [(142, 196, minus), (143, 198, plus), (144, 200, plus), (146, 203, minus),
+                        (158, 223, minus), (171, 244, minus), (174, 269, plus)]
 
     @pytest.mark.parametrize("delta", [2.5, 7.0, 1e-3])
     def test_scaled_grids_equal_scalar(self, delta):
@@ -500,6 +519,50 @@ def assert_grid_is_scalar_bitwise(delta, d_grid, g_grid) -> np.ndarray:
     assert region.tolist() == [[p.region for p in row] for row in points]
     assert ordering.tolist() == [[p.ordering for p in row] for row in points]
     return region
+
+
+def band_grid():
+    """Drives around the threshold and above it (both signs), with couplings a relative
+    3e-9 or less off both curves, and couplings around the triple point."""
+    drives = np.concatenate([D_EP3 + np.linspace(-0.03, 0.1, 27), np.linspace(2.9, 9.0, 25)])
+    couplings = [G_EP3 + np.linspace(-0.3, 0.3, 61)]
+    for d_t in drives[drives >= D_EP3]:
+        couplings.append(np.multiply.outer(ep2_gamma(d_t), 1.0 + np.linspace(-3e-9, 3e-9, 9)))
+    return np.concatenate([drives, -drives]), np.unique(np.concatenate(couplings, axis=None))
+
+
+class TestBranchOracle:
+    """Inside the band, off the triple point, the EP2 label against LAPACK alone: EP2Plus
+    exactly where the closest pair of the three decaying eigenvalues has a mean imaginary
+    part above the third one's, the pair that decays slower."""
+
+    @pytest.mark.parametrize("delta", [1.0, 3.0, -2.0])
+    def test_plus_branch_is_the_slower_closest_pair(self, delta):
+        d_grid, g_grid = band_grid()
+        if delta < 0:
+            g_grid = -g_grid
+        region = classify_grid(delta, d_grid, g_grid)[1]
+        i, j = np.nonzero((region == Region.EP2_MINUS) | (region == Region.EP2_PLUS))
+        zs = np.linalg.eigvals(np.stack([
+            build_lindblad(ModelParams(delta, d_grid[a] * delta, g_grid[b] * delta))
+            for a, b in zip(i.tolist(), j.tolist())
+        ]))
+        # The three decaying eigenvalues: all but the null one, whose imaginary part is 0.
+        zs = np.take_along_axis(zs, np.argsort(zs.imag, axis=1)[:, :3], axis=1)
+        pairs = np.array([(0, 1), (0, 2), (1, 2)])
+        gaps = np.abs(zs[:, pairs[:, 0]] - zs[:, pairs[:, 1]])
+        order = np.argsort(gaps, axis=1)
+        gap = np.take_along_axis(gaps, order, axis=1)
+        # Decided where the closest pair is closer than the next by 1e-6 of the scale.
+        decided = gap[:, 1] - gap[:, 0] >= 1e-6 * np.abs(zs).max(axis=1)
+        rows = np.arange(len(zs))
+        a, b = pairs[order[:, 0]].T
+        mean = 0.5 * (zs[rows, a].imag + zs[rows, b].imag)
+        slower = mean > zs[rows, 3 - a - b].imag
+        plus = region[i, j] == Region.EP2_PLUS
+        assert decided.sum() > 1500 and set(plus[decided]) == {False, True}
+        wrong = np.nonzero(decided & (plus != slower))[0]
+        assert not wrong.size, [(d_grid[i[k]], g_grid[j[k]], region[i[k], j[k]]) for k in wrong[:5]]
 
 
 class TestGridBlocks:

@@ -804,6 +804,18 @@ class TestLargeScale:
         with pytest.raises(DomainError, match="does not conserve population"):
             eigenvalues_numeric(L)
 
+    # The roots pass the residual gate at the rescaled level and pass the largest double
+    # only when scaled back: refused as the closed form refuses an overflowing cubic.
+    @pytest.mark.filterwarnings("error")
+    def test_eigenvalues_past_the_largest_double_refused(self):
+        L = build_lindblad(ModelParams(1.0, 2.0, 1.0))
+        big = 1.79e308 * L / np.abs(L).max()
+        with pytest.raises(OverflowError, match="^eigenvalues overflow a double$"):
+            eigenvalues_numeric(big)
+        with pytest.raises(OverflowError,
+                           match="^matrix 2 of the stack: eigenvalues overflow a double$"):
+            eigenvalues_numeric(np.stack([L, L, big, L]))
+
 
 def hadamard(rows) -> float:
     """Hadamard's bound on |det|: the product of the row norms."""
@@ -1197,12 +1209,17 @@ class TestPointMemo:
         (ModelParams(0.0, 1.0, 1.0), classify, DomainError),
         (ModelParams(1.0, D_EP3, G_EP3), full_spectrum, NearDegenerateError),
         (ModelParams(*OVERFLOWING_CUBICS[0]), eigenvalues_closed_form, OverflowError),
-        (ModelParams(5e-324, 1.0, 4.0), classify, DomainError),
     ])
     def test_refusals_are_raised_cold_and_warm(self, params, solve, error):
         for _ in range(2):
             with pytest.raises(error):
                 solve(params)
+
+    def test_infinite_scaled_drive_labelled_cold_and_warm(self):
+        # d/delta overflows to infinity; the band names the branch by the sign of q alone.
+        forget()
+        for _ in range(2):
+            assert classify(ModelParams(5e-324, 1.0, 4.0)).region.value == "EP2Minus"
 
     def test_a_second_entry_point_solves_nothing(self, solves, tmp_path):
         params = ModelParams(1.0, 2.0, 1.0)
