@@ -10,7 +10,6 @@ sign of q, which names the closer eigenvalue pair, names the branch as well.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -22,8 +21,6 @@ from .constants import D_TILDE_EP3, GAMMA_TILDE_EP3, Z_EP3, ep3_point  # noqa: F
 from .errors import DegenerateFitError, DomainError, NoRootError
 from .model import ModelParams, _refuse
 from .spectrum import (
-    _KEY,
-    _MEMO_SIZE,
     _closed_form_stack,
     _cubic,
     _cubic_coeffs,
@@ -63,7 +60,7 @@ _EP_REGIONS = (Region.EP2_MINUS, Region.EP2_PLUS, Region.EP3)
 _REGIONS = np.array(list(Region), dtype=object)
 _CODE = {region: np.int8(k) for k, region in enumerate(_REGIONS)}
 _SPLIT_PAIR, _ALL_IMAGINARY = _CODE[Region.SPLIT_PAIR], _CODE[Region.ALL_IMAGINARY]
-_EP_CODES = np.array([_CODE[region] for region in _EP_REGIONS])
+_EP2_MINUS, _EP2_PLUS, _EP3 = (_CODE[region] for region in _EP_REGIONS)
 
 
 @dataclass(frozen=True)
@@ -197,11 +194,14 @@ def classify(params: ModelParams) -> PhasePoint:
     Regions follow the discriminant sign: positive means one imaginary
     eigenvalue plus a pair mirrored about the imaginary axis, negative means
     all three decaying eigenvalues imaginary.  A relative band around zero is
-    reserved for the coalescence labels; inside it the triple point is
-    recognised by p and q themselves being small, and the two second-order
-    branches are told apart by sign(q), which names the closer pair of
-    decaying eigenvalues: EP2Plus where q > 0, the two slowest-decaying
-    modes, else EP2Minus.
+    reserved for the coalescence labels, ``|disc| <= EP_BAND * scale2^3`` with
+    ``scale2 = max(1, energy)``.  Inside it the triple point is recognised by p
+    and q themselves being small, ``|p| <= EP3_BAND * scale2`` and
+    ``q^2 <= EP3_BAND^3 * scale2^3`` (that is, max(|p|, |q|^(2/3)) <=
+    EP3_BAND * scale2, in integer powers), and the two second-order branches
+    are told apart by sign(q), which names the closer pair of decaying
+    eigenvalues: EP2Plus where q > 0, the two slowest-decaying modes, else
+    EP2Minus.
 
     The band is not a guard against rounding.  Against an exact rational
     reference, the float discriminant had the right sign at every node of
@@ -211,14 +211,8 @@ def classify(params: ModelParams) -> PhasePoint:
     labelled for being near a curve, not because their sign is in doubt.
     """
     _refuse_zero_delta(params.delta)
-    disc, code, ordering = _classify_at(_KEY.pack(params.delta, params.d, params.gamma))
+    disc, code, ordering = _classify(params.delta, params.d, params.gamma)
     return PhasePoint(*params.scaled(), disc, _REGIONS[code], ordering)
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _classify_at(key: bytes) -> tuple:
-    """:func:`_classify` at the point whose bits are ``key``: the point memo of classify."""
-    return _classify(*_KEY.unpack(key))
 
 
 def _classify(delta, d, gamma) -> tuple:
@@ -228,13 +222,19 @@ def _classify(delta, d, gamma) -> tuple:
     k = _kernels(delta, d, gamma)
     p, q, disc, energy, _, _, z1, z2, _ = _cubic(delta, d, gamma)
     scale2 = k.maximum(1.0, energy)
+    scale6 = k.pow(scale2, 3)
     imdiff = z1.imag - z2.imag
     tol = _ORDERING_RTOL * k.maximum(1.0, k.abs(z1), k.abs(z2))
     # The sign of imdiff, and 0 where |imdiff| <= tol: an int at a point, int64 on arrays.
     ordering = (imdiff > tol) * 1 - (imdiff < -tol) * 1
-    codes = k.where(disc > 0, _SPLIT_PAIR, _ALL_IMAGINARY)
-    codes = k.patch(abs(disc) <= EP_BAND * k.pow(scale2, 3), codes, _coalescence_region,
-                    p, q, scale2)
+    # The decaying eigenvalues are -i (2 gamma/3 + y) over the roots y of
+    # y^3 + 3 p y - 2 q = 0, whose product is 2 q, so sign(q) names the closer pair:
+    # q > 0 the two slowest-decaying modes, EP2Plus.
+    ep2 = k.where(q > 0, _EP2_PLUS, _EP2_MINUS)
+    # max(|p|, |q|^(2/3)) <= EP3_BAND * scale2, in integer powers.
+    ep3 = (abs(p) <= EP3_BAND * scale2) & (q * q <= EP3_BAND**3 * scale6)
+    codes = k.where(abs(disc) <= EP_BAND * scale6, k.where(ep3, _EP3, ep2),
+                    k.where(disc > 0, _SPLIT_PAIR, _ALL_IMAGINARY))
     return disc, codes, ordering
 
 
@@ -242,16 +242,6 @@ def _refuse_zero_delta(delta: float) -> None:
     if delta == 0:
         raise DomainError("phase-plane classification needs delta != 0 "
                           "(coordinates are d/delta and gamma/delta)")
-
-
-def _coalescence_region(p, q, scale2) -> np.ndarray:
-    """Region codes of points inside the |disc| band, over three 1-D arrays of one length:
-    the band patch of :func:`_classify`, its one caller.  The decaying eigenvalues are
-    -i (2 gamma/3 + y) over the roots y of y^3 + 3 p y - 2 q = 0, whose product is 2 q,
-    so sign(q) names the closer pair: q > 0 the two slowest-decaying modes, EP2Plus."""
-    ep3 = np.maximum(np.abs(p), _pow(np.abs(q), 2.0 / 3.0)) <= EP3_BAND * scale2
-    # Indices into _EP_REGIONS: 0 minus branch, 1 plus branch, 2 triple point.
-    return _EP_CODES[np.where(ep3, 2, q > 0.0)]
 
 
 def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -263,10 +253,10 @@ def classify_grid(delta: float, d_tilde, gamma_tilde) -> tuple[np.ndarray, np.nd
     ``classify(ModelParams(delta, d_t * delta, g_t * delta))`` at that node:
     both run one classifier body, whose kernels are picked by the input's type,
     in blocks of whole d-rows of about 8,192 nodes (``spectrum._BLOCK``), each
-    one array pass and one more over its few points inside the |disc| band.
-    The pass labels nodes with ``int8`` region codes, indices into
-    the region table ``_REGIONS`` (code k is the k-th member of :class:`Region`
-    in declaration order); ``region`` is that table indexed by the codes.
+    one array pass.  The pass labels nodes with ``int8`` region codes, indices
+    into the region table ``_REGIONS`` (code k is the k-th member of
+    :class:`Region` in declaration order); ``region`` is that table indexed by
+    the codes.
     """
     disc, codes, ordering = _classify_codes(delta, d_tilde, gamma_tilde)
     return disc, _REGIONS[codes], ordering

@@ -11,15 +11,15 @@ and ``_ARRAYS`` differ: :func:`_cubic`, which the phase-plane classifier
 (``exceptional._classify``) shares, picks them by the input's type, and the
 oracle, :func:`_oracle`, by the shape of L, one matrix or a stack.
 
-At one point of three Python floats, the cubic (:func:`_cubic`), the
-classification (``exceptional.classify``) and the modes (:func:`_modes`) are
-derived once and kept in the point memo: each is a module-level
-``functools.lru_cache`` of ``_MEMO_SIZE`` = 64 points, keyed on the IEEE bits
-of (delta, d, gamma), so that -0.0 and 0.0 are two points.  A hit equals a
-cold solve bit for bit.  The memo's arrays are read-only, and every public
-function returns fresh arrays.  A refusal is not kept and is raised on every
-call.  Arrays and stacks bypass the memo.  ``cache_clear()`` on
-``_cubic_at``, ``exceptional._classify_at`` and ``_modes_at`` empties it.
+At one point of three Python floats, the cubic (:func:`_cubic`) and the
+modes (:func:`_modes`) are derived once and kept in the point memo: each is a
+module-level ``functools.lru_cache`` of ``_MEMO_SIZE`` = 64 points, keyed on
+the IEEE bits of (delta, d, gamma), so that -0.0 and 0.0 are two points.  The
+classification (``exceptional.classify``) is not kept: it is a few comparisons
+on the memo's cubic.  A hit equals a cold solve bit for bit.  The memo's
+arrays are read-only, and every public function returns fresh arrays.  A
+refusal is not kept and is raised on every call.  Arrays and stacks bypass the
+memo.  ``cache_clear()`` on ``_cubic_at`` and ``_modes_at`` empties it.
 
 Two kernels share the 2x2 minors of L - zI.  :func:`_det_trace` forms only the
 cofactors that det(L - zI) and its derivative -tr adj(L - zI) read: it serves
@@ -73,7 +73,7 @@ _DISC_OVERFLOW = "the cubic's discriminant overflows a double"
 
 # Points each memo of the module docstring keeps, and the key of a point: the IEEE
 # bits of (delta, d, gamma).  Bits, not values: -0.0 == 0.0 with equal hashes, yet
-# classify reports the sign of d/delta and the stationary mode carries it.
+# the stationary mode carries the sign of d.
 _MEMO_SIZE = 64
 _KEY = struct.Struct("<3d")
 
@@ -249,12 +249,6 @@ def _select_on_arrays(cond, branches, *args):
         return _where(cond, *(branch(*args) for branch in branches))
 
 
-def _patch_on_arrays(cond, base, fn, *args):
-    at = np.nonzero(cond)
-    base[at] = fn(*(np.broadcast_to(x, cond.shape)[at] for x in args))
-    return base
-
-
 def _newton_on_arrays(z, det, trace):
     # numpy's complex division multiplies by the reciprocal of the divisor, which overflows
     # for a subnormal trace: divide both by 2^k ~ |trace| first, which is exact.
@@ -332,9 +326,8 @@ def _cubic_roots_rows(coeffs: tuple) -> np.ndarray:
 # and the oracle between one matrix and a stack.  ``where(cond, a, b)`` is a where cond
 # holds, else b, pairwise for tuples.  ``select(cond, (then, other), *args)`` is
 # ``where(cond, then(*args), other(*args))`` but forms at a point only the branch taken,
-# as the other may divide by zero.  ``patch(cond, base, fn, *args)`` is
-# ``where(cond, fn(*args), base)``, fn given as 1-D arrays only the entries that cond
-# flags.  ``abs`` is the complex magnitude as Python rounds it.  ``coefficients`` runs _coefficients, on arrays under np.errstate, so that an
+# as the other may divide by zero.  ``abs`` is the complex magnitude as Python rounds
+# it.  ``coefficients`` runs _coefficients, on arrays under np.errstate, so that an
 # overflowing sum reaches the disc check silently, as it does in Python's floats.
 # ``roots`` is the last step.  For the oracle, ``entries`` hold L for _shifted, ``scale``
 # is max(1, max|L|) on the common path (None where a matrix is refused or rescaled),
@@ -349,7 +342,6 @@ _POINT = SimpleNamespace(
     pow=pow, sqrt=math.sqrt, cbrt=lambda x: float(np.cbrt(x)), maximum=max, abs=abs,
     finite=math.isfinite, coefficients=_coefficients, where=lambda cond, a, b: a if cond else b,
     select=lambda cond, branches, *args: branches[0](*args) if cond else branches[1](*args),
-    patch=lambda cond, base, fn, *args: fn(*np.array(args)[:, None])[0] if cond else base,
     roots=_point_roots, entries=np.ndarray.tolist, scale=_point_scale,
     trace=lambda a: _point_trace(*a.diagonal().tolist()),
     cubic_roots=_cubic_roots, map=lambda f, z: [f(w) for w in z.tolist()],
@@ -362,7 +354,7 @@ _ARRAYS = SimpleNamespace(
     pow=_pow, sqrt=np.sqrt, cbrt=np.cbrt, maximum=lambda *xs: functools.reduce(np.maximum, xs),
     abs=lambda z: np.hypot(z.real, z.imag),
     finite=lambda x: np.isfinite(x).all(), coefficients=np.errstate(over="ignore")(_coefficients),
-    where=_where, select=_select_on_arrays, patch=_patch_on_arrays,
+    where=_where, select=_select_on_arrays,
     roots=_array_roots, entries=lambda L: [[L[:, None, i, j] for j in range(4)] for i in range(4)],
     scale=_rows_scale, trace=lambda m: np.trace(m, axis1=-2, axis2=-1),
     cubic_roots=_cubic_roots_rows,

@@ -33,11 +33,11 @@ from lindblad_ep import (
 from lindblad_ep import exceptional, spectrum
 from lindblad_ep.constants import D_TILDE_EP3, GAMMA_TILDE_EP3, Z_EP3
 from lindblad_ep.exceptional import (
+    EP3_BAND,
     _EP_REGIONS,
     _REGIONS,
     _bisect_brackets,
     _classify,
-    _coalescence_region,
     _scaled_disc,
 )
 from lindblad_ep.spectrum import _char_cubic_coeffs, _cubic
@@ -220,17 +220,16 @@ class TestCurveArrays:
         # The band is decided by p, q and the scale alone: the curve layer is never called.
         request.getfixturevalue("no_curve_layer")
         d, gamma = d_grid * delta, g_grid * delta
-        p, q, disc, energy, *_ = _cubic(delta, d[:, None], gamma[None, :])
+        _, _, disc, energy, *_ = _cubic(delta, d[:, None], gamma[None, :])
         scale2 = np.maximum(1.0, energy)
         i, j = np.nonzero(np.abs(disc) <= 1e-10 * scale2**3)
-        args = (p[i, j], q[i, j], scale2[i, j])
-        codes = _coalescence_region(*args)
+        codes = _classify(delta, d[:, None], gamma[None, :])[1][i, j]
         assert codes.dtype == np.int8
         labels = _REGIONS[codes]
         below = set(labels[np.abs(d[i] / delta) < D_EP3])
         assert {Region.EP2_MINUS, Region.EP2_PLUS} <= below and Region.EP3 in set(labels)
-        for k, point in enumerate(zip(*(a.tolist() for a in args))):
-            assert _REGIONS[_coalescence_region(*np.array(point)[:, None])[0]] is labels[k], point
+        for k, point in enumerate(zip(d[i].tolist(), gamma[j].tolist())):
+            assert _REGIONS[_classify(delta, *point)[1]] is labels[k], point
         region = classify_grid(delta, d_grid, g_grid)[1]
         assert (region[i, j] == labels).all()
 
@@ -563,6 +562,103 @@ class TestBranchOracle:
         assert decided.sum() > 1500 and set(plus[decided]) == {False, True}
         wrong = np.nonzero(decided & (plus != slower))[0]
         assert not wrong.size, [(d_grid[i[k]], g_grid[j[k]], region[i[k], j[k]]) for k in wrong[:5]]
+
+
+def triple_margins(delta, d, gamma) -> tuple:
+    """The exact margins of both halves of the triple-point test at one point, each
+    relative to its bound: ``|p| <= B s2`` and ``q^2 <= B^3 s2^3``, in Fractions of the
+    float p, q and scale2 = max(1, energy), with B = EP3_BAND.  Both are >= 0 exactly
+    where the label must be EP3."""
+    p, q, _, energy, *_ = _cubic(delta, d, gamma)
+    band, scale2 = Fraction(EP3_BAND), Fraction(max(1.0, energy))
+    bound_p, bound_q = band * scale2, band**3 * scale2**3
+    return (bound_p - abs(Fraction(p))) / bound_p, (bound_q - Fraction(q) ** 2) / bound_q
+
+
+def is_triple(delta, d_t, g_t) -> bool:
+    return min(triple_margins(delta, d_t * delta, g_t * delta)) >= 0
+
+
+class TestTripleBand:
+    """The boundary of the triple-point test, along both curves just past the threshold,
+    against the test evaluated exactly.  On a curve |p| = |q|^(2/3), so both halves of
+    the test flip together there."""
+
+    @pytest.mark.parametrize("delta", [1.0, 3.0, -2.0])
+    @pytest.mark.parametrize("branch", [0, 1])
+    def test_label_is_the_exact_triple_test(self, delta, branch, record_property):
+        sign = math.copysign(1.0, delta)
+
+        def coupling(d_t):
+            return sign * ep2_gamma(d_t)[branch]
+
+        drives = (D_EP3 + np.geomspace(1e-6, 0.1, 60)).tolist()
+        flags = [is_triple(delta, d_t, coupling(d_t)) for d_t in drives]
+        assert flags[0] and not flags[-1]
+        # Bisect the flip on the exact test, so that the path ends a few ulps from it.
+        k = flags.index(False)
+        lo, hi = drives[k - 1], drives[k]
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            drives.append(mid)
+            lo, hi = (mid, hi) if is_triple(delta, mid, coupling(mid)) else (lo, mid)
+        d_grid = np.array(drives)
+        g_grid = np.array([coupling(d_t) for d_t in drives])
+        grid = classify_grid(delta, d_grid, g_grid)[1].diagonal()
+        ep2 = (Region.EP2_MINUS, Region.EP2_PLUS)[branch]
+        skipped, labels = 0, set()
+        for n, (d_t, g_t) in enumerate(zip(drives, g_grid.tolist())):
+            region = classify(ModelParams(delta, d_t * delta, g_t * delta)).region
+            assert grid[n] is region, (d_t, g_t)
+            margins = triple_margins(delta, d_t * delta, g_t * delta)
+            if min(abs(m) for m in margins) <= Fraction(1e-12):
+                skipped += 1
+                continue
+            assert region is (Region.EP3 if min(margins) >= 0 else ep2), (d_t, g_t, margins)
+            labels.add(region)
+        record_property("skipped", skipped)
+        assert labels == {Region.EP3, ep2}
+        assert skipped < 20, f"{skipped} of {len(drives)} points within 1e-12 of the test"
+
+
+def plus_branch_family() -> list:
+    """Drives with rational couplings, at delta = 1: d = (t + 8/t)/2 and m = (t - 8/t)/2
+    have d^2 - 8 = m^2, so that G+ = d^4/2 + 10 d^2 - 4 + d|m|^3/2 is rational.  For
+    t = 2^k, k in [-24, 27], d is an exact double: 26 drives, as k and 3 - k give the
+    same one.  Returns the pairs (d, G+) as Fractions."""
+    family = {}
+    for k in range(-24, 28):
+        t = Fraction(2) ** k
+        d, m = (t + 8 / t) / 2, (t - 8 / t) / 2
+        assert Fraction(float(d)) == d
+        family[d] = d**4 / 2 + 10 * d**2 - 4 + d * abs(m) ** 3 / 2
+    return sorted(family.items())
+
+
+class TestPlusBranchPins:
+    """The plus branch of ep2_gamma on the dyadic family, with no float tolerance.  The
+    minus branch gets no pins: its formula cancels, and it misses the nearest double by
+    8 ulp at d = 256 and by more above it."""
+
+    def test_plus_coupling_is_the_nearest_double(self):
+        family = plus_branch_family()
+        assert len(family) == 26
+        misses = []
+        for d, g_plus in family:
+            x = ep2_gamma(float(d))[1]
+            lo, hi = (Fraction(math.nextafter(x, bound)) for bound in (0.0, math.inf))
+            if not ((Fraction(x) + lo) / 2) ** 2 <= g_plus <= ((Fraction(x) + hi) / 2) ** 2:
+                misses.append(float(d))
+        assert not misses
+
+    def test_array_call_equals_one_drive_calls(self):
+        drives = np.array([float(d) for d, _ in plus_branch_family()])
+        one_by_one = [ep2_gamma(d_t)[1] for d_t in drives.tolist()]
+        assert np.array_equal(bits(ep2_gamma(drives)[1]), bits(one_by_one))
+
+    def test_plus_coupling_labelled_plus(self):
+        for d, _ in plus_branch_family():
+            x = ep2_gamma(float(d))[1]
+            assert classify(ModelParams(1.0, float(d), x)).region is Region.EP2_PLUS, float(d)
 
 
 class TestGridBlocks:

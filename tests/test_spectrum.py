@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lindblad_ep import exceptional, spectrum
+from lindblad_ep import spectrum
 from lindblad_ep import (
     DomainError,
     ModelParams,
@@ -1154,7 +1154,7 @@ memo_points = st.builds(
     st.sampled_from([1e-150, 1.0, 1e150]),
 )
 
-MEMOS = (spectrum._cubic_at, exceptional._classify_at, spectrum._modes_at)
+MEMOS = (spectrum._cubic_at, spectrum._modes_at)
 
 
 def forget() -> None:
