@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 import sys
 
 import numpy as np
@@ -21,6 +23,7 @@ from lindblad_ep import (
     eigenvalues_numeric,
     eigenvectors_closed_form,
     ep2_gamma,
+    ep2_locate_numeric,
     full_spectrum,
     initial_state,
     match_distance,
@@ -1051,6 +1054,10 @@ class TestCharacteristicResidual:
             assert all(a < b for a, b in zip(values, values[1:]))
 
 
+# The args of Python's OverflowError when a float power overflows.
+ERANGE = (errno.ERANGE, os.strerror(errno.ERANGE))
+
+
 class TestPow:
     # Doubles where numpy's power, or x*x, rounds differently from Python's
     # float power on some C libraries: 2702.51276112607**2 is 7303575.224049255
@@ -1062,9 +1069,88 @@ class TestPow:
     def test_equals_python_power(self, shape, k):
         x = np.resize(np.array(self.VALUES), shape)
         got = spectrum._pow(x, k)
-        assert got.shape == shape
+        assert type(got) is np.ndarray and got.shape == shape
         want = np.array([v**k for v in x.ravel().tolist()]).reshape(shape)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    # Every exponent the callers use; 1.5 only on nonnegative bases, where Python's
+    # power stays real.
+    EXPONENTS = (2, 3, 4, 1.5)
+
+    @staticmethod
+    def _python_pow(v, k):
+        try:
+            return pow(v, float(k))
+        except OverflowError:
+            return None
+
+    @classmethod
+    def _largest_finite_base(cls, k):
+        """The largest double whose k-th power is finite in Python's float power."""
+        x = sys.float_info.max ** (1.0 / k)
+        while cls._python_pow(math.nextafter(x, math.inf), k) is not None:
+            x = math.nextafter(x, math.inf)
+        while cls._python_pow(x, k) is None:
+            x = math.nextafter(x, 0.0)
+        return x
+
+    @classmethod
+    def _sample(cls, k):
+        """Seeded uniform values in +-10, log-uniform magnitudes from 1e-300 to 1e300
+        of both signs, and the special inputs; their magnitudes for k = 1.5."""
+        rng = np.random.default_rng(int(k * 10))
+        tiny = 5e-324
+        specials = [0.0, -0.0, tiny, -tiny, 2.2e-308, -1.5e-310, math.inf, -math.inf, math.nan]
+        top = cls._largest_finite_base(k)
+        specials += [top, -top]
+        x = np.concatenate([
+            rng.uniform(-10.0, 10.0, 120_000),
+            10.0 ** rng.uniform(-300.0, 300.0, 150_000) * rng.choice([-1.0, 1.0], 150_000),
+            specials,
+        ])
+        return np.abs(x) if k == 1.5 else x
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", EXPONENTS)
+    def test_equals_python_power_at_scale(self, k):
+        x = self._sample(k)
+        want = [self._python_pow(v, k) for v in x.tolist()]
+        finite = np.array([w is not None for w in want])
+        assert finite.sum() >= 200_000
+        got = spectrum._pow(x[finite], k)
+        want = np.array([w for w in want if w is not None])
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+        # Where Python's power overflows, _pow refuses the whole array as Python does.
+        for v in x[~finite][:3].tolist():
+            with pytest.raises(OverflowError) as info:
+                spectrum._pow(np.array([1.0, v]), k)
+            assert info.value.args == ERANGE
+
+
+class TestPowOverflowContract:
+    """An overflowing power is refused with Python's OverflowError(ERANGE) by every
+    array caller, without a warning, and an underflow returns its value silently."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda: ep2_gamma(np.array([3.0, 1e80])),
+        lambda: ep2_locate_numeric(np.array([3.0, 1e120])),
+        lambda: _closed_form_stack(np.array([1.0, 1e60]), np.array([2.0, 2.0]), np.array([1.0, 1.0])),
+        lambda: classify_grid(1.0, [0, 1, 1e60], [1.0, 2.0]),
+    ], ids=["ep2_gamma", "ep2_locate_numeric", "closed_form_stack", "classify_grid"])
+    def test_overflow_raises_erange(self, call):
+        with pytest.raises(OverflowError) as info:
+            call()
+        assert info.value.args == ERANGE
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflow_returns_silently(self):
+        squares = spectrum._pow([1e-200, -1e-170, 5e-324], 2)
+        assert squares.tolist() == [0.0] * 3 and not np.signbit(squares).any()
+        cubes = spectrum._pow([-1e-110, -0.0], 3)
+        assert cubes.tolist() == [0.0] * 2 and np.signbit(cubes).all()
 
 
 @pytest.fixture
