@@ -204,7 +204,7 @@ def cmd_ep_curve(args) -> int:
             f"requested range starts at {args.d_min}"
         )
     header = "d_tilde,gamma_minus,gamma_plus,im_z_minus,im_z_plus,disc_minus,disc_plus"
-    gammas, *zs = _curve(d_grid, ("minus", "plus"))
+    gammas, zs = _curve(d_grid)
     im_z = [z.imag for z in zs]
     resid = _on_curve_residual(d_grid, np.stack(gammas, axis=1))
     _write(args.out, _table(args.format, header, [[d_grid, *gammas, *im_z, *resid.T]]))

@@ -409,10 +409,13 @@ def spectral_evolve(params: ModelParams, rho0: np.ndarray, t: float) -> np.ndarr
     Valid only away from exceptional points, where the biorthogonal system is
     complete; refuses EP-labelled parameter points and propagates
     :class:`NearDegenerateError` from the eigenvector construction otherwise.
-    Raises :class:`DomainError` for a ``rho0`` that is not a density matrix,
-    for a ``t`` that is negative or not finite, and for a ``t`` past the
-    precision horizon, where a mode that has not decayed turns more than 1/eps
-    radians or grows past the largest double.
+    The refusal of the EP band is what guards points near a curve whose
+    coalescing pair ``PAIR_GAP_RTOL`` does not flag: their modes are formed,
+    but the mode sum breaks the state's Hermiticity pairing.  Raises
+    :class:`DomainError` for a ``rho0`` that is not a density matrix, for a
+    ``t`` that is negative or not finite, and for a ``t`` past the precision
+    horizon, where a mode that has not decayed turns more than 1/eps radians
+    or grows past the largest double.
     """
     rho0 = check_density_matrix(rho0)
     if not 0.0 <= t < math.inf:

@@ -125,11 +125,11 @@ def _drives(d_tilde) -> tuple:
     return d.reshape(-1), None if d.ndim == 0 else "element {} of the batch: ".format
 
 
-def _curve(d_tilde, branches=()) -> list:
-    """The couplings of :func:`ep2_gamma`, then the eigenvalue of :func:`ep2_eigenvalue`
-    on each of ``branches``, from one evaluation of the curve formulas.  Refuses a
-    drive below the threshold or infinite, or far above it one where gamma_minus^2
-    cancels below zero, then branch by branch a negative inner radicand."""
+def _curve(d_tilde) -> tuple:
+    """``((gamma_minus, gamma_plus), (z_minus, z_plus))`` from one evaluation of the
+    curve formulas on a (branch, drive) array: numbers for one drive, 1-D arrays for a
+    batch.  Refuses a drive below the threshold or infinite, or far above it one where
+    gamma_minus^2 cancels below zero, then a negative inner radicand (drive, then branch)."""
     d, batch = _drives(d_tilde)
     _refuse(~(d >= D_TILDE_EP3), DomainError,
             lambda i: f"no real coalescence curves below d_tilde = 2*sqrt(2); got {float(d[i])}",
@@ -137,22 +137,21 @@ def _curve(d_tilde, branches=()) -> list:
     _refuse(d == math.inf, DomainError, lambda i: f"d_tilde must be finite, got {float(d[i])!r}",
             batch)
     d2, d4 = _pow(d, 2), _pow(d, 4)
-    wing = np.array([[-0.5], [0.5]]) * d * _pow(np.maximum(d2 - 8.0, 0.0), 1.5)
+    sign = np.array([[-1.0], [1.0]])
+    wing = 0.5 * sign * d * _pow(np.maximum(d2 - 8.0, 0.0), 1.5)
     gamma2 = d4 / 2.0 + 10.0 * d2 - 4.0 + wing
     inner = d4 / 2.0 - 2.0 * d2 - 16.0 + wing
     _refuse(gamma2[0] < 0.0, DomainError,
             lambda i: f"gamma_minus^2 cancels below zero at d_tilde = {float(d[i])}", batch)
+    _refuse((inner < -1e-9 * np.maximum(1.0, d4)).T, DomainError,
+            lambda i, row: f"inner radicand {float(inner[row, i]):.3e} is negative on the "
+            f"{('minus', 'plus')[row]} branch at d_tilde = {float(d[i])}; "
+            "curve formula invalid here", batch)
     gammas = np.sqrt(gamma2)
-    out = [tuple(gammas[:, 0].tolist()) if batch is None else tuple(gammas)]
-    for branch in branches:
-        sign = -1.0 if branch == "minus" else 1.0
-        row = int(sign > 0)
-        _refuse(inner[row] < -1e-9 * np.maximum(1.0, d4), DomainError,
-                lambda i: f"inner radicand {float(inner[row, i]):.3e} is negative on the {branch} "
-                f"branch at d_tilde = {float(d[i])}; curve formula invalid here", batch)
-        z = (-2j / 3.0) * (gammas[row] - sign * 0.25 * np.sqrt(np.maximum(inner[row], 0.0)))
-        out.append(complex(z[0]) if batch is None else z)
-    return out
+    z = (-2j / 3.0) * (gammas - sign * 0.25 * np.sqrt(np.maximum(inner, 0.0)))
+    if batch is None:
+        return tuple(gammas[:, 0].tolist()), tuple(z[:, 0].tolist())
+    return tuple(gammas), tuple(z)
 
 
 def ep2_gamma(d_tilde):
@@ -175,16 +174,24 @@ def ep2_eigenvalue(d_tilde, branch: str):
     follows sign(q), positive on the plus branch and negative on the minus
     branch.  Pure imaginary by construction.  The inner radicand is checked
     rather than assumed nonnegative; a tiny negative from roundoff is clamped,
-    anything larger raises.  Drives are taken as by :func:`ep2_gamma`.
+    anything larger raises.  Drives are taken as by :func:`ep2_gamma`, and
+    refused on either branch as on both; ``branch`` is checked first.
     """
     if branch not in ("minus", "plus"):
         raise DomainError(f"branch must be 'minus' or 'plus', got {branch!r}")
-    return _curve(d_tilde, (branch,))[1]
+    return _curve(d_tilde)[1][branch == "plus"]
 
 
 def ep_curve_point(d_tilde: float) -> EPCurvePoint:
-    """Both branches of the coalescence curves at one drive value."""
-    (gm, gp), z_minus, z_plus = _curve(d_tilde, ("minus", "plus"))
+    """Both branches of the coalescence curves at one drive value.
+
+    ``d_tilde`` is one number: a list or an array with an axis raises
+    :class:`DomainError` before the curve formulas run.  Other refusals are
+    those of :func:`ep2_eigenvalue`.
+    """
+    if np.ndim(d_tilde) != 0:
+        raise DomainError(f"d_tilde must be one number, got shape {np.shape(d_tilde)}")
+    (gm, gp), (z_minus, z_plus) = _curve(d_tilde)
     return EPCurvePoint(float(d_tilde), gm, gp, z_minus, z_plus)
 
 
@@ -370,19 +377,16 @@ def _dip(d_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     At unit detuning, p^3 + q^2 = c0 + c1 x + c2 x^2 exactly: the cubic terms
     of p^3 and q^2 in x cancel identically.  x* = -c1 / (2 c2) seeds the
     brackets; the depth, and every sign a search uses, is the discriminant
-    evaluated directly.  Where x* <= 0 the depth is c0 > 0.  Elementwise over
-    an array of drives.
+    evaluated directly at max(x*, 0), which is p^3 > 0 where x* <= 0
+    (|d_tilde| < 0.63).  Elementwise over an array of drives.
     """
     d2 = _pow(d_tilde, 2)
     a = 1.0 + d2
     b = 1.0 - d2 / 2.0
-    c0 = _pow(a, 3) / 27.0
     c1 = (3.0 * _pow(b, 2) - _pow(a, 2)) / 108.0
     c2 = 1.0 / 432.0
     x_star = -c1 / (2.0 * c2)
-    dip = ~(x_star <= 0.0)
-    c0[dip] = _disc_at(d_tilde[dip], x_star[dip])
-    return x_star, c0
+    return x_star, _disc_at(d_tilde, np.maximum(x_star, 0.0))
 
 
 def ep3_locate_numeric(d_lo: float = 2.0, d_hi: float = 3.5) -> tuple[float, float, complex]:

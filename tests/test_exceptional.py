@@ -148,6 +148,17 @@ class TestEP2Eigenvalue:
         assert point.gamma_tilde_minus < point.gamma_tilde_plus
         assert point.z_ep2_plus == ep2_eigenvalue(3.0, "plus")
 
+    @pytest.mark.parametrize("drive", [np.array([3.0, 4.0]), [3.0], np.array([3.0])])
+    def test_curve_point_refuses_all_but_one_number(self, monkeypatch, drive):
+        monkeypatch.setattr(exceptional, "_curve", lambda d: pytest.fail("the curve ran"))
+        with pytest.raises(DomainError, match=r"^d_tilde must be one number, got shape \([12],\)$"):
+            ep_curve_point(drive)
+
+    @pytest.mark.parametrize("drive", [3, 3.0, np.float64(3.0), np.float32(3.0), np.array(3.0)])
+    def test_curve_point_takes_any_one_number(self, drive):
+        point = ep_curve_point(drive)
+        assert point == ep_curve_point(3.0) and type(point.d_tilde) is float
+
 
 def bits(x) -> np.ndarray:
     """The bit patterns of a float or complex array, so that signed zeros count too."""
@@ -256,6 +267,26 @@ class TestCurveArrays:
         cancelled = r"^gamma_minus\^2 cancels below zero at d_tilde = 1e\+20$"
         with pytest.raises(DomainError, match=cancelled):
             ep2_eigenvalue(1e20, "minus")
+
+    # No drive reaches this refusal: over 20,000 drives from 2.83 to 1e76 the inner
+    # radicand is at least -2.2e-16 * max(1, d^4) on the minus branch and positive on
+    # the plus one.  A wing scaled by 5 or -5 forces it at d = 3, where one branch's
+    # radicand is then -1 and gamma_minus^2 stays positive; 2.9 passes and 4 fails too.
+    @pytest.mark.parametrize("factor, branch", [(5.0, "minus"), (-5.0, "plus")])
+    def test_negative_inner_radicand_refused(self, monkeypatch, factor, branch):
+        power = exceptional._pow
+        monkeypatch.setattr(exceptional, "_pow",
+                            lambda x, k: factor * power(x, k) if k == 1.5 else power(x, k))
+        text = (f"inner radicand -1.000e+00 is negative on the {branch} branch at "
+                "d_tilde = 3.0; curve formula invalid here")
+        curves = (ep2_gamma, lambda d: ep2_eigenvalue(d, "minus"),
+                  lambda d: ep2_eigenvalue(d, "plus"))
+        calls = [(curve, drive, prefix) for curve in curves for drive, prefix in
+                 [(3.0, ""), ([2.9, 3.0, 4.0], "element 1 of the batch: ")]]
+        for curve, drive, prefix in calls + [(ep_curve_point, 3.0, "")]:
+            with pytest.raises(DomainError) as info:
+                curve(drive)
+            assert str(info.value) == prefix + text
 
     def test_empty_drives(self):
         gm, gp = ep2_gamma(np.array([]))
@@ -787,7 +818,9 @@ class TestEP2LocateNumeric:
         with pytest.raises(DomainError):
             ep2_locate_numeric(bad)
 
-    # No drive reaches this branch: a discriminant that never turns positive forces it.
+    # Far drives reach this branch, where the float discriminant has lost its digits
+    # (ROADMAP item 13): 6 of 1,500 drives log-spaced in [1e2, 7e4] do.  A
+    # discriminant that never turns positive forces it at any drive.
     @pytest.mark.parametrize("drives, prefix",
                              [(3.0, ""), ([3.0, 4.0], "element 0 of the batch: ")])
     def test_unbracketed_upper_coupling_refused(self, monkeypatch, drives, prefix):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lindblad_ep import spectrum
 from lindblad_ep import (
+    INITIAL_STATES,
     DomainError,
     ModelParams,
     NearDegenerateError,
@@ -435,6 +436,25 @@ class TestOneCoalescenceTest:
                         eigenvectors_closed_form(params, nu)
                     except NearDegenerateError as exc:
                         assert "pairing" in str(exc)
+
+    # Near a curve PAIR_GAP_RTOL leaves some coalescing pairs unflagged; spectral_evolve's
+    # refusal of the EP band is what keeps their mode sums, which break the Hermiticity
+    # pairing, from being returned.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_spectral_evolve_refuses_or_returns_a_hermitian_state(self, seed):
+        refused = returned = 0
+        for params in points_near_coalescences(seed):
+            for name in INITIAL_STATES:
+                for t in (0.3, 3.0):
+                    try:
+                        rho = spectral_evolve(params, initial_state(name), t)
+                    except NearDegenerateError:
+                        refused += 1
+                        continue
+                    returned += 1
+                    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-9, (params, name, t)
+        assert refused and returned
 
     def test_degenerate_origin_is_a_domain_error(self):
         # every eigenvalue is zero there, but the null mode's refusal comes first
