@@ -67,7 +67,7 @@ def _table(fmt, header, blocks, bare=()):
 
 
 # Most nodes a grid takes: a run at the cap peaks at 66 MB for a 2048x1024 phase diagram
-# and at 544 MB for ep-curve, its largest (measured, see README).
+# and at 400 MB for ep-curve, its largest (measured, see README).
 _MAX_NODES = 2**21
 
 

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DomainError, NearDegenerateError, StepSizeError
 from .exceptional import _EP_REGIONS, classify
 from .model import (
+    _HS_INDEX,
     LabParams,
     ModelParams,
     _refuse,
@@ -56,10 +57,6 @@ TRACE_BLOWUP_TOL = 1e-8
 
 # Trace deviation above which `evolve` and `verify` fail a finished trajectory.
 _TRACE_TOL = 1e-10
-
-# Position of each flattened component (rho_eg, rho_ge, rho_ee, rho_gg) in the
-# 2x2 matrix.
-_HS_ENTRIES = ((0, 1), (1, 0), (0, 0), (1, 1))
 
 # Coordinates (rho_eg, rho_ge, rho_ee - rho_gg, trace) for the step matrices.
 # The generator's population rows are exact negatives, so its trace row is
@@ -303,9 +300,9 @@ def _lab_generators(params: LabParams) -> np.ndarray:
     )
     gens = np.empty((3, 4, 4), dtype=complex)
     for gen, (hamiltonian, gamma) in zip(gens, parts):
-        for k, entry in enumerate(_HS_ENTRIES):
+        for k, entry in enumerate(_HS_INDEX):
             unit = np.zeros((2, 2), dtype=complex)
-            unit[entry] = 1.0
+            unit.flat[entry] = 1.0
             gen[:, k] = vectorize(lindblad_rhs(hamiltonian, gamma, unit))
     return _TO_TRACE_BASIS @ gens @ _FROM_TRACE_BASIS
 

@@ -22,6 +22,12 @@ from .errors import DomainError
 
 HS_COMPONENTS = ("rho_eg", "rho_ge", "rho_ee", "rho_gg")
 
+# The flattened layout, stated once: the row-major index in the 2x2 matrix of each
+# component of HS_COMPONENTS, and the component at each row-major index.
+_HS_INDEX = np.array([1, 2, 0, 3])
+_HS_COMPONENT = np.empty(4, dtype=int)
+_HS_COMPONENT[_HS_INDEX] = np.arange(4)
+
 # Hermiticity-pairing defect of a flattened state, relative to its largest
 # entry (floored at 1), above which devectorize warns.
 _PAIRING_RTOL = 1e-9
@@ -141,6 +147,8 @@ def rotate_to_lab(rho_tilde: np.ndarray, omega: float, t) -> np.ndarray:
     Returns a fresh array.
     """
     rho = np.asarray(rho_tilde, dtype=complex)
+    if rho.shape[-2:] != (2, 2):
+        raise DomainError(f"expected a 2x2 matrix or a stack of them, got shape {rho.shape}")
     e = np.exp(-1j * omega * np.asarray(t, dtype=float))
     e_bar = np.conj(e)
     out = np.empty(np.broadcast_shapes(e.shape, rho.shape[:-2]) + (2, 2), dtype=complex)
@@ -154,7 +162,9 @@ def rotate_to_lab(rho_tilde: np.ndarray, omega: float, t) -> np.ndarray:
 def vectorize(rho: np.ndarray) -> np.ndarray:
     """Flatten a 2x2 density matrix to (rho_eg, rho_ge, rho_ee, rho_gg)."""
     rho = np.asarray(rho, dtype=complex)
-    return np.array([rho[0, 1], rho[1, 0], rho[0, 0], rho[1, 1]])
+    if rho.shape != (2, 2):
+        raise DomainError(f"expected a 2x2 matrix, got shape {rho.shape}")
+    return rho.reshape(4)[_HS_INDEX]
 
 
 def devectorize(psi: np.ndarray) -> np.ndarray:
@@ -162,8 +172,8 @@ def devectorize(psi: np.ndarray) -> np.ndarray:
 
     Exact inverse of :func:`vectorize` (components are copied, never
     symmetrised).  A stack of vectors, shape ``(..., 4)``, gives the stack of
-    matrices, shape ``(..., 2, 2)``; one vector is handled as Python numbers,
-    a stack by numpy, under one rule.  A vector whose components violate the
+    matrices, shape ``(..., 2, 2)``.  The pairing rule checks one vector in
+    Python numbers and a stack in numpy.  A vector whose components violate the
     Hermiticity pairing beyond :data:`_PAIRING_RTOL` (relative to that
     vector's largest entry, floored at 1) triggers one non-fatal
     :class:`HermiticityWarning` for the whole stack; a vector with a NaN or
@@ -174,7 +184,6 @@ def devectorize(psi: np.ndarray) -> np.ndarray:
         raise DomainError(f"expected length-4 vectors, got shape {psi.shape}")
     if psi.ndim == 1:
         eg, ge, ee, gg = psi.tolist()
-        rho = np.array([[ee, eg], [ge, gg]])
         # A NaN entry makes the stack's scale NaN, which no defect exceeds.
         scale = math.nan if cmath.isnan(eg + ge + ee + gg) else max(
             1.0, _modulus(eg), _modulus(ge), _modulus(ee), _modulus(gg))
@@ -190,18 +199,13 @@ def devectorize(psi: np.ndarray) -> np.ndarray:
             ]
         )
         broken = np.any(defect > _PAIRING_RTOL * scale)
-        rho = np.empty(psi.shape[:-1] + (2, 2), dtype=complex)
-        rho[..., 0, 0] = psi[..., 2]
-        rho[..., 0, 1] = psi[..., 0]
-        rho[..., 1, 0] = psi[..., 1]
-        rho[..., 1, 1] = psi[..., 3]
     if broken:
         warnings.warn(
             f"flattened state violates Hermiticity pairing by {np.max(defect):.3e}",
             HermiticityWarning,
             stacklevel=2,
         )
-    return rho
+    return psi[..., _HS_COMPONENT].reshape(psi.shape[:-1] + (2, 2))
 
 
 def _modulus(z: complex) -> float:

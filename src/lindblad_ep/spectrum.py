@@ -281,7 +281,7 @@ def _collapse_rows(roots, coeffs, scale):
     return zs
 
 
-def _point_scale(L, m):
+def _point_scale(m):
     """max(1, max|L|) for one matrix held in ``m`` on the oracle's common path, where
     it is neither refused nor rescaled, else None; as Python numbers."""
     try:
@@ -295,14 +295,6 @@ def _point_scale(L, m):
     scale = max(1.0, *mags)
     leak = max(abs(x + y) for x, y in zip(m[2], m[3]))
     return scale if leak <= _LEAK_RTOL * scale else None
-
-
-def _rows_scale(L, m):
-    """:func:`_point_scale` for a stack: one scale per matrix, or None if any matrix
-    leaves the common path."""
-    amax, scale, leak = _extent(L)
-    # A NaN fails the first comparison and an infinity passes the second.
-    return None if (~(leak <= _LEAK_RTOL * scale) | (amax >= 2.0**_MAX_EXPONENT)).any() else scale
 
 
 def _point_trace(d0, d1, d2, d3) -> complex:
@@ -342,8 +334,7 @@ def _cubic_roots_rows(coeffs: tuple) -> np.ndarray:
 # as the other may divide by zero.  ``abs`` is the complex magnitude as Python rounds
 # it.  ``coefficients`` runs _coefficients, on arrays under np.errstate, so that an
 # overflowing sum reaches the disc check silently, as it does in Python's floats.
-# ``roots`` is the last step.  For the oracle, ``entries`` hold L for _shifted, ``scale``
-# is max(1, max|L|) on the common path (None where a matrix is refused or rescaled),
+# ``roots`` is the last step.  For the oracle, ``entries`` hold L for _shifted,
 # ``trace`` is the trace of a matrix power, ``cubic_roots`` solves the cubics, ``newton``
 # is one Newton step (none where the trace is zero), ``collapse`` runs _collapse_clusters
 # per matrix and puts the null root first, ``bad`` flags the roots that fail the residual
@@ -355,7 +346,7 @@ _POINT = SimpleNamespace(
     pow=pow, sqrt=math.sqrt, cbrt=lambda x: float(np.cbrt(x)), maximum=max, abs=abs,
     finite=math.isfinite, coefficients=_coefficients, where=lambda cond, a, b: a if cond else b,
     select=lambda cond, branches, *args: branches[0](*args) if cond else branches[1](*args),
-    roots=_point_roots, entries=np.ndarray.tolist, scale=_point_scale,
+    roots=_point_roots, entries=np.ndarray.tolist,
     trace=lambda a: _point_trace(*a.diagonal().tolist()),
     cubic_roots=_cubic_roots, map=lambda f, z: [f(w) for w in z.tolist()],
     newton=lambda z, det, trace: z + det / trace if trace else z,
@@ -369,8 +360,7 @@ _ARRAYS = SimpleNamespace(
     finite=lambda x: np.isfinite(x).all(), coefficients=np.errstate(over="ignore")(_coefficients),
     where=_where, select=_select_on_arrays,
     roots=_array_roots, entries=lambda L: [[L[:, None, i, j] for j in range(4)] for i in range(4)],
-    scale=_rows_scale, trace=lambda m: np.trace(m, axis1=-2, axis2=-1),
-    cubic_roots=_cubic_roots_rows,
+    trace=lambda m: np.trace(m, axis1=-2, axis2=-1), cubic_roots=_cubic_roots_rows,
     map=np.errstate(invalid="ignore", over="ignore")(
         lambda f, z: f(z.reshape(len(z), math.prod(z.shape[1:]))).reshape(z.shape)),
     newton=_newton_on_arrays, collapse=_collapse_rows,
@@ -641,20 +631,25 @@ def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
     k = _MATRIX_KERNELS[L.ndim]
     batch = None if first is None else (lambda row: f"matrix {first + row} of the stack: ")
     m, shift = k.entries(L), None
-    scale = k.scale(L, m)
+    # One matrix skips the rescale when its cheap test passes; a stack always takes it.
+    scale = _point_scale(m) if k is _POINT else None
     if scale is None:
         # One matrix's flags are 0-d; at least 1-D, they name no element.
         _refuse(np.atleast_1d(~np.isfinite(L).all(axis=(-2, -1))), DomainError,
                 lambda *_: "matrix has non-finite entries", batch)
         # From the largest real or imaginary part: a modulus may overflow before the rescale.
         parts = np.maximum(abs(L.real), abs(L.imag)).reshape(L.shape[:-2] + (16,)).max(axis=-1)
-        shift = np.maximum(np.frexp(parts)[1] - _MAX_EXPONENT, 0)
-        L = _ldexp(L, -shift[..., None, None])
-        _, scale, leak = _extent(L)
+        # The binary exponent past 2^_MAX_EXPONENT (a power-of-two scaling is exact).  A
+        # shift of 0 keeps every bit, so L is copied only where a matrix is rescaled.
+        shift = np.maximum(np.frexp(parts * 2.0**-_MAX_EXPONENT)[1], 0)
+        if shift.any():
+            L = _ldexp(L, -shift[..., None, None])
+            m = k.entries(L)
+        scale = np.maximum(1.0, np.abs(L).reshape(L.shape[:-2] + (16,)).max(axis=-1))
+        leak = np.abs(L[..., 2, :] + L[..., 3, :]).max(axis=-1)
         _refuse(np.atleast_1d(leak > _LEAK_RTOL * scale), DomainError,
                 lambda *_: "matrix does not conserve population; "
                 "cannot deflate the null eigenvalue", batch)
-        m = k.entries(L)
     coeffs = _char_cubic_coeffs(L)
     roots = k.map(functools.partial(_newton_polish, k, m), k.cubic_roots(coeffs))
     zs = k.collapse(roots, coeffs, scale)
@@ -663,19 +658,13 @@ def _oracle(L: np.ndarray, first: int | None) -> np.ndarray:
         # A root past the largest double is refused below, without numpy's warning.
         with np.errstate(over="ignore"):
             zs = _ldexp(zs, shift[..., None])
-        _refuse(np.atleast_1d(~np.isfinite(zs).all(axis=-1)), OverflowError,
+        _refuse(np.atleast_1d(~np.isfinite(zs).all(axis=-1) & (shift > 0)), OverflowError,
                 lambda *_: "eigenvalues overflow a double", batch)
     tol = _RESIDUAL_RTOL * scale**4
     _refuse(k.bad(res, tol), NonConvergenceError,
             lambda *at: f"root {zs[at]} fails the residual check: "
             f"{np.asarray(res)[at]:.3e} > {np.asarray(tol)[at[:-1]]:.3e}", batch)
     return zs
-
-
-def _extent(L: np.ndarray) -> tuple:
-    """max|L|, max(1, max|L|) and the population leak max|L[2] + L[3]|, per matrix."""
-    amax = np.abs(L).reshape(L.shape[:-2] + (16,)).max(axis=-1)
-    return amax, np.maximum(1.0, amax), np.abs(L[..., 2, :] + L[..., 3, :]).max(axis=-1)
 
 
 def _newton_polish(k: SimpleNamespace, m: list, z):

@@ -409,6 +409,14 @@ class TestPhaseDiagramCommand:
             assert run(["phase-diagram", "--delta", "inf"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", ["0", "-2"])
+    def test_non_positive_delta_refused_before_writing(self, delta, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert run(["phase-diagram", "--delta", delta, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: grid commands use delta > 0 so flags read as d/delta, gamma/delta\n")
+        assert not out.exists()
+
     def test_workers_flag_is_gone(self):
         assert run(["phase-diagram", "--nd", "2", "--ngamma", "2", "--workers", "2"]) == 2
 

@@ -154,6 +154,11 @@ class TestRotateToLab:
             np.sort(np.linalg.eigvalsh(out)), np.sort(np.linalg.eigvalsh(rho)), atol=1e-13
         )
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2,), (4, 2, 3)])
+    def test_refuses_all_but_2x2_states(self, shape):
+        with pytest.raises(DomainError, match="^expected a 2x2 matrix or a stack of them"):
+            rotate_to_lab(np.ones(shape), 1.0, 0.5)
+
 
 def _elementwise(rho, omega, t):
     """The conjugation by diag(e, 1), e = exp(-i omega t), entry by entry on full-shape arrays.
@@ -233,6 +238,12 @@ class TestVectorization:
         rho = np.array([[p, re + 1j * im], [re - 1j * im, q]])
         back = devectorize(vectorize(rho))
         assert (back == rho).all()
+
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 2, 2), (4,)])
+    def test_vectorize_refuses_all_but_one_2x2(self, shape):
+        with pytest.raises(DomainError) as info:
+            vectorize(np.ones(shape))
+        assert str(info.value) == f"expected a 2x2 matrix, got shape {shape}"
 
     def test_devectorize_flags_broken_pairing(self):
         with pytest.warns(HermiticityWarning):

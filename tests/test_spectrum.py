@@ -702,6 +702,23 @@ class TestStackedOracle:
         with pytest.raises(NonConvergenceError, match="matrix 2 of the stack: root"):
             eigenvalues_numeric(Ls)
 
+    # Only a rescaled matrix is refused for overflow: a NaN root of an unscaled matrix
+    # fails the residual check, whether or not a neighbour in its block is rescaled.
+    @pytest.mark.parametrize("first", [ModelParams(1.0, 2.0, 1.0), ModelParams(1e70, 2e70, 1e70)])
+    def test_refusal_does_not_depend_on_a_rescaled_neighbour(self, monkeypatch, first):
+        polish = spectrum._newton_polish
+
+        def faulty(*args):
+            roots = polish(*args)
+            roots[2, 1] = np.nan
+            return roots
+
+        monkeypatch.setattr(spectrum, "_newton_polish", faulty)
+        Ls = stack_of([first] + [ModelParams(1.0, 2.0, 1.0)] * 3)
+        with pytest.raises(NonConvergenceError,
+                           match=r"^matrix 2 of the stack: root \(nan[+-].+j\) fails the residual"):
+            eigenvalues_numeric(Ls)
+
 
 class TestOneMatrixRefusals:
     """One matrix is refused with the texts of a stack, without the matrix index."""
