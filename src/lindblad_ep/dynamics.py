@@ -42,7 +42,7 @@ from .model import (
     trace_defect,
     vectorize,
 )
-from .spectrum import _modes
+from .spectrum import _ldexp, _modes
 from .superop import build_lindblad, equilibrium_state, lindblad_rhs
 
 # Snapshot cadence: at most this many saved states per trajectory.
@@ -138,7 +138,10 @@ def _largest_stable_dt(zs: np.ndarray) -> float:
     if zs.size == 0:
         return math.inf
     modulus = np.abs(zs)
-    direction = -1j * zs / modulus
+    # numpy's complex division multiplies by the reciprocal of the divisor, which overflows
+    # for a subnormal modulus: divide both by 2^k ~ |z| first, which is exact.
+    k = -np.frexp(modulus)[1]
+    direction = -1j * _ldexp(zs, k) / np.ldexp(modulus, k)
     lo = np.zeros(zs.shape)
     hi = np.full(zs.shape, _OUTSIDE_STABILITY_REGION)
     for _ in range(60):
@@ -146,7 +149,9 @@ def _largest_stable_dt(zs: np.ndarray) -> float:
         stable = _rk4_excess(mid * direction) <= 0.0
         lo = np.where(stable, mid, lo)
         hi = np.where(stable, hi, mid)
-    return float(np.min(lo / modulus))
+    # A mode too slow to limit the step gives inf.
+    with np.errstate(over="ignore"):
+        return float(np.min(lo / modulus))
 
 
 def _finite_eigenvalues(generator: np.ndarray) -> np.ndarray:

@@ -228,21 +228,27 @@ def _classify(delta, d, gamma) -> tuple:
     entry equal to the point's bit for bit, on the kernels of _cubic."""
     k = _kernels(delta, d, gamma)
     p, q, disc, energy, _, _, z1, z2, _ = _cubic(delta, d, gamma)
-    scale2 = k.maximum(1.0, energy)
-    scale6 = k.pow(scale2, 3)
     imdiff = z1.imag - z2.imag
     tol = _ORDERING_RTOL * k.maximum(1.0, k.abs(z1), k.abs(z2))
     # The sign of imdiff, and 0 where |imdiff| <= tol: an int at a point, int64 on arrays.
     ordering = (imdiff > tol) * 1 - (imdiff < -tol) * 1
+    return disc, _label(k, p, q, disc, energy), ordering
+
+
+def _label(k, p, q, disc, energy):
+    """The region code of :func:`classify`'s rule from the cubic's ``p``, ``q``,
+    ``disc`` and energy scale alone, with the kernels ``k``: an ``int8`` at a point,
+    an ``int8`` array on arrays."""
+    scale2 = k.maximum(1.0, energy)
+    scale6 = k.pow(scale2, 3)
     # The decaying eigenvalues are -i (2 gamma/3 + y) over the roots y of
     # y^3 + 3 p y - 2 q = 0, whose product is 2 q, so sign(q) names the closer pair:
     # q > 0 the two slowest-decaying modes, EP2Plus.
     ep2 = k.where(q > 0, _EP2_PLUS, _EP2_MINUS)
     # max(|p|, |q|^(2/3)) <= EP3_BAND * scale2, in integer powers.
     ep3 = (abs(p) <= EP3_BAND * scale2) & (q * q <= EP3_BAND**3 * scale6)
-    codes = k.where(abs(disc) <= EP_BAND * scale6, k.where(ep3, _EP3, ep2),
-                    k.where(disc > 0, _SPLIT_PAIR, _ALL_IMAGINARY))
-    return disc, codes, ordering
+    return k.where(abs(disc) <= EP_BAND * scale6, k.where(ep3, _EP3, ep2),
+                   k.where(disc > 0, _SPLIT_PAIR, _ALL_IMAGINARY))
 
 
 def _refuse_zero_delta(delta: float) -> None:
@@ -273,6 +279,30 @@ def _classify_codes(
     delta: float, d_tilde, gamma_tilde
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`classify_grid` with ``int8`` codes: the grid's checks, then :func:`_classify`."""
+    delta, d, gamma = _grid(delta, d_tilde, gamma_tilde)
+    shape = (len(d), len(gamma))
+    outs = (np.empty(shape), np.empty(shape, dtype=np.int8), np.empty(shape, dtype=np.int64))
+    return _in_blocks(lambda ix: _classify(delta, *_nodes(ix, d, gamma)), outs, len(gamma))
+
+
+def _region_codes(delta: float, d_tilde, gamma_tilde) -> np.ndarray:
+    """The codes of :func:`_classify_codes` alone, bit for bit, from the cubic's
+    coefficients: :func:`_label` reads nothing else, so no root is solved and no
+    ordering formed."""
+    delta, d, gamma = _grid(delta, d_tilde, gamma_tilde)
+
+    def block(ix):
+        nodes = _nodes(ix, d, gamma)
+        p, q, _, disc, energy = _cubic_coeffs(delta, *nodes)
+        return (_label(_kernels(delta, *nodes), p, q, disc, energy),)
+
+    out = np.empty((len(d), len(gamma)), dtype=np.int8)
+    return _in_blocks(block, (out,), len(gamma))[0]
+
+
+def _grid(delta: float, d_tilde, gamma_tilde) -> tuple:
+    """``(delta, d, gamma)`` of a grid in scaled coordinates: a float and two 1-D
+    arrays, each checked before any node is classified."""
     delta = float(delta)
     _refuse_zero_delta(delta)
     # An infinite or overflowing product is refused below, without numpy's warning.
@@ -285,16 +315,15 @@ def _classify_codes(
         raise DomainError("delta, d and gamma must be finite on the whole grid")
     if (gamma < 0).any():
         raise DomainError(f"gamma must be >= 0, got {gamma.min()}")
-    # Blocks of whole d-rows, or of one long row's columns, each classified into the
-    # preallocated outputs: memory grows with the outputs and one block.
-    shape = (len(d), len(gamma))
-    outs = (np.empty(shape), np.empty(shape, dtype=np.int8), np.empty(shape, dtype=np.int64))
+    return delta, d, gamma
 
-    def block(ix):
-        rows, cols = ix if type(ix) is tuple else (ix, slice(None))
-        return _classify(delta, d[rows, None], gamma[None, cols])
 
-    return _in_blocks(block, outs, len(gamma))
+def _nodes(ix, d: np.ndarray, gamma: np.ndarray) -> tuple:
+    """The (d, gamma) nodes of one block of :func:`spectrum._in_blocks`: whole d-rows,
+    or one row's columns where a row is longer than a block; memory grows with the
+    outputs and one block."""
+    rows, cols = ix if type(ix) is tuple else (ix, slice(None))
+    return d[rows, None], gamma[None, cols]
 
 
 def _disc_at(d_tilde: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,9 @@ from .errors import DomainError
 from .model import ModelParams, devectorize, jump_operators
 
 _C, _CDAG = jump_operators()
-_N = _CDAG @ _C
+# c+ c, written out: a complex matrix product at import (OpenBLAS zgemm) would leave
+# later C-library pow, exp and float repr calls slow.
+_N = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
 def build_lindblad(params: ModelParams) -> np.ndarray:

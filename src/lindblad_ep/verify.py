@@ -28,8 +28,8 @@ from .errors import DomainError
 from .exceptional import (
     _CODE,
     _ON_CURVE_TOL,
-    _classify_codes,
     _on_curve_residual,
+    _region_codes,
     classify,
     ep2_gamma,
     ep2_locate_numeric,
@@ -264,7 +264,7 @@ def check_phase_diagram(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> Che
     d_grid = np.linspace(0.0, 6.0, 300)
     g_grid = np.linspace(0.0, 16.0, 300)
     cell = g_grid[1] - g_grid[0]
-    _, codes, _ = _classify_codes(1.0, d_grid, g_grid)
+    codes = _region_codes(1.0, d_grid, g_grid)
     i, j = np.nonzero(codes == _CODE[Region.ALL_IMAGINARY])
     d_t, g_t = d_grid[i], g_grid[j]
     n_shaded = len(d_t)

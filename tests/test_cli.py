@@ -823,6 +823,14 @@ class TestIntegratorCommands:
         else:
             assert remedy == "reduce dt\n"
 
+    def test_subnormal_damping_remedy_names_the_undamped_limit(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["evolve", "--d=0", "--gamma=1e-320", "--t-max=60", "--dt=3"]) == 3
+        err = capsys.readouterr().err
+        assert err.endswith("; the largest stable step is dt = 2.82843\n")
+        assert "Traceback" not in err
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_any_flag_values_end_in_an_exit_code(self, data, hang_guard):

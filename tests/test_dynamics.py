@@ -192,6 +192,15 @@ class TestStepMatrix:
         h = largest_stable_dt(ModelParams(1.0, 2.0, 0.0))
         assert abs(h - 2.0 * math.sqrt(2.0) / math.sqrt(5.0)) < 1e-12
 
+    # The damping modes are subnormal: their modulus must not overflow a division, and
+    # they limit no step, so the undamped pair's limit 2 sqrt(2) holds, as at gamma = 0.
+    @pytest.mark.parametrize("gamma", [1e-320, 1e-310])
+    def test_subnormal_damping_keeps_the_undamped_limit(self, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = largest_stable_dt(ModelParams(1.0, 0.0, gamma))
+        assert h == largest_stable_dt(ModelParams(1.0, 0.0, 0.0)) == 2.8284271247461903
+
     def test_zero_generator_has_no_limit(self):
         assert largest_stable_dt(ModelParams(0.0, 0.0, 0.0)) == math.inf
 

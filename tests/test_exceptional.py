@@ -30,7 +30,7 @@ from lindblad_ep import (
     scaled_discriminant,
     splitting_exponent,
 )
-from lindblad_ep import exceptional, spectrum
+from lindblad_ep import exceptional, spectrum, verify
 from lindblad_ep.constants import D_TILDE_EP3, GAMMA_TILDE_EP3, Z_EP3
 from lindblad_ep.exceptional import (
     EP3_BAND,
@@ -38,6 +38,8 @@ from lindblad_ep.exceptional import (
     _REGIONS,
     _bisect_brackets,
     _classify,
+    _classify_codes,
+    _region_codes,
     _scaled_disc,
 )
 from lindblad_ep.spectrum import _char_cubic_coeffs, _cubic
@@ -738,6 +740,80 @@ class TestGridBlocks:
             classify_grid(1.0, np.array([0.0, 1.0, 1e60]), np.linspace(0.0, 16.0, 40))
 
 
+def random_grid(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded drives of both signs and couplings, with the triple point and both couplings
+    of the curves at d/delta = 3 among the nodes."""
+    rng = np.random.default_rng(seed)
+    d_grid = np.concatenate([rng.uniform(-9.0, 9.0, 37), [D_EP3, 3.0, -3.0]])
+    g_grid = np.concatenate([rng.uniform(0.0, 40.0, 29), [G_EP3, *ep2_gamma(3.0)]])
+    return d_grid, g_grid
+
+
+class TestRegionCodes:
+    """The codes-only grid pass, which runs the classifier's label rule on the cubic's
+    coefficients and solves no root, equals the full grid pass's codes bit for bit."""
+
+    @staticmethod
+    def assert_codes_equal(delta, d_grid, g_grid) -> np.ndarray:
+        codes = _region_codes(delta, d_grid, g_grid)
+        assert codes.dtype == np.int8 and codes.shape == (len(d_grid), len(g_grid))
+        assert np.array_equal(codes, _classify_codes(delta, d_grid, g_grid)[1])
+        return codes
+
+    def test_default_grid(self):
+        codes = self.assert_codes_equal(1.0, np.linspace(0.0, 6.0, 300),
+                                        np.linspace(0.0, 16.0, 300))
+        # The split-pair and all-imaginary regions, and the band nodes near the curves.
+        assert set(np.unique(codes).tolist()) >= {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("delta", [1.0, 0.37, 2.5, 1e-3, 1e3])
+    def test_random_grids(self, delta):
+        self.assert_codes_equal(delta, *random_grid(31))
+
+    def test_random_grid_carries_every_label(self):
+        codes = _region_codes(1.0, *random_grid(31))
+        assert set(np.unique(codes).tolist()) == set(range(len(Region)))
+
+    def test_band_grid(self):
+        self.assert_codes_equal(1.0, *band_grid())
+
+    def test_row_longer_than_a_block(self):
+        # 20,000 columns: one d-row in three blocks of its columns.
+        g_grid = np.concatenate([np.linspace(0.0, 30.0, 19998), ep2_gamma(3.0)])
+        codes = self.assert_codes_equal(1.0, np.array([3.0]), g_grid)
+        assert set(np.unique(codes).tolist()) == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("n_d, n_g", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_axes(self, n_d, n_g):
+        self.assert_codes_equal(1.0, np.linspace(0.0, 6.0, n_d), np.linspace(0.0, 16.0, n_g))
+
+    @pytest.mark.parametrize("delta, d_grid, g_grid", [
+        (0.0, [0.0, 1.0], [0.0, 1.0]),
+        (math.nan, [0.0, 1.0], [0.0, 1.0]),
+        (1.0, np.zeros((2, 2)), [0.0, 1.0]),
+        (1.0, [0.0, 1.0], [1.0, -2.0]),
+    ], ids=["zero_delta", "nan_delta", "2d_drives", "negative_gamma"])
+    def test_refusals_equal_the_classifier_pass(self, delta, d_grid, g_grid):
+        with pytest.raises(DomainError) as want:
+            _classify_codes(delta, d_grid, g_grid)
+        with pytest.raises(DomainError) as got:
+            _region_codes(delta, d_grid, g_grid)
+        assert str(got.value) == str(want.value)
+
+    def test_check_phase_diagram_solves_no_cubic(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the check solved the cubic")
+
+        monkeypatch.setattr(spectrum, "_solve_cubic", refuse)
+        assert check_phase_diagram().passed
+
+    def test_check_phase_diagram_details_equal_the_classifier_codes(self, monkeypatch):
+        got = check_phase_diagram()
+        monkeypatch.setattr(verify, "_region_codes", lambda *grid: _classify_codes(*grid)[1])
+        want = check_phase_diagram()
+        assert (got.passed, got.details) == (want.passed, want.details)
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that ``fn()`` allocates, by tracemalloc, after one untraced call."""
     fn()
@@ -758,7 +834,8 @@ class TestMemory:
         peak = traced_peak(lambda: classify_grid(1.0, d_grid, g_grid))
         assert peak / (600 * 600) < 34
 
-    # Measured: 2.91 MB.  A whole-grid pass held 14.5 MB.
+    # Measured: 0.72 MB with the codes-only pass, 2.91 MB with the full blocked pass.  A
+    # whole-grid pass held 14.5 MB.
     def test_check_phase_diagram_peak(self):
         assert traced_peak(check_phase_diagram) < 4e6
 

@@ -14,6 +14,7 @@ from lindblad_ep import (
     null_eigenvectors,
     vectorize,
 )
+from lindblad_ep import superop
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
 coupling = st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -103,6 +104,12 @@ class TestLindbladRHS:
     def test_negative_gamma_rejected(self):
         with pytest.raises(DomainError):
             lindblad_rhs(np.eye(2, dtype=complex), -1.0, np.eye(2, dtype=complex) / 2)
+
+    def test_number_operator_is_c_dagger_c_bit_for_bit(self):
+        # Written as a literal, so that no complex matrix product runs at import.
+        assert superop._N.dtype == complex
+        assert np.array_equal(superop._N.view(np.uint64),
+                              (superop._CDAG @ superop._C).view(np.uint64))
 
 
 class TestNullMode:
