@@ -42,7 +42,7 @@ from .model import (
     trace_defect,
     vectorize,
 )
-from .spectrum import _ldexp, _modes
+from .spectrum import _modes
 from .superop import build_lindblad, equilibrium_state, lindblad_rhs
 
 # Snapshot cadence: at most this many saved states per trajectory.
@@ -75,7 +75,7 @@ _FROM_TRACE_BASIS = np.array(
 _PHASE_HORIZON = 1.0 / np.finfo(float).eps
 
 # |w| = 4 lies outside the RK4 stability region in every direction (the region
-# reaches |w| ~ 2.96), so it brackets the stability boundary on every ray.
+# reaches |w| ~ 2.96), so the step s = 4 brackets the stability boundary.
 _OUTSIDE_STABILITY_REGION = 4.0
 
 
@@ -117,75 +117,75 @@ def step_rk4(derivative, t: float, state: np.ndarray, dt: float) -> np.ndarray:
     return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_excess(w: np.ndarray) -> np.ndarray:
-    """|R(w)|^2 - 1 for the RK4 stability function R(w) = 1 + p(w).
+def _growth(s: float, units: np.ndarray) -> float:
+    """Largest |R(w)|^2 - 1 over w = -i s u, for the RK4 stability function R(w) = 1 + p(w).
 
-    Evaluated as 2 Re p + |p|^2, never forming 1 + p: on the imaginary axis,
-    where the undamped modes sit, |R| - 1 is of order |w|^6 and would round
-    away against the 1.
+    With u = z / c from :func:`_finite_eigenvalues` and s = dt c, the growth of
+    the rotating step, 0 for the zero generator.  Re 2p + |p|^2 never forms
+    1 + p, against which the |w|^6 excess of an undamped mode would round away;
+    on the imaginary axis both terms are (Im w)^2 rounded once and cancel
+    exactly, also where that square is subnormal.
     """
-    p = w * (1.0 + w / 2.0 * (1.0 + w / 3.0 * (1.0 + w / 4.0)))
-    return 2.0 * p.real + np.abs(p) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = -1j * s * units
+        p2 = w * (2.0 + w * (1.0 + w / 3.0 * (1.0 + w / 4.0)))
+        return float(np.max(p2.real + np.abs(p2 / 2.0) ** 2))
 
 
-def _largest_stable_dt(zs: np.ndarray) -> float:
-    """Largest dt with |R(-i dt z)| <= 1 for every eigenvalue z, by bisection on each ray.
+def _largest_stable_dt(scale: float, units: np.ndarray) -> float:
+    """Largest dt with ``_growth(dt * scale, units) <= 0``: the boundary of the rotating gate.
 
-    On every ray into the closed left half-plane |R| crosses 1 once, so the
-    bisection between the origin and the bracket finds the stability boundary.
+    On each ray w = -i s u into the closed left half-plane |R| crosses 1 once,
+    so the stable s form an interval from 0, which s = 4 exceeds (|u| >= 1 for
+    the largest part).  One bisection on s, until the bracket ends are adjacent
+    doubles, finds its end.  ``inf`` for the zero generator and where dt overflows.
     """
-    zs = zs[zs != 0]
-    if zs.size == 0:
-        return math.inf
-    modulus = np.abs(zs)
-    # numpy's complex division multiplies by the reciprocal of the divisor, which overflows
-    # for a subnormal modulus: divide both by 2^k ~ |z| first, which is exact.
-    k = -np.frexp(modulus)[1]
-    direction = -1j * _ldexp(zs, k) / np.ldexp(modulus, k)
-    lo = np.zeros(zs.shape)
-    hi = np.full(zs.shape, _OUTSIDE_STABILITY_REGION)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        stable = _rk4_excess(mid * direction) <= 0.0
-        lo = np.where(stable, mid, lo)
-        hi = np.where(stable, hi, mid)
-    # A mode too slow to limit the step gives inf.
-    with np.errstate(over="ignore"):
-        return float(np.min(lo / modulus))
+    lo, hi = 0.0, _OUTSIDE_STABILITY_REGION
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if _growth(mid, units) <= 0.0 else (lo, mid)
+    return lo / scale if scale else math.inf
 
 
-def _finite_eigenvalues(generator: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a 4x4 generator.
+def _finite_eigenvalues(generator: np.ndarray) -> tuple[float, np.ndarray]:
+    """Eigenvalues z of a 4x4 generator as their scale c = max(|Re z|, |Im z|) and z / c.
 
-    Raises :class:`OverflowError` when the generator or its eigenvalues are
-    not finite: the parameters overflow a double, which no step size mends.
+    No mode of a Lindblad generator grows, so LAPACK's positive Im z is
+    roundoff, mostly the null mode's: Im z -> min(Im z, 0).  The parts are
+    divided as reals, as a reciprocal of a subnormal c would overflow; c,
+    unlike max|z|, is finite for any finite z.  Raises :class:`OverflowError`
+    when the generator or z is not finite: no step size mends that.
     """
     if np.isfinite(generator).all():
         zs = np.linalg.eigvals(generator)
         if np.isfinite(zs).all():
-            return zs
+            zs.imag = np.minimum(zs.imag, 0.0)
+            parts = zs.view(float)
+            scale = float(np.max(np.abs(parts)))
+            return scale, (parts / (scale or 1.0)).view(complex)
     raise OverflowError("the generator's eigenvalues overflow a double")
 
 
 def largest_stable_dt(params: ModelParams) -> float:
     """Largest rotating-frame RK4 step under which no mode of the generator grows.
 
-    ``inf`` when the generator vanishes.
+    The boundary of the rotating frame's step gate, found by bisection on dt over
+    LAPACK's eigenvalues projected onto the closed lower half-plane (no mode
+    grows, so a positive Im z is roundoff).  ``inf`` when the generator vanishes.
     """
-    return _largest_stable_dt(_finite_eigenvalues(build_lindblad(params)))
+    return _largest_stable_dt(*_finite_eigenvalues(build_lindblad(params)))
 
 
-def _remedy(zs: np.ndarray | None) -> str:
-    """The advice of a refusal: given the rotating generator's eigenvalues ``zs``,
-    the largest stable step; in the lab frame, whose generator depends on time,
-    "reduce dt"."""
-    if zs is None:
+def _remedy(spectrum: tuple[float, np.ndarray] | None) -> str:
+    """The advice of a refusal: given the rotating generator's scaled eigenvalues
+    (:func:`_finite_eigenvalues`), the largest stable step; in the lab frame,
+    whose generator depends on time, "reduce dt"."""
+    if spectrum is None:
         return "reduce dt"
-    return f"the largest stable step is dt = {_largest_stable_dt(zs):.6g}"
+    return f"the largest stable step is dt = {_largest_stable_dt(*spectrum):.6g}"
 
 
 def _refuse_growth(
-    excess: float, factor: float, dt: float, n_steps: int, zs: np.ndarray | None
+    excess: float, factor: float, dt: float, n_steps: int, spectrum: tuple | None
 ) -> None:
     """Gate before sampling: raise :class:`StepSizeError` if a mode's growth compounds.
 
@@ -199,7 +199,7 @@ def _refuse_growth(
     ):
         raise StepSizeError(
             f"dt = {dt:.6g} is unstable: a mode grows by a factor {factor:.6g} "
-            f"per step, over {n_steps} step(s); {_remedy(zs)}"
+            f"per step, over {n_steps} step(s); {_remedy(spectrum)}"
         )
 
 
@@ -240,7 +240,7 @@ def _sample(step: np.ndarray, stride: int, saved: list[int], psi0: np.ndarray) -
     return psi
 
 
-def _trajectory(psi, times, rho_eq, n_steps, stride, margin, zs) -> Trajectory:
+def _trajectory(psi, times, rho_eq, n_steps, stride, margin, spectrum) -> Trajectory:
     """The :class:`Trajectory` of the sampled trace-coordinate vectors ``psi``.
 
     The drift backstop runs first: it raises :class:`StepSizeError` at the
@@ -254,7 +254,7 @@ def _trajectory(psi, times, rho_eq, n_steps, stride, margin, zs) -> Trajectory:
     _refuse(~(trace_dev <= TRACE_BLOWUP_TOL) | ~finite, StepSizeError,
             lambda k: (f"trace drifted by {trace_dev[k]:.3e}" if finite[k]
                        else "state is not finite")
-            + f" at t = {times[k]:.6g}; the step is unstable, {_remedy(zs)}")
+            + f" at t = {times[k]:.6g}; the step is unstable, {_remedy(spectrum)}")
     herm_dev = hermiticity_defect(states)
     dist_eq = np.max(np.abs(states - rho_eq), axis=(1, 2))
     return Trajectory(times, states, trace_dev, herm_dev, dist_eq, n_steps, stride, margin)
@@ -273,19 +273,18 @@ def evolve_rotating(
     rho0 = check_density_matrix(rho0)
     n_steps, stride, saved = _schedule(t_max, dt)
     L = build_lindblad(params)
-    zs = _finite_eigenvalues(L)
+    spectrum = _finite_eigenvalues(L)
     rho_eq = equilibrium_state(params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        excess = float(np.max(_rk4_excess(-1j * dt * zs)))
+    excess = _growth(dt * spectrum[0], spectrum[1])
     margin = 0.0 if excess <= -1.0 else math.sqrt(1.0 + excess)
-    _refuse_growth(excess, margin, dt, n_steps, zs)
+    _refuse_growth(excess, margin, dt, n_steps, spectrum)
 
     a = -1j * dt * (_TO_TRACE_BASIS @ L @ _FROM_TRACE_BASIS)
     eye = np.eye(4)
     step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
     psi = _sample(step, stride, saved, _TO_TRACE_BASIS @ vectorize(rho0))
     times = np.array(saved, dtype=float) * dt
-    return _trajectory(psi, times, rho_eq, n_steps, stride, margin, zs)
+    return _trajectory(psi, times, rho_eq, n_steps, stride, margin, spectrum)
 
 
 def _lab_generators(params: LabParams) -> np.ndarray:
@@ -437,13 +436,13 @@ def spectral_evolve(params: ModelParams, rho0: np.ndarray, t: float) -> np.ndarr
         factors = np.exp(-1j * zs * t)
     # A mode that has not vanished must keep its phase |z| t within the horizon,
     # and its growth, which only roundoff makes exceed 1, finite.
-    for z, g in zip(zs.tolist(), growth.tolist()):
-        phase = math.hypot(z.real, z.imag) * t
-        if g != 0.0 and (phase > _PHASE_HORIZON or g == math.inf):
-            reason = (f"its phase |z| t = {phase:.3e} exceeds 1/eps = {_PHASE_HORIZON:.3e} "
-                      "radians" if g < math.inf else "its growth exp(Im(z) t) overflows")
-            raise DomainError(f"t = {t!r} is past the precision horizon: the mode "
-                              f"z = {z!r} has not decayed, and {reason}")
+    z, g = zs.tolist(), growth.tolist()
+    phase = [math.hypot(w.real, w.imag) * t for w in z]
+    _refuse([gk != 0.0 and (pk > _PHASE_HORIZON or gk == math.inf) for gk, pk in zip(g, phase)],
+            DomainError, lambda k: f"t = {t!r} is past the precision horizon: the mode z = "
+            f"{z[k]!r} has not decayed, and "
+            + (f"its phase |z| t = {phase[k]:.3e} exceeds 1/eps = {_PHASE_HORIZON:.3e} radians"
+               if g[k] < math.inf else "its growth exp(Im(z) t) overflows"))
     factors[growth == 0.0] = 0.0
     weights = modes.left @ vectorize(rho0) * factors
     return devectorize(weights @ modes.right)

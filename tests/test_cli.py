@@ -831,6 +831,12 @@ class TestIntegratorCommands:
         assert err.endswith("; the largest stable step is dt = 2.82843\n")
         assert "Traceback" not in err
 
+    # LAPACK's null eigenvalue lies just above the real axis here; the remedy read dt = 0.
+    def test_roundoff_null_mode_remedy_names_a_positive_step(self, capsys):
+        assert run(["evolve", "--delta", "1.4085138489444233", "--d", "-1.4459041021118297",
+                    "--gamma", "8.970154768949008", "--t-max", "60", "--dt", "3"]) == 3
+        assert capsys.readouterr().err.endswith("; the largest stable step is dt = 0.327406\n")
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_any_flag_values_end_in_an_exit_code(self, data, hang_guard):

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lindblad_ep import (
     DomainError,
@@ -30,10 +32,17 @@ from lindblad_ep import (
     vectorize,
     verify_frame_equivalence,
 )
-from lindblad_ep.dynamics import _lab_generators, _lab_step, _sample, _schedule
+from lindblad_ep.dynamics import _growth, _lab_generators, _lab_step, _sample, _schedule
 
 D_EP3 = 2.0 * math.sqrt(2.0)
 G_EP3 = 6.0 * math.sqrt(3.0)
+
+# verify's parameter ranges, each point scaled by 10^k for k in [-300, 300].
+POINTS = st.builds(
+    lambda delta, d, gamma, k: ModelParams(delta * 10.0**k, d * 10.0**k, gamma * 10.0**k),
+    st.floats(-2.0, 2.0), st.floats(-4.0, 4.0), st.floats(0.0, 10.0),
+    st.integers(-300, 300),
+)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -162,17 +171,23 @@ class TestStepMatrix:
         assert ref.shape == traj.states.shape
         assert float(np.max(np.abs(traj.states - ref))) <= 1e-12
 
-    def test_step_just_past_the_limit_is_refused(self):
-        params = ModelParams(1.0, 2.0, 1.0)
+    # The named step is the gate's own boundary, wherever verify's points and their
+    # scalings draw the generator.
+    @settings(max_examples=60, deadline=None)
+    @given(params=POINTS)
+    def test_step_just_past_the_limit_is_refused(self, params):
         h = largest_stable_dt(params)
+        assume(h < math.inf)
         with pytest.raises(StepSizeError) as info:
-            evolve_rotating(params, initial_state("excited"), 1.01 * h, 1.01 * h)
-        assert f"dt = {h:.6g}" in str(info.value)
+            evolve_rotating(params, initial_state("excited"), 1.001 * h, 1.001 * h)
+        assert str(info.value).endswith(f"; the largest stable step is dt = {h:.6g}")
 
-    def test_step_just_inside_the_limit_integrates(self):
-        params = ModelParams(1.0, 2.0, 1.0)
+    @settings(max_examples=60, deadline=None)
+    @given(params=POINTS)
+    def test_step_just_inside_the_limit_integrates(self, params):
         h = largest_stable_dt(params)
-        traj = evolve_rotating(params, initial_state("excited"), 0.99 * h, 0.99 * h)
+        assume(h < math.inf)
+        traj = evolve_rotating(params, initial_state("excited"), 0.999 * h, 0.999 * h)
         assert traj.n_steps == 1
         assert traj.stability_margin <= 1.0 + 1e-12
 
@@ -203,6 +218,33 @@ class TestStepMatrix:
 
     def test_zero_generator_has_no_limit(self):
         assert largest_stable_dt(ModelParams(0.0, 0.0, 0.0)) == math.inf
+
+    # LAPACK returns this point's null eigenvalue as about 7.5e-18+3.7e-17j: a mode
+    # in the upper half-plane grows at every step, and the limit read 0.
+    def test_roundoff_growth_of_the_null_mode_limits_no_step(self):
+        h = largest_stable_dt(ModelParams(1.4085138489444233, -1.4459041021118297,
+                                          8.970154768949008))
+        assert h == pytest.approx(0.3274063767425578, rel=1e-12)
+
+    # An undamped mode whose square is subnormal: Re 2p and |p|^2 must cancel
+    # exactly, or its last-bit roundoff reads as growth below the true limit.
+    def test_undamped_mode_with_a_subnormal_square_grows_nothing(self):
+        units = np.array([1.0, 1.2e-159, -3e-160, 0.0], dtype=complex)
+        for s in np.linspace(0.01, 2.8, 300):
+            assert _growth(s, units) <= 0.0
+        # At about 1e-64 damping LAPACK returns the null eigenvalue near 3e-159.
+        delta, d = -1.99065665501888, 1.8252862006286872
+        h = largest_stable_dt(ModelParams(delta, d, 8.140429311855176e-64))
+        assert h == pytest.approx(2.0 * math.sqrt(2.0) / math.hypot(delta, d), rel=1e-12)
+
+    def test_every_finite_nonzero_generator_has_a_positive_limit(self):
+        rng = np.random.default_rng(32)
+        points = rng.uniform((-2.0, -4.0, 0.0), (2.0, 4.0, 10.0), size=(400, 3))
+        points[200:] *= 10.0 ** rng.uniform(-300.0, 300.0, size=(200, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            limits = np.array([largest_stable_dt(ModelParams(*p)) for p in points])
+        assert (limits > 0).all(), points[limits <= 0]
 
     # The eigenvalues of L are about 2.4e308 here: no step size can be named.
     def test_overflowing_generator_is_refused_as_an_overflow(self):
