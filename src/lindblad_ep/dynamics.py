@@ -268,18 +268,25 @@ def evolve_rotating(
     Saves at most :data:`MAX_SAVED` snapshots (the final state always
     included).  Raises :class:`StepSizeError` before integrating if ``dt``
     lies outside the stability region, naming the largest stable step, and
-    after integrating if the trace drifted anyway.
+    after integrating if the trace drifted anyway; ``OverflowError`` before
+    integrating if the generator or its eigenvalues overflow a double.
     """
     rho0 = check_density_matrix(rho0)
     n_steps, stride, saved = _schedule(t_max, dt)
     L = build_lindblad(params)
     spectrum = _finite_eigenvalues(L)
+    # Near the largest double the change of basis can overflow where L and its
+    # eigenvalues do not: no step mends that, so it is refused before the gate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        generator = _TO_TRACE_BASIS @ L @ _FROM_TRACE_BASIS
+    if not np.isfinite(generator).all():
+        raise OverflowError("the generator in trace coordinates overflows a double")
     rho_eq = equilibrium_state(params)
     excess = _growth(dt * spectrum[0], spectrum[1])
     margin = 0.0 if excess <= -1.0 else math.sqrt(1.0 + excess)
     _refuse_growth(excess, margin, dt, n_steps, spectrum)
 
-    a = -1j * dt * (_TO_TRACE_BASIS @ L @ _FROM_TRACE_BASIS)
+    a = -1j * dt * generator
     eye = np.eye(4)
     step = eye + a @ (eye + a @ (eye + a @ (eye + a / 4.0) / 3.0) / 2.0)
     psi = _sample(step, stride, saved, _TO_TRACE_BASIS @ vectorize(rho0))

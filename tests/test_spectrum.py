@@ -645,12 +645,21 @@ class TestStackedOracle:
     def test_matches_per_matrix(self, points):
         assert np.max(stacked_against_single(stack_of(points))) <= 1e-14
 
-    # At a coalescence both paths collapse the scattered cluster onto its mean.
+    # At a coalescence both paths collapse the scattered cluster onto its mean.  The
+    # same stack holds the stack root finder's other special rows: gamma = 0, the zero
+    # matrix (whose cubic z^3 starts at its root), a subnormal coupling and a row past
+    # the 2^200 rescale.
     def test_collapses_clusters_like_per_matrix(self):
-        points = [ModelParams(1.0, D_EP3, G_EP3), ModelParams(0.0, 1.0, 4.0)]
+        points = [ModelParams(1.0, D_EP3, G_EP3), ModelParams(0.0, 1.0, 4.0),
+                  ModelParams(1.0, 2.0, 0.0), ModelParams(0.0, 0.0, 0.0),
+                  ModelParams(0.7952760252209155, -1.0, 5e-324), ModelParams(1e70, 2e70, 1e70)]
         for d_t in (3.0, 5.0):
             points += [ModelParams(1.0, d_t, g) for g in ep2_gamma(d_t)]
-        assert np.max(stacked_against_single(stack_of(points))) <= 1e-14
+        Ls = stack_of(points)
+        assert np.max(stacked_against_single(Ls)) <= 1e-14
+        zs = eigenvalues_numeric(Ls)
+        assert np.count_nonzero(np.abs(zs[2]) <= 1e-15) == 2
+        assert zs[3].tobytes() == bytes(64)
 
     def test_stack_crosses_a_block_boundary(self):
         rng = np.random.default_rng(21)
@@ -718,6 +727,103 @@ class TestStackedOracle:
         with pytest.raises(NonConvergenceError,
                            match=r"^matrix 2 of the stack: root \(nan[+-].+j\) fails the residual"):
             eigenvalues_numeric(Ls)
+
+
+def query_points(seed: int, n: int = 2000) -> list[ModelParams]:
+    """Points drawn as the single-point queries of the benchmark draw them: 70% in
+    verify's ranges, 20% near an EP2 curve and 10% near the EP3 (a quarter of both
+    exactly on it), and every fourth point scaled by 10^U(-60, 60)."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for k in range(n):
+        kind, delta = rng.uniform(), rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 2.0)
+        if kind < 0.7:
+            point = (rng.uniform(-2, 2), rng.uniform(-4, 4), rng.uniform(0, 10))
+        else:
+            if kind < 0.9:
+                d_t = rng.uniform(D_EP3, 8.0)
+                g_t = ep2_gamma(d_t)[rng.integers(2)]
+                dd, dg = 0.0, g_t * rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, -2)
+            else:
+                d_t, g_t = D_EP3, G_EP3
+                r, theta = 10.0 ** rng.uniform(-12, -2), rng.uniform(0, 2 * math.pi)
+                dd, dg = r * math.cos(theta), r * math.sin(theta)
+            near = rng.uniform() < 0.75
+            point = (delta, rng.choice((-1.0, 1.0)) * (d_t + near * dd) * abs(delta),
+                     (g_t + near * dg) * abs(delta))
+        s = 10.0 ** rng.uniform(-60, 60) if k % 4 == 3 else 1.0
+        points.append(ModelParams(*(s * float(x) for x in point)))
+    return points
+
+
+class TestStackedRootFinder:
+    """The stack's Aberth-Ehrlich root finder (spectrum._cubic_roots_rows): loose roots
+    that the Newton polish finishes, and a residual gate that decides when it runs out."""
+
+    # Forced to stop after a few steps, the iteration hands the polish loose roots: each
+    # call either returns roots that pass the residual gate and match LAPACK, or refuses,
+    # naming the first matrix that fails on its own.  The two zero matrices first are
+    # solved at the start, so even no step at all names matrix 2.
+    @pytest.mark.parametrize("cap", range(12))
+    def test_exhausted_iteration_is_decided_by_the_residual_gate(self, monkeypatch, cap):
+        monkeypatch.setattr(spectrum, "_ABERTH_MAX_STEPS", cap)
+        rng = np.random.default_rng(11)
+        points = [ModelParams(0.0, 0.0, 0.0)] * 2 + [
+            ModelParams(rng.uniform(-2, 2), rng.uniform(-4, 4), rng.uniform(0, 10))
+            for _ in range(30)]
+        Ls = stack_of(points)
+        scale = np.maximum(1.0, np.max(np.abs(Ls), axis=(1, 2)))
+        try:
+            zs = eigenvalues_numeric(Ls)
+        except NonConvergenceError as exc:
+            first = next(i for i, L in enumerate(Ls) if not passes_alone(L))
+            assert str(exc).startswith(f"matrix {first} of the stack: root ")
+            assert cap > 0 or first == 2
+        else:
+            assert np.all(characteristic_residual(Ls, zs) <= 1e-9 * scale[:, None] ** 4)
+            assert np.max(match_distance(zs, np.linalg.eigvals(Ls)) / scale) <= 1e-6
+
+    # Against LAPACK the distance is LAPACK's own error at the EP3 points, where the
+    # oracle returns the collapsed exact mean: unchanged by the root finder, 2.76e-5
+    # and 2.86e-5 at these seeds, and at most 3.1e-5 over seeds 1-60.  Against one
+    # matrix at a time: roundoff away from the curves, and within the double root's
+    # conditioning, eps^(1/2) ~ 1.5e-8, near them (2.1e-9 and 1.6e-9 here).
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_query_stack_matches_lapack_and_per_matrix(self, seed):
+        points = query_points(seed)
+        Ls = stack_of(points)
+        scale = np.maximum(1.0, np.max(np.abs(Ls), axis=(1, 2)))
+        zs = eigenvalues_numeric(Ls)
+        # Each row iterates until it stops itself, so its bits do not depend on its rows.
+        alone = [eigenvalues_numeric(L[None])[0] for L in Ls[:200]]
+        assert bits(zs[:200]).tolist() == bits(alone).tolist()
+        assert np.max(match_distance(zs, np.linalg.eigvals(Ls)) / scale) <= 3.5e-5
+        single = match_distance(zs, [eigenvalues_numeric(L) for L in Ls]) / scale
+        assert np.max(single) <= 1e-8
+        separated = np.array([abs(scaled_discriminant(unit_scale(p))) > 1e-8 for p in points])
+        assert separated.sum() > 1000 and np.max(single[separated]) <= 1e-14
+
+    def test_no_lapack_call_on_the_stack(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("LAPACK called on the stack path")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        eigenvalues_numeric(stack_of(query_points(3, 64)))
+
+
+def unit_scale(params: ModelParams) -> ModelParams:
+    """``params`` divided by its largest magnitude, so that the scale's floors drop out."""
+    m = max(abs(params.delta), abs(params.d), abs(params.gamma))
+    return ModelParams(params.delta / m, params.d / m, params.gamma / m)
+
+
+def passes_alone(L: np.ndarray) -> bool:
+    """False if the stacked oracle refuses the one-matrix stack ``L[None]``."""
+    try:
+        eigenvalues_numeric(L[None])
+    except NonConvergenceError:
+        return False
+    return True
 
 
 class TestOneMatrixRefusals:
@@ -1064,6 +1170,18 @@ class TestDetTrace:
     def test_point_trace_equals_np_trace(self, diagonal):
         a = np.diag(np.array(diagonal, dtype=complex))
         assert as_bytes([spectrum._POINT.trace(a)]) == as_bytes([np.trace(a)])
+
+    # The stack's traces use the one pairwise sum onto a zero of one matrix's, which
+    # keeps np.trace's bits, signed zeros included.
+    def test_stack_trace_equals_np_trace(self):
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(64, 4, 4)) + 1j * rng.normal(size=(64, 4, 4))
+        m[:16] *= 10.0 ** rng.uniform(-300, 300, (16, 1, 1))
+        for i, zero in enumerate([complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0)]):
+            m[16 + 4 * i:20 + 4 * i, range(4), range(4)] = zero
+        m[28, range(4), range(4)] = [-0.0, 0.0, -0.0, -0.0]
+        got = spectrum._ARRAYS.trace(m)
+        assert bits(got).tolist() == bits(np.trace(m, axis1=-2, axis2=-1)).tolist()
 
 
 class TestCharacteristicResidual:
