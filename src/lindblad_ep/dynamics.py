@@ -70,6 +70,9 @@ _FROM_TRACE_BASIS = np.array(
     [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, -0.5, 0.5]]
 )
 
+# The matrix units whose vectorize is each basis vector of the flattened layout in turn.
+_UNITS = np.eye(4, dtype=complex)[_HS_INDEX].reshape(4, 2, 2)
+
 # Largest phase |z| t, in radians, that a double still resolves: past 1/eps the
 # spacing of doubles near |z| t exceeds 2 pi, so exp(-i z t) has no correct digit.
 _PHASE_HORIZON = 1.0 / np.finfo(float).eps
@@ -298,10 +301,10 @@ def _lab_generators(params: LabParams) -> np.ndarray:
     """G0, G+ and G- of the lab generator G0 + e^{-i omega t} G+ + e^{i omega t} G-.
 
     Built from the 2x2 master equation alone (never from the 4x4 rotating
-    generator): each column is :func:`lindblad_rhs` applied to one matrix
-    unit, once for the static Hamiltonian with the decay and once for each
-    drive component.  Returned in trace coordinates, where the trace row of
-    each is exactly zero.
+    generator): one :func:`lindblad_rhs` call on the stack of the matrix units
+    gives the columns, as rho enters linearly, once for the static Hamiltonian
+    with the decay and once for each drive component.  Returned in trace
+    coordinates, where the trace row of each is exactly zero.
     """
     half = 0.5 * params.d
     parts = (
@@ -309,12 +312,8 @@ def _lab_generators(params: LabParams) -> np.ndarray:
         (np.array([[0.0, half], [0.0, 0.0]], dtype=complex), 0.0),
         (np.array([[0.0, 0.0], [half, 0.0]], dtype=complex), 0.0),
     )
-    gens = np.empty((3, 4, 4), dtype=complex)
-    for gen, (hamiltonian, gamma) in zip(gens, parts):
-        for k, entry in enumerate(_HS_INDEX):
-            unit = np.zeros((2, 2), dtype=complex)
-            unit.flat[entry] = 1.0
-            gen[:, k] = vectorize(lindblad_rhs(hamiltonian, gamma, unit))
+    gens = np.array([lindblad_rhs(h, gamma, _UNITS).reshape(4, 4)[:, _HS_INDEX].T
+                     for h, gamma in parts])
     return _TO_TRACE_BASIS @ gens @ _FROM_TRACE_BASIS
 
 

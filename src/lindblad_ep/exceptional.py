@@ -103,8 +103,8 @@ def _scaled_disc(delta, d, gamma) -> np.ndarray:
     """:func:`scaled_discriminant` at one point of three floats, or elementwise over
     arrays that broadcast together."""
     k = _kernels(delta, d, gamma)
-    _, _, _, disc, energy = _cubic_coeffs(delta, d, gamma)
-    return disc / k.maximum(1.0, k.pow(energy, 3))
+    _, _, _, disc, scale2 = _cubic_coeffs(delta, d, gamma)
+    return disc / k.pow(scale2, 3)
 
 
 # On-curve residual above which `ep-curve` and `verify` fail the closed-form curves.
@@ -227,19 +227,18 @@ def _classify(delta, d, gamma) -> tuple:
     disc, an int ordering), or elementwise over arrays that broadcast together, each
     entry equal to the point's bit for bit, on the kernels of _cubic."""
     k = _kernels(delta, d, gamma)
-    p, q, disc, energy, _, _, z1, z2, _ = _cubic(delta, d, gamma)
+    p, q, disc, scale2, _, _, z1, z2, _ = _cubic(delta, d, gamma)
     imdiff = z1.imag - z2.imag
     tol = _ORDERING_RTOL * k.maximum(1.0, k.abs(z1), k.abs(z2))
     # The sign of imdiff, and 0 where |imdiff| <= tol: an int at a point, int64 on arrays.
     ordering = (imdiff > tol) * 1 - (imdiff < -tol) * 1
-    return disc, _label(k, p, q, disc, energy), ordering
+    return disc, _label(k, p, q, disc, scale2), ordering
 
 
-def _label(k, p, q, disc, energy):
+def _label(k, p, q, disc, scale2):
     """The region code of :func:`classify`'s rule from the cubic's ``p``, ``q``,
-    ``disc`` and energy scale alone, with the kernels ``k``: an ``int8`` at a point,
-    an ``int8`` array on arrays."""
-    scale2 = k.maximum(1.0, energy)
+    ``disc`` and floored energy scale alone, with the kernels ``k``: an ``int8`` at a
+    point, an ``int8`` array on arrays."""
     scale6 = k.pow(scale2, 3)
     # The decaying eigenvalues are -i (2 gamma/3 + y) over the roots y of
     # y^3 + 3 p y - 2 q = 0, whose product is 2 q, so sign(q) names the closer pair:
@@ -293,8 +292,8 @@ def _region_codes(delta: float, d_tilde, gamma_tilde) -> np.ndarray:
 
     def block(ix):
         nodes = _nodes(ix, d, gamma)
-        p, q, _, disc, energy = _cubic_coeffs(delta, *nodes)
-        return (_label(_kernels(delta, *nodes), p, q, disc, energy),)
+        p, q, _, disc, scale2 = _cubic_coeffs(delta, *nodes)
+        return (_label(_kernels(delta, *nodes), p, q, disc, scale2),)
 
     out = np.empty((len(d), len(gamma)), dtype=np.int8)
     return _in_blocks(block, (out,), len(gamma))[0]
@@ -370,7 +369,9 @@ def ep2_locate_numeric(d_tilde):
     array of drives, giving two arrays; the brackets of all drives are
     bisected together, and each element equals the call on its drive alone.
     Raises :class:`NoRootError` when no negative dip exists (drive below
-    threshold); for an array the message names the first such element.
+    threshold), or where the float discriminant is not positive at 2 x*, which
+    bounds the upper coupling exactly (see :func:`_dip`); for an array the
+    message names the first such element.
     """
     d, batch = _drives(d_tilde)
     _refuse(~np.isfinite(d), DomainError, lambda i: f"d_tilde must be finite, got {float(d[i])!r}",
@@ -379,17 +380,11 @@ def ep2_locate_numeric(d_tilde):
     _refuse(depth >= 0.0, NoRootError,
             lambda i: f"discriminant has no negative dip at d_tilde = {float(d[i])}; "
             "no coalescence coupling exists", batch)
+    # Brackets [0, x*] of the minus branch, then [x*, 2 x*] of the plus branch: exactly
+    # disc(2 x*) = disc(0) = c0 > 0, which the float misses only where its digits are lost.
     hi = 2.0 * x_star
-    rows = np.arange(len(d))
-    for _ in range(64):
-        rows = rows[~(_disc_at(d[rows], hi[rows]) > 0.0)]
-        if not rows.size:
-            break
-        hi[rows] *= 2.0
-    else:
-        _refuse(np.isin(np.arange(len(d)), rows), NoRootError,
-                lambda i: "failed to bracket the upper coalescence coupling", batch)
-    # Brackets [0, x*] of the minus branch, then [x*, hi] of the plus branch.
+    _refuse(~(_disc_at(d, hi) > 0.0), NoRootError,
+            lambda i: "failed to bracket the upper coalescence coupling", batch)
     both = np.concatenate([d, d])
     x = _bisect_brackets(
         lambda x, k: _disc_at(both[k], x),

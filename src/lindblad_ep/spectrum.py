@@ -126,7 +126,7 @@ def cardano_params(params: ModelParams) -> CardanoParams:
 
 
 def _cubic(delta, d, gamma) -> tuple:
-    """``(p, q, disc, energy, u, v, z1, z2, z3)``: the cubic, energy scale and roots
+    """``(p, q, disc, scale2, u, v, z1, z2, z3)``: the cubic, floored energy scale and roots
     at one point of three Python floats, through the point memo, or elementwise over
     arrays that broadcast together, with u and v None and each entry equal to the
     point's bit for bit."""
@@ -144,7 +144,7 @@ def _cubic_at(key: bytes) -> tuple:
 def _solve_cubic(delta, d, gamma) -> tuple:
     """:func:`_cubic` without the memo."""
     k = _kernels(delta, d, gamma)
-    p, q, p3, disc, energy = k.coefficients(k, delta, d, gamma)
+    p, q, p3, disc, scale2 = k.coefficients(k, delta, d, gamma)
     real = disc >= 0.0
     # The real radicals; where disc < 0, k.roots takes the complex ones instead.
     s = k.sqrt(k.where(real, disc, 0.0))
@@ -153,13 +153,14 @@ def _solve_cubic(delta, d, gamma) -> tuple:
     base = 2.0 * gamma / 3.0
     u, v, roots = k.roots(base, p, q, disc, real, ur, vr, vi)
     # The exact triple root -2i*gamma/3 where v = -p/u would be 0/0.
-    triple = k.maximum(abs(p), abs(q)) < TRIPLE_ROOT_RTOL * k.maximum(1.0, energy)
+    triple = k.maximum(abs(p), abs(q)) < TRIPLE_ROOT_RTOL * scale2
     z1, z2, z3 = k.where(triple, (-1j * base,) * 3, roots)
-    return p, q, disc, energy, u, v, z1, z2, z3
+    return p, q, disc, scale2, u, v, z1, z2, z3
 
 
 def _cubic_coeffs(delta, d, gamma) -> tuple:
-    """``p``, ``q``, ``p**3``, ``disc`` and the energy scale of :func:`_cubic`."""
+    """``p``, ``q``, ``p**3``, ``disc`` and the floored energy scale of :func:`_cubic`,
+    ``scale2 = max(1, delta^2 + d^2 + gamma^2)``, the one place it is floored."""
     k = _kernels(delta, d, gamma)
     return k.coefficients(k, delta, d, gamma)
 
@@ -173,7 +174,7 @@ def _coefficients(k, delta, d, gamma) -> tuple:
     disc = p3 + k.pow(q, 2)
     if not k.finite(disc):
         raise OverflowError(_DISC_OVERFLOW)
-    return p, q, p3, disc, delta2 + d2 + g2
+    return p, q, p3, disc, k.maximum(1.0, delta2 + d2 + g2)
 
 
 # The radicand q + s of u, s = sqrt(disc), and for q < 0 the same through the identity

@@ -59,6 +59,7 @@ def lindblad_rhs(hamiltonian: np.ndarray, gamma: float, rho: np.ndarray) -> np.n
 
     Returns drho/dt = -i[H, rho] + gamma (c rho c+ - {c+ c, rho}/2) with the
     single relaxation channel of this model.  Traceless by construction.
+    On a stack of states, shape ``(..., 2, 2)``, it gives the stack of derivatives.
     """
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")

@@ -187,8 +187,6 @@ def check_equilibrium(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> Check
     worst_resid = 0.0
     for _ in range(100):
         params = ModelParams(rng.uniform(-2, 2), rng.uniform(-4, 4), rng.uniform(0, 10))
-        if params.energy_scale() == 0.0:
-            continue
         L = build_lindblad(params)
         _, right = null_eigenvectors(params)
         worst_resid = max(worst_resid, max_abs(L @ right) / max(1.0, max_abs(L)))

@@ -881,6 +881,21 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
 
+    # Every selected check still prints its line; only the all-passed line goes, and
+    # stderr names the failed check.
+    def test_failed_check_exits_1_and_is_named(self, monkeypatch, capsys):
+        from lindblad_ep import verify
+
+        monkeypatch.setitem(verify.CHECKS, "gamma0", lambda seed, tol_scale: verify.CheckResult(
+            "gamma0", False, {"worst_residual": 1.0}))
+        assert run(["verify", "--checks", "ep3,gamma0"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["PASS ep3", "FAIL gamma0"]
+        assert lines[1] == "FAIL gamma0: worst_residual=1"
+        assert "verify: all" not in captured.out
+        assert captured.err == "verify: FAILED checks: gamma0\n"
+
     def test_negative_tolerance_is_usage_error(self):
         assert run(["verify", "--tol-scale", "-1"]) == 2
 

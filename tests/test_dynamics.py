@@ -32,7 +32,16 @@ from lindblad_ep import (
     vectorize,
     verify_frame_equivalence,
 )
-from lindblad_ep.dynamics import _growth, _lab_generators, _lab_step, _sample, _schedule
+from lindblad_ep.dynamics import (
+    _FROM_TRACE_BASIS,
+    _TO_TRACE_BASIS,
+    _growth,
+    _lab_generators,
+    _lab_step,
+    _sample,
+    _schedule,
+)
+from lindblad_ep.model import _HS_INDEX
 
 D_EP3 = 2.0 * math.sqrt(2.0)
 G_EP3 = 6.0 * math.sqrt(3.0)
@@ -341,6 +350,24 @@ def _stagewise_lab_states(params, rho0, dt, times):
     return np.array(states)
 
 
+def _per_unit_generators(lab: LabParams) -> np.ndarray:
+    """G0, G+ and G- in trace coordinates, column by column: lindblad_rhs on one matrix
+    unit at a time."""
+    half = 0.5 * lab.d
+    parts = (
+        (np.array([[lab.Delta, 0.0], [0.0, 0.0]], dtype=complex), lab.gamma),
+        (np.array([[0.0, half], [0.0, 0.0]], dtype=complex), 0.0),
+        (np.array([[0.0, 0.0], [half, 0.0]], dtype=complex), 0.0),
+    )
+    gens = np.empty((3, 4, 4), dtype=complex)
+    for gen, (hamiltonian, gamma) in zip(gens, parts):
+        for k, entry in enumerate(_HS_INDEX):
+            unit = np.zeros((2, 2), dtype=complex)
+            unit.flat[entry] = 1.0
+            gen[:, k] = vectorize(lindblad_rhs(hamiltonian, gamma, unit))
+    return _TO_TRACE_BASIS @ gens @ _FROM_TRACE_BASIS
+
+
 class TestLabStepMatrices:
     # 2503 steps end on a partial stride; all 549 steps of the last case are saved
     @pytest.mark.parametrize(
@@ -388,6 +415,18 @@ class TestLabStepMatrices:
     def test_undamped_modes_are_not_refused(self):
         traj = evolve_lab(LabParams(2.0, 1.0, 1.0, 0.0), initial_state("excited"), 10.0, 1e-3)
         assert float(traj.herm_dev.max()) < 1e-10
+
+    # The generators take one master-equation call on the stack of the four matrix units;
+    # each must equal the per-unit construction, one call per unit, bit for bit.
+    def test_generators_equal_one_call_per_unit(self):
+        rng = np.random.default_rng(5)
+        cases = [LabParams(rng.uniform(-5, 5), rng.uniform(0.1, 5), rng.uniform(-5, 5),
+                           rng.uniform(0, 5)) for _ in range(100)]
+        cases += [LabParams(2.0, 1.0, 0.0, 0.3), LabParams(2.0, 1.0, 1.0, 0.0),
+                  LabParams(1e150, 3e150, -7e149, 2e150)]
+        for lab in cases:
+            got, want = _lab_generators(lab), _per_unit_generators(lab)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_memory_does_not_grow_with_the_step_count(self):
         lab = LabParams(Delta=2.0, omega=1.0, d=1.0, gamma=0.3)

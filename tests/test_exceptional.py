@@ -896,7 +896,7 @@ class TestEP2LocateNumeric:
             ep2_locate_numeric(bad)
 
     # Far drives reach this branch, where the float discriminant has lost its digits
-    # (ROADMAP item 13): 6 of 1,500 drives log-spaced in [1e2, 7e4] do.  A
+    # (ROADMAP item 13): 459 of 1,500 drives log-spaced in [1e2, 7e4] do.  A
     # discriminant that never turns positive forces it at any drive.
     @pytest.mark.parametrize("drives, prefix",
                              [(3.0, ""), ([3.0, 4.0], "element 0 of the batch: ")])
@@ -905,6 +905,16 @@ class TestEP2LocateNumeric:
         with pytest.raises(NoRootError) as info:
             ep2_locate_numeric(drives)
         assert str(info.value) == prefix + "failed to bracket the upper coalescence coupling"
+
+    # disc(2 x*) = disc(0) > 0 exactly, but at d_tilde = 2000 the float discriminant is not
+    # positive at 2 x*: refused, where a doubling search past 2 x* returned a plus coupling
+    # of 4000063.41 against ep2_gamma's 4000002.0.
+    def test_far_drive_without_the_exact_bracket_refused(self):
+        text = "failed to bracket the upper coalescence coupling"
+        for drives, prefix in [(2000.0, ""), ([3.0, 2000.0], "element 1 of the batch: ")]:
+            with pytest.raises(NoRootError) as info:
+                ep2_locate_numeric(drives)
+            assert str(info.value) == prefix + text
 
     def test_bisection_without_a_sign_change_refused(self):
         with pytest.raises(NoRootError) as info:

@@ -803,6 +803,18 @@ class TestStackedRootFinder:
         separated = np.array([abs(scaled_discriminant(unit_scale(p))) > 1e-8 for p in points])
         assert separated.sum() > 1000 and np.max(single[separated]) <= 1e-14
 
+    # No seeded input was found that reaches the bad step (coincident iterates, or a step
+    # that is not finite): none of 200,000 generators in verify's ranges does.  Three
+    # equal start points make every iterate's first step the nudge, which must part them.
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_coincident_start_takes_the_nudge(self, monkeypatch, seed):
+        monkeypatch.setattr(spectrum, "_ABERTH_START", np.ones((3, 1), dtype=complex))
+        Ls = stack_of(query_points(seed))
+        scale = np.maximum(1.0, np.max(np.abs(Ls), axis=(1, 2)))
+        zs = eigenvalues_numeric(Ls)  # a root that fails the residual gate is refused
+        assert np.all(characteristic_residual(Ls, zs) <= 1e-9 * scale[:, None] ** 4)
+        assert np.max(match_distance(zs, np.linalg.eigvals(Ls)) / scale) <= 3.5e-5
+
     def test_no_lapack_call_on_the_stack(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("LAPACK called on the stack path")
