@@ -129,7 +129,7 @@ def _curve(d_tilde) -> tuple:
     """``((gamma_minus, gamma_plus), (z_minus, z_plus))`` from one evaluation of the
     curve formulas on a (branch, drive) array: numbers for one drive, 1-D arrays for a
     batch.  Refuses a drive below the threshold or infinite, or far above it one where
-    gamma_minus^2 cancels below zero, then a negative inner radicand (drive, then branch)."""
+    gamma_minus^2 cancels below zero."""
     d, batch = _drives(d_tilde)
     _refuse(~(d >= D_TILDE_EP3), DomainError,
             lambda i: f"no real coalescence curves below d_tilde = 2*sqrt(2); got {float(d[i])}",
@@ -143,11 +143,11 @@ def _curve(d_tilde) -> tuple:
     inner = d4 / 2.0 - 2.0 * d2 - 16.0 + wing
     _refuse(gamma2[0] < 0.0, DomainError,
             lambda i: f"gamma_minus^2 cancels below zero at d_tilde = {float(d[i])}", batch)
-    _refuse((inner < -1e-9 * np.maximum(1.0, d4)).T, DomainError,
-            lambda i, row: f"inner radicand {float(inner[row, i]):.3e} is negative on the "
-            f"{('minus', 'plus')[row]} branch at d_tilde = {float(d[i])}; "
-            "curve formula invalid here", batch)
     gammas = np.sqrt(gamma2)
+    # Exactly, inner_plus = (d^2 - 8)(d^2 + 4) / 2 + wing >= 0 and
+    # inner_minus = 4 (d^2 - 8)^2 (d^2 + 1) / inner_plus >= 0.  The float minus radicand
+    # misses that by a few ulps of d^4 / 2 at most (-2.2e-16 max(1, d^4) over 220,000
+    # drives up to 1e76), and the clamp takes it to 0.
     z = (-2j / 3.0) * (gammas - sign * 0.25 * np.sqrt(np.maximum(inner, 0.0)))
     if batch is None:
         return tuple(gammas[:, 0].tolist()), tuple(z[:, 0].tolist())
@@ -172,10 +172,10 @@ def ep2_eigenvalue(d_tilde, branch: str):
     Equal to -(2i/3) (gamma_tilde - (3/2) cbrt(q)) with q evaluated on the
     curve; the cube root is carried by the inner radical below, whose sign
     follows sign(q), positive on the plus branch and negative on the minus
-    branch.  Pure imaginary by construction.  The inner radicand is checked
-    rather than assumed nonnegative; a tiny negative from roundoff is clamped,
-    anything larger raises.  Drives are taken as by :func:`ep2_gamma`, and
-    refused on either branch as on both; ``branch`` is checked first.
+    branch.  Pure imaginary by construction.  The inner radicand is nonnegative
+    exactly, and a tiny negative from roundoff is clamped to zero.  Drives are
+    taken as by :func:`ep2_gamma`, and refused on either branch as on both;
+    ``branch`` is checked first.
     """
     if branch not in ("minus", "plus"):
         raise DomainError(f"branch must be 'minus' or 'plus', got {branch!r}")
@@ -330,35 +330,17 @@ def _disc_at(d_tilde: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _cubic_coeffs(1.0, d_tilde, np.sqrt(x))[3]
 
 
-def _bisect_brackets(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Bisection of every bracket [lo[k], hi[k]] to the last representable float.
+def _bisect_brackets(f, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """Bisection of every bracket between ``pos`` and ``neg`` to the last representable float.
 
-    ``f(x, k)`` is the function of bracket ``k[i]`` at ``x[i]``, for arrays
-    ``x`` and ``k``; each pass evaluates it on the brackets still open only.
-    A bracket stops where a bisection of it alone would: at an endpoint or
-    midpoint where f is zero, or at a midpoint equal to an endpoint.
-    Requires a sign change in every bracket.
+    The caller has checked that ``f(x)``, elementwise over an array ``x``, is positive
+    at ``pos`` and negative at ``neg``; only midpoints are evaluated.  A bracket closes
+    on a midpoint where f is zero, or on one equal to an end.  A NaN counts as negative.
     """
-    k = np.arange(len(lo))
-    flo, fhi = f(lo, k), f(hi, k)
-    root = np.where(flo == 0.0, lo, hi)
-    open_ = (flo != 0.0) & (fhi != 0.0)
-    up = flo > 0.0
-    _refuse(open_ & (up == (fhi > 0.0)), NoRootError,
-            lambda i: f"no sign change over [{float(lo[i])}, {float(hi[i])}]")
-    k, lo, hi, up = k[open_], lo[open_], hi[open_], up[open_]
-    while k.size:
-        mid = 0.5 * (lo + hi)
-        live = (mid != lo) & (mid != hi)
-        fm = np.zeros_like(mid)
-        fm[live] = f(mid[live], k[live])
-        done = fm == 0.0
-        root[k[done]] = mid[done]
-        # f keeps the sign class of f(lo) at lo, so ``up`` never changes.
-        to_lo = (fm > 0.0) == up
-        lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
-        k, lo, hi, up = k[~done], lo[~done], hi[~done], up[~done]
-    return root
+    while (((mid := 0.5 * (pos + neg)) != pos) & (mid != neg)).any():
+        fm = f(mid)
+        pos, neg = np.where(fm >= 0.0, mid, pos), np.where(fm > 0.0, neg, mid)
+    return mid
 
 
 def ep2_locate_numeric(d_tilde):
@@ -380,18 +362,15 @@ def ep2_locate_numeric(d_tilde):
     _refuse(depth >= 0.0, NoRootError,
             lambda i: f"discriminant has no negative dip at d_tilde = {float(d[i])}; "
             "no coalescence coupling exists", batch)
-    # Brackets [0, x*] of the minus branch, then [x*, 2 x*] of the plus branch: exactly
+    # Brackets [0, x*] of the minus branch and [x*, 2 x*] of the plus branch, as the
+    # (branch, drive) rows of one array: disc(0) = p^3 with p >= 1/3, and exactly
     # disc(2 x*) = disc(0) = c0 > 0, which the float misses only where its digits are lost.
     hi = 2.0 * x_star
     _refuse(~(_disc_at(d, hi) > 0.0), NoRootError,
             lambda i: "failed to bracket the upper coalescence coupling", batch)
-    both = np.concatenate([d, d])
-    x = _bisect_brackets(
-        lambda x, k: _disc_at(both[k], x),
-        np.concatenate([np.zeros_like(x_star), x_star]),
-        np.concatenate([x_star, hi]),
-    )
-    gammas = np.sqrt(x).reshape(2, len(d))
+    x = _bisect_brackets(lambda x: _disc_at(d, x),
+                         np.stack([np.zeros_like(x_star), hi]), np.stack([x_star, x_star]))
+    gammas = np.sqrt(x)
     return tuple(gammas[:, 0].tolist()) if batch is None else tuple(gammas)
 
 
@@ -427,7 +406,7 @@ def ep3_locate_numeric(d_lo: float = 2.0, d_hi: float = 3.5) -> tuple[float, flo
     depth_lo, depth_hi = _dip(bounds)[1]
     if not (depth_lo > 0.0 and depth_hi < 0.0):
         raise NoRootError(f"[{d_lo}, {d_hi}] does not bracket the curve endpoint")
-    d_t = float(_bisect_brackets(lambda x, k: _dip(x)[1], bounds[:1], bounds[1:])[0])
+    d_t = float(_bisect_brackets(lambda x: _dip(x)[1], bounds[:1], bounds[1:])[0])
     x_star, _ = _dip(np.array([d_t]))
     gamma_t = math.sqrt(x_star[0])
     return d_t, gamma_t, -2j * gamma_t / 3.0

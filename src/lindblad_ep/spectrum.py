@@ -873,7 +873,7 @@ _MAX_SET_SIZE = 8
 @functools.lru_cache(maxsize=None)
 def _pairings(n: int) -> np.ndarray:
     """All n! permutations of range(n), one per row."""
-    return np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
 def match_distance(a, b):

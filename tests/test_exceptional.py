@@ -42,6 +42,7 @@ from lindblad_ep.exceptional import (
     _region_codes,
     _scaled_disc,
 )
+from lindblad_ep.model import _refuse
 from lindblad_ep.spectrum import _char_cubic_coeffs, _cubic
 from lindblad_ep.verify import check_phase_diagram
 
@@ -168,14 +169,21 @@ def bits(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=complex if np.iscomplexobj(x) else float).view(np.uint64)
 
 
-def one_drive_at_a_time(d_t: float, branch: str) -> tuple[float, complex]:
-    """Coupling and eigenvalue on one branch, in Python floats, as the curve
+def one_drive_radicands(d_t: float, branch: str) -> tuple[float, float]:
+    """gamma^2 and the inner radicand on one branch, in Python floats, as the curve
     formulas read when they took one drive at a time."""
     core = d_t**4 / 2.0 + 10.0 * d_t**2 - 4.0
     wing = 0.5 * d_t * max(d_t**2 - 8.0, 0.0) ** 1.5
     sign = -1.0 if branch == "minus" else 1.0
-    gamma_t = math.sqrt(core - wing) if branch == "minus" else math.sqrt(core + wing)
     inner = d_t**4 / 2.0 - 2.0 * d_t**2 - 16.0 + sign * 0.5 * d_t * max(d_t**2 - 8.0, 0.0) ** 1.5
+    return (core - wing if branch == "minus" else core + wing), inner
+
+
+def one_drive_at_a_time(d_t: float, branch: str) -> tuple[float, complex]:
+    """Coupling and eigenvalue on one branch from :func:`one_drive_radicands`."""
+    gamma2, inner = one_drive_radicands(d_t, branch)
+    gamma_t = math.sqrt(gamma2)
+    sign = -1.0 if branch == "minus" else 1.0
     return gamma_t, (-2j / 3.0) * (gamma_t - sign * 0.25 * math.sqrt(max(inner, 0.0)))
 
 
@@ -270,25 +278,19 @@ class TestCurveArrays:
         with pytest.raises(DomainError, match=cancelled):
             ep2_eigenvalue(1e20, "minus")
 
-    # No drive reaches this refusal: over 20,000 drives from 2.83 to 1e76 the inner
-    # radicand is at least -2.2e-16 * max(1, d^4) on the minus branch and positive on
-    # the plus one.  A wing scaled by 5 or -5 forces it at d = 3, where one branch's
-    # radicand is then -1 and gamma_minus^2 stays positive; 2.9 passes and 4 fails too.
-    @pytest.mark.parametrize("factor, branch", [(5.0, "minus"), (-5.0, "plus")])
-    def test_negative_inner_radicand_refused(self, monkeypatch, factor, branch):
-        power = exceptional._pow
-        monkeypatch.setattr(exceptional, "_pow",
-                            lambda x, k: factor * power(x, k) if k == 1.5 else power(x, k))
-        text = (f"inner radicand -1.000e+00 is negative on the {branch} branch at "
-                "d_tilde = 3.0; curve formula invalid here")
-        curves = (ep2_gamma, lambda d: ep2_eigenvalue(d, "minus"),
-                  lambda d: ep2_eigenvalue(d, "plus"))
-        calls = [(curve, drive, prefix) for curve in curves for drive, prefix in
-                 [(3.0, ""), ([2.9, 3.0, 4.0], "element 1 of the batch: ")]]
-        for curve, drive, prefix in calls + [(ep_curve_point, 3.0, "")]:
-            with pytest.raises(DomainError) as info:
-                curve(drive)
-            assert str(info.value) == prefix + text
+    # Exactly, inner_minus * inner_plus = 4 (d^2 - 8)^2 (d^2 + 1) with inner_plus >= 0, so
+    # _curve clamps the inner radicands to 0 and refuses none: its floats are these
+    # formulas', bit for bit (test_equal_to_one_drive_at_a_time), and they miss zero by a
+    # few ulps of d^4 / 2 at most.
+    def test_inner_radicands_miss_zero_by_roundoff_only(self):
+        drives = np.geomspace(D_EP3, 1e76, 20_000)
+        at_threshold = [D_EP3]
+        for _ in range(4):
+            at_threshold.append(math.nextafter(at_threshold[-1], math.inf))
+        for d_t in at_threshold + drives.tolist():
+            floor = -4.0 * 2.0**-52 * max(1.0, d_t**4)
+            for branch in ("minus", "plus"):
+                assert one_drive_radicands(d_t, branch)[1] >= floor, (d_t, branch)
 
     def test_empty_drives(self):
         gm, gp = ep2_gamma(np.array([]))
@@ -840,6 +842,43 @@ class TestMemory:
         assert traced_peak(check_phase_diagram) < 4e6
 
 
+def two_end_bisection(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The bisection the locators ran before they passed ends of known sign: ``f(x, k)``
+    is bracket ``k[i]``'s function at ``x[i]``, both ends are evaluated, a zero end is
+    the root, and a bracket without a sign change is refused."""
+    k = np.arange(len(lo))
+    flo, fhi = f(lo, k), f(hi, k)
+    root = np.where(flo == 0.0, lo, hi)
+    open_ = (flo != 0.0) & (fhi != 0.0)
+    up = flo > 0.0
+    _refuse(open_ & (up == (fhi > 0.0)), NoRootError,
+            lambda i: f"no sign change over [{float(lo[i])}, {float(hi[i])}]")
+    k, lo, hi, up = k[open_], lo[open_], hi[open_], up[open_]
+    while k.size:
+        mid = 0.5 * (lo + hi)
+        live = (mid != lo) & (mid != hi)
+        fm = np.zeros_like(mid)
+        fm[live] = f(mid[live], k[live])
+        done = fm == 0.0
+        root[k[done]] = mid[done]
+        to_lo = (fm > 0.0) == up
+        lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
+        k, lo, hi, up = k[~done], lo[~done], hi[~done], up[~done]
+    return root
+
+
+def locator_drives() -> np.ndarray:
+    """verify's 199 drives, 1,500 log-spaced in [1e2, 7e4], 3,000 seeded in [2 sqrt(2), 300],
+    500 at 2 sqrt(2) + 10^[-15, -1], 2,000 log-uniform up to 1e25, and verify's negated."""
+    rng = np.random.default_rng(35)
+    ours = np.linspace(D_EP3, 10.0, 200)[1:]
+    return np.concatenate([
+        ours, np.logspace(2.0, math.log10(7e4), 1500), rng.uniform(D_EP3, 300.0, 3000),
+        D_EP3 + 10.0 ** np.linspace(-15.0, -1.0, 500),
+        np.exp(rng.uniform(math.log(D_EP3), math.log(1e25), 2000)), -ours,
+    ])
+
+
 class TestEP2LocateNumeric:
     def test_agrees_with_closed_form_at_three(self):
         gm, gp = ep2_locate_numeric(3.0)
@@ -916,10 +955,56 @@ class TestEP2LocateNumeric:
                 ep2_locate_numeric(drives)
             assert str(info.value) == prefix + text
 
-    def test_bisection_without_a_sign_change_refused(self):
+    def test_bisection_equals_the_two_end_bisection(self):
+        d = locator_drives()
+        x_star, depth = exceptional._dip(d)
+        hi = 2.0 * x_star
+        bisected = (depth < 0.0) & (exceptional._disc_at(d, hi) > 0.0)
+        for d_t, dip in zip(d[~bisected].tolist(), (depth[~bisected] < 0.0).tolist()):
+            with pytest.raises(NoRootError) as info:
+                ep2_locate_numeric(d_t)
+            assert str(info.value) == (
+                "failed to bracket the upper coalescence coupling" if dip else
+                f"discriminant has no negative dip at d_tilde = {d_t}; "
+                "no coalescence coupling exists")
+        d, x_star, hi = d[bisected], x_star[bisected], hi[bisected]
+        both = np.concatenate([d, d])
+        want = two_end_bisection(lambda x, k: exceptional._disc_at(both[k], x),
+                                 np.concatenate([np.zeros_like(x_star), x_star]),
+                                 np.concatenate([x_star, hi]))
+        got = _bisect_brackets(lambda x: exceptional._disc_at(d, x),
+                               np.stack([np.zeros_like(x_star), hi]), np.stack([x_star, x_star]))
+        assert np.array_equal(bits(got.ravel()), bits(want))
+        gammas = np.stack(ep2_locate_numeric(d))
+        assert np.array_equal(bits(gammas), bits(np.sqrt(want).reshape(2, -1)))
+
+    @pytest.mark.parametrize("pos, neg", [(0.0, 1.0), (1.0, 0.0)])
+    def test_bisection_closes_on_a_zero_midpoint(self, pos, neg):
+        sign = 1.0 if pos < neg else -1.0
+        got = _bisect_brackets(lambda x: sign * (0.375 - x), np.array([pos]), np.array([neg]))
+        assert got.tolist() == [0.375]
+
+    def test_bisection_counts_nan_as_negative(self, hang_guard):
+        with hang_guard(10):
+            got = _bisect_brackets(lambda x: np.full_like(x, np.nan),
+                                   np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+        assert got[0] == 0.0 and got[1] in (1.0, math.nextafter(1.0, 0.0))
+
+    # Every locator refusal is decided before the bisection starts.
+    @pytest.mark.parametrize("call, text", [
+        (lambda: ep3_locate_numeric(3.0, 3.5), "[3.0, 3.5] does not bracket the curve endpoint"),
+        (lambda: ep2_locate_numeric(2.8), "discriminant has no negative dip at d_tilde = 2.8; "
+                                          "no coalescence coupling exists"),
+        (lambda: ep2_locate_numeric(2000.0), "failed to bracket the upper coalescence coupling"),
+    ], ids=["ep3-bracket", "ep2-dip", "ep2-upper-bracket"])
+    def test_refusals_come_before_the_bisection(self, monkeypatch, call, text):
+        def bisect(*args):
+            raise AssertionError("bisection reached")
+
+        monkeypatch.setattr(exceptional, "_bisect_brackets", bisect)
         with pytest.raises(NoRootError) as info:
-            _bisect_brackets(lambda x, k: np.ones_like(x), np.array([0.0]), np.array([1.0]))
-        assert str(info.value) == "no sign change over [0.0, 1.0]"
+            call()
+        assert str(info.value) == text
 
 
 class TestEP3LocateNumeric:
@@ -932,6 +1017,20 @@ class TestEP3LocateNumeric:
     def test_bad_bracket_raises(self):
         with pytest.raises(NoRootError):
             ep3_locate_numeric(3.0, 3.5)
+
+    # Recorded from the bisection that evaluated both bracket ends.
+    RECORDED = {
+        (2.0, 3.5): (2.8284271247491244, 10.392304845427638, -6.928203230285092j),
+        (2.5, 3.0): (2.8284271248276456, 10.392304845812314, -6.928203230541542j),
+        (2.82, 2.83): (2.8284271248804744, 10.39230484607112, -6.92820323071408j),
+    }
+
+    @pytest.mark.parametrize("ends", list(RECORDED), ids=lambda ends: "{}-{}".format(*ends))
+    def test_bisection_equals_the_two_end_bisection(self, ends):
+        bounds = np.array(ends)
+        want = two_end_bisection(lambda x, k: exceptional._dip(x)[1], bounds[:1], bounds[1:])
+        got = ep3_locate_numeric(*ends)
+        assert got == self.RECORDED[ends] and got[0] == want[0]
 
     @pytest.mark.parametrize("ends", [(np.nan, 3.5), (2.0, np.inf)])
     def test_non_finite_bracket_rejected(self, ends):

@@ -921,6 +921,13 @@ class TestStackBlocks:
         assert got.shape == (0,) and got.dtype == np.float64
         got = characteristic_residual(np.zeros((0, 4, 4)), np.zeros((0, 2)))
         assert got.shape == (0, 2) and got.dtype == np.float64
+        # Empty sets: the one pairing of no values matches nothing, at distance 0.
+        got = match_distance([], [])
+        assert type(got) is float and got == 0.0
+        got = match_distance(np.zeros((3, 0)), np.zeros((3, 0)))
+        assert got.shape == (3,) and got.dtype == np.float64 and (got == 0.0).all()
+        for n in range(6):
+            assert spectrum._pairings(n).shape == (math.factorial(n), n)
 
 
 class TestLargeScale:
