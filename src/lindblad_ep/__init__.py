@@ -37,9 +37,7 @@ _NUMERIC = {
     ),
     "superop": ("build_lindblad", "equilibrium_state", "lindblad_rhs", "null_eigenvectors"),
     "spectrum": (
-        "CardanoParams",
         "Spectrum",
-        "cardano_params",
         "characteristic_residual",
         "eigenvalues_closed_form",
         "eigenvalues_numeric",
@@ -48,7 +46,6 @@ _NUMERIC = {
         "match_distance",
     ),
     "exceptional": (
-        "EPCurvePoint",
         "PhasePoint",
         "Region",
         "classify",
@@ -59,8 +56,6 @@ _NUMERIC = {
         "ep2_locate_numeric",
         "ep3_locate_numeric",
         "ep3_point",
-        "ep_curve_point",
-        "scaled_discriminant",
         "splitting_exponent",
     ),
     "dynamics": (
@@ -70,7 +65,6 @@ _NUMERIC = {
         "frame_deviation",
         "largest_stable_dt",
         "spectral_evolve",
-        "step_rk4",
         "verify_frame_equivalence",
     ),
     "verify": (),

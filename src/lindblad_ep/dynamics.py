@@ -105,20 +105,6 @@ class Trajectory:
     stride: int
     stability_margin: float | None
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-
-def step_rk4(derivative, t: float, state: np.ndarray, dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step; works on any array state."""
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    k1 = derivative(t, state)
-    k2 = derivative(t + 0.5 * dt, state + (0.5 * dt) * k1)
-    k3 = derivative(t + 0.5 * dt, state + (0.5 * dt) * k2)
-    k4 = derivative(t + dt, state + dt * k3)
-    return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
 
 def _growth(s: float, units: np.ndarray) -> float:
     """Largest |R(w)|^2 - 1 over w = -i s u, for the RK4 stability function R(w) = 1 + p(w).

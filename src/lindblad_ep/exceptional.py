@@ -78,30 +78,14 @@ class PhasePoint:
     ordering: int
 
 
-@dataclass(frozen=True)
-class EPCurvePoint:
-    """Both coalescence branches at one drive value, in units of the detuning."""
-
-    d_tilde: float
-    gamma_tilde_minus: float
-    gamma_tilde_plus: float
-    z_ep2_minus: complex
-    z_ep2_plus: complex
-
-
 def discriminant(params: ModelParams) -> float:
     """p^3 + q^2 of the eigenvalue cubic; zero exactly on the coalescence set."""
     return _cubic_coeffs(params.delta, params.d, params.gamma)[3]
 
 
-def scaled_discriminant(params: ModelParams) -> float:
-    """Discriminant divided by its natural sixth-power energy scale."""
-    return float(_scaled_disc(params.delta, params.d, params.gamma))
-
-
 def _scaled_disc(delta, d, gamma) -> np.ndarray:
-    """:func:`scaled_discriminant` at one point of three floats, or elementwise over
-    arrays that broadcast together."""
+    """The discriminant over its sixth-power scale ``max(1, delta^2 + d^2 + gamma^2)**3``, at
+    one point of three floats, or elementwise over arrays that broadcast together."""
     k = _kernels(delta, d, gamma)
     _, _, _, disc, scale2 = _cubic_coeffs(delta, d, gamma)
     return disc / k.pow(scale2, 3)
@@ -180,19 +164,6 @@ def ep2_eigenvalue(d_tilde, branch: str):
     if branch not in ("minus", "plus"):
         raise DomainError(f"branch must be 'minus' or 'plus', got {branch!r}")
     return _curve(d_tilde)[1][branch == "plus"]
-
-
-def ep_curve_point(d_tilde: float) -> EPCurvePoint:
-    """Both branches of the coalescence curves at one drive value.
-
-    ``d_tilde`` is one number: a list or an array with an axis raises
-    :class:`DomainError` before the curve formulas run.  Other refusals are
-    those of :func:`ep2_eigenvalue`.
-    """
-    if np.ndim(d_tilde) != 0:
-        raise DomainError(f"d_tilde must be one number, got shape {np.shape(d_tilde)}")
-    (gm, gp), (z_minus, z_plus) = _curve(d_tilde)
-    return EPCurvePoint(float(d_tilde), gm, gp, z_minus, z_plus)
 
 
 def classify(params: ModelParams) -> PhasePoint:

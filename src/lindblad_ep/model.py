@@ -69,10 +69,6 @@ class ModelParams:
             raise DomainError("scaled coordinates d/delta, gamma/delta need delta != 0")
         return self.d / self.delta, self.gamma / self.delta
 
-    def energy_scale(self) -> float:
-        """delta^2 + d^2 + gamma^2, the squared energy scale used for tolerances."""
-        return self.delta**2 + self.d**2 + self.gamma**2
-
 
 @dataclass(frozen=True)
 class LabParams:

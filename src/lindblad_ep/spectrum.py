@@ -84,17 +84,6 @@ _KEY = struct.Struct("<3d")
 
 
 @dataclass(frozen=True)
-class CardanoParams:
-    """Cubic-solver intermediates: depressed-cubic coefficients and radicals."""
-
-    p: float
-    q: float
-    disc: float
-    u: complex
-    v: complex
-
-
-@dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues [z0, z1, z2, z3] plus, when computed, the biorthogonal system.
 
@@ -110,19 +99,6 @@ class Spectrum:
     right: np.ndarray | None = None
     residuals: np.ndarray | None = None
     degenerate_pairs: tuple[tuple[int, int], ...] = ()
-
-
-def cardano_params(params: ModelParams) -> CardanoParams:
-    """Coefficients and radicals of the cubic behind the three decaying modes.
-
-    ``u`` is the principal cube root of q + sqrt(disc) (the real cube root when
-    the radicand is real) and ``v`` is tied to it by u * v = -p, which is what
-    makes the three phased combinations of u and v genuine roots.  For
-    disc < 0 the square root is taken as +i sqrt(|disc|); v then equals
-    conj(u) and all three roots come out pure imaginary.
-    """
-    p, q, disc, _, u, v, *_ = _cubic(params.delta, params.d, params.gamma)
-    return CardanoParams(p=p, q=q, disc=disc, u=u, v=v)
 
 
 def _cubic(delta, d, gamma) -> tuple:

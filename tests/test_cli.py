@@ -190,9 +190,14 @@ class TestLazyPackage:
     def test_dir_lists_every_public_name(self):
         assert set(lindblad_ep.__all__) <= set(dir(lindblad_ep))
 
-    def test_an_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError, match="no_such_name"):
-            lindblad_ep.no_such_name
+    # An unknown name, and wrappers that are no longer public.
+    @pytest.mark.parametrize("name", [
+        "no_such_name", "cardano_params", "CardanoParams", "scaled_discriminant",
+        "ep_curve_point", "EPCurvePoint", "step_rk4",
+    ])
+    def test_an_unknown_name_raises_attribute_error(self, name):
+        with pytest.raises(AttributeError, match=name):
+            getattr(lindblad_ep, name)
 
 
 class TestParserReuse:

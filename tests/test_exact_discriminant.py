@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from lindblad_ep import ModelParams, Region, build_lindblad, classify
+from lindblad_ep.constants import D_TILDE_EP3
 from lindblad_ep.spectrum import _cubic
 
 
@@ -103,3 +104,30 @@ def test_sign_of_the_core_and_the_labels_is_exact():
         assert label is (Region.SPLIT_PAIR if exact > 0 else Region.ALL_IMAGINARY), point
         checked += 1
     assert checked > 2900
+
+
+def quadratic_points() -> list:
+    """verify's 199 drives above the threshold at unit detuning, and 50 seeded
+    (delta, d) with delta in {-2, -0.3, 0.7, 3} and d uniform in [-8, 8]."""
+    rng = np.random.default_rng(36)
+    deltas = rng.choice([-2.0, -0.3, 0.7, 3.0], size=50).tolist()
+    drives = np.linspace(D_TILDE_EP3, 10.0, 200)[1:].tolist()
+    return [(1.0, d) for d in drives] + list(zip(deltas, rng.uniform(-8.0, 8.0, 50).tolist()))
+
+
+def test_exactly_quadratic_in_gamma_squared():
+    # With A = delta^2, B = d^2, S = A + B and G = gamma^2, p = (S - G/12) / 3 and
+    # q^2 = (G / 36) (A - B/2 + G/36)^2; the G^3 terms of p^3 + q^2 cancel.
+    for delta, d in quadratic_points():
+        a, b = Fraction(delta) ** 2, Fraction(d) ** 2
+        s = a + b
+        c0, c1, c2 = s**3 / 27, (2 * a**2 - 5 * a * b - b**2 / 4) / 108, a / 432
+        disc = {g * g: exact_discriminant(ModelParams(delta, d, g)) / 108 for g in (0, 1, 2, 3)}
+        # The quadratic through G = 0, 1 and 4, and G = 9 on it.
+        got2 = (disc[4] - disc[0] - 4 * (disc[1] - disc[0])) / 12
+        got = (disc[0], disc[1] - disc[0] - got2, got2)
+        assert got == (c0, c1, c2), (delta, d)
+        assert disc[9] == c0 + 9 * c1 + 81 * c2, (delta, d)
+        # Its roots in G are the curves: c1^2 - 4 c0 c2 = wing^2 / 46656 in units of
+        # delta, with wing = d (d^2 - 8)^(3/2) / 2.
+        assert c1**2 - 4 * c0 * c2 == b * (b - 8 * a) ** 3 / 186624, (delta, d)

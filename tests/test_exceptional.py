@@ -15,7 +15,6 @@ from lindblad_ep import (
     NoRootError,
     Region,
     build_lindblad,
-    cardano_params,
     classify,
     classify_grid,
     discriminant,
@@ -24,10 +23,8 @@ from lindblad_ep import (
     ep2_locate_numeric,
     ep3_locate_numeric,
     ep3_point,
-    ep_curve_point,
     eigenvalues_closed_form,
     eigenvalues_numeric,
-    scaled_discriminant,
     splitting_exponent,
 )
 from lindblad_ep import exceptional, spectrum, verify
@@ -82,7 +79,7 @@ class TestEP2Gamma:
 
     def test_infinite_drive_rejected(self):
         finite = r"d_tilde must be finite, got inf$"
-        for curve in (ep2_gamma, ep_curve_point, lambda d: ep2_eigenvalue(d, "plus")):
+        for curve in (ep2_gamma, lambda d: ep2_eigenvalue(d, "plus")):
             with pytest.raises(DomainError, match="^" + finite):
                 curve(math.inf)
         with pytest.raises(DomainError, match="^element 1 of the batch: " + finite):
@@ -92,7 +89,7 @@ class TestEP2Gamma:
         for d_t in np.linspace(D_EP3, 10.0, 25):
             gm, gp = ep2_gamma(d_t)
             for g in (gm, gp):
-                assert abs(scaled_discriminant(ModelParams(1.0, d_t, g))) < 1e-10
+                assert abs(_scaled_disc(1.0, float(d_t), g)) < 1e-10
 
     def test_branches_strictly_separate_above_threshold(self):
         gaps = [ep2_gamma(d)[1] - ep2_gamma(d)[0] for d in np.linspace(2.9, 10.0, 30)]
@@ -146,21 +143,11 @@ class TestEP2Eigenvalue:
         with pytest.raises(DomainError):
             ep2_eigenvalue(3.0, "sideways")
 
-    def test_curve_point_bundles_both_branches(self):
-        point = ep_curve_point(3.0)
-        assert point.gamma_tilde_minus < point.gamma_tilde_plus
-        assert point.z_ep2_plus == ep2_eigenvalue(3.0, "plus")
-
-    @pytest.mark.parametrize("drive", [np.array([3.0, 4.0]), [3.0], np.array([3.0])])
-    def test_curve_point_refuses_all_but_one_number(self, monkeypatch, drive):
-        monkeypatch.setattr(exceptional, "_curve", lambda d: pytest.fail("the curve ran"))
-        with pytest.raises(DomainError, match=r"^d_tilde must be one number, got shape \([12],\)$"):
-            ep_curve_point(drive)
-
     @pytest.mark.parametrize("drive", [3, 3.0, np.float64(3.0), np.float32(3.0), np.array(3.0)])
     def test_curve_point_takes_any_one_number(self, drive):
-        point = ep_curve_point(drive)
-        assert point == ep_curve_point(3.0) and type(point.d_tilde) is float
+        gammas, z = ep2_gamma(drive), ep2_eigenvalue(drive, "plus")
+        assert gammas == ep2_gamma(3.0) and [type(g) for g in gammas] == [float, float]
+        assert z == ep2_eigenvalue(3.0, "plus") and type(z) is complex
 
 
 def bits(x) -> np.ndarray:
@@ -221,13 +208,11 @@ class TestCurveArrays:
         d_t = np.repeat(drives, 2)
         g_t = np.stack(ep2_gamma(drives), axis=1).ravel()
         got = _scaled_disc(1.0, d_t, g_t)
-        want = []
-        for point in zip(d_t.tolist(), g_t.tolist()):
-            params = ModelParams(1.0, *point)
-            want.append(cardano_params(params).disc / max(1.0, params.energy_scale() ** 3))
+        want = [discriminant(ModelParams(1.0, d, g)) / max(1.0, (1.0 + d**2 + g**2) ** 3)
+                for d, g in zip(d_t.tolist(), g_t.tolist())]
         assert np.array_equal(bits(got), bits(want))
-        assert np.array_equal(bits(scaled_discriminant(ModelParams(1.0, d_t[7], g_t[7]))),
-                              bits(want[7]))
+        one = _scaled_disc(1.0, float(d_t[7]), float(g_t[7]))
+        assert type(one) is float and np.array_equal(bits(one), bits(want[7]))
 
     @pytest.mark.parametrize("delta", [1.0, 3.0, -2.0])
     def test_coalescence_region_on_band_points(self, delta, request):
@@ -323,12 +308,10 @@ class TestEP3Point:
     def test_radicals_vanish_there(self):
         # p and q are eps-level noise at the exact floats, so the radicals sit
         # at the cube root of that noise rather than at zero
-        from lindblad_ep import cardano_params
-
         d_t, g_t, _ = ep3_point()
-        cp = cardano_params(ModelParams(1.0, d_t, g_t))
-        assert abs(cp.p) < 1e-13 and abs(cp.q) < 1e-13
-        assert abs(cp.u) < 1e-4 and abs(cp.v) < 1e-4
+        p, q, _, _, u, v, *_ = _cubic(1.0, d_t, g_t)
+        assert abs(p) < 1e-13 and abs(q) < 1e-13
+        assert abs(u) < 1e-4 and abs(v) < 1e-4
 
     def test_numeric_oracle_sees_the_triple(self):
         d_t, g_t, z = ep3_point()
@@ -510,12 +493,11 @@ class TestClassifyGrid:
         zero_radical = False
         for i, d in enumerate(d_grid.tolist()):
             for j, g in enumerate(g_grid.tolist()):
-                params = ModelParams(1.0, d, g)
-                cp = cardano_params(params)
-                zs = eigenvalues_closed_form(params).eigenvalues
-                zero_radical |= cp.disc >= 0 and cp.u == 0
+                at_point = _cubic(1.0, d, g)
+                zs = eigenvalues_closed_form(ModelParams(1.0, d, g)).eigenvalues
+                zero_radical |= at_point[2] >= 0 and at_point[4] == 0
                 got = (p[i, j], q[i, j], disc[i, j], z1[i, j], z2[i, j], z3[i, j])
-                want = (cp.p, cp.q, cp.disc, *zs[1:])
+                want = (*at_point[:3], *zs[1:])
                 # bit for bit, so that the signs of zeros count too
                 assert np.array_equal(np.array(got, dtype=complex).view(np.uint64),
                                       np.array(want, dtype=complex).view(np.uint64)), (d, g)

@@ -1,6 +1,13 @@
 """Finite or refused: every point API on a fixed corpus of hard inputs returns
 finite values or raises a LindbladEPError, with no NaN and no warning.
 
+The point APIs are every public callable that takes one ``ModelParams``:
+``classify``, ``discriminant``, ``eigenvalues_closed_form``, ``full_spectrum``,
+``eigenvectors_closed_form`` for each decaying mode, ``spectral_evolve``,
+``build_lindblad`` and the oracle ``eigenvalues_numeric`` on it,
+``equilibrium_state``, ``null_eigenvectors``, ``hamiltonian_rotating`` and
+``largest_stable_dt``.
+
 The corpus is 9 shapes at 31 scales, 10^-300 .. 10^300 in steps of 10^20,
 plus each shape with one coordinate a signed zero or a subnormal, and each
 shape scaled down to subnormals.  Two open defects are named, not hidden:
@@ -9,6 +16,9 @@ shape scaled down to subnormals.  Two open defects are named, not hidden:
   item 3: the cubic is not yet solved at unit scale);
 - an infinite scaled coordinate in ``classify``, where d/delta or gamma/delta
   truly passes the largest double (the quotient is checked exactly).
+
+One documented infinity is named too: ``largest_stable_dt`` is ``inf`` where
+the stable step passes the largest double, which needs max|eig(L)| < 8 / DBL_MAX.
 """
 
 import dataclasses
@@ -24,12 +34,17 @@ from lindblad_ep import (
     ModelParams,
     build_lindblad,
     classify,
+    discriminant,
     eigenvalues_closed_form,
     eigenvalues_numeric,
+    eigenvectors_closed_form,
     ep2_gamma,
     equilibrium_state,
     full_spectrum,
+    hamiltonian_rotating,
     initial_state,
+    largest_stable_dt,
+    null_eigenvectors,
     spectral_evolve,
 )
 
@@ -60,20 +75,39 @@ CALLS = {
     "spectral_evolve": lambda params: spectral_evolve(params, RHO0, 0.7),
     "eigenvalues_numeric": lambda params: eigenvalues_numeric(build_lindblad(params)),
     "equilibrium_state": equilibrium_state,
+    "discriminant": discriminant,
+    "build_lindblad": build_lindblad,
+    "null_eigenvectors": null_eigenvectors,
+    "hamiltonian_rotating": hamiltonian_rotating,
+    **{f"eigenvectors_closed_form-{nu}": lambda params, nu=nu: eigenvectors_closed_form(params, nu)
+       for nu in (1, 2, 3)},
+    "largest_stable_dt": largest_stable_dt,
 }
 
 
 def numbers(result) -> list:
     """``(field, value)`` for each array, float or complex of a result or of its dataclass
-    fields; the field is "" for a bare result."""
-    fields = ([(f.name, getattr(result, f.name)) for f in dataclasses.fields(result)]
-              if dataclasses.is_dataclass(result) else [("", result)])
+    fields or tuple entries; the field is "" for a bare result and the index for an entry."""
+    if dataclasses.is_dataclass(result):
+        fields = [(f.name, getattr(result, f.name)) for f in dataclasses.fields(result)]
+    elif isinstance(result, tuple):
+        fields = [(str(k), x) for k, x in enumerate(result)]
+    else:
+        fields = [("", result)]
     return [(name, x) for name, x in fields if isinstance(x, (np.ndarray, float, complex))]
 
 
 def quotient_overflows(num: float, den: float) -> bool:
     """|num / den| in exact arithmetic is past the largest double."""
     return den != 0.0 and abs(Fraction(num) / Fraction(den)) > Fraction(np.finfo(float).max)
+
+
+def eigenvalues_below_8_over_dbl_max(params: ModelParams) -> bool:
+    """max|eig(L)| < 8 / DBL_MAX.  The stable step is below 4 / c for the scale
+    c = max(|Re z|, |Im z|) <= max|z|, so it passes the largest double only where
+    c < 4 / DBL_MAX, and then max|z| <= sqrt(2) c < 8 / DBL_MAX."""
+    zs = np.linalg.eigvals(build_lindblad(params))
+    return np.max(np.abs(zs)) < 8.0 / np.finfo(float).max
 
 
 def test_the_corpus():
@@ -102,6 +136,9 @@ def test_finite_or_refused_without_nan_or_warning(name):
             if field in ("d_tilde", "gamma_tilde") and np.isinf(values):
                 delta, d, gamma = point
                 assert quotient_overflows(d if field == "d_tilde" else gamma, delta), point
+                continue
+            if name == "largest_stable_dt" and values == math.inf:
+                assert eigenvalues_below_8_over_dbl_max(ModelParams(*point)), point
                 continue
             assert np.isfinite(values).all(), (name, point, field)
         outcomes["finite"] += 1

@@ -16,7 +16,6 @@ from lindblad_ep import (
     NearDegenerateError,
     NonConvergenceError,
     build_lindblad,
-    cardano_params,
     characteristic_residual,
     classify,
     classify_grid,
@@ -28,10 +27,10 @@ from lindblad_ep import (
     full_spectrum,
     initial_state,
     match_distance,
-    scaled_discriminant,
     spectral_evolve,
 )
 from lindblad_ep.cli import main
+from lindblad_ep.exceptional import _scaled_disc
 from lindblad_ep.spectrum import _adjugate, _closed_form_stack, _cubic, _det_trace, _flag_pairs, _shifted
 from lindblad_ep.superop import _lindblad_stack
 from lindblad_ep.verify import _gamma_zero_points, _spectra_points
@@ -54,46 +53,46 @@ def min_gap(zs) -> float:
 
 
 class TestCardano:
+    """p, q and disc are fields 0-2 of the point's cubic, and the radicals u and v 4-5."""
+
     def test_direct_evaluation(self):
-        cp = cardano_params(ModelParams(1.0, 1.0, 0.0))
-        assert abs(cp.p - 2.0 / 3.0) < 1e-15
-        assert cp.q == 0.0
-        assert abs(cp.disc - 8.0 / 27.0) < 1e-15
+        p, q, disc, *_ = _cubic(1.0, 1.0, 0.0)
+        assert abs(p - 2.0 / 3.0) < 1e-15
+        assert q == 0.0
+        assert abs(disc - 8.0 / 27.0) < 1e-15
 
     def test_triple_point_collapses(self):
-        cp = cardano_params(ModelParams(1.0, D_EP3, G_EP3))
+        p, q, disc, *_ = _cubic(1.0, D_EP3, G_EP3)
         scale = 1.0 + D_EP3**2 + G_EP3**2
-        assert abs(cp.p) < 1e-12 * scale
-        assert abs(cp.q) < 1e-12 * scale
-        assert abs(cp.disc) < 1e-12
+        assert abs(p) < 1e-12 * scale
+        assert abs(q) < 1e-12 * scale
+        assert abs(disc) < 1e-12
 
     @settings(max_examples=80, deadline=None)
     @given(params_st)
     def test_product_constraint(self, params):
-        cp = cardano_params(params)
-        assert abs(cp.u * cp.v + cp.p) < 1e-12 * max(1.0, abs(cp.p))
+        p, _, _, _, u, v, *_ = _cubic(params.delta, params.d, params.gamma)
+        assert abs(u * v + p) < 1e-12 * max(1.0, abs(p))
 
     @settings(max_examples=80, deadline=None)
     @given(params_st)
     def test_radical_identities(self, params):
-        cp = cardano_params(params)
-        if cp.disc >= 0:
-            s = math.sqrt(cp.disc)
+        _, q, disc, _, u, v, *_ = _cubic(params.delta, params.d, params.gamma)
+        if disc >= 0:
+            s = math.sqrt(disc)
         else:
-            s = 1j * math.sqrt(-cp.disc)
+            s = 1j * math.sqrt(-disc)
         # relative check only where the radicand itself is well conditioned
-        assume(abs(cp.q + s) > 1e-6 * (abs(cp.q) + abs(s)))
-        assume(abs(cp.q - s) > 1e-6 * (abs(cp.q) + abs(s)))
-        assert abs(cp.u**3 - (cp.q + s)) < 1e-12 * max(1.0, abs(cp.q + s))
-        assert abs(cp.v**3 - (cp.q - s)) < 1e-12 * max(1.0, abs(cp.q - s))
+        assume(abs(q + s) > 1e-6 * (abs(q) + abs(s)))
+        assume(abs(q - s) > 1e-6 * (abs(q) + abs(s)))
+        assert abs(u**3 - (q + s)) < 1e-12 * max(1.0, abs(q + s))
+        assert abs(v**3 - (q - s)) < 1e-12 * max(1.0, abs(q - s))
 
     @pytest.mark.parametrize("d_tilde", [1.0, 3.0, 7.3])
     def test_disc_is_quadratic_in_gamma_squared(self, d_tilde):
         # three samples pin a quadratic; a fourth must then be predicted exactly
         xs = np.array([1.0, 7.0, 19.0, 133.0])
-        ys = np.array(
-            [cardano_params(ModelParams(1.0, d_tilde, math.sqrt(x))).disc for x in xs]
-        )
+        ys = np.array([_cubic(1.0, d_tilde, math.sqrt(x))[2] for x in xs])
         coeffs = np.polyfit(xs[:3], ys[:3], 2)
         predicted = np.polyval(coeffs, xs[3])
         assert abs(predicted - ys[3]) < 1e-9 * max(1.0, abs(ys[3]))
@@ -125,9 +124,7 @@ class TestClosedFormEigenvalues:
     def test_matches_numeric_oracle(self, params):
         # the tight bound applies off the coalescence set; on it the split is
         # square-root-of-roundoff limited for any method (see the next test)
-        from lindblad_ep import scaled_discriminant
-
-        assume(abs(scaled_discriminant(params)) > 1e-14)
+        assume(abs(_scaled_disc(params.delta, params.d, params.gamma)) > 1e-14)
         L = build_lindblad(params)
         zs = eigenvalues_closed_form(params).eigenvalues
         ref = eigenvalues_numeric(L)
@@ -179,13 +176,14 @@ class TestClosedFormEigenvalues:
     @settings(max_examples=100, deadline=None)
     @given(params_st)
     def test_configuration_follows_discriminant_sign(self, params):
-        cp = cardano_params(params)
+        disc = _cubic(params.delta, params.d, params.gamma)[2]
         zs = eigenvalues_closed_form(params).eigenvalues
         scale = max(1.0, float(np.max(np.abs(zs))))
-        if cp.disc > 1e-8 * max(1.0, params.energy_scale()) ** 3:
+        floor = 1e-8 * max(1.0, params.delta**2 + params.d**2 + params.gamma**2) ** 3
+        if disc > floor:
             assert abs(zs[1].real) < 1e-10 * scale
             assert abs(zs[2] + np.conj(zs[3])) < 1e-10 * scale
-        elif cp.disc < -1e-8 * max(1.0, params.energy_scale()) ** 3:
+        elif disc < -floor:
             for z in zs[1:]:
                 assert abs(z.real) < 1e-10 * scale
 
@@ -247,8 +245,8 @@ class TestClosedFormStack:
         d_t = np.repeat(np.linspace(3.0, 8.0, 12), 12)
         g_t = np.concatenate([np.linspace(*ep2_gamma(x), 14)[1:-1] for x in np.linspace(3.0, 8.0, 12)])
         for delta in (1.0, -2.0):
-            assert (np.array([cardano_params(ModelParams(delta, delta * x, abs(delta) * g)).disc
-                              for x, g in zip(d_t, g_t)]) < 0).all()
+            assert (np.array([_cubic(delta, delta * x, abs(delta) * g)[2]
+                              for x, g in zip(d_t.tolist(), g_t.tolist())]) < 0).all()
             assert_stack_is_scalar(delta, delta * d_t, abs(delta) * g_t)
 
     @settings(max_examples=40, deadline=None)
@@ -519,10 +517,12 @@ class TestCubicOverflow:
     @pytest.mark.parametrize("point", OVERFLOWING_CUBICS)
     def test_refused_as_an_overflow(self, point):
         params = ModelParams(*point)
-        for solve in (cardano_params, eigenvalues_closed_form, full_spectrum, classify,
-                      scaled_discriminant):
+        for solve in (eigenvalues_closed_form, full_spectrum, classify):
             with pytest.raises(OverflowError, match="discriminant overflows"):
                 solve(params)
+        for solve in (_cubic, _scaled_disc):
+            with pytest.raises(OverflowError, match="discriminant overflows"):
+                solve(*point)
         with pytest.raises(OverflowError, match="discriminant overflows"):
             _closed_form_stack(*np.array([point, (1.0, 2.0, 1.0)]).T)
 
@@ -626,7 +626,7 @@ def stacked_against_single(Ls: np.ndarray) -> np.ndarray:
 
 # Away from the coalescences; near one, both answers sit within the
 # eps^(1/2) conditioning limit and may differ by more than roundoff.
-separated_params = params_st.filter(lambda p: abs(scaled_discriminant(p)) > 1e-8)
+separated_params = params_st.filter(lambda p: abs(_scaled_disc(p.delta, p.d, p.gamma)) > 1e-8)
 
 
 class TestStackedOracle:
@@ -800,7 +800,8 @@ class TestStackedRootFinder:
         assert np.max(match_distance(zs, np.linalg.eigvals(Ls)) / scale) <= 3.5e-5
         single = match_distance(zs, [eigenvalues_numeric(L) for L in Ls]) / scale
         assert np.max(single) <= 1e-8
-        separated = np.array([abs(scaled_discriminant(unit_scale(p))) > 1e-8 for p in points])
+        separated = np.array([abs(_scaled_disc(u.delta, u.d, u.gamma)) > 1e-8
+                              for u in map(unit_scale, points)])
         assert separated.sum() > 1000 and np.max(single[separated]) <= 1e-14
 
     # No seeded input was found that reaches the bad step (coincident iterates, or a step
@@ -1401,8 +1402,7 @@ def point_api(params):
     """The one-point public API at ``params``, as :func:`outcome` records it."""
     rho0 = initial_state("coherent")
     return [outcome(classify, params), outcome(eigenvalues_closed_form, params),
-            outcome(full_spectrum, params), outcome(spectral_evolve, params, rho0, 0.7),
-            outcome(cardano_params, params)]
+            outcome(full_spectrum, params), outcome(spectral_evolve, params, rho0, 0.7)]
 
 
 # Signed zeros, subnormals and unit-scale values, scaled by 10^-150, 1 or 10^150.
@@ -1486,7 +1486,6 @@ class TestPointMemo:
         classify(params)
         assert len(solves) == 1
         eigenvalues_closed_form(params)
-        cardano_params(params)
         full_spectrum(params)
         spectral_evolve(params, initial_state("excited"), 0.5)
         assert main(["spectrum", "--delta", "1", "--d", "2", "--gamma", "1",
