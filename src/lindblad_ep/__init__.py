@@ -8,7 +8,6 @@ from .errors import (
     LindbladEPError,
     NearDegenerateError,
     NonConvergenceError,
-    NoRootError,
     StepSizeError,
 )
 
@@ -53,8 +52,6 @@ _NUMERIC = {
         "discriminant",
         "ep2_eigenvalue",
         "ep2_gamma",
-        "ep2_locate_numeric",
-        "ep3_locate_numeric",
         "ep3_point",
         "splitting_exponent",
     ),
@@ -76,7 +73,6 @@ __all__ = sorted([
     "LindbladEPError",
     "NearDegenerateError",
     "NonConvergenceError",
-    "NoRootError",
     "StepSizeError",
     *(name for names in _NUMERIC.values() for name in names),
 ])

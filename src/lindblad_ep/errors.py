@@ -13,10 +13,6 @@ class NearDegenerateError(LindbladEPError):
     """Eigenvectors are not separable: the requested mode sits at or near a coalescence."""
 
 
-class NoRootError(LindbladEPError):
-    """A bracketed root search found no sign change."""
-
-
 class NonConvergenceError(LindbladEPError):
     """An iterative solver failed to reach its residual target."""
 

@@ -4,8 +4,10 @@ Everything here lives in the scaled coordinates d_tilde = d/delta and
 gamma_tilde = gamma/delta, where the two second-order coalescence curves and
 their triple-point endpoint sit at fixed positions.  The discriminant
 p^3 + q^2 of the eigenvalue cubic changes sign exactly on the curves, which is
-what both the classifier and the numeric curve locator exploit.  Near them the
-sign of q, which names the closer eigenvalue pair, names the branch as well.
+what the classifier exploits.  Near them the sign of q, which names the closer
+eigenvalue pair, names the branch as well.  The curves' closed form is checked
+by ``verify`` against the exact roots of that discriminant, a quadratic in
+gamma_tilde^2, in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 # The triple point is defined in constants, which needs no numpy; re-exported here.
 from .constants import D_TILDE_EP3, GAMMA_TILDE_EP3, Z_EP3, ep3_point  # noqa: F401
-from .errors import DegenerateFitError, DomainError, NoRootError
+from .errors import DegenerateFitError, DomainError
 from .model import ModelParams, _refuse
 from .spectrum import (
     _closed_form_stack,
@@ -294,93 +296,6 @@ def _nodes(ix, d: np.ndarray, gamma: np.ndarray) -> tuple:
     outputs and one block."""
     rows, cols = ix if type(ix) is tuple else (ix, slice(None))
     return d[rows, None], gamma[None, cols]
-
-
-def _disc_at(d_tilde: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """:func:`discriminant` at unit detuning, drive ``d_tilde`` and coupling sqrt(x)."""
-    return _cubic_coeffs(1.0, d_tilde, np.sqrt(x))[3]
-
-
-def _bisect_brackets(f, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """Bisection of every bracket between ``pos`` and ``neg`` to the last representable float.
-
-    The caller has checked that ``f(x)``, elementwise over an array ``x``, is positive
-    at ``pos`` and negative at ``neg``; only midpoints are evaluated.  A bracket closes
-    on a midpoint where f is zero, or on one equal to an end.  A NaN counts as negative.
-    """
-    while (((mid := 0.5 * (pos + neg)) != pos) & (mid != neg)).any():
-        fm = f(mid)
-        pos, neg = np.where(fm >= 0.0, mid, pos), np.where(fm > 0.0, neg, mid)
-    return mid
-
-
-def ep2_locate_numeric(d_tilde):
-    """Coalescence couplings by bracketed bisection on the discriminant sign.
-
-    Oracle for :func:`ep2_gamma`: only directly evaluated discriminant signs
-    drive the search.  ``d_tilde`` is one drive, giving two floats, or a 1-D
-    array of drives, giving two arrays; the brackets of all drives are
-    bisected together, and each element equals the call on its drive alone.
-    Raises :class:`NoRootError` when no negative dip exists (drive below
-    threshold), or where the float discriminant is not positive at 2 x*, which
-    bounds the upper coupling exactly (see :func:`_dip`); for an array the
-    message names the first such element.
-    """
-    d, batch = _drives(d_tilde)
-    _refuse(~np.isfinite(d), DomainError, lambda i: f"d_tilde must be finite, got {float(d[i])!r}",
-            batch)
-    x_star, depth = _dip(d)
-    _refuse(depth >= 0.0, NoRootError,
-            lambda i: f"discriminant has no negative dip at d_tilde = {float(d[i])}; "
-            "no coalescence coupling exists", batch)
-    # Brackets [0, x*] of the minus branch and [x*, 2 x*] of the plus branch, as the
-    # (branch, drive) rows of one array: disc(0) = p^3 with p >= 1/3, and exactly
-    # disc(2 x*) = disc(0) = c0 > 0, which the float misses only where its digits are lost.
-    hi = 2.0 * x_star
-    _refuse(~(_disc_at(d, hi) > 0.0), NoRootError,
-            lambda i: "failed to bracket the upper coalescence coupling", batch)
-    x = _bisect_brackets(lambda x: _disc_at(d, x),
-                         np.stack([np.zeros_like(x_star), hi]), np.stack([x_star, x_star]))
-    gammas = np.sqrt(x)
-    return tuple(gammas[:, 0].tolist()) if batch is None else tuple(gammas)
-
-
-def _dip(d_tilde: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bottom x* of the discriminant's dip in x = gamma^2, and its depth there.
-
-    At unit detuning, p^3 + q^2 = c0 + c1 x + c2 x^2 exactly: the cubic terms
-    of p^3 and q^2 in x cancel identically.  x* = -c1 / (2 c2) seeds the
-    brackets; the depth, and every sign a search uses, is the discriminant
-    evaluated directly at max(x*, 0), which is p^3 > 0 where x* <= 0
-    (|d_tilde| < 0.63).  Elementwise over an array of drives.
-    """
-    d2 = _pow(d_tilde, 2)
-    a = 1.0 + d2
-    b = 1.0 - d2 / 2.0
-    c1 = (3.0 * _pow(b, 2) - _pow(a, 2)) / 108.0
-    c2 = 1.0 / 432.0
-    x_star = -c1 / (2.0 * c2)
-    return x_star, _disc_at(d_tilde, np.maximum(x_star, 0.0))
-
-
-def ep3_locate_numeric(d_lo: float = 2.0, d_hi: float = 3.5) -> tuple[float, float, complex]:
-    """Locate the curve-merging point by bisection on existence of the negative dip.
-
-    Returns the scaled drive and coupling of the endpoint and the triple
-    eigenvalue there (from the exactly known mean of the three decaying
-    roots).  Everything is derived from discriminant signs, independent of the
-    closed-form curve expressions.
-    """
-    bounds = np.array([d_lo, d_hi], dtype=float)
-    if not np.isfinite(bounds).all():
-        raise DomainError(f"bracket ends must be finite, got [{d_lo}, {d_hi}]")
-    depth_lo, depth_hi = _dip(bounds)[1]
-    if not (depth_lo > 0.0 and depth_hi < 0.0):
-        raise NoRootError(f"[{d_lo}, {d_hi}] does not bracket the curve endpoint")
-    d_t = float(_bisect_brackets(lambda x: _dip(x)[1], bounds[:1], bounds[1:])[0])
-    x_star, _ = _dip(np.array([d_t]))
-    gamma_t = math.sqrt(x_star[0])
-    return d_t, gamma_t, -2j * gamma_t / 3.0
 
 
 def splitting_exponent(base: PhasePoint, direction, epsilons) -> float:

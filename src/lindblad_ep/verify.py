@@ -32,8 +32,6 @@ from .exceptional import (
     _region_codes,
     classify,
     ep2_gamma,
-    ep2_locate_numeric,
-    ep3_locate_numeric,
     splitting_exponent,
     Region,
 )
@@ -66,20 +64,63 @@ class CheckResult:
         return f"{status} {self.name}: {parts}"
 
 
+# Bits below the binary point of the exact references: an int r stands for r / 2**_BITS.
+_BITS = 128
+
+
+def _quadratic(b: int, m: int) -> tuple[int, int, int]:
+    """Integer coefficients ``(a2, a1, a0)`` of ``432 m^3 disc`` at unit detuning and
+    ``d_tilde^2 = B = b/m``, for ``m`` a power of two, as a quadratic in ``G = gamma_tilde^2``.
+
+    Exactly, ``432 disc = G^2 + (8 - 20 B - B^2) G + 16 (1 + B)^3``: the cubic terms of
+    ``p^3`` and ``q^2`` in ``G`` cancel.  Its roots are the squared couplings of the two
+    curves, and they meet where its discriminant ``B (B - 8)^3`` (times ``m^6``) vanishes.
+    """
+    return m**3, m * (8 * m * m - 20 * b * m - b * b), 16 * (m + b) ** 3
+
+
+def _surd(num: int, den: int) -> int:
+    """sqrt(num / den) for ints ``num >= 0`` and ``den > 0``, rounded down at 2**-_BITS."""
+    return math.isqrt((num << 2 * _BITS) // den)
+
+
+def _root_surds(a2: int, a1: int, a0: int) -> tuple[int, int]:
+    """The square roots of both roots ``G- <= G+`` of ``a2 G^2 + a1 G + a0``, for ``a2 > 0``
+    and real roots ``>= 0``, each to 2**-_BITS."""
+    s = math.isqrt((a1 * a1 - 4 * a2 * a0) << 4 * _BITS)  # sqrt(disc) at 2**-(2 _BITS)
+    return tuple(_surd((-a1 << 2 * _BITS) + sign * s, a2 << 2 * _BITS + 1) for sign in (-1, 1))
+
+
+def _err(x: float, r: int, unit: int = 1 << _BITS) -> float:
+    """|x - r / 2**_BITS| in units of ``unit / 2**_BITS``: absolute by default, relative to
+    the reference for ``unit = r``; exact up to one rounding to float."""
+    n, den = x.as_integer_ratio()
+    return abs((n << _BITS) - r * den) / (den * unit)
+
+
 def check_ep3_constants(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckResult:
-    """Bisection on the discriminant dip reproduces the triple-point constants."""
-    d_t, g_t, z = ep3_locate_numeric()
-    err_d = abs(d_t - D_TILDE_EP3)
-    err_g = abs(g_t - GAMMA_TILDE_EP3)
-    err_z = abs(z - Z_EP3)
-    passed = err_d < 1e-6 * tol_scale and err_g < 1e-6 * tol_scale and err_z < 1e-8 * tol_scale
+    """The triple-point constants against the exact double root of the curves' quadratic.
+
+    At ``d_tilde^2 = 8`` the quadratic of :func:`_quadratic` is ``(G - 108)^2``; the check
+    requires its discriminant to be exactly 0.  Its surds are the drive ``sqrt(8)``, the
+    coupling ``sqrt(108)`` and ``|z| = (2/3) sqrt(108)``, the exactly known mean of the
+    three decaying eigenvalues ``-2i gamma_tilde / 3``.
+    """
+    a2, a1, a0 = _quadratic(8, 1)
+    d_ref, g_ref = _surd(8, 1), _root_surds(a2, a1, a0)[0]
+    z_ref = 2 * g_ref // 3
+    err_d = _err(D_TILDE_EP3, d_ref)
+    err_g = _err(GAMMA_TILDE_EP3, g_ref)
+    err_z = math.hypot(Z_EP3.real, _err(-Z_EP3.imag, z_ref))
+    passed = (a1 * a1 == 4 * a2 * a0 and err_d < 1e-6 * tol_scale
+              and err_g < 1e-6 * tol_scale and err_z < 1e-8 * tol_scale)
     return CheckResult(
         "ep3",
         passed,
         {
-            "d_tilde": d_t,
-            "gamma_tilde": g_t,
-            "im_z": z.imag,
+            "d_tilde": d_ref / (1 << _BITS),
+            "gamma_tilde": g_ref / (1 << _BITS),
+            "im_z": -z_ref / (1 << _BITS),
             "err_d": err_d,
             "err_gamma": err_g,
             "err_z": err_z,
@@ -88,13 +129,16 @@ def check_ep3_constants(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> Che
 
 
 def check_ep2_curve(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckResult:
-    """Closed-form curves: on-curve discriminant residual and bisection agreement."""
+    """Closed-form curves: on-curve discriminant residual, and agreement with the exact
+    roots of :func:`_quadratic` at every drive ``d = n / den``, where ``B = n^2 / den^2``."""
     d_grid = np.linspace(D_TILDE_EP3, 10.0, 200)
     gammas = np.stack(ep2_gamma(d_grid), axis=1)
     worst_resid = float(_on_curve_residual(d_grid, gammas).max())
-    # At the merge point d_grid[0] the dip has zero width; no bracket exists.
-    located = np.stack(ep2_locate_numeric(d_grid[1:]), axis=1)
-    worst_rel = float(np.max(np.abs(gammas[1:] - located) / gammas[1:]))
+    worst_rel = 0.0
+    for d, pair in zip(d_grid.tolist(), gammas.tolist()):
+        n, den = d.as_integer_ratio()
+        for g, r in zip(pair, _root_surds(*_quadratic(n * n, den * den))):
+            worst_rel = max(worst_rel, _err(g, r, r))
     passed = worst_resid < _ON_CURVE_TOL * tol_scale and worst_rel < 1e-8 * tol_scale
     return CheckResult(
         "ep2-curve",

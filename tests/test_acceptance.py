@@ -19,8 +19,9 @@ def _run(name):
 
 
 def test_criterion_1_ep3_constants():
-    # bisection over the drive reproduces 2*sqrt(2), 6*sqrt(3) to 1e-6 and the
-    # triple eigenvalue -4*sqrt(3)i to 1e-8
+    # the constants match the exact double root of the curves' quadratic in
+    # gamma^2, 2*sqrt(2) and 6*sqrt(3), to 1e-6 and the triple eigenvalue
+    # -4*sqrt(3)i to 1e-8
     result = _run("ep3")
     assert result.details["err_d"] < 1e-6
     assert result.details["err_gamma"] < 1e-6
@@ -29,7 +30,7 @@ def test_criterion_1_ep3_constants():
 
 def test_criterion_2_ep2_curve_identity():
     # 200 drives over [2*sqrt(2), 10]: plugged-back scaled discriminant below
-    # 1e-10 and bisection-oracle agreement to 1e-8 relative
+    # 1e-10 and agreement with the exact roots to 1e-8 relative
     result = _run("ep2-curve")
     assert result.details["worst_scaled_disc"] < 1e-10
     assert result.details["worst_oracle_rel"] < 1e-8

@@ -42,8 +42,8 @@ NON_DEFAULT_GRID = ["--delta", "2.5", "--d-min", "-7", "--d-max", "7", "--nd", "
                     "--gamma-min", "0", "--gamma-max", "30", "--ngamma", "37"]
 
 VERIFY_DEFAULT_STDOUT = (
-    "PASS ep3: d_tilde=2.82842712, gamma_tilde=10.3923048, im_z=-6.92820323, err_d=2.93409741e-12, err_gamma=1.43742795e-11, err_z=9.58344515e-12\n"
-    "PASS ep2-curve: worst_scaled_disc=1.00779467e-20, worst_oracle_rel=1.68037564e-14, points=200\n"
+    "PASS ep3: d_tilde=2.82842712, gamma_tilde=10.3923048, im_z=-6.92820323, err_d=1.93345866e-16, err_gamma=2.86073366e-16, err_z=4.01403369e-16\n"
+    "PASS ep2-curve: worst_scaled_disc=1.00779467e-20, worst_oracle_rel=3.43218873e-16, points=200\n"
     "PASS spectra: worst_matched_dist=5.65737552e-15, worst_symmetry=1.00321705e-16, worst_sum_rule=8.8817842e-16, samples=3500\n"
     "PASS gamma0: worst_dist=4.5775668e-16, samples=100\n"
     "PASS equilibrium: worst_null_residual=1.26129343e-16, worst_final_dist_eq=2.7256037e-11\n"
@@ -187,13 +187,20 @@ class TestLazyPackage:
         assert lindblad_ep.exceptional.ep3_point is lindblad_ep.ep3_point
         assert lindblad_ep.model.INITIAL_STATES is lindblad_ep.INITIAL_STATES
 
+    # Exact arithmetic stays out of the numeric unit, which every computing command loads.
+    def test_the_numeric_unit_loads_no_fractions_or_decimal(self):
+        lines = fresh("import lindblad_ep\nlindblad_ep.ModelParams\n"
+                      "print('fractions' in sys.modules, 'decimal' in sys.modules)")
+        assert lines == ["False False"]
+
     def test_dir_lists_every_public_name(self):
         assert set(lindblad_ep.__all__) <= set(dir(lindblad_ep))
 
     # An unknown name, and wrappers that are no longer public.
     @pytest.mark.parametrize("name", [
         "no_such_name", "cardano_params", "CardanoParams", "scaled_discriminant",
-        "ep_curve_point", "EPCurvePoint", "step_rk4",
+        "ep_curve_point", "EPCurvePoint", "step_rk4", "ep2_locate_numeric", "ep3_locate_numeric",
+        "NoRootError",
     ])
     def test_an_unknown_name_raises_attribute_error(self, name):
         with pytest.raises(AttributeError, match=name):
@@ -920,7 +927,8 @@ class TestVerifyCommand:
         # The full report at the default seed, as printed before the checks
         # moved onto the array closed form and the batched bisection; the
         # frame deviation and the worst Hermiticity defect re-pinned at
-        # roundoff when the lab path moved to powers of one step matrix.
+        # roundoff when the lab path moved to powers of one step matrix; the ep3 and
+        # ep2-curve errors re-pinned when their reference became the exact roots.
         assert run(["verify"]) == 0
         assert capsys.readouterr().out == VERIFY_DEFAULT_STDOUT
 

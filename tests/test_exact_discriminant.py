@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lindblad_ep import ModelParams, Region, build_lindblad, classify
+from lindblad_ep import ModelParams, Region, build_lindblad, classify, verify
 from lindblad_ep.constants import D_TILDE_EP3
 from lindblad_ep.spectrum import _cubic
 
@@ -106,13 +106,28 @@ def test_sign_of_the_core_and_the_labels_is_exact():
     assert checked > 2900
 
 
+def verify_drives() -> list:
+    """The 200 drives of verify's ep2-curve check, float(2 sqrt(2)) first."""
+    return np.linspace(D_TILDE_EP3, 10.0, 200).tolist()
+
+
 def quadratic_points() -> list:
     """verify's 199 drives above the threshold at unit detuning, and 50 seeded
     (delta, d) with delta in {-2, -0.3, 0.7, 3} and d uniform in [-8, 8]."""
     rng = np.random.default_rng(36)
     deltas = rng.choice([-2.0, -0.3, 0.7, 3.0], size=50).tolist()
-    drives = np.linspace(D_TILDE_EP3, 10.0, 200)[1:].tolist()
+    drives = verify_drives()[1:]
     return [(1.0, d) for d in drives] + list(zip(deltas, rng.uniform(-8.0, 8.0, 50).tolist()))
+
+
+def interpolated_quadratic(delta: float, d: float) -> tuple:
+    """``(c0, c1, c2)`` of the quadratic in G = gamma^2 through the exact p^3 + q^2 at
+    G = 0, 1 and 4, checked to pass through it at G = 9 as well."""
+    disc = {g * g: exact_discriminant(ModelParams(delta, d, g)) / 108 for g in (0, 1, 2, 3)}
+    c2 = (disc[4] - disc[0] - 4 * (disc[1] - disc[0])) / 12
+    c = (disc[0], disc[1] - disc[0] - c2, c2)
+    assert disc[9] == c[0] + 9 * c[1] + 81 * c[2], (delta, d)
+    return c
 
 
 def test_exactly_quadratic_in_gamma_squared():
@@ -122,12 +137,18 @@ def test_exactly_quadratic_in_gamma_squared():
         a, b = Fraction(delta) ** 2, Fraction(d) ** 2
         s = a + b
         c0, c1, c2 = s**3 / 27, (2 * a**2 - 5 * a * b - b**2 / 4) / 108, a / 432
-        disc = {g * g: exact_discriminant(ModelParams(delta, d, g)) / 108 for g in (0, 1, 2, 3)}
-        # The quadratic through G = 0, 1 and 4, and G = 9 on it.
-        got2 = (disc[4] - disc[0] - 4 * (disc[1] - disc[0])) / 12
-        got = (disc[0], disc[1] - disc[0] - got2, got2)
-        assert got == (c0, c1, c2), (delta, d)
-        assert disc[9] == c0 + 9 * c1 + 81 * c2, (delta, d)
+        assert interpolated_quadratic(delta, d) == (c0, c1, c2), (delta, d)
         # Its roots in G are the curves: c1^2 - 4 c0 c2 = wing^2 / 46656 in units of
         # delta, with wing = d (d^2 - 8)^(3/2) / 2.
         assert c1**2 - 4 * c0 * c2 == b * (b - 8 * a) ** 3 / 186624, (delta, d)
+
+
+def test_verify_reference_is_the_generators_quadratic():
+    # verify's integer coefficients at B = d^2 = n^2 / den^2, over their power of two
+    # den^6, are 432 (c2, c1, c0) of the generator's exact discriminant, at every drive.
+    for d in verify_drives():
+        n, den = d.as_integer_ratio()
+        got = [Fraction(a, den**6) for a in verify._quadratic(n * n, den * den)]
+        assert got == [432 * c for c in reversed(interpolated_quadratic(1.0, d))], d
+    # At B = 8 the two curves meet, in the double root G = 108.
+    assert verify._quadratic(8, 1) == (1, -2 * 108, 108**2)

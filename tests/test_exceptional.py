@@ -12,7 +12,6 @@ from lindblad_ep import (
     DegenerateFitError,
     DomainError,
     ModelParams,
-    NoRootError,
     Region,
     build_lindblad,
     classify,
@@ -20,8 +19,6 @@ from lindblad_ep import (
     discriminant,
     ep2_eigenvalue,
     ep2_gamma,
-    ep2_locate_numeric,
-    ep3_locate_numeric,
     ep3_point,
     eigenvalues_closed_form,
     eigenvalues_numeric,
@@ -33,13 +30,11 @@ from lindblad_ep.exceptional import (
     EP3_BAND,
     _EP_REGIONS,
     _REGIONS,
-    _bisect_brackets,
     _classify,
     _classify_codes,
     _region_codes,
     _scaled_disc,
 )
-from lindblad_ep.model import _refuse
 from lindblad_ep.spectrum import _char_cubic_coeffs, _cubic
 from lindblad_ep.verify import check_phase_diagram
 
@@ -824,200 +819,40 @@ class TestMemory:
         assert traced_peak(check_phase_diagram) < 4e6
 
 
-def two_end_bisection(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The bisection the locators ran before they passed ends of known sign: ``f(x, k)``
-    is bracket ``k[i]``'s function at ``x[i]``, both ends are evaluated, a zero end is
-    the root, and a bracket without a sign change is refused."""
-    k = np.arange(len(lo))
-    flo, fhi = f(lo, k), f(hi, k)
-    root = np.where(flo == 0.0, lo, hi)
-    open_ = (flo != 0.0) & (fhi != 0.0)
-    up = flo > 0.0
-    _refuse(open_ & (up == (fhi > 0.0)), NoRootError,
-            lambda i: f"no sign change over [{float(lo[i])}, {float(hi[i])}]")
-    k, lo, hi, up = k[open_], lo[open_], hi[open_], up[open_]
-    while k.size:
-        mid = 0.5 * (lo + hi)
-        live = (mid != lo) & (mid != hi)
-        fm = np.zeros_like(mid)
-        fm[live] = f(mid[live], k[live])
-        done = fm == 0.0
-        root[k[done]] = mid[done]
-        to_lo = (fm > 0.0) == up
-        lo, hi = np.where(to_lo, mid, lo), np.where(to_lo, hi, mid)
-        k, lo, hi, up = k[~done], lo[~done], hi[~done], up[~done]
-    return root
+class TestSharpExactReference:
+    """verify's ep2-curve and ep3 checks against the exact roots: one coupling or one
+    constant moved past its bound fails the check, and nothing moved passes."""
 
+    @pytest.mark.parametrize("drive", [0, 100, 199])
+    @pytest.mark.parametrize("branch", [0, 1], ids=["minus", "plus"])
+    @pytest.mark.parametrize("rel, passes", [(0.0, True), (2e-8, False), (-2e-8, False)])
+    def test_one_moved_coupling_fails_ep2_curve(self, monkeypatch, drive, branch, rel, passes):
+        def moved(d_tilde):
+            gammas = [g.copy() for g in ep2_gamma(d_tilde)]
+            gammas[branch][drive] *= 1.0 + rel
+            return tuple(gammas)
 
-def locator_drives() -> np.ndarray:
-    """verify's 199 drives, 1,500 log-spaced in [1e2, 7e4], 3,000 seeded in [2 sqrt(2), 300],
-    500 at 2 sqrt(2) + 10^[-15, -1], 2,000 log-uniform up to 1e25, and verify's negated."""
-    rng = np.random.default_rng(35)
-    ours = np.linspace(D_EP3, 10.0, 200)[1:]
-    return np.concatenate([
-        ours, np.logspace(2.0, math.log10(7e4), 1500), rng.uniform(D_EP3, 300.0, 3000),
-        D_EP3 + 10.0 ** np.linspace(-15.0, -1.0, 500),
-        np.exp(rng.uniform(math.log(D_EP3), math.log(1e25), 2000)), -ours,
-    ])
+        monkeypatch.setattr(verify, "ep2_gamma", moved)
+        result = verify.check_ep2_curve()
+        assert result.passed is passes
+        assert (result.details["worst_oracle_rel"] < 1e-8) is passes
 
+    # At float(2 sqrt(2)) both roots of the quadratic are real, since float(sqrt 8)^2 > 8,
+    # and both branches return one coupling.
+    def test_the_first_drive_passes_on_both_branches(self):
+        d0 = np.linspace(D_TILDE_EP3, 10.0, 200)[0]
+        assert ep2_gamma(d0) == (10.392304845413266, 10.392304845413266)
+        n, den = float(d0).as_integer_ratio()
+        a2, a1, a0 = verify._quadratic(n * n, den * den)
+        assert a1 * a1 - 4 * a2 * a0 > 0
+        surds = verify._root_surds(a2, a1, a0)
+        assert all(verify._err(g, r, r) < 1e-8 for g, r in zip(ep2_gamma(d0), surds))
 
-class TestEP2LocateNumeric:
-    def test_agrees_with_closed_form_at_three(self):
-        gm, gp = ep2_locate_numeric(3.0)
-        assert abs(gm - math.sqrt(125.0)) < 1e-8
-        assert abs(gp - math.sqrt(128.0)) < 1e-8
-
-    def test_located_roots_sit_on_the_zero_set(self):
-        gm, gp = ep2_locate_numeric(5.0)
-        assert abs(discriminant(ModelParams(1.0, 5.0, gm))) < 1e-12
-        assert abs(discriminant(ModelParams(1.0, 5.0, gp))) < 1e-12
-
-    def test_below_threshold_raises(self):
-        with pytest.raises(NoRootError):
-            ep2_locate_numeric(2.8)
-
-    def test_agreement_over_the_curve_range(self):
-        for d_t in np.linspace(D_EP3 + 1e-6, 10.0, 20):
-            gm_c, gp_c = ep2_gamma(d_t)
-            gm_n, gp_n = ep2_locate_numeric(d_t)
-            assert abs(gm_c - gm_n) / gm_c < 1e-8
-            assert abs(gp_c - gp_n) / gp_c < 1e-8
-
-    # Recorded from the one-drive-at-a-time bisection this batched one replaced.
-    RECORDED = {
-        3.0: (11.180339887498949, 11.313708498984761),
-        5.0: (19.577231952225766, 27.087487685068744),
-        10.0: (39.7974245215981, 102.02041463083651),
-    }
-
-    def test_recorded_values(self):
-        drives = np.array(list(self.RECORDED))
-        gm, gp = ep2_locate_numeric(drives)
-        for k, d_t in enumerate(drives):
-            assert ep2_locate_numeric(d_t) == self.RECORDED[d_t]
-            assert (gm[k], gp[k]) == self.RECORDED[d_t]
-
-    def test_batch_equals_one_call_per_drive(self):
-        drives = np.concatenate([np.linspace(D_EP3, 10.0, 200)[1:], [D_EP3 + 1e-9, 40.0, 3.0]])
-        gm, gp = ep2_locate_numeric(drives)
-        assert gm.shape == gp.shape == drives.shape
-        single = np.array([ep2_locate_numeric(d_t) for d_t in drives])
-        assert np.array_equal(np.stack([gm, gp], axis=1).view(np.uint64), single.view(np.uint64))
-        assert isinstance(ep2_locate_numeric(3.0)[0], float)
-
-    def test_batch_refusal_names_the_element(self):
-        with pytest.raises(NoRootError, match=r"^element 2 of the batch: .*d_tilde = 2\.8;"):
-            ep2_locate_numeric(np.array([3.0, 5.0, 2.8, 4.0, 1.0]))
-        with pytest.raises(NoRootError, match=r"^discriminant has no negative dip"):
-            ep2_locate_numeric(2.8)
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan, [3.0, -np.inf], [[3.0]]])
-    def test_bad_drives_rejected(self, bad):
-        with pytest.raises(DomainError):
-            ep2_locate_numeric(bad)
-
-    # Far drives reach this branch, where the float discriminant has lost its digits
-    # (ROADMAP item 13): 459 of 1,500 drives log-spaced in [1e2, 7e4] do.  A
-    # discriminant that never turns positive forces it at any drive.
-    @pytest.mark.parametrize("drives, prefix",
-                             [(3.0, ""), ([3.0, 4.0], "element 0 of the batch: ")])
-    def test_unbracketed_upper_coupling_refused(self, monkeypatch, drives, prefix):
-        monkeypatch.setattr(exceptional, "_disc_at", lambda d, x: -np.ones_like(x))
-        with pytest.raises(NoRootError) as info:
-            ep2_locate_numeric(drives)
-        assert str(info.value) == prefix + "failed to bracket the upper coalescence coupling"
-
-    # disc(2 x*) = disc(0) > 0 exactly, but at d_tilde = 2000 the float discriminant is not
-    # positive at 2 x*: refused, where a doubling search past 2 x* returned a plus coupling
-    # of 4000063.41 against ep2_gamma's 4000002.0.
-    def test_far_drive_without_the_exact_bracket_refused(self):
-        text = "failed to bracket the upper coalescence coupling"
-        for drives, prefix in [(2000.0, ""), ([3.0, 2000.0], "element 1 of the batch: ")]:
-            with pytest.raises(NoRootError) as info:
-                ep2_locate_numeric(drives)
-            assert str(info.value) == prefix + text
-
-    def test_bisection_equals_the_two_end_bisection(self):
-        d = locator_drives()
-        x_star, depth = exceptional._dip(d)
-        hi = 2.0 * x_star
-        bisected = (depth < 0.0) & (exceptional._disc_at(d, hi) > 0.0)
-        for d_t, dip in zip(d[~bisected].tolist(), (depth[~bisected] < 0.0).tolist()):
-            with pytest.raises(NoRootError) as info:
-                ep2_locate_numeric(d_t)
-            assert str(info.value) == (
-                "failed to bracket the upper coalescence coupling" if dip else
-                f"discriminant has no negative dip at d_tilde = {d_t}; "
-                "no coalescence coupling exists")
-        d, x_star, hi = d[bisected], x_star[bisected], hi[bisected]
-        both = np.concatenate([d, d])
-        want = two_end_bisection(lambda x, k: exceptional._disc_at(both[k], x),
-                                 np.concatenate([np.zeros_like(x_star), x_star]),
-                                 np.concatenate([x_star, hi]))
-        got = _bisect_brackets(lambda x: exceptional._disc_at(d, x),
-                               np.stack([np.zeros_like(x_star), hi]), np.stack([x_star, x_star]))
-        assert np.array_equal(bits(got.ravel()), bits(want))
-        gammas = np.stack(ep2_locate_numeric(d))
-        assert np.array_equal(bits(gammas), bits(np.sqrt(want).reshape(2, -1)))
-
-    @pytest.mark.parametrize("pos, neg", [(0.0, 1.0), (1.0, 0.0)])
-    def test_bisection_closes_on_a_zero_midpoint(self, pos, neg):
-        sign = 1.0 if pos < neg else -1.0
-        got = _bisect_brackets(lambda x: sign * (0.375 - x), np.array([pos]), np.array([neg]))
-        assert got.tolist() == [0.375]
-
-    def test_bisection_counts_nan_as_negative(self, hang_guard):
-        with hang_guard(10):
-            got = _bisect_brackets(lambda x: np.full_like(x, np.nan),
-                                   np.array([0.0, 1.0]), np.array([1.0, -1.0]))
-        assert got[0] == 0.0 and got[1] in (1.0, math.nextafter(1.0, 0.0))
-
-    # Every locator refusal is decided before the bisection starts.
-    @pytest.mark.parametrize("call, text", [
-        (lambda: ep3_locate_numeric(3.0, 3.5), "[3.0, 3.5] does not bracket the curve endpoint"),
-        (lambda: ep2_locate_numeric(2.8), "discriminant has no negative dip at d_tilde = 2.8; "
-                                          "no coalescence coupling exists"),
-        (lambda: ep2_locate_numeric(2000.0), "failed to bracket the upper coalescence coupling"),
-    ], ids=["ep3-bracket", "ep2-dip", "ep2-upper-bracket"])
-    def test_refusals_come_before_the_bisection(self, monkeypatch, call, text):
-        def bisect(*args):
-            raise AssertionError("bisection reached")
-
-        monkeypatch.setattr(exceptional, "_bisect_brackets", bisect)
-        with pytest.raises(NoRootError) as info:
-            call()
-        assert str(info.value) == text
-
-
-class TestEP3LocateNumeric:
-    def test_reproduces_constants(self):
-        d_t, g_t, z = ep3_locate_numeric()
-        assert abs(d_t - D_EP3) < 1e-6
-        assert abs(g_t - G_EP3) < 1e-6
-        assert abs(z - (-4j * math.sqrt(3.0))) < 1e-8
-
-    def test_bad_bracket_raises(self):
-        with pytest.raises(NoRootError):
-            ep3_locate_numeric(3.0, 3.5)
-
-    # Recorded from the bisection that evaluated both bracket ends.
-    RECORDED = {
-        (2.0, 3.5): (2.8284271247491244, 10.392304845427638, -6.928203230285092j),
-        (2.5, 3.0): (2.8284271248276456, 10.392304845812314, -6.928203230541542j),
-        (2.82, 2.83): (2.8284271248804744, 10.39230484607112, -6.92820323071408j),
-    }
-
-    @pytest.mark.parametrize("ends", list(RECORDED), ids=lambda ends: "{}-{}".format(*ends))
-    def test_bisection_equals_the_two_end_bisection(self, ends):
-        bounds = np.array(ends)
-        want = two_end_bisection(lambda x, k: exceptional._dip(x)[1], bounds[:1], bounds[1:])
-        got = ep3_locate_numeric(*ends)
-        assert got == self.RECORDED[ends] and got[0] == want[0]
-
-    @pytest.mark.parametrize("ends", [(np.nan, 3.5), (2.0, np.inf)])
-    def test_non_finite_bracket_rejected(self, ends):
-        with pytest.raises(DomainError):
-            ep3_locate_numeric(*ends)
+    @pytest.mark.parametrize("name", ["D_TILDE_EP3", "GAMMA_TILDE_EP3", "Z_EP3"])
+    @pytest.mark.parametrize("rel, passes", [(0.0, True), (2e-6, False), (-2e-6, False)])
+    def test_one_moved_constant_fails_ep3(self, monkeypatch, name, rel, passes):
+        monkeypatch.setattr(verify, name, getattr(verify, name) * (1.0 + rel))
+        assert verify.check_ep3_constants().passed is passes
 
 
 class TestSplittingExponent:

@@ -23,7 +23,6 @@ from lindblad_ep import (
     eigenvalues_numeric,
     eigenvectors_closed_form,
     ep2_gamma,
-    ep2_locate_numeric,
     full_spectrum,
     initial_state,
     match_distance,
@@ -1311,10 +1310,9 @@ class TestPowOverflowContract:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("call", [
         lambda: ep2_gamma(np.array([3.0, 1e80])),
-        lambda: ep2_locate_numeric(np.array([3.0, 1e120])),
         lambda: _closed_form_stack(np.array([1.0, 1e60]), np.array([2.0, 2.0]), np.array([1.0, 1.0])),
         lambda: classify_grid(1.0, [0, 1, 1e60], [1.0, 2.0]),
-    ], ids=["ep2_gamma", "ep2_locate_numeric", "closed_form_stack", "classify_grid"])
+    ], ids=["ep2_gamma", "closed_form_stack", "classify_grid"])
     def test_overflow_raises_erange(self, call):
         with pytest.raises(OverflowError) as info:
             call()
