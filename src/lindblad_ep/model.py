@@ -95,9 +95,24 @@ class LabParams:
         return ModelParams(self.detuning, self.d, self.gamma)
 
 
+def _drive_phase(omega: float, t):
+    """exp(-i omega t) for one time or an array of times.
+
+    A phase omega * t that is not finite, one that overflows included, is refused
+    with :class:`DomainError` before numpy would warn and return NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = -1j * omega * t
+    finite = np.isfinite(x)
+    if not finite.all():
+        at = np.ravel(t)[np.argmin(finite)]
+        raise DomainError(f"the drive phase omega * t is not finite, got omega={omega}, t={at}")
+    return np.exp(x)
+
+
 def hamiltonian_rwa(params: LabParams, t: float) -> np.ndarray:
     """Lab-frame Hamiltonian with the counter-rotating drive component dropped."""
-    phase = np.exp(-1j * params.omega * t)
+    phase = _drive_phase(params.omega, t)
     half = 0.5 * params.d
     return np.array([[params.Delta + 0j, half * phase], [half * np.conj(phase), 0j]])
 
@@ -125,7 +140,7 @@ def frame_unitary(omega: float, t) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     u = np.zeros(t.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = np.exp(-1j * omega * t)
+    u[..., 0, 0] = _drive_phase(omega, t)
     u[..., 1, 1] = 1.0
     return u
 
@@ -145,7 +160,7 @@ def rotate_to_lab(rho_tilde: np.ndarray, omega: float, t) -> np.ndarray:
     rho = np.asarray(rho_tilde, dtype=complex)
     if rho.shape[-2:] != (2, 2):
         raise DomainError(f"expected a 2x2 matrix or a stack of them, got shape {rho.shape}")
-    e = np.exp(-1j * omega * np.asarray(t, dtype=float))
+    e = _drive_phase(omega, np.asarray(t, dtype=float))
     e_bar = np.conj(e)
     out = np.empty(np.broadcast_shapes(e.shape, rho.shape[:-2]) + (2, 2), dtype=complex)
     out[..., 0, 0] = e * rho[..., 0, 0] * e_bar

@@ -414,8 +414,7 @@ _ARRAYS = SimpleNamespace(
     where=_where, select=_select_on_arrays,
     roots=_array_roots, entries=lambda L: [[L[:, None, i, j] for j in range(4)] for i in range(4)],
     trace=lambda m: _diagonal_sum(*(m[:, i, i] for i in range(4))), cubic_roots=_cubic_roots_rows,
-    map=np.errstate(invalid="ignore", over="ignore")(
-        lambda f, z: f(z.reshape(len(z), math.prod(z.shape[1:]))).reshape(z.shape)),
+    map=np.errstate(invalid="ignore", over="ignore")(lambda f, z: f(z)),
     newton=_newton_on_arrays, collapse=_collapse_rows,
     bad=lambda res, tol: ~(res <= tol[..., None]),
 )
@@ -796,25 +795,28 @@ def _residual(m: list, z):
     return abs(_det_trace(_shifted(m, z))[0])
 
 
-def characteristic_residual(L: np.ndarray, z):
+def characteristic_residual(L: np.ndarray, z) -> float:
     """|det(L - z I)| by cofactor expansion of the 4x4 matrix along its first row.
 
-    ``L`` is one matrix with a scalar ``z``, giving a float, or an
-    ``(N, 4, 4)`` stack with ``z`` of shape ``(N,)`` or ``(N, k)``, giving one
-    residual per shift in an array shaped like ``z``.  Both must hold numbers.
+    ``L`` is one matrix and ``z`` one shift, both numbers; any other shape is
+    refused with :class:`DomainError`.  Where finite entries give a residual past
+    the largest double, OverflowError names it; non-finite entries are refused
+    with :class:`DomainError`.
     """
     L, z = _numbers(L, "matrix entries"), _numbers(z, "shifts")
-    if L.shape == (4, 4) and z.ndim == 0:
-        return _residual(L.tolist(), z.item())
-    if not (L.ndim == 3 and L.shape[1:] == (4, 4) and z.ndim in (1, 2) and len(z) == len(L)):
+    if L.shape != (4, 4) or z.ndim:
         raise DomainError(
-            f"expected a 4x4 matrix with a scalar shift, or an (N, 4, 4) stack with "
-            f"(N,) or (N, k) shifts; got shapes {L.shape} and {z.shape}"
-        )
-    def block(rows):
-        return (_ARRAYS.map(functools.partial(_residual, _ARRAYS.entries(L[rows])), z[rows]),)
-
-    return _in_blocks(block, (np.empty(z.shape),), 16)[0]
+            f"expected a 4x4 matrix and a scalar shift, got shapes {L.shape} and {z.shape}")
+    z = z.item()
+    try:
+        res = _residual(L.tolist(), z)
+    except OverflowError:  # Python's complex abs past the largest double
+        res = math.inf
+    if not math.isfinite(res):
+        if not (np.isfinite(L).all() and cmath.isfinite(z)):
+            raise DomainError("matrix entries and shift must be finite")
+        raise OverflowError("the characteristic residual overflows a double")
+    return res
 
 
 def _numbers(x, what: str) -> np.ndarray:

@@ -38,7 +38,6 @@ from .exceptional import (
 from .model import LabParams, ModelParams, initial_state, max_abs
 from .spectrum import (
     _closed_form_stack,
-    _pow,
     eigenvalues_numeric,
     match_distance,
 )
@@ -198,7 +197,7 @@ def check_gamma_zero(seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -> CheckR
     """Without dissipation the spectrum is exactly {0, 0, +r, -r} with r^2 = delta^2 + d^2."""
     delta, d = _gamma_zero_points(seed)
     zs = _closed_form_stack(delta, d, np.zeros_like(delta))
-    r = np.sqrt(_pow(delta, 2) + _pow(d, 2))
+    r = np.sqrt(delta * delta + d * d)
     expected = np.stack([np.zeros_like(r), np.zeros_like(r), r, -r], axis=1).astype(complex)
     worst = float(np.max(match_distance(zs, expected)))
     passed = worst < 1e-12 * tol_scale

@@ -152,3 +152,20 @@ def test_verify_reference_is_the_generators_quadratic():
         assert got == [432 * c for c in reversed(interpolated_quadratic(1.0, d))], d
     # At B = 8 the two curves meet, in the double root G = 108.
     assert verify._quadratic(8, 1) == (1, -2 * 108, 108**2)
+
+
+def test_dyadic_family_couplings_are_exact_roots():
+    # At delta = 1, d = (t + 8/t)/2 and m = (t - 8/t)/2 give d^2 - 8 = m^2, so both
+    # couplings G = d^4/2 + 10 d^2 - 4 +- d |m|^3 / 2 are rational.  For t = 2^k with k
+    # in [-24, 27] the float d is exact: t and 8/t give one drive, 26 drives in all.
+    family = {}
+    for k in range(-24, 28):
+        t = Fraction(2) ** k
+        d, m = (t + 8 / t) / 2, abs(t - 8 / t) / 2
+        assert Fraction(float(d)) == d and d * d - 8 == m * m, k
+        family[d] = [d**4 / 2 + 10 * d**2 - 4 + s * d * m**3 / 2 for s in (1, -1)]
+    assert len(family) == 26 and family[3] == [128, 125]
+    # Each coupling is a root of the generator's exact discriminant, a quadratic in G.
+    for d, couplings in family.items():
+        c0, c1, c2 = interpolated_quadratic(1.0, float(d))
+        assert [c0 + c1 * g + c2 * g * g for g in couplings] == [0, 0], d

@@ -6,7 +6,7 @@ The point APIs are every public callable that takes one ``ModelParams``:
 ``eigenvectors_closed_form`` for each decaying mode, ``spectral_evolve``,
 ``build_lindblad`` and the oracle ``eigenvalues_numeric`` on it,
 ``equilibrium_state``, ``null_eigenvectors``, ``hamiltonian_rotating`` and
-``largest_stable_dt``.
+``largest_stable_dt``, and ``characteristic_residual`` at the oracle's roots.
 
 The corpus is 9 shapes at 31 scales, 10^-300 .. 10^300 in steps of 10^20,
 plus each shape with one coordinate a signed zero or a subnormal, and each
@@ -16,6 +16,9 @@ shape scaled down to subnormals.  Two open defects are named, not hidden:
   item 3: the cubic is not yet solved at unit scale);
 - an infinite scaled coordinate in ``classify``, where d/delta or gamma/delta
   truly passes the largest double (the quotient is checked exactly).
+
+A named refusal is told apart from the bare OverflowError: the characteristic
+residual past the largest double, from about 1e80 upward.
 
 One documented infinity is named too: ``largest_stable_dt`` is ``inf`` where
 the stable step passes the largest double, which needs max|eig(L)| < 8 / DBL_MAX.
@@ -33,6 +36,7 @@ from lindblad_ep import (
     LindbladEPError,
     ModelParams,
     build_lindblad,
+    characteristic_residual,
     classify,
     discriminant,
     eigenvalues_closed_form,
@@ -82,7 +86,13 @@ CALLS = {
     **{f"eigenvectors_closed_form-{nu}": lambda params, nu=nu: eigenvectors_closed_form(params, nu)
        for nu in (1, 2, 3)},
     "largest_stable_dt": largest_stable_dt,
+    "characteristic_residual": lambda params: residuals_at_the_oracle_roots(build_lindblad(params)),
 }
+RESIDUAL_OVERFLOW = "the characteristic residual overflows a double"
+
+
+def residuals_at_the_oracle_roots(L: np.ndarray) -> np.ndarray:
+    return np.array([characteristic_residual(L, z) for z in eigenvalues_numeric(L)])
 
 
 def numbers(result) -> list:
@@ -118,7 +128,7 @@ def test_the_corpus():
 
 @pytest.mark.parametrize("name", list(CALLS))
 def test_finite_or_refused_without_nan_or_warning(name):
-    call, outcomes = CALLS[name], {"finite": 0, "refused": 0, "overflow": 0}
+    call, outcomes = CALLS[name], {"finite": 0, "refused": 0, "named": 0, "overflow": 0}
     for point in corpus():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -127,8 +137,8 @@ def test_finite_or_refused_without_nan_or_warning(name):
             except LindbladEPError:
                 outcomes["refused"] += 1
                 continue
-            except OverflowError:  # item 3's open defect
-                outcomes["overflow"] += 1
+            except OverflowError as exc:  # a named refusal, or item 3's open defect
+                outcomes["named" if str(exc) == RESIDUAL_OVERFLOW else "overflow"] += 1
                 continue
         for field, value in numbers(result):
             values = np.asarray(value)
@@ -143,3 +153,8 @@ def test_finite_or_refused_without_nan_or_warning(name):
             assert np.isfinite(values).all(), (name, point, field)
         outcomes["finite"] += 1
     assert outcomes["finite"] > 0, outcomes
+    # Only the residual overflows by name, and it never overflows bare.
+    if name == "characteristic_residual":
+        assert outcomes["named"] > 0 and outcomes["overflow"] == 0, outcomes
+    else:
+        assert outcomes["named"] == 0, outcomes

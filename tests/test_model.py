@@ -160,6 +160,45 @@ class TestRotateToLab:
             rotate_to_lab(np.ones(shape), 1.0, 0.5)
 
 
+# Every caller of the drive phase exp(-i omega t), each with its phase omega * t.
+PHASE_CALLS = {
+    "frame_unitary": lambda omega, t: frame_unitary(omega, t),
+    "rotate_to_lab": lambda omega, t: rotate_to_lab(initial_state("coherent"), omega, t),
+    "hamiltonian_rwa": lambda omega, t: hamiltonian_rwa(LabParams(1.0, omega, 1.0, 1.0), t),
+}
+
+
+class TestDrivePhaseRefusal:
+    # A phase omega * t past the largest double, or a time that is not finite, is
+    # refused by name; numpy would warn and return NaN.
+    @pytest.mark.parametrize("name", list(PHASE_CALLS))
+    @pytest.mark.parametrize("omega, t, named", [
+        (1e200, 1e200, "1e+200"), (-1e200, 1e200, "1e+200"), (1.0, math.inf, "inf"),
+        (0.0, math.inf, "inf"), (1.0, math.nan, "nan"),
+    ])
+    def test_refused_without_warning(self, name, omega, t, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                PHASE_CALLS[name](omega, t)
+        assert str(info.value) == (
+            f"the drive phase omega * t is not finite, got omega={omega}, t={named}")
+
+    @pytest.mark.parametrize("name", ["frame_unitary", "rotate_to_lab"])
+    def test_an_array_names_its_first_bad_time(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"got omega=1e\+200, t=2e\+200$"):
+                PHASE_CALLS[name](1e200, np.array([0.0, 1.0, 2e200, 3e200]))
+
+    @pytest.mark.parametrize("name", list(PHASE_CALLS))
+    def test_a_phase_near_the_largest_double_passes(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = PHASE_CALLS[name](1e154, 1e154)
+        assert np.isfinite(out).all()
+
+
 def _elementwise(rho, omega, t):
     """The conjugation by diag(e, 1), e = exp(-i omega t), entry by entry on full-shape arrays.
 
