@@ -36,38 +36,48 @@ def _write(path: str | None, texts) -> None:
         out.writelines(texts)
 
 
-def _table(fmt, header, blocks, bare=()):
-    """A table, given its CSV header line, as CSV or as a JSON list of row objects, in
-    pieces of 1024 rows or fewer.  ``blocks`` yields lists of equal-length columns of cell
-    text or of numbers (written as shortest round-trip decimals), one row or more in all.
-    JSON quotes every cell but those in ``bare``: the bytes of ``json.dumps(rows, indent=2)``."""
+def _layout(fmt, header, bare=()):
+    """``(seps, head, tail, skip)`` of a table given its CSV header line, as CSV or as a JSON
+    list of row objects: a row is seps[0], cell 0, seps[1], ..., cell K-1, seps[K], and the
+    table is ``head``, the rows less their first ``skip`` characters, and ``tail``.  JSON
+    quotes every cell but those in ``bare``: the bytes of ``json.dumps(rows, indent=2)``."""
     names = header.split(",")
     if fmt == "json":
         quote = ["" if name in bare else '"' for name in names]
         # Each object opens with the comma after the one before; the first drops it.
         lead = [",\n  {"] + [mark + "," for mark in quote[:-1]]
         seps = [f'{a}\n    "{name}": {b}' for a, name, b in zip(lead, names, quote)]
-        seps, head, tail, skip = seps + [quote[-1] + "\n  }"], "[", "\n]\n", 1
-    else:
-        seps, head, tail, skip = [""] + [","] * (len(names) - 1) + ["\n"], header + "\n", "", 0
-    # A row is seps[0], cell 0, seps[1], ..., cell K-1, seps[K].
+        return seps + [quote[-1] + "\n  }"], "[", "\n]\n", 1
+    return [""] + [","] * (len(names) - 1) + ["\n"], header + "\n", "", 0
+
+
+# Most rows joined into one piece of a table.
+_CHUNK = 1024
+
+
+def _table(fmt, header, blocks):
+    """The table of :func:`_layout` from ``blocks``, which yields lists of equal-length
+    float arrays, one row or more in all, written as shortest round-trip decimals in pieces
+    of :data:`_CHUNK` rows or fewer.  ``ep-curve`` and ``evolve`` write through it;
+    ``phase-diagram``, whose cells are text, through :func:`_grid_rows`."""
+    seps, head, tail, skip = _layout(fmt, header)
     template = [""] * (2 * len(seps) - 1)
     template[::2] = seps
     yield head
     for block in blocks:
-        for start in range(0, len(block[0]), 1024):
-            cells = [column[start : start + 1024] for column in block]
+        for start in range(0, len(block[0]), _CHUNK):
+            cells = [column[start : start + _CHUNK].tolist() for column in block]
             parts = template * len(cells[0])
             for k, column in enumerate(cells):
-                text = column if isinstance(column, list) else map(repr, column.tolist())
-                parts[2 * k + 1 :: len(template)] = text
+                parts[2 * k + 1 :: len(template)] = map(repr, column)
             yield "".join(parts)[skip:]
             skip = 0
     yield tail
 
 
-# Most nodes a grid takes: a run at the cap peaks at 66 MB for a 2048x1024 phase diagram
-# and at 400 MB for ep-curve, its largest (measured, see README).
+# Most nodes a grid takes: a phase diagram at the cap peaks at 66-70 MB for 2048x1024, about
+# 100 MB on one d-row and 165 MB on one d-column, and ep-curve at 400 MB, the largest
+# (in-process ru_maxrss, see README).
 _MAX_NODES = 2**21
 
 
@@ -167,25 +177,48 @@ def cmd_spectrum(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_phase_diagram(args) -> int:
-    import numpy as np
-
     from .exceptional import _REGIONS, _classify_codes
 
     if args.delta <= 0:
         raise DomainError("grid commands use delta > 0 so flags read as d/delta, gamma/delta")
-    # Cell text by region code of `_classify_codes`, and by ordering (-1 takes the last entry).
-    labels = np.array([region.value for region in _REGIONS], dtype=object)
-    orderings = np.array(["0", "1", "-1"], dtype=object)
     d_grid, g_grid = _grids(args, "d", "gamma")
-    disc, codes, ordering = _classify_codes(args.delta, d_grid, g_grid)
-    # One block per d-row, d-major like the grid; the gamma column is formatted once.
-    g_text = list(map(repr, g_grid.tolist()))
-    rows = zip(map(repr, d_grid.tolist()), disc, codes, ordering)
-    blocks = ([[d_t] * len(g_text), g_text, x, labels[c].tolist(), orderings[o].tolist()]
-              for d_t, x, c, o in rows)
-    header = "d_tilde,gamma_tilde,disc,region,ordering"
-    _write(args.out, _table(args.format, header, blocks, bare=("ordering",)))
+    disc, codes, keys = _classify_codes(args.delta, d_grid, g_grid)
+    # The keys 3 * code + ordering % 3 of _grid_rows, formed in place of the orderings so
+    # that no array the size of the grid is allocated.
+    keys %= 3
+    codes *= 3
+    keys += codes
+    layout = _layout(args.format, "d_tilde,gamma_tilde,disc,region,ordering", bare=("ordering",))
+    names = [region.value for region in _REGIONS]
+    _write(args.out, _grid_rows(layout, d_grid, g_grid, disc, keys, names))
     return EXIT_OK
+
+
+def _grid_rows(layout, d_grid, g_grid, disc, keys, names):
+    """The phase-diagram table of :func:`_layout`, d-major, one piece per d-row or per
+    :data:`_CHUNK` nodes of a longer one.  A row is four texts: the d cell between its
+    separators, the gamma cell and its separator, ``disc``, and the ending that holds
+    region ``names[c]`` and ordering ``o`` at key ``3 * c + o % 3``."""
+    seps, head, tail, skip = layout
+    endings = [f"{seps[3]}{name}{seps[4]}{o}{seps[5]}" for name in names for o in (0, 1, -1)]
+
+    def gamma_cells(start):
+        return [g + seps[2] for g in map(repr, g_grid[start : start + _CHUNK].tolist())]
+
+    # Formed once where a d-row is one piece; else once per piece, so no text is whole-row.
+    whole = gamma_cells(0) if len(g_grid) <= _CHUNK else None
+    yield head
+    for d_t, row_disc, row_keys in zip(map(repr, d_grid.tolist()), disc, keys):
+        prefix = seps[0] + d_t + seps[1]
+        for start in range(0, len(g_grid), _CHUNK):
+            cells = whole if whole is not None else gamma_cells(start)
+            parts = [prefix] * (4 * len(cells))
+            parts[1::4] = cells
+            parts[2::4] = map(repr, row_disc[start : start + _CHUNK].tolist())
+            parts[3::4] = map(endings.__getitem__, row_keys[start : start + _CHUNK].tolist())
+            yield "".join(parts)[skip:]
+            skip = 0
+    yield tail
 
 
 # --------------------------------------------------------------------------

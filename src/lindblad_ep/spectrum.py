@@ -214,10 +214,13 @@ def _array_roots(base, p, q, disc, real, ur, vr, vi) -> tuple:
                         (0.0 + wi * ur) + (wr * vi + (-wi) * vr))
     z3 = _times_minus_i((base + (wr * ur + 0.0)) + (wr * vr - wi * vi),
                         (0.0 + (-wi) * ur) + (wr * vi + wi * vr))
-    bases = np.broadcast_to(base, p.shape)
-    for idx in zip(*np.nonzero(~real)):
-        point = [float(x[idx]) for x in (bases, p, q, disc)]
-        z1[idx], z2[idx], z3[idx] = _point_roots(*point, False, None, None, None)[2]
+    # Where disc < 0, the point's complex arithmetic on its Python floats: numpy's complex
+    # power, arctan2, sin and cos have SIMD loops whose bits differ from Python's.
+    complex_nodes = ~real
+    points = zip(*(np.broadcast_to(x, p.shape)[complex_nodes].tolist() for x in (base, p, q, disc)))
+    roots = [_point_roots(*point, False, None, None, None)[2] for point in points]
+    if roots:
+        z1[complex_nodes], z2[complex_nodes], z3[complex_nodes] = zip(*roots)
     return None, None, (z1, z2, z3)
 
 

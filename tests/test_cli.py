@@ -471,6 +471,28 @@ class TestPhaseDiagramCommand:
         payload = [dict(zip(header, row)) for row in rows]
         assert (tmp_path / "grid.json").read_text() == json.dumps(payload, indent=2) + "\n"
 
+    def test_every_region_and_ordering_equals_row_by_row_formatting(self, tmp_path, monkeypatch):
+        # d-row i holds region code i at orderings -1, 0, 1: all 15 endings of a row
+        d_grid, g_grid = np.linspace(0.0, 6.0, 5), np.linspace(0.0, 16.0, 3)
+        disc = np.arange(15.0).reshape(5, 3) - 7.5
+        codes = np.repeat(np.arange(5, dtype=np.int8)[:, None], 3, axis=1)
+        ordering = np.tile(np.array([-1, 0, 1]), (5, 1))
+        monkeypatch.setattr(lindblad_ep.exceptional, "_classify_codes",
+                            lambda *grid: (disc.copy(), codes.copy(), ordering.copy()))
+        args = ["phase-diagram", "--nd", "5", "--ngamma", "3", "--out"]
+        assert run(args + [str(tmp_path / "grid.csv")]) == 0
+        assert run(args + [str(tmp_path / "grid.json"), "--format", "json"]) == 0
+        header = ("d_tilde", "gamma_tilde", "disc", "region", "ordering")
+        regions = list(lindblad_ep.Region)
+        rows = [(repr(float(d)), repr(float(g)), repr(float(disc[i, j])),
+                 regions[codes[i, j]].value, int(ordering[i, j]))
+                for i, d in enumerate(d_grid) for j, g in enumerate(g_grid)]
+        assert len({row[3:] for row in rows}) == 15
+        lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+        assert (tmp_path / "grid.csv").read_text() == "\n".join(lines) + "\n"
+        payload = [dict(zip(header, row)) for row in rows]
+        assert (tmp_path / "grid.json").read_text() == json.dumps(payload, indent=2) + "\n"
+
     @pytest.mark.parametrize("counts, message", [
         (["--nd", "1000000000", "--ngamma", "1000000000"],
          f"--nd x --ngamma asks for {10**18} nodes, more than {_MAX_NODES}"),
@@ -488,6 +510,23 @@ class TestPhaseDiagramCommand:
         # the parser's own objects only: one axis of 2^21 + 1 nodes would take 16 MiB
         assert peak < 2**20
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_single_d_row_peak_per_node(self, fmt, tmp_path):
+        # Measured with numpy 2.4 on Python 3.11: 46 bytes per node, the classifier's
+        # outputs and grids plus one 1,024-node piece.  A writer holding the row's gamma
+        # text and label lists whole took 132.
+        n = 2**17
+        args = ["phase-diagram", "--nd", "1", "--ngamma", str(n), "--format", fmt,
+                "--out", str(tmp_path / "row.txt")]
+        assert run(args) == 0
+        tracemalloc.start()
+        try:
+            assert run(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 64
 
 
 class TestEPCurveCommand:

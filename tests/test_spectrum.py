@@ -249,6 +249,16 @@ class TestClosedFormStack:
                               for x, g in zip(d_t.tolist(), g_t.tolist())]) < 0).all()
             assert_stack_is_scalar(delta, delta * d_t, abs(delta) * g_t)
 
+    def test_every_radical_complex(self):
+        gamma = np.linspace(*ep2_gamma(4.0), 9)[1:-1]
+        assert (_cubic(1.0, 4.0, gamma)[2] < 0).all()
+        assert_stack_is_scalar(1.0, 4.0, gamma)
+
+    def test_no_radical_complex(self):
+        gamma = np.linspace(0.0, 2.0, 9)
+        assert (_cubic(1.0, 1.0, gamma)[2] >= 0).all()
+        assert_stack_is_scalar(1.0, 1.0, gamma)
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(params_st, min_size=1, max_size=8))
     def test_random_points(self, points):
